@@ -28,6 +28,7 @@ from .tensor import (
     sobolev_apply,
 )
 from .dynamics import (
+    MATRIX_DOMAIN_CAP,
     HierarchyMode,
     collision,
     continuity_defect,
@@ -115,6 +116,14 @@ class ExperimentConfig:
             problems.append(f"N: must be >= 1, got {self.N}")
         if self.kind in ("residual",) and self.K_max < self.N:
             problems.append(f"K_max: need K_max >= N={self.N}, got {self.K_max}")
+        if self.kind == "residual" and 1 <= self.d <= 3 and self.M >= 1:
+            F = (2 * self.M + 1) ** self.d
+            if 2 * self.N * math.log(F) > math.log(MATRIX_DOMAIN_CAP):
+                problems.append(
+                    f"N: residual builds the order-N collision matrix on F^(2N) "
+                    f"coefficients, F = (2M+1)^d = {F}; at N={self.N} that "
+                    f"exceeds the cap {MATRIX_DOMAIN_CAP}"
+                )
         if self.kind == "converge" and self.K_max < self.N + 1:
             problems.append(
                 f"K_max: converge needs K_max >= N+1={self.N + 1}, got {self.K_max}"
@@ -150,14 +159,18 @@ class Report:
     environment: dict = field(default_factory=dict)
 
     def check(self, name, measured, threshold, provenance, kind="le"):
+        """Record one check; a non-finite measured value always fails."""
         if kind == "le":
             passed = bool(measured <= threshold)
+        elif kind == "lt":
+            passed = bool(measured < threshold)
         elif kind == "ge":
             passed = bool(measured >= threshold)
         elif kind == "true":
             passed = bool(measured)
         else:
             raise ValueError(kind)
+        passed = passed and bool(np.isfinite(measured))
         self.checks.append(
             {
                 "name": name,
@@ -198,6 +211,12 @@ def _environment(cfg):
         "seed": cfg.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+
+
+def _worst(values, empty=0.0):
+    """Largest of `values`, NaN if any is NaN; builtin max() can drop a NaN."""
+    values = list(values)
+    return float(np.max(values)) if values else empty
 
 
 def _write_csv(csv_dir, name, header, rows):
@@ -249,12 +268,12 @@ def _run_verify(cfg, rep, csv_dir):
     # projection complementarity
     st = random_state(lat, cfg.K_max, cfg.seed + 1)
     left, right = project(st, 2, "leq"), project(st, 2, "gt")
-    recon = 0.0
+    gaps = []
     for k in range(1, cfg.K_max + 1):
         a = left.level(k) or right.level(k)
         if a is not None and st.level(k) is not None:
-            recon = max(recon, h_alpha_norm(a - st.level(k), 0.0))
-    rep.check("tensor.projection_complement", recon, 0.0, "TRIVIAL")
+            gaps.append(h_alpha_norm(a - st.level(k), 0.0))
+    rep.check("tensor.projection_complement", _worst(gaps), 0.0, "TRIVIAL")
     # unitarity and semigroup
     t1, t2 = rng.uniform(0, 2, size=2)
     rep.check(
@@ -286,10 +305,9 @@ def _run_verify(cfg, rep, csv_dir):
     )
     # mode collapse, bitwise
     st2 = random_state(lat, 3, cfg.seed + 4)
-    dep = evolve_truncated(st2, 3, 0.05, cfg.dt, HierarchyMode.dependent(f),
+    dep = evolve_truncated(st2, 3, 0.05, HierarchyMode.dependent(f),
                            grid_times=(0.0, 0.05))
-    ind = evolve_truncated(st2, 3, 0.05, cfg.dt,
-                           HierarchyMode.independent({2: f, 3: f}),
+    ind = evolve_truncated(st2, 3, 0.05, HierarchyMode.independent({2: f, 3: f}),
                            grid_times=(0.0, 0.05))
     same = all(
         np.array_equal(dep.states[-1].level(k).data, ind.states[-1].level(k).data)
@@ -305,10 +323,11 @@ def _run_verify(cfg, rep, csv_dir):
               1e-14, "TRIVIAL")
     # simplex identity
     quad = QuadratureSpec(q=cfg.q)
-    worst = 0.0
+    errs = []
     for j in (1, 2, 3, 4):
         num, ex = simplex_check(j, 0.7, quad)
-        worst = max(worst, abs(num - ex))
+        errs.append(abs(num - ex))
+    worst = _worst(errs)
     rep.check("duhamel.simplex_identity", worst, 1e-10, "PAPER")
 
 
@@ -334,7 +353,7 @@ def _run_estimate_c0(cfg, rep, csv_dir):
     sigma, mat = collision_omega_operator_norm(lat, k, j, cfg.alpha)
     rep.constants["c0_exact_operator_norm"] = sigma
     rep.constants["operator_matrix_shape"] = list(mat.shape)
-    worst_ratio = 0.0
+    ratios = []
     for trial in range(16):
         gt = random_density_matrix(lat, k + 1, cfg.seed + 100 + trial)
 
@@ -343,7 +362,8 @@ def _run_estimate_c0(cfg, rep, csv_dir):
             return collision(gt, j, k + 1, "+", fld) - collision(gt, j, k + 1, "-", fld)
 
         est = omega_l2_h_alpha(ev2, lat, [0], cfg.alpha, method="exact")
-        worst_ratio = max(worst_ratio, est.value / h_alpha_norm(gt, cfg.alpha))
+        ratios.append(est.value / h_alpha_norm(gt, cfg.alpha))
+    worst_ratio = _worst(ratios)
     rep.constants["c0_empirical"] = worst_ratio
     rep.check("random.opnorm_majorizes_ratios", worst_ratio,
               sigma * (1 + 1e-12), "DERIVED")
@@ -355,10 +375,16 @@ def _run_decay(cfg, rep, csv_dir):
     j_max = min(3, cfg.K_max - k)
     quad = QuadratureSpec(q=cfg.q, j_max=max(4, j_max))
     if cfg.mode == "dependent":
-        state = nonresonant_sample(lat, cfg.K_max, cfg.seed, target_c1=1.0)
+        # the non-resonant sample draws 2 K_max distinct modulus shells
+        shells = np.unique(lat.energies).size
+        if shells < 2 * cfg.K_max:
+            raise ConfigError([f"M: dependent-mode decay needs 2*K_max = "
+                               f"{2 * cfg.K_max} distinct modulus shells; the "
+                               f"d={cfg.d}, M={cfg.M} lattice has {shells}"])
         if lat.size ** (2 * cfg.K_max) > 2**24:
             raise ConfigError(["M: dependent-mode decay needs a dense-friendly "
                                "lattice at K_max levels"])
+        state = nonresonant_sample(lat, cfg.K_max, cfg.seed, target_c1=1.0)
     else:
         state = random_state(lat, cfg.K_max, cfg.seed, alpha=cfg.alpha,
                              level_norms=[1.0] * cfg.K_max)
@@ -394,31 +420,32 @@ def _run_decay(cfg, rep, csv_dir):
         # factorial-normalized diagnostics stay near the depth-1 value
         bound = float(normalized[1]) * 1.5 if j_max >= 1 else 0.0
         rep.constants["dependent_aj_bound"] = bound
-        worst = max((float(x) for x in normalized[2:]), default=0.0)
+        worst = _worst(float(x) for x in normalized[2:])
         rep.check("duhamel.dependent_decay_shape", worst, bound, "DERIVED")
         return
     # chain bound with exact per-level operator norms: averaged norms for
     # the randomized modes, deterministic norms for the pointwise stat
     sig = {}
     for m in range(k + 1, k + j_max + 1):
-        worst = 0.0
+        per_j = []
         for jj in range(1, m):
             if stat == "pointwise":
                 s = deterministic_collision_norm(lat, m - 1, jj, cfg.alpha)
             else:
                 s, _ = collision_omega_operator_norm(lat, m - 1, jj, cfg.alpha,
                                                      dim_cap=2**16)
-            worst = max(worst, s)
-        sig[m] = worst
+            per_j.append(s)
+        sig[m] = _worst(per_j)
     rep.constants["per_level_operator_norms"] = {str(m): sig[m] for m in sig}
-    worst_excess = -math.inf
+    excess = []
     for j in range(1, j_max + 1):
         if state.level(k + j) is None:
             continue
         bound = (cfg.T**j / math.factorial(j)) \
             * math.prod((k + i) * sig[k + i + 1] for i in range(j)) \
             * h_alpha_norm(state.level(k + j), cfg.alpha)
-        worst_excess = max(worst_excess, float(norms[j]) - bound)
+        excess.append(float(norms[j]) - bound)
+    worst_excess = _worst(excess, empty=-math.inf)
     rep.constants["decay_bound_excess"] = worst_excess
     rep.check("duhamel.decay_chain_bound_excess", worst_excess, 1e-8, "DERIVED")
 
@@ -440,10 +467,11 @@ def _run_converge(cfg, rep, csv_dir):
     _write_csv(csv_dir, "cauchy.csv", ["N", "D", "ratio"],
                [(N, float(D[i]), ratios[i - 1] if i > 0 else float("nan"))
                 for i, N in enumerate(Ns)])
-    rep.check("duhamel.cauchy_decreasing",
-              int(any(D[i + 1] >= D[i] for i in range(len(D) - 1))), 0, "DERIVED")
+    # D(N+1) < D(N) at every step: the largest ratio stays below 1
+    rep.check("duhamel.cauchy_decreasing", _worst(ratios), 1.0, "DERIVED",
+              kind="lt")
     if ratios:
-        rep.check("duhamel.cauchy_ratio_below_first", max(ratios[1:], default=0.0),
+        rep.check("duhamel.cauchy_ratio_below_first", _worst(ratios[1:]),
                   ratios[0] * 1.0 + 1e-12, "DERIVED")
 
 
@@ -453,12 +481,11 @@ def _run_residual(cfg, rep, csv_dir):
                          level_norms=[1.0] * cfg.K_max)
     quad = QuadratureSpec(q=max(cfg.q, 16), j_max=cfg.N)
     grid = tuple(np.linspace(0.0, cfg.T, cfg.grid_points))
-    rows = []
-    worst_disc, worst_res = 0.0, 0.0
+    rows, residuals = [], []
     for which in ("deterministic", "dependent", "independent"):
         mode = _make_mode(cfg, lat, which)
         ev = DuhamelEvaluator(state, mode, quad)
-        traj = evolve_truncated(state, cfg.N, cfg.T, cfg.dt, mode, grid_times=grid)
+        traj = evolve_truncated(state, cfg.N, cfg.T, mode, grid_times=grid)
         for k in range(1, cfg.N + 1):
             sol = ev.solution_batch(cfg.N, k, grid)
             for i, t in enumerate(grid):
@@ -466,12 +493,12 @@ def _run_residual(cfg, rep, csv_dir):
                 diff = ev._wrap(k, sol[:, i] - ode.data.reshape(-1))
                 rel = h_alpha_norm(diff, cfg.alpha) \
                     / (1.0 + h_alpha_norm(ev._wrap(k, sol[:, i]), cfg.alpha))
-                worst_disc = max(worst_disc, rel)
                 rows.append((which, k, float(t), rel))
         for k in range(1, cfg.N):
-            r = integral_residual(state, cfg.N, k, cfg.T, mode, quad,
-                                  alpha=cfg.alpha)
-            worst_res = max(worst_res, r)
+            residuals.append(integral_residual(state, cfg.N, k, cfg.T, mode, quad,
+                                               alpha=cfg.alpha))
+    worst_disc = _worst(row[3] for row in rows)
+    worst_res = _worst(residuals)
     _write_csv(csv_dir, "duhamel_vs_ode.csv", ["mode", "k", "t", "rel_err"], rows)
     rep.constants["duhamel_ode_discrepancy"] = worst_disc
     rep.constants["integral_residual"] = worst_res
@@ -480,7 +507,7 @@ def _run_residual(cfg, rep, csv_dir):
 
 
 def _run_continuity(cfg, rep, csv_dir):
-    worst_ratio = 0.0
+    scan_ratios = []
     total_covered = 0
     for d in (1, 2, 3):
         for M in (1, 2):
@@ -493,23 +520,25 @@ def _run_continuity(cfg, rep, csv_dir):
                                 lat, k, beta, beta0, delta
                             )
                             total_covered += covered
-                            worst_ratio = max(worst_ratio, ratio)
+                            scan_ratios.append(ratio)
                             if v:
                                 rep.check(
                                     f"dynamics.phase_bound_d{d}M{M}k{k}", v, 0,
                                     "PAPER",
                                 )
+    worst_ratio = _worst(scan_ratios)
     rep.constants["phase_bound_worst_ratio"] = worst_ratio
     rep.constants["phase_bound_slots_covered"] = total_covered
-    rep.check("dynamics.phase_bound_violations", int(worst_ratio > 1.0 + 1e-12),
-              0, "PAPER")
+    rep.check("dynamics.phase_bound_violations", worst_ratio, 1.0 + 1e-12,
+              "PAPER")
     # sampled-tensor defect comparison
     lat = FrequencyLattice(cfg.d, cfg.M)
     sigma = random_density_matrix(lat, 2, cfg.seed, alpha=cfg.alpha0, norm=1.0)
-    worst = 0.0
+    defects = []
     for delta in (1e-1, 1e-2, 1e-3):
         lhs, rhs, r = continuity_defect(sigma, 0.4, delta, cfg.alpha, cfg.alpha0)
-        worst = max(worst, lhs / rhs)
+        defects.append(lhs / rhs)
+    worst = _worst(defects)
     rep.constants["continuity_defect_worst"] = worst
     rep.check("dynamics.continuity_defect", worst, 1.0, "PAPER")
     # solution modulus scaling of the truncated hierarchy
@@ -527,7 +556,7 @@ def _run_continuity(cfg, rep, csv_dir):
     rep.constants["modulus_ratios"] = {f"{d:g}": v for d, v in ratios.items()}
     base = ratios[1e-2] * (1 + 1e-9)
     rep.check("duhamel.modulus_uniform_small_delta",
-              max(ratios[1e-3], ratios[1e-4]), base, "DERIVED")
+              _worst([ratios[1e-3], ratios[1e-4]]), base, "DERIVED")
 
 
 def _run_nls(cfg, rep, csv_dir):
@@ -594,17 +623,17 @@ def _run_expand(cfg, rep, csv_dir, out_dir=None):
     sigma = random_density_matrix(lat, 5, cfg.seed)
     from .randomization import enumerate_fields
 
-    worst = 0.0
+    errs = []
     for f in enumerate_fields(lat):
         ev = evaluate_expansion(exp, sigma, f)
         ref = direct_composition(spec, sigma, f)
-        worst = max(worst, h_alpha_norm(ev - ref, 0.0)
-                    / max(h_alpha_norm(ref, 0.0), 1e-30))
+        errs.append(h_alpha_norm(ev - ref, 0.0) / max(h_alpha_norm(ref, 0.0), 1e-30))
         for delta in (0.0, 0.1):
             evd = evaluate_expansion(expd, sigma, f, delta=delta)
             refd = direct_composition(spec, sigma, f, delta=delta)
             scale = max(h_alpha_norm(refd, 0.0), 1.0 if delta == 0.0 else 1e-30)
-            worst = max(worst, h_alpha_norm(evd - refd, 0.0) / scale)
+            errs.append(h_alpha_norm(evd - refd, 0.0) / scale)
+    worst = _worst(errs)
     rep.constants["example1_worst_rel_err"] = worst
     rep.check("expansion.example1_soundness", worst, 1e-10, "DERIVED")
     from .expansion import f_bound_constant

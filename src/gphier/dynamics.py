@@ -1,10 +1,10 @@
-"""Free evolution, collision operators, hierarchy right-hand side, stepping.
+"""Free evolution, collision operators, hierarchy right-hand side, evolution.
 
 Collision operators are realized as explicit index tables over the
 lattice: each output coefficient is a sum over contracted frequency
 pairs whose combined frequency stays inside the box.  The tables back
 two interchangeable applications: a memory-lean gather (any size) and a
-cached scipy.sparse matrix (small systems, used by the time-steppers).
+cached scipy.sparse matrix (small systems, used by the exact exponential).
 """
 
 from dataclasses import dataclass
@@ -224,31 +224,34 @@ def full_collision(gamma, field=None):
 
 
 _MATRIX_CACHE = {}
-_MATRIX_CACHE_LIMIT = 128
+# total nnz the cache may hold.  Each run with fresh sign fields brings
+# fresh matrices, so a bound on the entry count alone let memory grow with
+# every run; the oldest entries are dropped first.
+_MATRIX_CACHE_NNZ = 2**22
 
 
 def _cache_store(key, mat):
-    if len(_MATRIX_CACHE) >= _MATRIX_CACHE_LIMIT:
-        # drop the oldest entries; per-sample random fields would otherwise
-        # accumulate matrices without bound
-        for old in list(_MATRIX_CACHE)[: _MATRIX_CACHE_LIMIT // 4]:
-            del _MATRIX_CACHE[old]
     _MATRIX_CACHE[key] = mat
+    total = sum(m.nnz for m in _MATRIX_CACHE.values())
+    for old in list(_MATRIX_CACHE)[:-1]:
+        if total <= _MATRIX_CACHE_NNZ:
+            break
+        total -= _MATRIX_CACHE.pop(old).nnz
     return mat
 
 
-def collision_matrix(lattice, m, ell, n, sign, field=None):
-    """The (ell, n) collision as a sparse matrix on flattened tensors."""
+def _check_matrix_domain(lattice, m):
     F = lattice.size
     if F ** (2 * m) > MATRIX_DOMAIN_CAP:
         raise MemoryError(
             f"order-{m} collision matrix domain {F ** (2 * m)} exceeds cap; "
             "use collision() instead"
         )
-    fkey = None if field is None else field.fingerprint()
-    key = (lattice.d, lattice.M, m, ell, n, sign, fkey)
-    if key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
+
+
+def _collision_triplets(lattice, m, ell, n, sign, field):
+    """(rows, cols, weights) of the (ell, n) collision on flattened tensors."""
+    F = lattice.size
     ax_comb, ax_p, ax_q, out_ax, rest_in, rest_out = _axis_roles(m, ell, n, sign)
     in_strides = F ** np.arange(2 * m - 1, -1, -1, dtype=np.int64)
     out_strides = F ** np.arange(2 * m - 3, -1, -1, dtype=np.int64)
@@ -273,28 +276,54 @@ def collision_matrix(lattice, m, ell, n, sign, field=None):
         rest_out_c += digit * out_strides[aout]
     rows = (base_out[:, None] + rest_out_c[None, :]).reshape(-1)
     cols = (base_in[:, None] + rest_in_c[None, :]).reshape(-1)
-    vals = np.repeat(w, R)
-    mat = sp.coo_matrix(
+    return rows, cols, np.repeat(w, R)
+
+
+def _csr(lattice, m, rows, cols, vals):
+    F = lattice.size
+    return sp.coo_matrix(
         (vals, (rows, cols)), shape=(F ** (2 * (m - 1)), F ** (2 * m))
     ).tocsr()
-    return _cache_store(key, mat)
+
+
+def collision_matrix(lattice, m, ell, n, sign, field=None):
+    """The (ell, n) collision as a sparse matrix on flattened tensors."""
+    _check_matrix_domain(lattice, m)
+    fkey = None if field is None else field.fingerprint()
+    key = (lattice.d, lattice.M, m, ell, n, sign, fkey)
+    if key in _MATRIX_CACHE:
+        return _MATRIX_CACHE[key]
+    rows, cols, vals = _collision_triplets(lattice, m, ell, n, sign, field)
+    return _cache_store(key, _csr(lattice, m, rows, cols, vals))
 
 
 def full_collision_matrix(lattice, m, field=None):
-    """Matrix of the full collision operator at order m."""
+    """Matrix of the full collision operator at order m.
+
+    Built in one pass from the index-table triplets of every (j, +-) term,
+    with the '-' terms negated and duplicates summed.
+    """
+    _check_matrix_domain(lattice, m)
     fkey = None if field is None else field.fingerprint()
     key = (lattice.d, lattice.M, m, "full", fkey)
     if key in _MATRIX_CACHE:
         return _MATRIX_CACHE[key]
-    mat = None
+    rows, cols, vals = [], [], []
     for j in range(1, m):
-        term = collision_matrix(lattice, m, j, m, "+", field) \
-            - collision_matrix(lattice, m, j, m, "-", field)
-        mat = term if mat is None else mat + term
-    return _cache_store(key, mat)
+        for sign in "+-":
+            r, c, w = _collision_triplets(lattice, m, j, m, sign, field)
+            rows.append(r)
+            cols.append(c)
+            vals.append(w if sign == "+" else -w)
+    mat = _csr(lattice, m, np.concatenate(rows), np.concatenate(cols),
+               np.concatenate(vals))
+    mat.eliminate_zeros()
+    # summing duplicates leaves the arrays as views into the triplet-sized
+    # buffers (up to twice nnz); the cache keeps a compact copy instead
+    return _cache_store(key, mat.copy())
 
 
-# --- hierarchy right-hand side and stepping ---------------------------------
+# --- hierarchy right-hand side and time evolution --------------------------
 
 
 def hierarchy_rhs(state, N, mode):
@@ -321,11 +350,28 @@ def hierarchy_rhs(state, N, mode):
     return HierarchyState(lat, max(N, state.K_max), out)
 
 
-def _mode_matrices(lattice, N, mode):
-    return {
-        k: full_collision_matrix(lattice, k + 1, mode.field_for_level(k + 1))
-        for k in range(1, N)
-    }
+def _augmented_generator(lattice, N, mode, top0):
+    """Generator of levels 1..N-1 plus one scalar state per top energy.
+
+    The top level N is fed by nothing, so gamma_N(t) = sum_e exp(-ite) g_e
+    with g_e the part of gamma_N(0) at energy value e.  Its feed into
+    level N-1 is therefore sum_e w_e(t) B g_e, with B the order-N
+    collision matrix and w_e' = -i e w_e, w_e(0) = 1.  The extra states
+    make the system autonomous (Van Loan, IEEE TAC 23, 1978) without
+    carrying level N itself.  Returns -i (diag E + coupling) on the
+    augmented state.
+    """
+    top_vals, top_inv = np.unique(level_energy(lattice, N), return_inverse=True)
+    groups = sp.csr_matrix(
+        (top0, (np.arange(top0.size), top_inv)), shape=(top0.size, top_vals.size)
+    )
+    blocks = [[None] * N for _ in range(N)]
+    for k in range(1, N):
+        blocks[k - 1][k - 1] = sp.diags(level_energy(lattice, k))
+        coupling = full_collision_matrix(lattice, k + 1, mode.field_for_level(k + 1))
+        blocks[k - 1][k] = coupling @ groups if k == N - 1 else coupling
+    blocks[N - 1][N - 1] = sp.diags(top_vals)
+    return -1j * sp.bmat(blocks, format="csr")
 
 
 def _check_finite(ys, t):
@@ -333,25 +379,28 @@ def _check_finite(ys, t):
         if not np.all(np.isfinite(y)):
             raise RuntimeError(
                 f"non-finite coefficient at t={t}; the truncated system is "
-                "linear, so this indicates a step-size or data bug"
+                "linear, so this indicates overflowing or corrupt data"
             )
 
 
-def evolve_truncated(state0, N, T, dt=1e-3, mode=None, picture="auto",
-                     grid_times=None):
-    """RK4 trajectory of the truncated hierarchy.
+def evolve_truncated(state0, N, T, mode=None, grid_times=None, *, dt=1e-3):
+    """Exact trajectory of the truncated hierarchy, sampled at grid_times.
 
-    In the interaction picture (default for T >= 0.1 or M >= 4) the
-    dispersion phases are applied exactly and only the collision term is
-    stepped.  States are recorded at grid_times (default: 0 and T).
+    The top level is free flow.  Levels 1..N-1, augmented by one state per
+    distinct top-level energy (see `_augmented_generator`), are advanced
+    across each grid interval by one `expm_multiply` call (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 2011), so grids may be non-uniform.
+    States are recorded at grid_times (default: 0 and T).  `dt` is
+    accepted for call compatibility and ignored: the exponential takes no
+    step size.
     """
+    # scipy.sparse.linalg costs ~10 MiB to import; runs that never evolve
+    # the hierarchy do not pay it
+    from scipy.sparse.linalg import expm_multiply
+
     if mode is None:
         mode = HierarchyMode.deterministic()
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     lat = state0.lattice
-    if picture == "auto":
-        picture = "interaction" if (T >= 0.1 or lat.M >= 4) else "plain"
     if grid_times is None:
         grid_times = (0.0, T)
     grid_times = tuple(float(t) for t in grid_times)
@@ -365,111 +414,29 @@ def evolve_truncated(state0, N, T, dt=1e-3, mode=None, picture="auto",
         ys.append(
             np.zeros(F ** (2 * k), dtype=np.complex128)
             if g is None
-            else g.to_dense().data.reshape(-1).copy()
+            else g.to_dense().data.reshape(-1)
         )
-    mats = _mode_matrices(lat, N, mode)
-    energies = [level_energy(lat, k) for k in range(1, N + 1)]
-
-    def record(t, ys_now, phases=None):
-        levels = {}
-        for k in range(1, N + 1):
-            flat = ys_now[k - 1]
-            if phases is not None:
-                flat = phases[k - 1] * flat
-            levels[k] = DensityMatrix(
-                lat, k, "dense", data=flat.reshape((F,) * (2 * k)).copy()
-            )
-        return HierarchyState(lat, N, levels)
+    dims = [y.size for y in ys[: N - 1]]
+    gen = _augmented_generator(lat, N, mode, ys[N - 1])
+    z = np.concatenate(ys[: N - 1]
+                       + [np.ones(gen.shape[0] - sum(dims), dtype=np.complex128)])
+    offsets = np.cumsum(dims, dtype=np.int64)
+    top_energy = level_energy(lat, N)
 
     states, times = [], []
     t = 0.0
-    if picture == "plain":
-
-        def rhs(tcur, y):
-            out = []
-            for k in range(1, N + 1):
-                acc = 1j * (-energies[k - 1]) * y[k - 1]
-                if k < N:
-                    acc = acc - 1j * (mats[k] @ y[k])
-                out.append(acc)
-            return out
-
-        for gt in grid_times:
-            span = gt - t
-            if span > 1e-15:
-                nsteps = max(1, int(np.ceil(span / dt - 1e-9)))
-                h = span / nsteps
-                for _ in range(nsteps):
-                    k1 = rhs(t, ys)
-                    y2 = [y + 0.5 * h * d for y, d in zip(ys, k1)]
-                    k2 = rhs(t + 0.5 * h, y2)
-                    y3 = [y + 0.5 * h * d for y, d in zip(ys, k2)]
-                    k3 = rhs(t + 0.5 * h, y3)
-                    y4 = [y + h * d for y, d in zip(ys, k3)]
-                    k4 = rhs(t + h, y4)
-                    ys = [
-                        y + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                        for y, a, b, c, d in zip(ys, k1, k2, k3, k4)
-                    ]
-                    t += h
-                _check_finite(ys, t)
-            t = gt
-            times.append(t)
-            states.append(record(t, ys))
-        return Trajectory(tuple(times), states)
-
-    # interaction picture: z_k = exp(+i t E_k) y_k, so z' has no stiff part.
-    # The top level is constant (no collision feeds it), so its feed into
-    # level N-1 collapses to a small matrix over distinct energy values.
-    z_top = ys[N - 1]
-    if N >= 2:
-        top_vals, top_inv = np.unique(energies[N - 1], return_inverse=True)
-        cols = sp.csr_matrix(
-            (z_top, (np.arange(z_top.size), top_inv)),
-            shape=(z_top.size, top_vals.size),
-        )
-        top_feed = np.asarray((mats[N - 1] @ cols).todense())
-    zs = ys[: N - 1]  # dynamic levels 1..N-1
-
-    def rhs_ip(phases, s, z):
-        out = []
-        for k in range(1, N):
-            if k < N - 1:
-                v = mats[k] @ (phases[k] * z[k])
-            else:
-                v = top_feed @ np.exp(-1j * s * top_vals)
-            out.append(-1j * np.conj(phases[k - 1]) * v)
-        return out
-
     for gt in grid_times:
-        span = gt - t
-        if span > 1e-15 and N >= 2:
-            nsteps = max(1, int(np.ceil(span / dt - 1e-9)))
-            h = span / nsteps
-            half = [np.exp(-1j * (0.5 * h) * e) for e in energies[: N - 1]]
-            full = [hf * hf for hf in half]
-            for _ in range(nsteps):
-                # base phase rebuilt from t each step: no multiplicative drift
-                ph0 = [np.exp(-1j * t * e) for e in energies[: N - 1]]
-                ph_half = [p * q for p, q in zip(ph0, half)]
-                ph_full = [p * q for p, q in zip(ph0, full)]
-                k1 = rhs_ip(ph0, t, zs)
-                z2 = [z + 0.5 * h * d for z, d in zip(zs, k1)]
-                k2 = rhs_ip(ph_half, t + 0.5 * h, z2)
-                z3 = [z + 0.5 * h * d for z, d in zip(zs, k2)]
-                k3 = rhs_ip(ph_half, t + 0.5 * h, z3)
-                z4 = [z + h * d for z, d in zip(zs, k3)]
-                k4 = rhs_ip(ph_full, t + h, z4)
-                zs = [
-                    z + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                    for z, a, b, c, d in zip(zs, k1, k2, k3, k4)
-                ]
-                t += h
-            _check_finite(zs, t)
+        if gt != t:
+            z = expm_multiply((gt - t) * gen, z)
         t = gt
+        flats = [y.copy() for y in np.split(z, offsets)[: N - 1]]
+        flats.append(ys[N - 1] * np.exp(-1j * t * top_energy))
+        _check_finite(flats, t)
         times.append(t)
-        phases = [np.exp(-1j * t * e) for e in energies]
-        states.append(record(t, zs + [z_top], phases))
+        states.append(HierarchyState(lat, N, {
+            k: DensityMatrix(lat, k, "dense", data=flat.reshape((F,) * (2 * k)))
+            for k, flat in enumerate(flats, start=1)
+        }))
     return Trajectory(tuple(times), states)
 
 

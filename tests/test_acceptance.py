@@ -80,7 +80,7 @@ def test_criterion_1_duhamel_ode_equivalence():
     quad = QuadratureSpec(q=16, j_max=4)
     worst = 0.0
     for name, mode in three_modes(lat, 4, 7).items():
-        traj = evolve_truncated(state, 4, 0.1, 1e-4, mode, grid_times=grid)
+        traj = evolve_truncated(state, 4, 0.1, mode, grid_times=grid)
         ev = DuhamelEvaluator(state, mode, quad)
         for k in (1, 2, 3, 4):
             sol = ev.solution_batch(4, k, grid)
@@ -280,10 +280,9 @@ def test_criterion_9_randomization_identities():
     norm_exact = np.linalg.norm(randomize_function(vec, f)) \
         == np.linalg.norm(vec)
     st = random_state(lat, 3, 114)
-    dep = evolve_truncated(st, 3, 0.05, 1e-3, HierarchyMode.dependent(f),
+    dep = evolve_truncated(st, 3, 0.05, HierarchyMode.dependent(f),
                            grid_times=(0.0, 0.05))
-    ind = evolve_truncated(st, 3, 0.05, 1e-3,
-                           HierarchyMode.independent({2: f, 3: f}),
+    ind = evolve_truncated(st, 3, 0.05, HierarchyMode.independent({2: f, 3: f}),
                            grid_times=(0.0, 0.05))
     collapse = all(
         np.array_equal(a.level(k).data, b.level(k).data)

@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from gphier.cli import ConfigError, ExperimentConfig, main, run_experiment
+from gphier import cli
+from gphier.cli import ConfigError, ExperimentConfig, Report, main, run_experiment
 
 
 def test_config_validation_names_fields():
@@ -38,6 +41,13 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "K_max" in err
     assert main(["verify", "--set", "bogus_field=1"]) == 2
+    # oversized or unsupported configs: a config error, not a traceback
+    capsys.readouterr()
+    assert main(["residual", "--set", "M=3", "--set", "N=4", "--set", "K_max=4"]) == 2
+    assert capsys.readouterr().err.startswith("config error: N:")
+    assert main(["decay", "--set", "mode=dependent"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: M:") and "modulus shells" in err
 
 
 def test_report_determinism(tmp_path):
@@ -83,3 +93,43 @@ def test_config_file_and_overrides(tmp_path):
     obj = json.loads((tmp_path / "r.json").read_text())
     assert obj["config"]["M"] == 2
     assert obj["config"]["alpha"] == 1.5
+
+
+def test_non_finite_measured_fails_every_kind():
+    rep = Report(config={})
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        for kind, threshold in (("le", 1.0), ("lt", 1.0), ("ge", -1.0),
+                                ("true", None)):
+            assert not rep.check("x", bad, threshold, "TRIVIAL", kind=kind)
+    assert rep.check("x", 0.5, 1.0, "TRIVIAL", kind="lt")
+    assert not rep.check("x", 1.0, 1.0, "TRIVIAL", kind="lt")
+
+
+def test_nan_grid_point_fails_residual(monkeypatch):
+    real = cli.evolve_truncated
+
+    def one_nan_point(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        traj.states[1].level(1).data[0, 0] = math.nan
+        return traj
+
+    monkeypatch.setattr(cli, "evolve_truncated", one_nan_point)
+    cfg = ExperimentConfig(kind="residual", M=1, N=2, K_max=2, q=16, T=0.1,
+                           grid_points=3)
+    rep = run_experiment(cfg)
+    failed = {c["name"] for c in rep.checks if not c["passed"]}
+    assert failed == {"duhamel.ode_equivalence"}
+    assert math.isnan(rep.constants["duhamel_ode_discrepancy"])
+
+
+def test_nan_inputs_fail_collapsed_checks(monkeypatch):
+    monkeypatch.setattr(cli, "cauchy_diagnostic",
+                        lambda *a, **k: np.array([math.nan] * 3))
+    rep = run_experiment(ExperimentConfig(kind="converge", N=4, K_max=5))
+    by = {c["name"]: c["passed"] for c in rep.checks}
+    assert by["duhamel.cauchy_decreasing"] is False
+    monkeypatch.setattr(cli, "phase_inequality_scan",
+                        lambda *a, **k: (0, math.nan, 1))
+    rep = run_experiment(ExperimentConfig(kind="continuity"))
+    by = {c["name"]: c["passed"] for c in rep.checks}
+    assert by["dynamics.phase_bound_violations"] is False

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gphier import dynamics
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (
     DensityMatrix,
@@ -180,43 +181,33 @@ def test_rhs_missing_independent_field(lat):
 def test_evolve_dispersion_only(lat):
     g = random_density_matrix(lat, 1, 16)
     st = HierarchyState(lat, 1, {1: g})
-    traj = evolve_truncated(st, 1, 0.3, 1e-2, HierarchyMode.deterministic(),
-                            grid_times=(0.0, 0.3))
-    ref = free_evolve(g, 0.3)
-    assert h_alpha_norm(traj.states[-1].level(1) - ref, 0.0) < 1e-12
+    grid = (0.0, 0.07, 0.3, 2.9, 3.0)
+    traj = evolve_truncated(st, 1, 3.0, HierarchyMode.deterministic(),
+                            grid_times=grid)
+    for t, state in zip(grid, traj.states):
+        ref = free_evolve(g, t)
+        assert h_alpha_norm(state.level(1) - ref, 0.0) < 1e-12
     assert np.array_equal(traj.states[0].level(1).data, g.data)
 
 
-def test_evolve_rk4_order(lat):
-    st = random_state(lat, 3, 17, alpha=0.0, level_norms=[1.0, 1.0, 1.0])
-    mode = HierarchyMode.deterministic()
-
-    def end(dt, picture, T):
-        tr = evolve_truncated(st, 3, T, dt, mode, picture=picture,
-                              grid_times=(0.0, T))
-        return tr.states[-1]
-
-    # step sizes where the O(h^4) term dominates roundoff for each picture
-    for picture, dts, T in (
-        ("plain", (4e-3, 2e-3), 0.5),
-        ("interaction", (2e-2, 1e-2), 0.5),
-    ):
-        ref = end(dts[0] / 32, picture, T)
-        e1, e2 = (
-            sum(h_alpha_norm(end(dt, picture, T).level(k) - ref.level(k), 0.0)
-                for k in (1, 2, 3))
-            for dt in dts
-        )
-        assert 12 < e1 / e2 < 20
+def test_evolve_top_level_is_free_flow(lat):
+    st = random_state(lat, 3, 17)
+    f = sample_field(lat, 5)
+    grid = (0.0, 0.01, 0.25, 0.26, 0.7)
+    for N in (2, 3):
+        traj = evolve_truncated(st, N, 0.7, HierarchyMode.dependent(f),
+                                grid_times=grid)
+        for t, state in zip(grid, traj.states):
+            ref = free_evolve(st.level(N), t)
+            assert np.array_equal(state.level(N).data, ref.data)
 
 
 def test_evolve_trajectory_mode_collapse_bitwise(lat):
     st = random_state(lat, 3, 19)
     f = sample_field(lat, 6)
-    dep = evolve_truncated(st, 3, 0.1, 1e-3, HierarchyMode.dependent(f),
+    dep = evolve_truncated(st, 3, 0.1, HierarchyMode.dependent(f),
                            grid_times=(0.0, 0.05, 0.1))
-    ind = evolve_truncated(st, 3, 0.1, 1e-3,
-                           HierarchyMode.independent({2: f, 3: f}),
+    ind = evolve_truncated(st, 3, 0.1, HierarchyMode.independent({2: f, 3: f}),
                            grid_times=(0.0, 0.05, 0.1))
     for s1, s2 in zip(dep.states, ind.states):
         for k in (1, 2, 3):
@@ -279,5 +270,21 @@ def test_blowup_guard(lat):
             lat, 2, {1: huge, 2: random_density_matrix(lat, 2, 23) * 1e308}
         )
         with pytest.raises(RuntimeError, match="non-finite"):
-            evolve_truncated(st, 2, 1.0, 0.5, HierarchyMode.deterministic(),
-                             picture="plain", grid_times=(0.0, 1.0))
+            evolve_truncated(st, 2, 1.0, HierarchyMode.deterministic(),
+                             grid_times=(0.0, 1.0))
+
+
+def test_matrix_cache_stays_within_nnz_budget(monkeypatch):
+    lat = FrequencyLattice(1, 2)
+    one = full_collision_matrix(lat, 3, sample_field(lat, 100)).nnz
+    budget = 3 * one
+    monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
+    monkeypatch.setattr(dynamics, "_MATRIX_CACHE_NNZ", budget)
+    for seed in range(101, 109):
+        mat = full_collision_matrix(lat, 3, sample_field(lat, seed))
+        cached = dynamics._MATRIX_CACHE
+        assert sum(m.nnz for m in cached.values()) <= budget
+        assert list(cached.values())[-1] is mat
+    assert len(dynamics._MATRIX_CACHE) == 3
+    # the full matrix is built in one pass: no per-term entries are cached
+    assert all(key[3] == "full" for key in dynamics._MATRIX_CACHE)
