@@ -2,7 +2,7 @@
 
 Coefficient-space simulator for deterministic, dependently randomized,
 and independently randomized collision hierarchies on a truncated
-frequency lattice, with Duhamel-expansion solvers, ODE time-stepping,
+frequency lattice, with Duhamel-expansion solvers, exact ODE evolution,
 randomized-norm estimation, symbolic collision-chain expansion, and a
 Galerkin cubic NLS companion.
 """
@@ -34,7 +34,6 @@ from .dynamics import (
     evolve_truncated,
     free_evolve,
     full_collision,
-    hierarchy_rhs,
     phase_inequality_scan,
 )
 from .randomization import (

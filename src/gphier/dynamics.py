@@ -1,4 +1,4 @@
-"""Free evolution, collision operators, hierarchy right-hand side, evolution.
+"""Free evolution, collision operators, truncated-hierarchy evolution.
 
 Collision operators are realized as explicit index tables over the
 lattice: each output coefficient is a sum over contracted frequency
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor import DensityMatrix, HierarchyState, h_alpha_norm
+from .tensor import DensityMatrix, HierarchyState, MemoryGuardError, h_alpha_norm
 
 __all__ = [
     "HierarchyMode",
@@ -22,7 +22,6 @@ __all__ = [
     "full_collision",
     "collision_matrix",
     "full_collision_matrix",
-    "hierarchy_rhs",
     "evolve_truncated",
     "continuity_defect",
     "phase_inequality_scan",
@@ -76,12 +75,6 @@ class Trajectory:
 
     times: tuple
     states: list
-
-    def state_at(self, t):
-        for ti, st in zip(self.times, self.states):
-            if abs(ti - t) < 1e-12:
-                return st
-        raise KeyError(f"time {t} not on the trajectory grid")
 
 
 # --- free evolution ---------------------------------------------------------
@@ -243,7 +236,7 @@ def _cache_store(key, mat):
 def _check_matrix_domain(lattice, m):
     F = lattice.size
     if F ** (2 * m) > MATRIX_DOMAIN_CAP:
-        raise MemoryError(
+        raise MemoryGuardError(
             f"order-{m} collision matrix domain {F ** (2 * m)} exceeds cap; "
             "use collision() instead"
         )
@@ -323,31 +316,7 @@ def full_collision_matrix(lattice, m, field=None):
     return _cache_store(key, mat.copy())
 
 
-# --- hierarchy right-hand side and time evolution --------------------------
-
-
-def hierarchy_rhs(state, N, mode):
-    """d/dt of the truncated hierarchy in coefficient form.
-
-    Level k of the output is i (|xi'|^2 - |xi|^2) gamma^(k) minus
-    i times the full (possibly randomized) collision of gamma^(k+1);
-    levels above N count as zero.
-    """
-    lat = state.lattice
-    out = {}
-    for k in range(1, N + 1):
-        gk = state.level(k)
-        acc = None
-        if gk is not None:
-            disp = -level_energy(lat, k).reshape(gk.data.shape)
-            acc = 1j * disp * gk.to_dense().data
-        gk1 = state.level(k + 1) if k + 1 <= N else None
-        if gk1 is not None:
-            coll = full_collision(gk1, mode.field_for_level(k + 1))
-            acc = -1j * coll.data if acc is None else acc - 1j * coll.data
-        if acc is not None:
-            out[k] = DensityMatrix(lat, k, "dense", data=acc)
-    return HierarchyState(lat, max(N, state.K_max), out)
+# --- time evolution ---------------------------------------------------------
 
 
 def _augmented_generator(lattice, N, mode, top0):

@@ -48,6 +48,11 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["decay", "--set", "mode=dependent"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: M:") and "modulus shells" in err
+    # a collision matrix above the cap is a guard error, reported as a
+    # config error
+    assert main(["decay", "--set", "M=3", "--set", "K_max=4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "exceeds cap" in err
 
 
 def test_report_determinism(tmp_path):
@@ -103,6 +108,21 @@ def test_non_finite_measured_fails_every_kind():
             assert not rep.check("x", bad, threshold, "TRIVIAL", kind=kind)
     assert rep.check("x", 0.5, 1.0, "TRIVIAL", kind="lt")
     assert not rep.check("x", 1.0, 1.0, "TRIVIAL", kind="lt")
+
+
+def test_dump_writes_strict_json(tmp_path):
+    rep = Report(config={})
+    for bad in (math.nan, math.inf, -math.inf):
+        rep.check("x", bad, 1.0, "TRIVIAL")
+    path = tmp_path / "rep.json"
+    rep.dump(path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    obj = json.loads(path.read_text(), parse_constant=reject)
+    assert [c["measured"] for c in obj["checks"]] == ["nan", "inf", "-inf"]
+    assert obj["passed"] is False
 
 
 def test_nan_grid_point_fails_residual(monkeypatch):

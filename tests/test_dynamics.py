@@ -19,8 +19,6 @@ from gphier.dynamics import (
     free_evolve,
     full_collision,
     full_collision_matrix,
-    hierarchy_rhs,
-    level_energy,
     phase_inequality_scan,
 )
 from gphier.randomization import SignField, all_plus, sample_field
@@ -147,35 +145,10 @@ def test_matrix_matches_gather(lat):
     assert np.max(np.abs(via2 - collision(g2, 1, 2, "-", f).data)) < 1e-13
 
 
-def test_rhs_pure_dispersion(lat):
-    st = HierarchyState(lat, 2, {1: random_density_matrix(lat, 1, 12)})
-    out = hierarchy_rhs(st, 2, HierarchyMode.deterministic())
-    disp = -level_energy(lat, 1).reshape((3, 3))
-    expected = 1j * disp * st.level(1).data
-    assert np.max(np.abs(out.level(1).data - expected)) < 1e-14
-
-
-def test_rhs_top_level_free(lat):
-    st = random_state(lat, 3, 13)
-    out = hierarchy_rhs(st, 3, HierarchyMode.deterministic())
-    disp = -level_energy(lat, 3).reshape((3,) * 6)
-    expected = 1j * disp * st.level(3).data
-    assert np.max(np.abs(out.level(3).data - expected)) < 1e-13
-
-
-def test_rhs_mode_collapse_bitwise(lat):
-    st = random_state(lat, 3, 14)
-    f = sample_field(lat, 5)
-    dep = hierarchy_rhs(st, 3, HierarchyMode.dependent(f))
-    ind = hierarchy_rhs(st, 3, HierarchyMode.independent({2: f, 3: f}))
-    for k in (1, 2, 3):
-        assert np.array_equal(dep.level(k).data, ind.level(k).data)
-
-
-def test_rhs_missing_independent_field(lat):
+def test_evolve_missing_independent_field(lat):
     st = random_state(lat, 2, 15)
     with pytest.raises(ValueError, match="level 2"):
-        hierarchy_rhs(st, 2, HierarchyMode.independent({}))
+        evolve_truncated(st, 2, 0.1, HierarchyMode.independent({}))
 
 
 def test_evolve_dispersion_only(lat):
