@@ -41,7 +41,6 @@ from .randomization import (
     SignField,
     all_plus,
     collision_omega_operator_norm,
-    deterministic_collision_norm,
     omega_l2_h_alpha,
     randomize_function,
     sample_field,

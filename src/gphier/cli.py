@@ -49,9 +49,10 @@ from .duhamel import (
     solution_time_modulus,
 )
 from .randomization import (
+    DENSE_SVD_CAP,
+    NORM_DOMAIN_CAP,
     all_plus,
     collision_omega_operator_norm,
-    deterministic_collision_norm,
     omega_l2_h_alpha,
     randomize_function,
     sample_field,
@@ -102,7 +103,40 @@ class ExperimentConfig:
     seed: int = 7
     mode: str = "deterministic"
     grid_points: int = 11
-    example1: bool = False
+
+    def _size_problem(self, F):
+        """The largest dense size this kind builds, checked before any state is.
+
+        Returns a message naming the field at fault, or None.  Sizes are
+        compared in logarithms, so a huge N or K_max costs nothing.
+        """
+        logF = math.log(F)
+        limits = {
+            "residual": ("N", 2 * self.N * logF, MATRIX_DOMAIN_CAP,
+                         "the order-N collision matrix on F^(2N) coefficients"),
+            "converge": ("N", 2 * (self.N + 1) * logF, MATRIX_DOMAIN_CAP,
+                         "the order-(N+1) collision matrix on F^(2(N+1)) "
+                         "coefficients"),
+            "continuity": ("N", 2 * min(self.N, self.K_max, 3) * logF,
+                           MATRIX_DOMAIN_CAP, "the order-min(N, K_max, 3) "
+                           "collision matrix"),
+            # F^4 domain x F^2 range x 2^F fields, one dense SVD
+            "estimate-c0": ("d" if self.d > 1 else "M",
+                            6 * logF + F * math.log(2), DENSE_SVD_CAP,
+                            "the dense F^6 2^F stacked order-2 collision "
+                            "(F <= 5)"),
+        }
+        if self.mode != "dependent":
+            limits["decay"] = ("K_max", 2 * min(self.K_max, 4) * logF,
+                               NORM_DOMAIN_CAP, "operator norms of the "
+                               "order-min(K_max, 4) collisions")
+        if self.kind not in limits:
+            return None
+        name, log_size, cap, what = limits[self.kind]
+        if log_size <= math.log(cap):
+            return None
+        return (f"{name}: {self.kind} builds {what}, F = (2M+1)^d = {F}; at "
+                f"{name}={getattr(self, name)} that exceeds the cap {cap}")
 
     def validate(self):
         problems = []
@@ -118,14 +152,10 @@ class ExperimentConfig:
             problems.append(f"N: must be >= 1, got {self.N}")
         if self.kind in ("residual",) and self.K_max < self.N:
             problems.append(f"K_max: need K_max >= N={self.N}, got {self.K_max}")
-        if self.kind == "residual" and 1 <= self.d <= 3 and self.M >= 1:
-            F = (2 * self.M + 1) ** self.d
-            if 2 * self.N * math.log(F) > math.log(MATRIX_DOMAIN_CAP):
-                problems.append(
-                    f"N: residual builds the order-N collision matrix on F^(2N) "
-                    f"coefficients, F = (2M+1)^d = {F}; at N={self.N} that "
-                    f"exceeds the cap {MATRIX_DOMAIN_CAP}"
-                )
+        if 1 <= self.d <= 3 and self.M >= 1:
+            size = self._size_problem((2 * self.M + 1) ** self.d)
+            if size:
+                problems.append(size)
         if self.kind == "converge" and self.K_max < self.N + 1:
             problems.append(
                 f"K_max: converge needs K_max >= N+1={self.N + 1}, got {self.K_max}"
@@ -474,16 +504,12 @@ def _run_decay(cfg, rep, csv_dir):
     # chain bound with exact per-level operator norms: averaged norms for
     # the randomized modes, deterministic norms for the pointwise stat
     sig = {}
+    fields = [None] if stat == "pointwise" else None
     for m in range(k + 1, k + j_max + 1):
-        per_j = []
-        for jj in range(1, m):
-            if stat == "pointwise":
-                s = deterministic_collision_norm(lat, m - 1, jj, cfg.alpha)
-            else:
-                s, _ = collision_omega_operator_norm(lat, m - 1, jj, cfg.alpha,
-                                                     dim_cap=2**16)
-            per_j.append(s)
-        sig[m] = _worst(per_j)
+        sig[m] = _worst(
+            collision_omega_operator_norm(lat, m - 1, jj, cfg.alpha, fields)[0]
+            for jj in range(1, m)
+        )
     rep.constants["per_level_operator_norms"] = {str(m): sig[m] for m in sig}
     excess = []
     for j in range(1, j_max + 1):
@@ -761,8 +787,6 @@ def _load_config(args, kind):
             raise ConfigError([f"override {item!r} is not key=value"])
         key, val = item.split("=", 1)
         base[key] = _parse_value(val)
-    if getattr(args, "example1", False):
-        base["example1"] = True
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(base) - known
     if unknown:
@@ -800,9 +824,6 @@ def main(argv=None):
         p.add_argument("--seed", type=int)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config field (repeatable)")
-        if kind == "expand":
-            p.add_argument("--example1", action="store_true",
-                           help="run the worked three-collision example")
     args = parser.parse_args(argv)
 
     if args.kind == "report-merge":

@@ -1,10 +1,12 @@
 """Free evolution, collision operators, truncated-hierarchy evolution.
 
-Collision operators are realized as explicit index tables over the
-lattice: each output coefficient is a sum over contracted frequency
-pairs whose combined frequency stays inside the box.  The tables back
-two interchangeable applications: a memory-lean gather (any size) and a
-cached scipy.sparse matrix (small systems, used by the exact exponential).
+Collision operators are realized as one index table over the lattice:
+each output coefficient is a sum over contracted frequency pairs whose
+combined frequency stays inside the box.  `_roles` fixes the axis layout
+of a collision once, and one gather reads through it.  Applied to the
+coefficients it is the memory-lean `collision` (any size); applied to
+tensors of flat indices it yields the rows and columns of the cached
+scipy.sparse matrix (small systems, used by the exact exponential).
 """
 
 from dataclasses import dataclass
@@ -134,31 +136,32 @@ def _pair_table(lattice):
     return _PAIR_CACHE[key]
 
 
-def _axis_roles(m, ell, n, sign):
-    """Input/output axis bookkeeping for the (ell, n) collision at order m."""
+def _roles(lattice, m, ell, n, sign, field):
+    """Axis layout and weighted pair table of the (ell, n) collision at order m.
+
+    Returns the input axes (combined slot, unprimed pair slot, primed pair
+    slot), the output axis, the pair table (g, u, a, b) with a and b the
+    values read at the unprimed and primed pair slots, and the per-pair
+    weights h(g) h(u) h(a) h(b) (all ones without a field).
+    """
     if not (1 <= ell < n <= m):
         raise ValueError(f"positions must satisfy 1 <= ell < n <= m, got "
                          f"ell={ell}, n={n}, m={m}")
     if sign == "+":
-        ax_comb = ell - 1
-        out_ax = ell - 1
+        comb, out_ax = ell - 1, ell - 1
     elif sign == "-":
-        ax_comb = m + ell - 1
-        out_ax = (m - 1) + (ell - 1)
+        comb, out_ax = m + ell - 1, (m - 1) + (ell - 1)
     else:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    ax_p = n - 1          # unprimed contracted slot
-    ax_q = m + n - 1      # primed contracted slot
-    rest_in = [a for a in range(2 * m) if a not in (ax_comb, ax_p, ax_q)]
-    rest_out = [a for a in range(2 * (m - 1)) if a != out_ax]
-    return ax_comb, ax_p, ax_q, out_ax, rest_in, rest_out
-
-
-def _h_weights(field, g, u, a, b):
+    g, u, p, q = _pair_table(lattice)
+    # '-' mirrors on the primed side: the primed pair slot reads p
+    a, b = (p, q) if sign == "+" else (q, p)
     if field is None:
-        return np.ones(g.shape, dtype=np.float64)
-    h = field.values.astype(np.float64)
-    return h[g] * h[u] * h[a] * h[b]
+        weights = np.ones(g.shape, dtype=np.float64)
+    else:
+        h = field.values.astype(np.float64)
+        weights = h[g] * h[u] * h[a] * h[b]
+    return (comb, n - 1, m + n - 1), out_ax, (g, u, a, b), weights
 
 
 def collision(gamma, ell, n, sign, field=None):
@@ -172,27 +175,19 @@ def collision(gamma, ell, n, sign, field=None):
     m = gamma.k
     if m < 2:
         raise ValueError("collision input must have order >= 2")
-    ax_comb, ax_p, ax_q, out_ax, _, _ = _axis_roles(m, ell, n, sign)
     lat = gamma.lattice
+    in_axes, out_ax, (gs, us, as_, bs), ws = _roles(lat, m, ell, n, sign, field)
     F = lat.size
     data = gamma.to_dense().data
-    perm = np.moveaxis(data, (ax_comb, ax_p, ax_q), (0, 1, 2))
-    gs, us, ps, qs = _pair_table(lat)
+    perm = np.moveaxis(data, in_axes, (0, 1, 2))
     out_shape = (F,) + perm.shape[3:]
     out = np.zeros(out_shape, dtype=np.complex128)
     for g in range(F):
         selm = gs == g
         if not np.any(selm):
             continue
-        u, p, q = us[selm], ps[selm], qs[selm]
-        if sign == "+":
-            gathered = perm[u, p, q]
-            w = _h_weights(field, np.full(u.shape, g), u, p, q)
-        else:
-            # unprimed contracted value is q, primed contracted is p
-            gathered = perm[u, q, p]
-            w = _h_weights(field, np.full(u.shape, g), u, q, p)
-        out[g] = np.einsum("e,e...->...", w, gathered)
+        gathered = perm[us[selm], as_[selm], bs[selm]]
+        out[g] = np.einsum("e,e...->...", ws[selm], gathered)
     out = np.moveaxis(out, 0, out_ax)
     return DensityMatrix(lat, m - 1, "dense", data=np.ascontiguousarray(out))
 
@@ -237,39 +232,25 @@ def _check_matrix_domain(lattice, m):
     F = lattice.size
     if F ** (2 * m) > MATRIX_DOMAIN_CAP:
         raise MemoryGuardError(
-            f"order-{m} collision matrix domain {F ** (2 * m)} exceeds cap; "
-            "use collision() instead"
+            f"order-{m} collision matrix domain {F ** (2 * m)} exceeds the "
+            f"cap {MATRIX_DOMAIN_CAP}"
         )
 
 
 def _collision_triplets(lattice, m, ell, n, sign, field):
-    """(rows, cols, weights) of the (ell, n) collision on flattened tensors."""
+    """(rows, cols, weights) of the (ell, n) collision on flattened tensors.
+
+    The gather of `collision`, applied to tensors holding their own flat
+    indices: entry (e, rest) of the input gather is the column that pair e
+    reads, entry (e, rest) of the output is the row it writes.
+    """
     F = lattice.size
-    ax_comb, ax_p, ax_q, out_ax, rest_in, rest_out = _axis_roles(m, ell, n, sign)
-    in_strides = F ** np.arange(2 * m - 1, -1, -1, dtype=np.int64)
-    out_strides = F ** np.arange(2 * m - 3, -1, -1, dtype=np.int64)
-    gs, us, ps, qs = _pair_table(lattice)
-    if sign == "+":
-        a_idx, b_idx = ps, qs
-    else:
-        a_idx, b_idx = qs, ps
-    w = _h_weights(field, gs, us, a_idx, b_idx)
-    base_in = us * in_strides[ax_comb] + a_idx * in_strides[ax_p] \
-        + b_idx * in_strides[ax_q]
-    base_out = gs * out_strides[out_ax]
-    R = F ** (2 * m - 3)
-    rest = np.arange(R, dtype=np.int64)
-    rest_in_c = np.zeros(R, dtype=np.int64)
-    rest_out_c = np.zeros(R, dtype=np.int64)
-    tmp = rest.copy()
-    for ain, aout in zip(reversed(rest_in), reversed(rest_out)):
-        digit = tmp % F
-        tmp //= F
-        rest_in_c += digit * in_strides[ain]
-        rest_out_c += digit * out_strides[aout]
-    rows = (base_out[:, None] + rest_out_c[None, :]).reshape(-1)
-    cols = (base_in[:, None] + rest_in_c[None, :]).reshape(-1)
-    return rows, cols, np.repeat(w, R)
+    in_axes, out_ax, (g, u, a, b), w = _roles(lattice, m, ell, n, sign, field)
+    flat_in = np.arange(F ** (2 * m), dtype=np.int64).reshape((F,) * (2 * m))
+    flat_out = np.arange(F ** (2 * m - 2), dtype=np.int64)
+    cols = np.moveaxis(flat_in, in_axes, (0, 1, 2))[u, a, b]
+    rows = np.moveaxis(flat_out.reshape((F,) * (2 * m - 2)), out_ax, 0)[g]
+    return rows.reshape(-1), cols.reshape(-1), np.repeat(w, F ** (2 * m - 3))
 
 
 def _csr(lattice, m, rows, cols, vals):

@@ -189,15 +189,12 @@ def expand_chain(spec):
     return exp
 
 
-def expand_difference(spec, delta_slot=1):
+def expand_difference(spec):
     """Expansion of the chain with the first propagator differenced in time.
 
     The outermost propagator carries the increment factor
-    exp(-i delta F) - 1, where F is the first-gap phase energy; only the
-    first-propagator slot is supported.
+    exp(-i delta F) - 1, where F is the first-gap phase energy.
     """
-    if delta_slot != 1:
-        raise ValueError("only the first propagator slot is supported")
     if spec.j < 1:
         raise ValueError("difference form needs at least one propagator gap")
     exp, decomp_of = _build(spec)

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor import h_alpha_norm
+from .tensor import MemoryGuardError, h_alpha_norm
 
 __all__ = [
     "SignField",
@@ -26,10 +26,14 @@ __all__ = [
     "omega_l2_h_alpha",
     "enumerate_fields",
     "collision_omega_operator_norm",
-    "deterministic_collision_norm",
 ]
 
-DEFAULT_ENUMERATION_CAP = 2**20
+ENUMERATION_CAP = 2**20
+# largest domain (order-(k+1) coefficients) an operator norm is taken on
+NORM_DOMAIN_CAP = 2**16
+# stacked operators up to this many entries take a dense SVD; larger ones
+# iterate on the normal operator
+DENSE_SVD_CAP = 12 * 2**20
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,7 @@ class OmegaNormEstimate:
 
 
 def omega_l2_h_alpha(evaluator, lattice, levels, alpha, method="exact",
-                     mc_samples=0, seed=0,
-                     enumeration_cap=DEFAULT_ENUMERATION_CAP):
+                     mc_samples=0, seed=0):
     """L^2-in-the-random-parameter average of H^alpha norms.
 
     evaluator maps a dict {level: SignField} to a DensityMatrix; the
@@ -127,10 +130,10 @@ def omega_l2_h_alpha(evaluator, lattice, levels, alpha, method="exact",
         total = 1
         for _ in levels:
             total *= 2**lattice.size
-        if total > enumeration_cap:
+        if total > ENUMERATION_CAP:
             raise ValueError(
                 f"exact enumeration needs {total} assignments "
-                f"(> cap {enumeration_cap})"
+                f"(> cap {ENUMERATION_CAP})"
             )
         per_level = enumerate_fields(lattice)
         acc = 0.0
@@ -159,50 +162,47 @@ def omega_l2_h_alpha(evaluator, lattice, levels, alpha, method="exact",
     raise ValueError(f"unknown method {method!r}")
 
 
-def collision_omega_operator_norm(lattice, k, j, alpha, single=True,
-                                  dim_cap=4096):
-    """Exact operator norm of the randomized collision map on H^alpha.
+def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
+    """Exact operator norm of the (randomized) (j, k+1) collision on H^alpha.
 
     The linear map gamma -> [B]^omega gamma is taken from the
     order-(k+1) H^alpha space into the stacked (field x space) H^alpha
     codomain, each field block weighted by 1/sqrt(#fields) so that the
-    codomain norm is the L^2(Omega) average.  Small domains materialize
-    the stacked matrix and use a dense SVD (the matrix is returned);
-    larger ones iterate on the normal operator and return None for it.
-
-    single=True uses the one-pair operator at (j, k+1); otherwise the
-    full collision operator (sum over j).
+    codomain norm is the L^2(Omega) average over `fields` (default: all
+    2^F sign fields); fields=[None] gives the deterministic norm.
+    Returns (sigma, stacked): stacked operators up to DENSE_SVD_CAP
+    entries are materialized and take a dense SVD; larger ones iterate on
+    the normal operator and return None for the matrix.
     """
     import scipy.sparse.linalg as spla
 
-    from .dynamics import collision_matrix, full_collision_matrix
+    from .dynamics import collision_matrix
 
     F = lattice.size
     dom = F ** (2 * (k + 1))
-    if dom > dim_cap:
-        raise ValueError(f"domain dimension {dom} exceeds cap {dim_cap}")
-    fields = enumerate_fields(lattice)
+    if dom > NORM_DOMAIN_CAP:
+        raise MemoryGuardError(
+            f"operator-norm domain dimension {dom} exceeds the cap "
+            f"{NORM_DOMAIN_CAP}"
+        )
+    if fields is None:
+        fields = enumerate_fields(lattice)
     w_in = _weight_vector(lattice, k + 1, alpha)
     w_out = _weight_vector(lattice, k, alpha)
-    mats = []
-    for f in fields:
-        if single:
-            mat = (
-                collision_matrix(lattice, k + 1, j, k + 1, "+", f)
-                - collision_matrix(lattice, k + 1, j, k + 1, "-", f)
-            )
-        else:
-            mat = full_collision_matrix(lattice, k + 1, f)
-        mats.append(mat)
+    mats = [
+        collision_matrix(lattice, k + 1, j, k + 1, "+", f)
+        - collision_matrix(lattice, k + 1, j, k + 1, "-", f)
+        for f in fields
+    ]
     scale = 1.0 / np.sqrt(len(fields))
     rng_dim = mats[0].shape[0]
-    if dom * rng_dim * len(fields) <= 2**22:
+    if dom * rng_dim * len(fields) <= DENSE_SVD_CAP:
         blocks = [scale * (w_out[:, None] * m.toarray()) / w_in[None, :]
                   for m in mats]
         stacked = np.vstack(blocks)
         sigma = float(np.linalg.svd(stacked, compute_uv=False)[0])
         return sigma, stacked
-    # largest eigenvalue of the normal operator, deterministic start vector
+    # largest eigenvalue of the normal operator
     weighted = [scale * sp.diags(w_out) @ m @ sp.diags(1.0 / w_in) for m in mats]
 
     def normal_apply(x):
@@ -225,20 +225,3 @@ def _weight_vector(lattice, k, alpha):
     for _ in range(2 * k):
         out = np.multiply.outer(out, w).reshape(-1)
     return out
-
-
-def deterministic_collision_norm(lattice, k, j, alpha, dim_cap=2**16):
-    """Operator norm of the plain (j, k+1) collision on H^alpha."""
-    from .dynamics import collision_matrix
-
-    dom = lattice.size ** (2 * (k + 1))
-    if dom > dim_cap:
-        raise ValueError(f"domain dimension {dom} exceeds cap {dim_cap}")
-    mat = (
-        collision_matrix(lattice, k + 1, j, k + 1, "+")
-        - collision_matrix(lattice, k + 1, j, k + 1, "-")
-    ).toarray()
-    w_in = _weight_vector(lattice, k + 1, alpha)
-    w_out = _weight_vector(lattice, k, alpha)
-    return float(np.linalg.svd((w_out[:, None] * mat) / w_in[None, :],
-                               compute_uv=False)[0])

@@ -48,11 +48,21 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["decay", "--set", "mode=dependent"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: M:") and "modulus shells" in err
-    # a collision matrix above the cap is a guard error, reported as a
-    # config error
-    assert main(["decay", "--set", "M=3", "--set", "K_max=4"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "exceeds cap" in err
+    # each kind's largest dense size is checked before any state is built,
+    # and the error names the field at fault
+    for argv, name in (
+        (["estimate-c0", "--set", "M=3"], "M"),
+        (["estimate-c0", "--set", "M=4"], "M"),
+        (["estimate-c0", "--set", "d=2"], "d"),
+        (["decay", "--set", "M=2", "--set", "K_max=4"], "K_max"),
+        (["decay", "--set", "M=3", "--set", "K_max=4"], "K_max"),
+        (["converge", "--set", "M=3", "--set", "N=3", "--set", "K_max=4"], "N"),
+        (["continuity", "--set", "M=6", "--set", "N=3"], "N"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}:"), err
+        assert "exceeds the cap" in err
 
 
 def test_report_determinism(tmp_path):
@@ -77,7 +87,7 @@ def test_csv_output(tmp_path):
 def test_report_merge(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--out", str(p1)]) == 0
-    assert main(["expand", "--example1", "--out", str(p2)]) == 0
+    assert main(["expand", "--out", str(p2)]) == 0
     merged = tmp_path / "merged.json"
     assert main(["report-merge", str(p1), str(p2), "--out", str(merged)]) == 0
     obj = json.loads(merged.read_text())

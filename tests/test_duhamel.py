@@ -217,7 +217,7 @@ def test_decay_chain_bound(lat):
     sig = {}
     for m in (2, 3):
         sig[m] = max(
-            collision_omega_operator_norm(lat, m - 1, jj, 1.0, dim_cap=2**16)[0]
+            collision_omega_operator_norm(lat, m - 1, jj, 1.0)[0]
             for jj in range(1, m)
         )
     for j in (1, 2):

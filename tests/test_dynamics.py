@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gphier import dynamics
 from gphier.lattice import FrequencyLattice
@@ -143,6 +144,39 @@ def test_matrix_matches_gather(lat):
     g2 = random_density_matrix(lat, 2, 11)
     via2 = (single @ g2.data.reshape(-1)).reshape((3,) * 2)
     assert np.max(np.abs(via2 - collision(g2, 1, 2, "-", f).data)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_full_collision_gather_matches_matrix(lat, monkeypatch, m):
+    # below the cap full_collision applies the cached matrix; with the cap
+    # lowered it takes the per-term gather instead
+    g = random_density_matrix(lat, m, 30 + m)
+    f = sample_field(lat, 4)  # mixed signs: [-1, 1, 1]
+    via_matrix = full_collision(g, f).data
+    monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
+    with pytest.raises(MemoryError):
+        full_collision_matrix(lat, m, f)
+    via_gather = full_collision(g, f).data
+    assert np.max(np.abs(via_gather - via_matrix)) <= 1e-13
+
+
+_ROLES = [(m, ell, n, sign) for m in (2, 3, 4) for n in range(2, m + 1)
+          for ell in range(1, n) for sign in "+-"]
+_SIGNS = st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3)
+_FIELDS = st.none() | _SIGNS.map(
+    lambda v: SignField(np.array(v, dtype=np.int8), "drawn"))
+
+
+@pytest.mark.parametrize("m, ell, n, sign", _ROLES)
+@settings(max_examples=8, deadline=None, database=None)
+@given(field=_FIELDS, seed=st.integers(0, 2**16))
+def test_matrix_matches_gather_every_role(m, ell, n, sign, field, seed):
+    lat = FrequencyLattice(1, 1)
+    g = random_density_matrix(lat, m, seed)
+    mat = collision_matrix(lat, m, ell, n, sign, field)
+    via = (mat @ g.data.reshape(-1)).reshape((3,) * (2 * m - 2))
+    ref = collision(g, ell, n, sign, field).data
+    assert np.max(np.abs(via - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_evolve_missing_independent_field(lat):

@@ -166,9 +166,6 @@ def test_zero_sigma(lat):
 
 
 def test_difference_slot_restriction():
-    spec = example1_chain()
-    with pytest.raises(ValueError):
-        expand_difference(spec, delta_slot=2)
     with pytest.raises(ValueError):
         expand_difference(OperatorChainSpec(k=1, steps=((1, 2, "+"),),
                                             times=(0.0,)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gphier import randomization
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import DensityMatrix, h_alpha_norm, random_density_matrix
 from gphier.dynamics import collision
@@ -8,7 +9,6 @@ from gphier.randomization import (
     SignField,
     all_plus,
     collision_omega_operator_norm,
-    deterministic_collision_norm,
     enumerate_fields,
     omega_l2_h_alpha,
     randomize_function,
@@ -142,12 +142,11 @@ def test_operator_norm_majorizes(lat):
     assert worst > 0.1 * sigma  # the bound is within reach of random data
 
 
-def test_operator_norm_iterative_matches_dense(lat):
+def test_operator_norm_dense_matches_power_iteration(lat):
     # the k=2 domain takes the dense route; compare against a direct
     # power-iteration estimate of the same normal operator (random start:
     # structured vectors can be orthogonal to the dominant eigenspace)
-    sigma, stacked = collision_omega_operator_norm(lat, 2, 1, 0.5,
-                                                   dim_cap=2**16)
+    sigma, stacked = collision_omega_operator_norm(lat, 2, 1, 0.5)
     assert stacked is not None
     gram = stacked.T @ stacked
     v = np.random.default_rng(3).standard_normal(gram.shape[0])
@@ -157,9 +156,24 @@ def test_operator_norm_iterative_matches_dense(lat):
     assert sigma == pytest.approx(np.sqrt(v @ (gram @ v)), rel=1e-8)
 
 
+def test_operator_norm_eigsh_matches_dense(lat, monkeypatch):
+    # the eigsh route on the normal operator, forced on cases small enough
+    # for the dense SVD to be the reference
+    cases = [(1, 1, None), (2, 1, None), (2, 2, None), (2, 1, [None]),
+             (1, 1, [sample_field(lat, 8), sample_field(lat, 9)])]
+    dense = [collision_omega_operator_norm(lat, k, j, 0.5, fields)
+             for k, j, fields in cases]
+    assert all(mat is not None for _, mat in dense)
+    monkeypatch.setattr(randomization, "DENSE_SVD_CAP", 0)
+    for (k, j, fields), (ref, _) in zip(cases, dense):
+        sigma, mat = collision_omega_operator_norm(lat, k, j, 0.5, fields)
+        assert mat is None
+        assert sigma == pytest.approx(ref, rel=1e-10)
+
+
 def test_deterministic_norm_bounds_instance(lat):
     g = random_density_matrix(lat, 2, 60)
-    s = deterministic_collision_norm(lat, 1, 1, 1.0)
+    s, _ = collision_omega_operator_norm(lat, 1, 1, 1.0, [None])
     out = collision(g, 1, 2, "+") - collision(g, 1, 2, "-")
     assert h_alpha_norm(out, 1.0) <= s * h_alpha_norm(g, 1.0) * (1 + 1e-12)
 
