@@ -50,11 +50,9 @@ from .duhamel import (
     QuadratureSpec,
     cauchy_diagnostic,
     decay_profile,
-    duhamel_term,
     integral_residual,
     simplex_check,
     solution_time_modulus,
-    truncated_solution,
 )
 from .expansion import (
     OperatorChainSpec,

@@ -40,6 +40,7 @@ from .dynamics import (
     phase_inequality_scan,
 )
 from .duhamel import (
+    CHAIN_CAP,
     DuhamelEvaluator,
     QuadratureSpec,
     cauchy_diagnostic,
@@ -76,6 +77,10 @@ KINDS = (
     "continuity", "nls", "expand", "report-merge",
 )
 
+# continuity enumerates at most 2^10 joint sign fields: 1,024 Duhamel
+# evaluators, about 12 s at d=1, M=2, N=3 on a 2-core host
+CONTINUITY_FIELD_BITS = 10
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries per-field messages."""
@@ -105,38 +110,48 @@ class ExperimentConfig:
     grid_points: int = 11
 
     def _size_problem(self, F):
-        """The largest dense size this kind builds, checked before any state is.
+        """The largest size this kind builds, checked before any state is.
+
+        A size is a dense array or, for continuity, a count of evaluators.
 
         Returns a message naming the field at fault, or None.  Sizes are
         compared in logarithms, so a huge N or K_max costs nothing.
         """
         logF = math.log(F)
-        limits = {
-            "residual": ("N", 2 * self.N * logF, MATRIX_DOMAIN_CAP,
-                         "the order-N collision matrix on F^(2N) coefficients"),
-            "converge": ("N", 2 * (self.N + 1) * logF, MATRIX_DOMAIN_CAP,
-                         "the order-(N+1) collision matrix on F^(2(N+1)) "
-                         "coefficients"),
-            "continuity": ("N", 2 * min(self.N, self.K_max, 3) * logF,
-                           MATRIX_DOMAIN_CAP, "the order-min(N, K_max, 3) "
-                           "collision matrix"),
+        big = "d" if self.d > 1 else "M"
+        # continuity's modulus check averages over every joint sign field of
+        # levels 2..N', one Duhamel evaluator each
+        n_cont = min(self.N, self.K_max, 3)
+        limits = [
+            ("residual", "N", 2 * self.N * logF, MATRIX_DOMAIN_CAP,
+             "the order-N collision matrix on F^(2N) coefficients"),
+            # the deepest Duhamel term's Gauss-Legendre tree, q floored at 16
+            ("residual", "N", math.log(self.grid_points)
+             + (self.N - 1) * math.log(max(self.q, 16)), CHAIN_CAP,
+             "a depth-(N-1) Gauss-Legendre tree of grid_points max(q, 16)^(N-1) "
+             "time nodes"),
+            ("converge", "N", 2 * (self.N + 1) * logF, MATRIX_DOMAIN_CAP,
+             "the order-(N+1) collision matrix on F^(2(N+1)) coefficients"),
+            ("continuity", "N", 2 * n_cont * logF, MATRIX_DOMAIN_CAP,
+             "the order-min(N, K_max, 3) collision matrix"),
+            ("continuity", "N" if F <= CONTINUITY_FIELD_BITS else big,
+             F * (n_cont - 1) * math.log(2), 2**CONTINUITY_FIELD_BITS,
+             "one Duhamel evaluator per joint sign field of levels "
+             "2..min(N, K_max, 3), 2^(F (min(N, K_max, 3) - 1)) of them"),
             # F^4 domain x F^2 range x 2^F fields, one dense SVD
-            "estimate-c0": ("d" if self.d > 1 else "M",
-                            6 * logF + F * math.log(2), DENSE_SVD_CAP,
-                            "the dense F^6 2^F stacked order-2 collision "
-                            "(F <= 5)"),
-        }
+            ("estimate-c0", big, 6 * logF + F * math.log(2), DENSE_SVD_CAP,
+             "the dense F^6 2^F stacked order-2 collision (F <= 5)"),
+        ]
         if self.mode != "dependent":
-            limits["decay"] = ("K_max", 2 * min(self.K_max, 4) * logF,
-                               NORM_DOMAIN_CAP, "operator norms of the "
-                               "order-min(K_max, 4) collisions")
-        if self.kind not in limits:
-            return None
-        name, log_size, cap, what = limits[self.kind]
-        if log_size <= math.log(cap):
-            return None
-        return (f"{name}: {self.kind} builds {what}, F = (2M+1)^d = {F}; at "
-                f"{name}={getattr(self, name)} that exceeds the cap {cap}")
+            limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
+                           NORM_DOMAIN_CAP, "operator norms of the "
+                           "order-min(K_max, 4) collisions"))
+        for kind, name, log_size, cap, what in limits:
+            if kind == self.kind and log_size > math.log(cap):
+                return (f"{name}: {self.kind} builds {what}, F = (2M+1)^d = "
+                        f"{F}; at {name}={getattr(self, name)} that exceeds "
+                        f"the cap {cap}")
+        return None
 
     def validate(self):
         problems = []

@@ -1,12 +1,22 @@
 """Iterated Duhamel terms, explicit truncated solutions, residual checks.
 
-The j-fold nested time integral over the simplex 0 <= t_j <= ... <= t_1
-<= t is evaluated by recursive tensor-product Gauss-Legendre quadrature
-(cost q^j).  Evaluation is batched over quadrature subtrees, with leaf
-propagation grouped by distinct dispersion-energy values so the deepest
-level reduces to small dense matrix products.
+The free flow at level m is diagonal, with few distinct energies against
+a large dimension.  With P_e the projection of level m onto its
+coefficients of energy e, the depth-j term at level k is
+
+    Duh_j^(k)(s) = (-i)^j sum_chain [P_{e_k} B_{k+1} P_{e_{k+1}} ...
+                   B_{k+j} P_{e_{k+j}} gamma0] * I(e_k, ..., e_{k+j}; s)
+
+with I the j-fold simplex integral of the phases.  It is evaluated in two
+halves.  The vector half applies each collision matrix once, to a block
+whose columns are the energy chains below it.  The scalar half runs the
+recursive tensor-product Gauss-Legendre rule (cost q^j) on (time node x
+chain suffix) arrays of scalars.  The method uses no generator and no
+matrix exponential, so it stays an independent construction from
+`dynamics.evolve_truncated`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,13 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import full_collision_matrix, level_energy
-from .tensor import DensityMatrix, h_alpha_norm
+from .tensor import DensityMatrix, MemoryGuardError, h_alpha_norm
 
 __all__ = [
     "QuadratureSpec",
     "DuhamelEvaluator",
-    "duhamel_term",
-    "truncated_solution",
     "integral_residual",
     "simplex_check",
     "decay_profile",
@@ -28,7 +36,29 @@ __all__ = [
     "solution_time_modulus",
 ]
 
-_CHUNK = 2**23  # cap on complex elements materialized per batch
+CHAIN_CAP = 2**22  # complex elements per chain-block or scalar-array chunk
+
+_BUCKETS = {}  # (d, M, m) -> energy buckets of level m; see _buckets
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(q):
+    x, w = np.polynomial.legendre.leggauss(q)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _buckets(lattice, m):
+    """(distinct energies, bucket of each coefficient, rows per bucket)."""
+    key = (lattice.d, lattice.M, m)
+    if key not in _BUCKETS:
+        vals, inv = np.unique(level_energy(lattice, m), return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        bounds = np.searchsorted(inv[order], np.arange(vals.size + 1))
+        rows = [order[bounds[e]:bounds[e + 1]] for e in range(vals.size)]
+        _BUCKETS[key] = (vals, inv, rows)
+    return _BUCKETS[key]
 
 
 @dataclass(frozen=True)
@@ -43,17 +73,22 @@ class QuadratureSpec:
             raise ValueError("quadrature order must be >= 2")
 
     def nodes(self):
-        x, w = np.polynomial.legendre.leggauss(self.q)
-        return x, w
+        return _leggauss(self.q)
 
 
 class DuhamelEvaluator:
-    """Batched evaluator of Duhamel terms for one initial state and mode.
+    """Energy-chain evaluator of Duhamel terms for one initial state and mode.
 
-    Precomputes, per hierarchy level: the flattened initial coefficients,
-    the dispersion energies grouped by distinct value, the (possibly
-    randomized) full collision matrices, and the leaf matrices obtained
-    by pushing each energy group of the initial data through a collision.
+    Caches, per hierarchy level m: the flattened initial coefficients,
+    the (possibly randomized) full collision matrix B_m, its per-energy
+    column slices B_m P_e stacked into one matrix, and the leaf block of
+    columns B_m P_e gamma0^(m).  A term of depth j starts from the leaf
+    block of level k+j and walks up to level k.  At each level the chain
+    block (the vector half) takes one product with the stacked slices,
+    and the scalar functions of the chain suffixes (the scalar half) take
+    one nested Gauss-Legendre step; the two are contracted row by row at
+    level k.  Both are chunked over chain columns, never over times, so
+    each array stays within `CHAIN_CAP` complex elements.
     """
 
     def __init__(self, state0, mode, quad=None):
@@ -62,9 +97,9 @@ class DuhamelEvaluator:
         self.quad = quad if quad is not None else QuadratureSpec()
         self.lattice = state0.lattice
         self._gamma = {}
-        self._ebuckets = {}
         self._mats = {}
-        self._leaf = {}
+        self._splits = {}
+        self._leaves = {}
         self._gl = self.quad.nodes()
 
     def _gamma_flat(self, m):
@@ -73,12 +108,6 @@ class DuhamelEvaluator:
             self._gamma[m] = None if g is None else g.to_dense().data.reshape(-1)
         return self._gamma[m]
 
-    def _buckets(self, m):
-        if m not in self._ebuckets:
-            vals, inv = np.unique(level_energy(self.lattice, m), return_inverse=True)
-            self._ebuckets[m] = (vals, inv)
-        return self._ebuckets[m]
-
     def _mat(self, m):
         if m not in self._mats:
             self._mats[m] = full_collision_matrix(
@@ -86,20 +115,49 @@ class DuhamelEvaluator:
             )
         return self._mats[m]
 
-    def _leaf_matrix(self, m):
-        """Collision applied to each energy group of gamma0^(m)."""
-        if m not in self._leaf:
+    def _split(self, m, lo, hi):
+        """B_m P_e for the energy buckets lo <= e < hi, stacked row-wise.
+
+        Row r (hi - lo) + (e - lo) is row r of B_m restricted to the columns
+        of bucket e, so `(split @ W).reshape(dim_(m-1), -1)` is the chain
+        block with e as its new leading chain index.
+        """
+        vals, inv, _ = _buckets(self.lattice, m)
+        full = (lo, hi) == (0, vals.size)
+        if full and m in self._splits:
+            return self._splits[m]
+        B = self._mat(m)
+        bucket = inv[B.indices]
+        new_row = (hi - lo) * np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)) \
+            + bucket - lo
+        order = np.argsort(new_row, kind="stable")
+        if not full:
+            order = order[(bucket[order] >= lo) & (bucket[order] < hi)]
+        shape = ((hi - lo) * B.shape[0], B.shape[1])
+        indptr = np.searchsorted(new_row[order], np.arange(shape[0] + 1))
+        split = sp.csr_matrix((B.data[order], B.indices[order], indptr),
+                              shape=shape)
+        if full:
+            self._splits[m] = split
+        return split
+
+    def _leaf(self, m):
+        """B_m P_e gamma0^(m) for every energy bucket e of level m.
+
+        A sparse (dim_(m-1), n_e) block, built by one sparse product with
+        the bucket split of gamma0^(m), which is as sparse as the data.
+        """
+        if m not in self._leaves:
             g = self._gamma_flat(m)
-            vals, inv = self._buckets(m)
-            cols = sp.csr_matrix(
-                (g, (np.arange(g.size), inv)), shape=(g.size, vals.size)
-            )
-            self._leaf[m] = np.asarray((self._mat(m) @ cols).todense())
-        return self._leaf[m]
+            vals, inv, _ = _buckets(self.lattice, m)
+            cols = sp.csr_matrix((g, (np.arange(g.size), inv)),
+                                 shape=(g.size, vals.size))
+            self._leaves[m] = (self._mat(m) @ cols).tocsc()
+        return self._leaves[m]
 
     def _phases(self, m, gaps):
         """exp(-i * gap * E_m) as a (dim_m, len(gaps)) array."""
-        vals, inv = self._buckets(m)
+        vals, inv, _ = _buckets(self.lattice, m)
         table = np.exp(-1j * np.outer(vals, gaps))
         return table[inv, :]
 
@@ -121,35 +179,86 @@ class DuhamelEvaluator:
             return np.zeros((dim_k, times.size), dtype=np.complex128)
         if j == 0:
             return self._free(k, times)
-        return self._descend(k, j, times)
+        return self._chain_term(k, j, times)
 
-    def _descend(self, level, depth, s):
-        """Duh_depth at this level for times s; recursion over the subtree."""
-        F = self.lattice.size
-        dim = F ** (2 * level)
-        dim_child = F ** (2 * (level + 1))
-        q = self.quad.q
-        max_cols = max(1, _CHUNK // max(dim, dim_child))
-        batch = max(1, max_cols // q)
-        out = np.empty((dim, s.size), dtype=np.complex128)
-        x, w = self._gl
-        for lo in range(0, s.size, batch):
-            sb = s[lo:lo + batch]
-            u = 0.5 * sb[:, None] * (x[None, :] + 1.0)      # (ns, q) child times
-            wu = 0.5 * sb[:, None] * w[None, :]             # GL weights on [0, s]
-            uf = u.reshape(-1)
-            if depth == 1:
-                vals, _ = self._buckets(level + 1)
-                P = np.exp(-1j * np.outer(vals, uf))
-                BV = self._leaf_matrix(level + 1) @ P       # (dim, ns*q)
-            else:
-                child = self._descend(level + 1, depth - 1, uf)
-                BV = self._mat(level + 1) @ child
-            gaps = (sb[:, None] - u).reshape(-1)
-            BV *= self._phases(level, gaps)
-            folded = np.einsum("dnr,nr->dn", BV.reshape(dim, sb.size, q), wu)
-            out[:, lo:lo + sb.size] = -1j * folded
+    def _chain_term(self, k, j, times):
+        """Duh_j at level k (j >= 1) by energy chains; see the module docstring."""
+        self._check_chain(k, j, times.size)
+        x, _ = self._gl
+        # nodes[i]: the Gauss-Legendre tree's time nodes at level k + i
+        nodes = [times]
+        for _ in range(j):
+            nodes.append((0.5 * nodes[-1][:, None] * (x + 1.0)).reshape(-1))
+        out = np.zeros((self.lattice.size ** (2 * k), times.size),
+                       dtype=np.complex128)
+        # the leaf: one chain column per energy e of level k + j, with the
+        # block B P_e gamma0 and the scalar e^(-ieu) at the deepest nodes
+        leaf = self._leaf(k + j)
+        vals = _buckets(self.lattice, k + j)[0]
+        step = max(1, CHAIN_CAP // max(leaf.shape[0], nodes[j].size))
+        for lo in range(0, vals.size, step):
+            hi = min(lo + step, vals.size)
+            f = np.exp(-1j * np.outer(nodes[j], vals[lo:hi]))
+            self._climb(k, k + j - 1, leaf[:, lo:hi].toarray(), f, nodes, out)
+        out *= (-1j) ** j
         return out
+
+    def _check_chain(self, k, j, n_times):
+        """Raise before allocating if one chain column cannot fit the cap."""
+        F = self.lattice.size
+        n_nodes = n_times * self.quad.q ** j
+        dim = F ** (2 * (k + j - 1))
+        if dim > CHAIN_CAP:
+            name = "d" if self.lattice.d > 1 else "M"
+            raise MemoryGuardError(
+                f"{name}: a depth-{j} Duhamel chain block at level {k + j - 1} "
+                f"has F^{2 * (k + j - 1)} = {dim} rows per chain column, F = "
+                f"{F}; that exceeds the cap {CHAIN_CAP}")
+        if n_nodes > CHAIN_CAP:
+            raise MemoryGuardError(
+                f"q: the depth-{j} Gauss-Legendre tree over {n_times} times "
+                f"has {n_nodes} nodes at q={self.quad.q}; that exceeds the "
+                f"cap {CHAIN_CAP}")
+
+    def _climb(self, k, level, W, f, nodes, out):
+        """Carry one chunk of chains from `level` up to level k into `out`.
+
+        W is the chain block at `level` (dim_level x c); f holds the scalar
+        functions of the same c chain suffixes at the time nodes of level
+        + 1.  One step prepends the energy e of `level` to every suffix:
+        the scalar half computes
+        f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r)
+        and, above level k, the vector half applies B_level P_e.  At level
+        k the scalars are contracted with each row of W at that row's
+        energy.
+        """
+        vals, _, rows = _buckets(self.lattice, level)
+        x, w = self._gl
+        s = nodes[level - k]
+        wu = 0.5 * s[:, None] * w
+        gap = 0.5 * s[:, None] * (1.0 - x)     # s - u_r
+        c = W.shape[1]
+        dim_next = W.shape[0] if level == k else \
+            self.lattice.size ** (2 * (level - 1))
+        # one chunk of (energies x suffixes) columns stays within the cap
+        per_col = max(dim_next, s.size)
+        n_e = min(vals.size, max(1, CHAIN_CAP // max(per_col, s.size * x.size)))
+        n_c = max(1, CHAIN_CAP // (per_col * n_e))
+        for lo in range(0, vals.size, n_e):
+            hi = min(lo + n_e, vals.size)
+            E = wu[:, None, :] * np.exp(
+                -1j * vals[None, lo:hi, None] * gap[:, None, :])
+            split = None if level == k else self._split(level, lo, hi)
+            for c0 in range(0, c, n_c):
+                cols = slice(c0, min(c0 + n_c, c))
+                fn = E @ f[:, cols].reshape(s.size, x.size, -1)
+                if split is None:
+                    for e in range(lo, hi):
+                        out[rows[e]] += W[rows[e], cols] @ fn[:, e - lo, :].T
+                    continue
+                Wn = split @ W[:, cols]
+                self._climb(k, level - 1, Wn.reshape(dim_next, -1),
+                            fn.reshape(s.size, -1), nodes, out)
 
     def solution_batch(self, N, k, times):
         """Truncated-hierarchy solution at level k; sum of Duh_0..Duh_(N-k)."""
@@ -171,25 +280,17 @@ class DuhamelEvaluator:
         )
 
     def term(self, k, j, t):
+        """Duh_j at level k and time t as a DensityMatrix.
+
+        Depth 0 is the free evolution of gamma0^(k); depth j >= 1 is the
+        j-fold nested integral with the (-i)^j prefactor, alternating free
+        evolution and full collisions with the mode's per-level fields.
+        """
         return self._wrap(k, self.term_batch(k, j, [t])[:, 0])
 
     def solution(self, N, k, t):
+        """Explicit solution of the depth-N truncated hierarchy at level k."""
         return self._wrap(k, self.solution_batch(N, k, [t])[:, 0])
-
-
-def duhamel_term(state0, k, j, t, mode, quad=None):
-    """Duhamel expansion term of depth j at level k, evaluated at time t.
-
-    Depth 0 is the free evolution of gamma0^(k); depth j >= 1 is the
-    j-fold nested integral with the (-i)^j prefactor, alternating free
-    evolution and full collisions with the mode's per-level fields.
-    """
-    return DuhamelEvaluator(state0, mode, quad).term(k, j, t)
-
-
-def truncated_solution(state0, N, k, t, mode, quad=None):
-    """Explicit solution of the depth-N truncated hierarchy at level k."""
-    return DuhamelEvaluator(state0, mode, quad).solution(N, k, t)
 
 
 def integral_residual(state0, N, k, t, mode, quad=None, alpha=1.0):
@@ -249,10 +350,11 @@ def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
     from .randomization import omega_l2_h_alpha
 
     norms = []
+    pointwise = DuhamelEvaluator(state0, mode, quad) \
+        if norm_stat == "pointwise" else None
     for j in range(0, j_max + 1):
         if norm_stat == "pointwise":
-            ev = DuhamelEvaluator(state0, mode, quad)
-            norms.append(h_alpha_norm(ev.term(k, j, t), alpha))
+            norms.append(h_alpha_norm(pointwise.term(k, j, t), alpha))
         elif norm_stat == "omega_l2":
             if mode.variant == "independent":
                 levels = list(range(k + 1, k + j + 1))

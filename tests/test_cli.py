@@ -58,6 +58,11 @@ def test_exit_codes(tmp_path, capsys):
         (["decay", "--set", "M=3", "--set", "K_max=4"], "K_max"),
         (["converge", "--set", "M=3", "--set", "N=3", "--set", "K_max=4"], "N"),
         (["continuity", "--set", "M=6", "--set", "N=3"], "N"),
+        # 11 * 16^5 Gauss-Legendre nodes for the depth-5 Duhamel term
+        (["residual", "--set", "N=6", "--set", "K_max=6"], "N"),
+        # 2^14 and 2^11 joint sign fields, one Duhamel evaluator each
+        (["continuity", "--set", "M=3", "--set", "N=3"], "N"),
+        (["continuity", "--set", "M=5", "--set", "N=2"], "M"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

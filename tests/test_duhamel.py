@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from gphier import duhamel
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
+    MemoryGuardError,
     h_alpha_norm,
     random_state,
 )
@@ -22,11 +25,9 @@ from gphier.duhamel import (
     QuadratureSpec,
     cauchy_diagnostic,
     decay_profile,
-    duhamel_term,
     integral_residual,
     simplex_check,
     solution_time_modulus,
-    truncated_solution,
 )
 from gphier.randomization import sample_field
 
@@ -49,7 +50,7 @@ def test_quadrature_spec_validation():
 def test_depth_zero_is_free_evolution(lat, quad):
     st = random_state(lat, 2, 0)
     mode = HierarchyMode.deterministic()
-    out = duhamel_term(st, 1, 0, 0.4, mode, quad)
+    out = DuhamelEvaluator(st, mode, quad).term(1, 0, 0.4)
     ref = free_evolve(st.level(1), 0.4)
     assert h_alpha_norm(out - ref, 0.0) < 1e-14
 
@@ -62,7 +63,7 @@ def test_depth_one_closed_form(lat, quad):
     st = HierarchyState(lat, 2, {2: g2})
     mode = HierarchyMode.deterministic()
     t = 0.37
-    term = duhamel_term(st, 1, 1, t, mode, quad)
+    term = DuhamelEvaluator(st, mode, quad).term(1, 1, t)
     coll = full_collision(g2)
     e_in = 1.0  # |1|^2 + |0|^2 - |0|^2 - |0|^2
     e_out = level_energy(lat, 1).reshape(3, 3)
@@ -84,30 +85,31 @@ def test_depth_one_closed_form(lat, quad):
 def test_depth_positive_at_zero_time(lat, quad):
     st = random_state(lat, 3, 1)
     mode = HierarchyMode.deterministic()
-    out = duhamel_term(st, 1, 2, 0.0, mode, quad)
+    out = DuhamelEvaluator(st, mode, quad).term(1, 2, 0.0)
     assert not np.any(out.data)
 
 
 def test_term_bounds(lat, quad):
     st = random_state(lat, 2, 2)
     mode = HierarchyMode.deterministic()
+    ev = DuhamelEvaluator(st, mode, quad)
     with pytest.raises(ValueError):
-        duhamel_term(st, 1, 5, 0.1, mode, quad)  # beyond j_max
+        ev.term(1, 5, 0.1)  # beyond j_max
     with pytest.raises(ValueError):
-        duhamel_term(st, 2, 1, 0.1, mode, quad)  # exceeds K_max
+        ev.term(2, 1, 0.1)  # exceeds K_max
 
 
 def test_missing_leaf_level_gives_zero(lat, quad):
     st = HierarchyState(lat, 3, {1: random_state(lat, 1, 3).level(1)})
     mode = HierarchyMode.deterministic()
-    out = duhamel_term(st, 1, 2, 0.2, mode, quad)
+    out = DuhamelEvaluator(st, mode, quad).term(1, 2, 0.2)
     assert not np.any(out.data)
 
 
 def test_truncated_solution_top_level(lat, quad):
     st = random_state(lat, 3, 4)
     mode = HierarchyMode.deterministic()
-    sol = truncated_solution(st, 3, 3, 0.3, mode, quad)
+    sol = DuhamelEvaluator(st, mode, quad).solution(3, 3, 0.3)
     ref = free_evolve(st.level(3), 0.3)
     assert h_alpha_norm(sol - ref, 0.0) < 1e-13
 
@@ -115,7 +117,7 @@ def test_truncated_solution_top_level(lat, quad):
 def test_truncated_solution_at_zero(lat, quad):
     st = random_state(lat, 3, 5)
     mode = HierarchyMode.deterministic()
-    sol = truncated_solution(st, 3, 1, 0.0, mode, quad)
+    sol = DuhamelEvaluator(st, mode, quad).solution(3, 1, 0.0)
     assert h_alpha_norm(sol - st.level(1), 0.0) < 1e-14
 
 
@@ -141,6 +143,58 @@ def test_solution_matches_ode(lat, which):
             rel = h_alpha_norm(diff, 1.0) \
                 / (1 + h_alpha_norm(ev._wrap(k, sol[:, i]), 1.0))
             assert rel < 1e-5
+
+
+_MODES = ("deterministic", "dependent", "independent")
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(which=hst.sampled_from(_MODES), N=hst.integers(1, 3), data=hst.data(),
+       times=hst.lists(hst.floats(0.0, 0.2), min_size=2, max_size=3,
+                       unique=True).map(sorted),
+       seed=hst.integers(0, 2**16))
+def test_energy_chains_match_exponential(which, N, data, times, seed):
+    # the energy-chain Duhamel terms against the exact exponential, at the
+    # 1e-5 relative H^1 measure of test_solution_matches_ode
+    lat = FrequencyLattice(1, 1)
+    k = data.draw(hst.integers(1, N), label="k")
+    st = random_state(lat, N, seed, alpha=1.0, level_norms=[1.0] * N)
+    mode = {
+        "deterministic": HierarchyMode.deterministic(),
+        "dependent": HierarchyMode.dependent(sample_field(lat, seed + 1)),
+        "independent": HierarchyMode.independent(
+            {lv: sample_field(lat, seed + 2, level=lv) for lv in range(2, N + 1)}
+        ),
+    }[which]
+    traj = evolve_truncated(st, N, times[-1], mode, grid_times=times)
+    ev = DuhamelEvaluator(st, mode, QuadratureSpec(q=16, j_max=3))
+    sol = ev.solution_batch(N, k, times)
+    for i in range(len(times)):
+        ref = ev._wrap(k, sol[:, i])
+        rel = h_alpha_norm(ref - traj.states[i].level(k), 1.0) \
+            / (1 + h_alpha_norm(ref, 1.0))
+        assert rel < 1e-5
+
+
+def test_chain_chunks_match_and_guard(lat, monkeypatch):
+    # a cap small enough to chunk the leaf energies, and above it both the
+    # energies and the chain suffixes, gives the same terms; below one
+    # chain column (729 rows at level 3, 30 q^3 = 810 time nodes) it is a
+    # guard error naming the field
+    st = random_state(lat, 4, 33, alpha=1.0, level_norms=[1.0] * 4)
+    mode = HierarchyMode.dependent(sample_field(lat, 34))
+    quad = QuadratureSpec(q=3, j_max=3)
+    times = np.linspace(0.0, 0.3, 30)
+    ref = DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
+    out = DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 800)
+    with pytest.raises(MemoryGuardError, match="^q: "):
+        DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 700)
+    with pytest.raises(MemoryGuardError, match="^M: "):
+        DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
 
 
 def test_nonuniform_grid_matches_duhamel():
