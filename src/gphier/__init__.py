@@ -11,19 +11,12 @@ from .lattice import FrequencyLattice, LatticeError, combine
 from .tensor import (
     DensityMatrix,
     HierarchyState,
-    TimeGrid,
     MemoryGuardError,
-    SerializationError,
     factorized,
     h_alpha_norm,
-    hxi_norm,
-    load_density_matrix,
-    load_hierarchy,
     project,
     random_density_matrix,
     random_state,
-    save_density_matrix,
-    save_hierarchy,
     sobolev_apply,
 )
 from .dynamics import (
@@ -66,7 +59,6 @@ from .expansion import (
     nonresonant_sample,
 )
 from .nls import (
-    NlsState,
     factorized_residual,
     mass,
     nls_evolve,

@@ -189,6 +189,10 @@ class ExperimentConfig:
             problems.append(f"T/dt: must be positive, got T={self.T}, dt={self.dt}")
         if self.q < 2:
             problems.append(f"q: quadrature order must be >= 2, got {self.q}")
+        if self.mc_samples < (2 if self.kind == "estimate-c0" else 0) \
+                or self.mc_samples == 1:
+            problems.append(f"mc_samples: need 0 (exact) or >= 2, and >= 2 for "
+                            f"estimate-c0; got {self.mc_samples}")
         if self.grid_points < 2:
             problems.append(f"grid_points: must be >= 2, got {self.grid_points}")
         if self.mode not in ("deterministic", "dependent", "independent"):
@@ -428,13 +432,16 @@ def _run_estimate_c0(cfg, rep, csv_dir):
     lat = FrequencyLattice(cfg.d, cfg.M)
     k, j = 1, 1
     gamma = random_density_matrix(lat, k + 1, cfg.seed, alpha=cfg.alpha, norm=1.0)
+    mode = _make_mode(cfg, lat, "dependent")
 
-    def evaluator(fields):
-        fld = fields.get(0)
-        return collision(gamma, j, k + 1, "+", fld) - collision(gamma, j, k + 1, "-", fld)
+    def randomized_norm(g):
+        """norms() of the shared-field collision difference applied to g."""
+        return lambda md: h_alpha_norm(
+            collision(g, j, k + 1, "+", md.field)
+            - collision(g, j, k + 1, "-", md.field), cfg.alpha)
 
-    exact = omega_l2_h_alpha(evaluator, lat, [0], cfg.alpha, method="exact")
-    mc = omega_l2_h_alpha(evaluator, lat, [0], cfg.alpha, method="mc",
+    exact = omega_l2_h_alpha(randomized_norm(gamma), mode, lat, [0])
+    mc = omega_l2_h_alpha(randomized_norm(gamma), mode, lat, [0],
                           mc_samples=cfg.mc_samples, seed=cfg.seed)
     rep.constants["omega_norm_exact"] = exact.value
     rep.constants["omega_norm_mc"] = mc.value
@@ -449,12 +456,7 @@ def _run_estimate_c0(cfg, rep, csv_dir):
     ratios = []
     for trial in range(20):
         gt = random_density_matrix(lat, k + 1, cfg.seed + 100 + trial)
-
-        def ev2(fields, gt=gt):
-            fld = fields.get(0)
-            return collision(gt, j, k + 1, "+", fld) - collision(gt, j, k + 1, "-", fld)
-
-        est = omega_l2_h_alpha(ev2, lat, [0], cfg.alpha, method="exact")
+        est = omega_l2_h_alpha(randomized_norm(gt), mode, lat, [0])
         ratios.append(est.value / h_alpha_norm(gt, cfg.alpha))
     worst_ratio = _worst(ratios)
     rep.constants["c0_empirical"] = worst_ratio
@@ -584,7 +586,7 @@ def _run_residual(cfg, rep, csv_dir):
                     / (1.0 + h_alpha_norm(ev._wrap(k, sol[:, i]), cfg.alpha))
                 rows.append((which, k, float(t), rel))
         for k in range(1, cfg.N):
-            residuals.append(integral_residual(state, cfg.N, k, cfg.T, mode, quad,
+            residuals.append(integral_residual(ev, cfg.N, k, cfg.T,
                                                alpha=cfg.alpha))
     worst_disc = _worst(row[3] for row in rows)
     worst_res = _worst(residuals)

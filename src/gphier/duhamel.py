@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import full_collision_matrix, level_energy
+from .randomization import omega_l2_h_alpha
 from .tensor import DensityMatrix, MemoryGuardError, h_alpha_norm
 
 __all__ = [
@@ -293,17 +294,15 @@ class DuhamelEvaluator:
         return self._wrap(k, self.solution_batch(N, k, [t])[:, 0])
 
 
-def integral_residual(state0, N, k, t, mode, quad=None, alpha=1.0):
+def integral_residual(ev, N, k, t, alpha=1.0):
     """H^alpha norm of the integral-equation defect of the truncated solution.
 
     Measures gamma^(k)(t) - U(t) gamma0^(k) + i * int_0^t U(t-s)
-    [B^(k+1)] gamma^(k+1)(s) ds with gamma the truncated solution; for
-    k <= N-1 this vanishes up to quadrature error.
+    [B^(k+1)] gamma^(k+1)(s) ds with gamma the truncated solution built by
+    the evaluator `ev`; for k <= N-1 this vanishes up to quadrature error.
     """
     if k > N - 1:
         raise ValueError("residual is defined for levels k <= N-1")
-    ev = DuhamelEvaluator(state0, mode, quad)
-    q = ev.quad.q
     x, w = ev._gl
     nodes = 0.5 * t * (x + 1.0)
     weights = 0.5 * t * w
@@ -343,12 +342,9 @@ def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
     norm_stat 'pointwise' takes plain H^alpha norms for the mode's own
     fields; 'omega_l2' averages the squared norm over sign assignments
     (exact enumeration, or Monte Carlo when mc_samples > 0) of the
-    fields the term actually uses.  The normalized value is
+    fields on the levels k+1..k+j the term uses.  The normalized value is
     a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
-    from .dynamics import HierarchyMode
-    from .randomization import omega_l2_h_alpha
-
     norms = []
     pointwise = DuhamelEvaluator(state0, mode, quad) \
         if norm_stat == "pointwise" else None
@@ -356,32 +352,11 @@ def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
         if norm_stat == "pointwise":
             norms.append(h_alpha_norm(pointwise.term(k, j, t), alpha))
         elif norm_stat == "omega_l2":
-            if mode.variant == "independent":
-                levels = list(range(k + 1, k + j + 1))
-
-                def evaluator(fields, j=j):
-                    md = HierarchyMode.independent(fields) if fields \
-                        else HierarchyMode.deterministic()
-                    return DuhamelEvaluator(state0, md, quad).term(k, j, t)
-
-            elif mode.variant == "dependent":
-                levels = [0] if j > 0 else []
-
-                def evaluator(fields, j=j):
-                    md = HierarchyMode.dependent(fields[0]) if fields \
-                        else HierarchyMode.deterministic()
-                    return DuhamelEvaluator(state0, md, quad).term(k, j, t)
-
-            else:
-                levels = []
-
-                def evaluator(fields, j=j):
-                    return DuhamelEvaluator(state0, mode, quad).term(k, j, t)
-
-            method = "mc" if mc_samples else "exact"
             est = omega_l2_h_alpha(
-                evaluator, state0.lattice, levels, alpha,
-                method=method, mc_samples=mc_samples, seed=seed,
+                lambda md, j=j: h_alpha_norm(
+                    DuhamelEvaluator(state0, md, quad).term(k, j, t), alpha),
+                mode, state0.lattice, range(k + 1, k + j + 1),
+                mc_samples=mc_samples, seed=seed,
             )
             norms.append(est.value)
         else:
@@ -400,55 +375,32 @@ def solution_time_modulus(state0, N, base_times, deltas, mode, quad=None,
 
     For each delta, returns the sup over base times of
     |Gamma_N(t + delta) - Gamma_N(t)| in the field-averaged xi-weighted
-    norm, divided by sqrt(delta).  Averaging enumerates the mode's sign
-    fields exactly (independent: all per-level fields jointly; dependent:
-    the shared field; deterministic: no averaging).
+    norm, divided by sqrt(delta).  Each level norm is averaged exactly
+    over the mode's sign fields on levels 2..N (none when deterministic).
+    A NaN norm makes its ratio NaN.
     """
-    from .dynamics import HierarchyMode
-    from .randomization import enumerate_fields
-    import itertools as it
-
-    lat = state0.lattice
-    if mode.variant == "independent":
-        per_level = enumerate_fields(lat)
-        levels = list(range(2, N + 1))
-        modes = [
-            HierarchyMode.independent(dict(zip(levels, combo)))
-            for combo in it.product(per_level, repeat=len(levels))
-        ]
-    elif mode.variant == "dependent":
-        modes = [HierarchyMode.dependent(f) for f in enumerate_fields(lat)]
-    else:
-        modes = [mode]
-
     base_times = np.asarray(base_times, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     times = np.concatenate([base_times] +
                            [base_times + d for d in deltas])
     nb = base_times.size
-    # diff_sq[(di, ti)][k-1]: field-averaged squared level norms
-    diff_sq = np.zeros((deltas.size, nb, N))
-    for md in modes:
+
+    def norms(md):
+        """[di, ti, k-1]: level-k norm of Gamma_N(t_i + delta_di) - Gamma_N(t_i)."""
         ev = DuhamelEvaluator(state0, md, quad)
+        out = np.zeros((deltas.size, nb, N))
         for k in range(1, N + 1):
             sol = ev.solution_batch(N, k, times)
             for di in range(deltas.size):
                 seg = sol[:, (di + 1) * nb:(di + 2) * nb] - sol[:, :nb]
                 for ti in range(nb):
-                    diff_sq[di, ti, k - 1] += h_alpha_norm(
-                        ev._wrap(k, seg[:, ti]), alpha
-                    ) ** 2
-    out = {}
-    for di, d in enumerate(deltas):
-        sup = 0.0
-        for ti in range(nb):
-            norm = sum(
-                xi**k * np.sqrt(diff_sq[di, ti, k - 1] / len(modes))
-                for k in range(1, N + 1)
-            )
-            sup = max(sup, norm)
-        out[float(d)] = sup / np.sqrt(d)
-    return out
+                    out[di, ti, k - 1] = h_alpha_norm(ev._wrap(k, seg[:, ti]), alpha)
+        return out
+
+    rms = omega_l2_h_alpha(norms, mode, state0.lattice, range(2, N + 1)).value
+    weighted = sum(xi**k * rms[:, :, k - 1] for k in range(1, N + 1))
+    sup = np.max(weighted, axis=1)
+    return {float(d): s / np.sqrt(d) for d, s in zip(deltas, sup)}
 
 
 def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
@@ -462,37 +414,28 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
     Averaging is exact over the shared field for the dependent mode and
     pointwise otherwise.
     """
-    from .dynamics import HierarchyMode
-    from .randomization import enumerate_fields
-
-    if mode.variant == "dependent":
-        fields = enumerate_fields(state0.lattice)
-        modes = [HierarchyMode.dependent(f) for f in fields]
-    else:
-        modes = [mode]
     for N in Ns:
         if N + 1 > state0.K_max:
             raise ValueError(f"need K_max >= {N + 1}")
-
     grid = np.asarray(grid_times, dtype=np.float64)
-    # level_sq[(N, k)][ti] accumulates squared norms over the field choices
-    level_sq = {}
-    for md in modes:
+    pairs = [(N, k) for N in Ns for k in range(1, N + 1)]
+
+    def norms(md):
+        """[pair, ti]: H^alpha norm of the level-k collision of Duh_(N-k)."""
         ev = DuhamelEvaluator(state0, md, quad)
-        for N in Ns:
-            for k in range(1, N + 1):
-                inc = ev.term_batch(k + 1, N - k, grid)
-                cols = ev._mat(k + 1) @ inc
-                sq = np.array(
-                    [h_alpha_norm(ev._wrap(k, cols[:, i]), alpha) ** 2
-                     for i in range(grid.size)]
-                )
-                key = (N, k)
-                level_sq[key] = level_sq.get(key, 0.0) + sq
+        out = np.zeros((len(pairs), grid.size))
+        for p, (N, k) in enumerate(pairs):
+            cols = ev._mat(k + 1) @ ev.term_batch(k + 1, N - k, grid)
+            for i in range(grid.size):
+                out[p, i] = h_alpha_norm(ev._wrap(k, cols[:, i]), alpha)
+        return out
+
+    levels = range(2, max(Ns) + 2) if mode.variant == "dependent" else ()
+    rms = omega_l2_h_alpha(norms, mode, state0.lattice, levels).value
     out = []
     for N in Ns:
         per_time = np.zeros(grid.size)
         for k in range(1, N + 1):
-            per_time += xi**k * np.sqrt(level_sq[(N, k)] / len(modes))
+            per_time += xi**k * rms[pairs.index((N, k))]
         out.append(float(np.max(per_time)))
     return np.array(out)

@@ -7,44 +7,21 @@ collision sums use.  Pure tensor powers of an NLS solution then solve
 the deterministic hierarchy exactly, level by level.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import free_evolve, full_collision, level_energy
-from .lattice import FrequencyLattice
-from .tensor import (
-    DEFAULT_MEMORY_GUARD,
-    DensityMatrix,
-    SerializationError,
-    factorized,
-    h_alpha_norm,
-)
+from .tensor import DEFAULT_MEMORY_GUARD, DensityMatrix, factorized, h_alpha_norm
 
 __all__ = [
-    "NlsState",
     "NlsTrajectory",
     "nls_nonlinearity",
     "nls_rhs",
     "nls_evolve",
     "mass",
     "factorized_residual",
-    "save_nls_state",
-    "load_nls_state",
 ]
-
-
-@dataclass(frozen=True)
-class NlsState:
-    """Coefficient vector over the lattice at a time stamp."""
-
-    coefficients: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        object.__setattr__(self, "coefficients", c)
 
 
 _NLS_TABLES = {}
@@ -118,8 +95,6 @@ def nls_evolve(phi0, T, dt, lattice=None, coupling=1.0):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if isinstance(phi0, NlsState):
-        phi0 = phi0.coefficients
     phi0 = np.asarray(phi0, dtype=np.complex128)
     if lattice is None:
         raise ValueError("lattice required")
@@ -156,43 +131,6 @@ def mass(phi_hat):
     return float(np.sum(np.abs(phi_hat) ** 2))
 
 
-def save_nls_state(state, lattice, path):
-    """Coefficient list in codec order, with the lattice parameters."""
-    if isinstance(state, NlsState):
-        coeffs, t = state.coefficients, state.time
-    else:
-        coeffs, t = np.asarray(state, dtype=np.complex128), 0.0
-    obj = {
-        "d": lattice.d, "M": lattice.M, "time": float(t),
-        "coefficients": [{"re": float(c.real), "im": float(c.imag)}
-                         for c in coeffs],
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-
-
-def load_nls_state(path, lattice=None):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"not valid JSON: {exc}") from exc
-    try:
-        d, M, t, entries = obj["d"], obj["M"], obj["time"], obj["coefficients"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed coefficient file: {exc}") from exc
-    if lattice is None:
-        lattice = FrequencyLattice(d, M)
-    elif lattice.d != d or lattice.M != M:
-        raise SerializationError("lattice mismatch")
-    if len(entries) != lattice.size:
-        raise SerializationError(
-            f"coefficient list length {len(entries)} != F={lattice.size}"
-        )
-    coeffs = np.array([complex(e["re"], e["im"]) for e in entries])
-    return NlsState(coeffs, t), lattice
-
-
 def _product_rule_rate(phi, dphi, k, lattice, guard):
     """d/dt of the order-k pure tensor power, assembled term by term."""
     total = None
@@ -226,7 +164,7 @@ def factorized_residual(traj, k, grid_times, alpha=1.0,
     """
     lat = traj.lattice
     disp = -level_energy(lat, k).reshape((lat.size,) * (2 * k))
-    worst = 0.0
+    norms = []
     for t in grid_times:
         step = traj.step_of(t)
         phi = traj.phi_at(step)
@@ -256,8 +194,6 @@ def factorized_residual(traj, k, grid_times, alpha=1.0,
             resid = 1j * free_evolve(d_ip_dm, t).data - coll.data
         else:
             raise ValueError(f"unknown derivative method {derivative!r}")
-        worst = max(
-            worst,
-            h_alpha_norm(DensityMatrix(lat, k, "dense", data=resid), alpha),
-        )
-    return worst
+        norms.append(h_alpha_norm(DensityMatrix(lat, k, "dense", data=resid), alpha))
+    # np.max keeps a NaN that builtin max() would drop
+    return float(np.max(norms, initial=0.0))

@@ -1,10 +1,15 @@
 """Bernoulli sign fields and averaged-norm estimation over them.
 
 A sign field assigns +1/-1 to every lattice point and stands in for one
-point of the Bernoulli probability space.  Averages over the random
-parameter are computed either exactly (enumerating all 2^F sign
-assignments per level) or by Monte Carlo with counter-based, reproducible
-per-level streams.
+point of the Bernoulli probability space.  `omega_l2_h_alpha` is the one
+routine that turns a hierarchy mode into its sample space Omega and
+averages squared H^alpha norms over it, either exactly (enumerating all
+2^F sign assignments per redrawn field) or by Monte Carlo with
+counter-based, reproducible per-level streams.
+
+`collision_omega_operator_norm` keeps its own field list on purpose: it
+stacks one operator block per field instead of averaging norms, and it
+is the independent cross-check that bounds the averages from above.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,8 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor import MemoryGuardError, h_alpha_norm
+from .dynamics import HierarchyMode, collision_matrix
+from .tensor import MemoryGuardError
 
 __all__ = [
     "SignField",
@@ -97,69 +103,78 @@ def enumerate_fields(lattice):
 
 @dataclass(frozen=True)
 class OmegaNormEstimate:
-    """sqrt of the field-averaged squared H^alpha norm.
+    """sqrt of the field-averaged squared H^alpha norm (a float or an array).
 
     For the Monte Carlo method, stderr is the standard error of the
     squared-norm mean (the pre-sqrt estimate); exact estimates carry
     stderr None.
     """
 
-    value: float
+    value: object
     method: str
     samples: int = 0
-    stderr: float = None
-
-    def agrees_with(self, other_value, nsigma=4.0):
-        """Compare on the squared scale against an exact value."""
-        if self.method != "mc":
-            return abs(self.value - other_value) < 1e-12
-        return abs(self.value**2 - other_value**2) <= nsigma * self.stderr
+    stderr: object = None
 
 
-def omega_l2_h_alpha(evaluator, lattice, levels, alpha, method="exact",
-                     mc_samples=0, seed=0):
-    """L^2-in-the-random-parameter average of H^alpha norms.
+def _squares(values):
+    """Squares of one norm or an array of norms, each squared as a Python float.
 
-    evaluator maps a dict {level: SignField} to a DensityMatrix; the
-    squared H^alpha norm of its output is averaged over sign assignments
-    on the given levels (exactly, or by Monte Carlo), and the square
-    root of the mean is returned.
+    float ** 2 goes through libm pow, which differs from numpy's x * x in
+    the last bit for about one value in 1,200; squaring every entry the
+    same way keeps an array average bitwise equal to its scalar averages.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    return np.array([v**2 for v in arr.ravel().tolist()]).reshape(arr.shape)
+
+
+def _scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
+    """L^2(Omega) average of the H^alpha norms `norms(mode)` over the sign fields.
+
+    Each point of Omega redraws the mode's fields on `levels`: one field
+    per level for an independent mode, the shared field (keyed as level
+    0) for a dependent one.  With mc_samples == 0 the average is exact
+    over every joint assignment, in `enumerate_fields` order; otherwise
+    sample i draws sample_field(lattice, seed, level=lv, sample=i).
+    norms(mode) returns one H^alpha norm or an array of them, and the
+    estimate holds the root mean square of each.  A deterministic mode,
+    or empty `levels`, is evaluated once as given.
     """
     levels = sorted(levels)
-    if method == "exact":
-        total = 1
-        for _ in levels:
-            total *= 2**lattice.size
+    if mode.variant == "deterministic" or not levels:
+        return OmegaNormEstimate(norms(mode), "exact")
+    keys = [0] if mode.variant == "dependent" else levels
+
+    def redrawn(fields):
+        if mode.variant == "dependent":
+            return HierarchyMode.dependent(fields[0])
+        return HierarchyMode.independent({**mode.fields, **dict(zip(keys, fields))})
+
+    if not mc_samples:
+        total = (2**lattice.size) ** len(keys)
         if total > ENUMERATION_CAP:
             raise ValueError(
                 f"exact enumeration needs {total} assignments "
                 f"(> cap {ENUMERATION_CAP})"
             )
-        per_level = enumerate_fields(lattice)
         acc = 0.0
-        count = 0
-        for combo in itertools.product(per_level, repeat=len(levels)):
-            fields = dict(zip(levels, combo))
-            acc += h_alpha_norm(evaluator(fields), alpha) ** 2
-            count += 1
-        if count == 0:  # no random levels: evaluator is constant
-            return OmegaNormEstimate(
-                h_alpha_norm(evaluator({}), alpha), "exact", 0, None
-            )
-        return OmegaNormEstimate(float(np.sqrt(acc / count)), "exact", count, None)
-    if method == "mc":
-        if mc_samples < 2:
-            raise ValueError("mc needs at least 2 samples")
-        sq = np.empty(mc_samples)
-        for i in range(mc_samples):
-            fields = {
-                lv: sample_field(lattice, seed, level=lv, sample=i) for lv in levels
-            }
-            sq[i] = h_alpha_norm(evaluator(fields), alpha) ** 2
-        mean = float(np.mean(sq))
-        stderr = float(np.std(sq, ddof=1) / np.sqrt(mc_samples))
-        return OmegaNormEstimate(float(np.sqrt(mean)), "mc", mc_samples, stderr)
-    raise ValueError(f"unknown method {method!r}")
+        for combo in itertools.product(enumerate_fields(lattice), repeat=len(keys)):
+            acc = acc + _squares(norms(redrawn(combo)))
+        return OmegaNormEstimate(_scalar(np.sqrt(acc / total)), "exact", total)
+    if mc_samples < 2:
+        raise ValueError("mc needs at least 2 samples")
+    sq = np.stack([
+        _squares(norms(redrawn(
+            [sample_field(lattice, seed, level=lv, sample=i) for lv in keys])))
+        for i in range(mc_samples)
+    ], axis=-1)
+    mean = np.mean(sq, axis=-1)
+    stderr = np.std(sq, ddof=1, axis=-1) / np.sqrt(mc_samples)
+    return OmegaNormEstimate(_scalar(np.sqrt(mean)), "mc", mc_samples,
+                             _scalar(stderr))
 
 
 def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
@@ -173,10 +188,12 @@ def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
     Returns (sigma, stacked): stacked operators up to DENSE_SVD_CAP
     entries are materialized and take a dense SVD; larger ones iterate on
     the normal operator and return None for the matrix.
+
+    The field list is built here, not through `omega_l2_h_alpha`, on
+    purpose: this stacks an operator rather than averaging norms, and it
+    is the independent cross-check behind `random.opnorm_majorizes_ratios`.
     """
     import scipy.sparse.linalg as spla
-
-    from .dynamics import collision_matrix
 
     F = lattice.size
     dom = F ** (2 * (k + 1))

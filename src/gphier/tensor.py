@@ -7,7 +7,6 @@ list.  All norms are defined directly on coefficient space with
 Plancherel constant 1 (volume-one torus convention).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,21 +16,14 @@ from .lattice import FrequencyLattice, LatticeError
 __all__ = [
     "DEFAULT_MEMORY_GUARD",
     "MemoryGuardError",
-    "SerializationError",
     "DensityMatrix",
     "HierarchyState",
-    "TimeGrid",
     "sobolev_apply",
     "h_alpha_norm",
-    "hxi_norm",
     "project",
     "factorized",
     "random_density_matrix",
     "random_state",
-    "save_density_matrix",
-    "load_density_matrix",
-    "save_hierarchy",
-    "load_hierarchy",
 ]
 
 # hard cap on dense tensor entries; exceeding it raises, never truncates
@@ -40,10 +32,6 @@ DEFAULT_MEMORY_GUARD = 2**28
 
 class MemoryGuardError(MemoryError):
     """Dense tensor would exceed the configured entry guard."""
-
-
-class SerializationError(ValueError):
-    """Malformed or inconsistent on-disk coefficient data."""
 
 
 def _check_guard(lattice, k, guard):
@@ -76,15 +64,6 @@ class DensityMatrix:
         self.values = values
 
     @classmethod
-    def from_dense(cls, lattice, k, data, guard=DEFAULT_MEMORY_GUARD):
-        _check_guard(lattice, k, guard)
-        arr = np.asarray(data, dtype=np.complex128)
-        expected = (lattice.size,) * (2 * k)
-        if arr.shape != expected:
-            raise ValueError(f"dense shape {arr.shape} != expected {expected}")
-        return cls(lattice, k, "dense", data=arr)
-
-    @classmethod
     def zeros(cls, lattice, k, guard=DEFAULT_MEMORY_GUARD):
         _check_guard(lattice, k, guard)
         shape = (lattice.size,) * (2 * k)
@@ -101,7 +80,7 @@ class DensityMatrix:
         ):
             raise LatticeError("COO index outside the lattice")
         if indices.shape[0] != len({tuple(row) for row in indices}):
-            raise SerializationError("duplicate COO index tuple")
+            raise ValueError("duplicate COO index tuple")
         return cls(lattice, k, "coo", indices=indices, values=values)
 
     @property
@@ -187,26 +166,6 @@ class HierarchyState:
         return HierarchyState(self.lattice, self.K_max, dict(levels))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Sorted sample times in [0, T]; L^inf_t norms are maxima over it."""
-
-    T: float
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        if not pts or abs(pts[0]) > 1e-15 or abs(pts[-1] - self.T) > 1e-12:
-            raise ValueError("grid must start at 0 and end at T")
-        if any(b < a for a, b in zip(pts, pts[1:])):
-            raise ValueError("grid points must be sorted")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, T, n=11):
-        return cls(T, tuple(np.linspace(0.0, T, n)))
-
-
 def sobolev_apply(gamma, alpha):
     """Multiply the coefficient at (xi; xi') by prod <xi_j>^a prod <xi'_j>^a."""
     lat = gamma.lattice
@@ -234,18 +193,6 @@ def h_alpha_norm(gamma, alpha):
     for _ in range(2 * gamma.k):
         acc = np.tensordot(acc, w2, axes=([acc.ndim - 1], [0]))
     return float(np.sqrt(acc))
-
-
-def hxi_norm(state, alpha, xi):
-    """Sum over k of xi^k times the level H^alpha norms."""
-    if xi <= 0:
-        raise ValueError("weight xi must be positive")
-    total = 0.0
-    for k in range(1, state.K_max + 1):
-        g = state.level(k)
-        if g is not None:
-            total += xi**k * h_alpha_norm(g, alpha)
-    return total
 
 
 def project(state, N, side):
@@ -301,122 +248,4 @@ def random_state(lattice, K_max, seed, alpha=0.0, level_norms=None):
         levels[k] = random_density_matrix(
             lattice, k, seed + 1000 * k, alpha=alpha, norm=target
         )
-    return HierarchyState(lattice, K_max, levels)
-
-
-# --- COO serialization ------------------------------------------------------
-#
-# Schema per matrix:
-#   {"d": 1, "M": 2, "k": 2, "format": "coo",
-#    "entries": [{"xi": [[1],[0]], "xip": [[-1],[2]], "re": 0.5, "im": -0.25}, ...]}
-# Hierarchy files wrap a list of such objects plus K_max.
-# Floats go through Python repr, which round-trips exactly.
-
-
-def _matrix_to_obj(gamma):
-    coo = gamma.to_coo()
-    lat = gamma.lattice
-    entries = []
-    for row, val in zip(coo.indices, coo.values):
-        pts = lat.points[row]
-        entries.append(
-            {
-                "xi": [[int(c) for c in p] for p in pts[: gamma.k]],
-                "xip": [[int(c) for c in p] for p in pts[gamma.k:]],
-                "re": float(val.real),
-                "im": float(val.imag),
-            }
-        )
-    return {"d": lat.d, "M": lat.M, "k": gamma.k, "format": "coo", "entries": entries}
-
-
-def _matrix_from_obj(obj, lattice=None):
-    try:
-        d, M, k, fmt = obj["d"], obj["M"], obj["k"], obj["format"]
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed coefficient object: {exc}") from exc
-    if fmt != "coo":
-        raise SerializationError(f"unknown format {fmt!r}")
-    if lattice is None:
-        lattice = FrequencyLattice(d, M)
-    elif lattice.d != d or lattice.M != M:
-        raise SerializationError(
-            f"lattice mismatch: file has (d={d}, M={M}), "
-            f"expected (d={lattice.d}, M={lattice.M})"
-        )
-    rows, vals = [], []
-    for e in entries:
-        try:
-            xi, xip = e["xi"], e["xip"]
-            val = complex(e["re"], e["im"])
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(f"malformed entry: {exc}") from exc
-        if len(xi) != k or len(xip) != k:
-            raise SerializationError(
-                f"tuple arity {len(xi)}/{len(xip)} does not match order k={k}"
-            )
-        try:
-            row = [int(lattice.index_of(np.asarray(p))) for p in xi + xip]
-        except LatticeError as exc:
-            raise SerializationError(f"out-of-box index: {exc}") from exc
-        rows.append(row)
-        vals.append(val)
-    seen = set()
-    for row in rows:
-        t = tuple(row)
-        if t in seen:
-            raise SerializationError(f"duplicate index tuple {t}")
-        seen.add(t)
-    return DensityMatrix.from_coo(
-        lattice, k,
-        np.asarray(rows, dtype=np.int64).reshape(-1, 2 * k),
-        np.asarray(vals, dtype=np.complex128),
-    )
-
-
-def save_density_matrix(gamma, path):
-    with open(path, "w") as fh:
-        json.dump(_matrix_to_obj(gamma), fh)
-
-
-def load_density_matrix(path, lattice=None):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"not valid JSON: {exc}") from exc
-    return _matrix_from_obj(obj, lattice)
-
-
-def save_hierarchy(state, path):
-    levels = [
-        _matrix_to_obj(state.level(k))
-        for k in range(1, state.K_max + 1)
-        if state.level(k) is not None
-    ]
-    with open(path, "w") as fh:
-        json.dump({"K_max": state.K_max, "levels": levels}, fh)
-
-
-def load_hierarchy(path, lattice=None):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"not valid JSON: {exc}") from exc
-    try:
-        K_max, level_objs = obj["K_max"], obj["levels"]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed hierarchy file: {exc}") from exc
-    levels = {}
-    for lo in level_objs:
-        g = _matrix_from_obj(lo, lattice)
-        if lattice is None:
-            lattice = g.lattice
-        if g.k in levels:
-            raise SerializationError(f"duplicate level {g.k}")
-        levels[g.k] = g
-    if lattice is None:
-        raise SerializationError("empty hierarchy file needs an explicit lattice")
     return HierarchyState(lattice, K_max, levels)

@@ -18,6 +18,10 @@ def test_config_validation_names_fields():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(alpha=2.0, alpha0=1.0).validate()
     assert any("alpha0" in p for p in exc.value.problems)
+    for kind, n in (("estimate-c0", 0), ("decay", 1), ("decay", -2)):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind=kind, mc_samples=n).validate()
+        assert any(p.startswith("mc_samples") for p in exc.value.problems)
 
 
 def test_verify_passes_and_reports(tmp_path):
@@ -76,6 +80,27 @@ def test_report_determinism(tmp_path):
     a["environment"].pop("timestamp")
     b["environment"].pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_report_reproducible(monkeypatch):
+    # a report is a function of (config, seed): a run on cold collision-matrix
+    # and energy-bucket caches equals a rerun on the caches it left warm
+    from gphier import duhamel, dynamics
+
+    monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
+    monkeypatch.setattr(duhamel, "_BUCKETS", {})
+    configs = [
+        ExperimentConfig(kind="estimate-c0", M=1, mc_samples=200),
+        ExperimentConfig(kind="decay", mode="independent", M=1, K_max=3),
+    ]
+    runs = []
+    for _ in ("cold", "warm"):
+        objs = [run_experiment(cfg).to_obj() for cfg in configs]
+        for obj in objs:
+            obj.pop("environment")
+        runs.append(objs)
+    assert dynamics._MATRIX_CACHE and duhamel._BUCKETS
+    assert runs[0] == runs[1]
 
 
 def test_csv_output(tmp_path):

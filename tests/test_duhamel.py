@@ -220,20 +220,20 @@ def test_nonuniform_grid_matches_duhamel():
 def test_integral_residual_vanishes(lat):
     st = random_state(lat, 3, 9, alpha=1.0, level_norms=[1.0] * 3)
     quad = QuadratureSpec(q=16, j_max=3)
-    mode = HierarchyMode.dependent(sample_field(lat, 10))
+    ev = DuhamelEvaluator(st, HierarchyMode.dependent(sample_field(lat, 10)), quad)
     for k in (1, 2):
-        assert integral_residual(st, 3, k, 0.1, mode, quad, alpha=1.0) < 1e-6
-    assert integral_residual(st, 3, 1, 0.0, mode, quad, alpha=1.0) == 0.0
+        assert integral_residual(ev, 3, k, 0.1, alpha=1.0) < 1e-6
+    assert integral_residual(ev, 3, 1, 0.0, alpha=1.0) == 0.0
     with pytest.raises(ValueError):
-        integral_residual(st, 3, 3, 0.1, mode, quad)
+        integral_residual(ev, 3, 3, 0.1)
 
 
 def test_integral_residual_single_level(lat):
     # one-level data: the collision integrand vanishes, pure free evolution
     st = HierarchyState(lat, 3, {1: random_state(lat, 1, 11).level(1)})
     quad = QuadratureSpec(q=12, j_max=3)
-    mode = HierarchyMode.deterministic()
-    assert integral_residual(st, 3, 1, 0.2, mode, quad) < 1e-12
+    ev = DuhamelEvaluator(st, HierarchyMode.deterministic(), quad)
+    assert integral_residual(ev, 3, 1, 0.2) < 1e-12
 
 
 def test_simplex_identity(quad):
@@ -326,3 +326,13 @@ def test_solution_time_modulus_decreases(lat):
     ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), mode,
                                    quad, alpha=1.0, xi=0.5)
     assert ratios[1e-3] <= ratios[1e-2] * (1 + 1e-9)
+
+
+def test_solution_time_modulus_keeps_nan(lat, monkeypatch):
+    # a NaN level norm must reach the ratio, not vanish in a max() fold
+    st = random_state(lat, 2, 19, alpha=2.0, level_norms=[1.0, 1.0])
+    mode = HierarchyMode.deterministic()
+    monkeypatch.setattr(duhamel, "h_alpha_norm", lambda gamma, alpha: math.nan)
+    ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), mode,
+                                   QuadratureSpec(q=4, j_max=2))
+    assert all(math.isnan(v) for v in ratios.values())

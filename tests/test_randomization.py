@@ -4,7 +4,7 @@ import pytest
 from gphier import randomization
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import DensityMatrix, h_alpha_norm, random_density_matrix
-from gphier.dynamics import collision
+from gphier.dynamics import HierarchyMode, collision
 from gphier.randomization import (
     SignField,
     all_plus,
@@ -19,6 +19,18 @@ from gphier.randomization import (
 @pytest.fixture
 def lat():
     return FrequencyLattice(1, 1)
+
+
+# modes whose fields omega_l2_h_alpha redraws; their own fields never count
+SHARED = HierarchyMode.dependent(None)
+PER_LEVEL = HierarchyMode.independent({})
+
+
+def difference_norm(gamma, field_of):
+    """norms() of the (+) - (-) collision of gamma under the field of a mode."""
+    return lambda md: h_alpha_norm(
+        collision(gamma, 1, 2, "+", field_of(md))
+        - collision(gamma, 1, 2, "-", field_of(md)), 1.0)
 
 
 def test_sample_determinism(lat):
@@ -68,9 +80,9 @@ def test_randomize_norm_and_involution(lat):
 
 def test_omega_constant_evaluator(lat):
     g = random_density_matrix(lat, 1, 3)
-    est = omega_l2_h_alpha(lambda fields: g, lat, [2], 1.0, method="exact")
+    est = omega_l2_h_alpha(lambda md: h_alpha_norm(g, 1.0), PER_LEVEL, lat, [2])
     assert est.value == pytest.approx(h_alpha_norm(g, 1.0), rel=1e-13)
-    mc = omega_l2_h_alpha(lambda fields: g, lat, [2], 1.0, method="mc",
+    mc = omega_l2_h_alpha(lambda md: h_alpha_norm(g, 1.0), PER_LEVEL, lat, [2],
                           mc_samples=16, seed=0)
     assert mc.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -82,46 +94,34 @@ def test_omega_sign_product_modulus(lat):
     base.data[0, 2] = 1.0
     c = 0.37 - 0.11j
 
-    def evaluator(fields):
-        h = fields[2].values
-        return (c * h[0] * h[1] * h[2] * h[0]) * base
+    def norms(md):
+        h = md.fields[2].values
+        return h_alpha_norm((c * h[0] * h[1] * h[2] * h[0]) * base, 0.0)
 
-    est = omega_l2_h_alpha(evaluator, lat, [2], 0.0, method="exact")
+    est = omega_l2_h_alpha(norms, PER_LEVEL, lat, [2])
     assert est.value == pytest.approx(abs(c), rel=1e-13)
 
 
 def test_omega_exact_vs_mc(lat):
     gamma = random_density_matrix(lat, 2, 4, alpha=1.0, norm=1.0)
-
-    def evaluator(fields):
-        f = fields[0]
-        return collision(gamma, 1, 2, "+", f) - collision(gamma, 1, 2, "-", f)
-
-    exact = omega_l2_h_alpha(evaluator, lat, [0], 1.0, method="exact")
+    norms = difference_norm(gamma, lambda md: md.field)
+    exact = omega_l2_h_alpha(norms, SHARED, lat, [0])
     assert exact.samples == 8
-    mc = omega_l2_h_alpha(evaluator, lat, [0], 1.0, method="mc",
-                          mc_samples=10_000, seed=5)
+    mc = omega_l2_h_alpha(norms, SHARED, lat, [0], mc_samples=10_000, seed=5)
     assert abs(mc.value**2 - exact.value**2) <= 4.0 * mc.stderr
-    assert mc.agrees_with(exact.value)
 
 
 def test_enumeration_cap(lat):
     with pytest.raises(ValueError, match="cap"):
-        omega_l2_h_alpha(lambda f: None, lat, list(range(2, 12)), 0.0,
-                         method="exact")
+        omega_l2_h_alpha(lambda md: None, PER_LEVEL, lat, list(range(2, 12)))
 
 
 def test_unused_level_seeds_do_not_matter(lat):
     gamma = random_density_matrix(lat, 2, 6)
-
-    def evaluator(fields):
-        f = fields[2]  # level 3 never read
-        return collision(gamma, 1, 2, "+", f) - collision(gamma, 1, 2, "-", f)
-
-    a = omega_l2_h_alpha(evaluator, lat, [2, 3], 1.0, method="mc",
-                         mc_samples=64, seed=9)
-    b = omega_l2_h_alpha(evaluator, lat, [2, 3], 1.0, method="mc",
-                         mc_samples=64, seed=9)
+    # level 3 never read
+    norms = difference_norm(gamma, lambda md: md.fields[2])
+    a = omega_l2_h_alpha(norms, PER_LEVEL, lat, [2, 3], mc_samples=64, seed=9)
+    b = omega_l2_h_alpha(norms, PER_LEVEL, lat, [2, 3], mc_samples=64, seed=9)
     assert a.value == b.value
 
 
@@ -131,12 +131,8 @@ def test_operator_norm_majorizes(lat):
     worst = 0.0
     for trial in range(12):
         g = random_density_matrix(lat, 2, 50 + trial)
-
-        def ev(fields, g=g):
-            f = fields[0]
-            return collision(g, 1, 2, "+", f) - collision(g, 1, 2, "-", f)
-
-        est = omega_l2_h_alpha(ev, lat, [0], 1.0, method="exact")
+        est = omega_l2_h_alpha(difference_norm(g, lambda md: md.field),
+                               SHARED, lat, [0])
         worst = max(worst, est.value / h_alpha_norm(g, 1.0))
     assert worst <= sigma * (1 + 1e-12)
     assert worst > 0.1 * sigma  # the bound is within reach of random data
@@ -183,3 +179,46 @@ def test_enumerate_fields_order(lat):
     assert len(fields) == 8
     assert np.array_equal(fields[0].values, [1, 1, 1])
     assert np.array_equal(fields[-1].values, [-1, -1, -1])
+
+
+def test_omega_array_norms_match_scalar_averages(lat):
+    # an array of norms averages bitwise like each of its entries alone
+    gs = [random_density_matrix(lat, 2, seed) for seed in (70, 71, 72)]
+    scalar = [difference_norm(g, lambda md: md.field) for g in gs]
+
+    def stacked(md):
+        return np.array([norms(md) for norms in scalar])
+
+    for kw in ({}, {"mc_samples": 24, "seed": 4}):
+        whole = omega_l2_h_alpha(stacked, SHARED, lat, [0], **kw)
+        parts = [omega_l2_h_alpha(n, SHARED, lat, [0], **kw) for n in scalar]
+        assert whole.value.tolist() == [p.value for p in parts]
+        if kw:
+            assert whole.stderr.tolist() == [p.stderr for p in parts]
+
+
+def test_omega_redraws_only_random_levels(lat):
+    seen = []
+
+    def norms(md):
+        seen.append(md)
+        return 1.0
+
+    det = HierarchyMode.deterministic()
+    assert omega_l2_h_alpha(norms, det, lat, [2, 3]).value == 1.0
+    assert omega_l2_h_alpha(norms, PER_LEVEL, lat, []).value == 1.0
+    assert seen == [det, PER_LEVEL]  # evaluated once, as given
+    seen.clear()
+    # a dependent mode redraws its one shared field, however many levels
+    omega_l2_h_alpha(norms, SHARED, lat, [2, 3, 4])
+    assert [md.field.values.tolist() for md in seen] == \
+        [f.values.tolist() for f in enumerate_fields(lat)]
+    seen.clear()
+    # an independent mode keeps its fields off the redrawn levels; Monte
+    # Carlo sample i draws level lv from sample_field(seed, lv, i)
+    kept = sample_field(lat, 1, level=5)
+    omega_l2_h_alpha(norms, HierarchyMode.independent({5: kept}), lat, [2],
+                     mc_samples=3, seed=8)
+    assert [md.fields[5] for md in seen] == [kept] * 3
+    assert [md.fields[2].values.tolist() for md in seen] == \
+        [sample_field(lat, 8, level=2, sample=i).values.tolist() for i in range(3)]

@@ -1,25 +1,16 @@
-import json
-
 import numpy as np
 import pytest
 
-from gphier.lattice import FrequencyLattice
+from gphier.lattice import FrequencyLattice, LatticeError
 from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
-    SerializationError,
-    TimeGrid,
     factorized,
     h_alpha_norm,
-    hxi_norm,
-    load_density_matrix,
-    load_hierarchy,
     project,
     random_density_matrix,
     random_state,
-    save_density_matrix,
-    save_hierarchy,
     sobolev_apply,
 )
 
@@ -72,30 +63,6 @@ def test_norm_monotone_in_alpha(lat):
     assert n0 <= n1 <= n2
 
 
-def test_hxi_norm(lat):
-    g = unit_at(lat, 1, [1], [2])
-    st = HierarchyState(lat, 2, {1: g})
-    assert hxi_norm(st, 1.0, 0.5) == pytest.approx(0.5 * np.sqrt(10))
-    empty = HierarchyState(lat, 3, {})
-    assert hxi_norm(empty, 1.0, 0.5) == 0.0
-    two = random_state(lat, 2, 5)
-    n1 = h_alpha_norm(two.level(1), 1.0)
-    n2 = h_alpha_norm(two.level(2), 1.0)
-    assert hxi_norm(two, 1.0, 2.0) == pytest.approx(2 * n1 + 4 * n2, rel=1e-13)
-
-
-def test_hxi_triangle_and_homogeneity(lat):
-    a = random_state(lat, 2, 6)
-    b = random_state(lat, 2, 7)
-    summed = HierarchyState(
-        lat, 2, {k: a.level(k) + b.level(k) for k in (1, 2)}
-    )
-    na, nb, ns = (hxi_norm(s, 1.0, 0.5) for s in (a, b, summed))
-    assert ns <= na + nb + 1e-12
-    scaled = HierarchyState(lat, 2, {k: (-2.0) * a.level(k) for k in (1, 2)})
-    assert hxi_norm(scaled, 1.0, 0.5) == pytest.approx(2 * na, rel=1e-12)
-
-
 def test_project(lat):
     st = random_state(lat, 3, 8)
     none = project(st, 0, "leq")
@@ -138,75 +105,15 @@ def test_dense_sparse_roundtrip(lat):
     assert np.array_equal(back.data, g.data)
 
 
-def test_save_load_roundtrip(tmp_path, lat):
-    g = random_density_matrix(lat, 2, 10).to_coo(tol=1.0)  # keep it sparse
-    path = tmp_path / "gamma.json"
-    save_density_matrix(g, path)
-    back = load_density_matrix(path)
-    assert back.k == g.k and back.lattice == lat
-    a = {tuple(r): v for r, v in zip(g.indices, g.values)}
-    b = {tuple(r): v for r, v in zip(back.indices, back.values)}
-    assert a == b  # bit-equal coefficients
-
-
-def test_load_rejects_bad_files(tmp_path, lat):
-    path = tmp_path / "bad.json"
-    base = {"d": 1, "M": 2, "k": 1, "format": "coo", "entries": []}
-    # out-of-box index
-    obj = dict(base)
-    obj["entries"] = [{"xi": [[7]], "xip": [[0]], "re": 1.0, "im": 0.0}]
-    path.write_text(json.dumps(obj))
-    with pytest.raises(SerializationError):
-        load_density_matrix(path)
-    # arity mismatch
-    obj["entries"] = [{"xi": [[1], [0]], "xip": [[0], [0]], "re": 1.0, "im": 0.0}]
-    path.write_text(json.dumps(obj))
-    with pytest.raises(SerializationError):
-        load_density_matrix(path)
-    # duplicate tuple
-    e = {"xi": [[1]], "xip": [[0]], "re": 1.0, "im": 0.0}
-    obj["entries"] = [e, dict(e)]
-    path.write_text(json.dumps(obj))
-    with pytest.raises(SerializationError):
-        load_density_matrix(path)
-    # lattice mismatch
-    obj["entries"] = [e]
-    path.write_text(json.dumps(obj))
-    with pytest.raises(SerializationError):
-        load_density_matrix(path, lattice=FrequencyLattice(1, 3))
-    # malformed json
-    path.write_text("{not json")
-    with pytest.raises(SerializationError):
-        load_density_matrix(path)
-
-
-def test_hierarchy_roundtrip(tmp_path, lat):
-    st = HierarchyState(
-        lat, 3,
-        {1: random_density_matrix(lat, 1, 11).to_coo(tol=1.0),
-         2: random_density_matrix(lat, 2, 12).to_coo(tol=1.5)},
-    )
-    path = tmp_path / "state.json"
-    save_hierarchy(st, path)
-    back = load_hierarchy(path)
-    assert back.K_max == 3
-    assert back.level(3) is None
-    for k in (1, 2):
-        a = {tuple(r): v for r, v in
-             zip(st.level(k).indices, st.level(k).values)}
-        b = {tuple(r): v for r, v in
-             zip(back.level(k).indices, back.level(k).values)}
-        assert a == b
-
-
-def test_time_grid():
-    g = TimeGrid.uniform(0.5, 11)
-    assert len(g.points) == 11
-    assert g.points[0] == 0.0 and g.points[-1] == 0.5
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, (0.0, 0.5))
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, (0.2, 0.5, 1.0))
+def test_from_coo_rejects_bad_indices(lat):
+    ok = DensityMatrix.from_coo(lat, 1, [[1, 0], [0, 1]], [1.0, 2.0j])
+    assert ok.to_dense().data[0, 1] == 2.0j
+    with pytest.raises(ValueError, match="duplicate"):
+        DensityMatrix.from_coo(lat, 1, [[1, 0], [1, 0]], [1.0, 2.0])
+    with pytest.raises(LatticeError, match="outside"):
+        DensityMatrix.from_coo(lat, 1, [[lat.size, 0]], [1.0])
+    with pytest.raises(LatticeError, match="outside"):
+        DensityMatrix.from_coo(lat, 1, [[0, -1]], [1.0])
 
 
 def test_state_level_validation(lat):
