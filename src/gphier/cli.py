@@ -77,8 +77,9 @@ KINDS = (
     "continuity", "nls", "expand", "report-merge",
 )
 
-# continuity enumerates at most 2^10 joint sign fields: 1,024 Duhamel
-# evaluators, about 12 s at d=1, M=2, N=3 on a 2-core host
+# continuity and exact dependent-mode decay enumerate at most 2^10 sign
+# fields: 1,024 Duhamel evaluators, about 12 s for continuity at d=1, M=2,
+# N=3 on a 2-core host
 CONTINUITY_FIELD_BITS = 10
 
 
@@ -146,6 +147,12 @@ class ExperimentConfig:
             limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
                            NORM_DOMAIN_CAP, "operator norms of the "
                            "order-min(K_max, 4) collisions"))
+        elif self.mc_samples == 0:
+            # the exact average enumerates every shared field; Monte Carlo
+            # (mc_samples >= 2) is the way out, and F <= 6 always enumerates
+            limits.append(("decay", "mc_samples", F * math.log(2),
+                           2**CONTINUITY_FIELD_BITS, "one Duhamel evaluator "
+                           "per shared sign field, 2^F of them"))
         for kind, name, log_size, cap, what in limits:
             if kind == self.kind and log_size > math.log(cap):
                 return (f"{name}: {self.kind} builds {what}, F = (2M+1)^d = "
@@ -675,10 +682,7 @@ def _run_nls(cfg, rep, csv_dir):
     interior = [round(t / cfg.dt) * cfg.dt for t in interior]
     rows = []
     for k in (1, 2):
-        alg = nlsmod.factorized_residual(traj, k, interior, alpha=cfg.alpha,
-                                         derivative="product-rule")
-        fd = nlsmod.factorized_residual(traj, k, interior, alpha=cfg.alpha,
-                                        derivative="finite-difference")
+        alg, fd = nlsmod.factorized_residual(traj, k, interior, alpha=cfg.alpha)
         rows.append((k, alg, fd))
         rep.check(f"nls.algebraic_residual_k{k}", alg, 1e-10, "DERIVED")
         rep.check(f"nls.fd_residual_k{k}", fd, 1e-6, "DERIVED")

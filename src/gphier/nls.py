@@ -5,6 +5,11 @@ coefficient at xi sums phi(a) conj(phi(b)) phi(c) over a - b + c = xi
 with a, b, c, xi all inside the box, the same in-box rule the hierarchy
 collision sums use.  Pure tensor powers of an NLS solution then solve
 the deterministic hierarchy exactly, level by level.
+
+`factorized_residual` checks that: at each grid time it builds the
+order-(k+1) tensor power once, applies the generic collision to it once,
+and measures the defect against two time derivatives of the order-k
+power, one by the product rule and one by finite differences.
 """
 
 from dataclasses import dataclass
@@ -12,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import free_evolve, full_collision, level_energy
-from .tensor import DEFAULT_MEMORY_GUARD, DensityMatrix, factorized, h_alpha_norm
+from .tensor import (
+    DEFAULT_MEMORY_GUARD,
+    DensityMatrix,
+    _check_guard,
+    factorized,
+    h_alpha_norm,
+)
 
 __all__ = [
     "NlsTrajectory",
@@ -133,6 +144,7 @@ def mass(phi_hat):
 
 def _product_rule_rate(phi, dphi, k, lattice, guard):
     """d/dt of the order-k pure tensor power, assembled term by term."""
+    _check_guard(lattice, k, guard)
     total = None
     for slot in range(2 * k):
         factors = []
@@ -148,52 +160,60 @@ def _product_rule_rate(phi, dphi, k, lattice, guard):
     return total
 
 
+# 6th-order centered stencil on the interaction-picture tensors
+_STENCIL = {-3: -1.0, -2: 9.0, -1: -45.0, 1: 45.0, 2: -9.0, 3: 1.0}
+
+
 def factorized_residual(traj, k, grid_times, alpha=1.0,
-                        derivative="product-rule", guard=DEFAULT_MEMORY_GUARD):
+                        guard=DEFAULT_MEMORY_GUARD):
     """Hierarchy defect of the pure tensor powers of an NLS trajectory.
 
     Measures, at each grid time, the H^alpha norm of
     i d/dt gamma^(k) + (|xi'|^2 - |xi|^2) gamma^(k) - B gamma^(k+1)
-    for gamma^(k) the k-fold tensor power of phi(t).
+    for gamma^(k) the k-fold tensor power of phi(t), with d/dt taken two
+    ways against one collision term.  Returns the worst norms over the
+    grid as (product_rule, finite_difference).
 
-    derivative 'product-rule' assembles d/dt gamma exactly from the
-    equation's right-hand side (an algebraic identity: the residual is
-    pure roundoff for any coefficient vector); 'finite-difference'
-    differences the stored interaction-picture trajectory with a
-    five-point stencil, so the residual reflects the time resolution.
+    The product rule assembles d/dt gamma exactly from the equation's
+    right-hand side (an algebraic identity: the residual is pure roundoff
+    for any coefficient vector).  The finite difference differences the
+    stored interaction-picture trajectory with a seven-point stencil, so
+    its residual reflects the time resolution; every grid time must lie
+    at least three steps inside the trajectory.
+
+    B gamma^(k+1) is the generic collision applied to the dense tensor
+    power, once per grid time, and the order-(k+1) tensor is dropped
+    before anything else is built.
     """
     lat = traj.lattice
+    n = len(traj.times) - 1
+    steps = [traj.step_of(t) for t in grid_times]
+    for step in steps:
+        if not (3 <= step <= n - 3):
+            raise ValueError(
+                f"seven-point stencil needs 3 <= step <= {n - 3}, got {step}"
+            )
     disp = -level_energy(lat, k).reshape((lat.size,) * (2 * k))
-    norms = []
-    for t in grid_times:
-        step = traj.step_of(t)
+    alg, fd = [], []
+    for t, step in zip(grid_times, steps):
         phi = traj.phi_at(step)
-        gamma1 = factorized(phi, k + 1, lat, guard=guard)
-        coll = full_collision(gamma1)
-        if derivative == "product-rule":
-            dphi = nls_rhs(phi, lat, traj.coupling)
-            dgamma = _product_rule_rate(phi, dphi, k, lat, guard)
-            gamma = factorized(phi, k, lat, guard=guard)
-            resid = 1j * dgamma + disp * gamma.data - coll.data
-        elif derivative == "finite-difference":
-            n = len(traj.times) - 1
-            if not (3 <= step <= n - 3):
-                raise ValueError(
-                    f"seven-point stencil needs 3 <= step <= {n - 3}, got {step}"
-                )
-            # 6th-order centered stencil on the interaction-picture tensors
-            coeffs = {-3: -1.0, -2: 9.0, -1: -45.0, 1: 45.0, 2: -9.0, 3: 1.0}
-            d_ip = None
-            for off, c in coeffs.items():
-                snap = factorized(
-                    traj.ip_coeffs[step + off], k, lat, guard=guard
-                ).data
-                d_ip = c * snap if d_ip is None else d_ip + c * snap
-            d_ip = d_ip / (60.0 * traj.dt)
-            d_ip_dm = DensityMatrix(lat, k, "dense", data=d_ip)
-            resid = 1j * free_evolve(d_ip_dm, t).data - coll.data
-        else:
-            raise ValueError(f"unknown derivative method {derivative!r}")
-        norms.append(h_alpha_norm(DensityMatrix(lat, k, "dense", data=resid), alpha))
+        top = factorized(phi, k + 1, lat, guard=guard)
+        coll = full_collision(top).data
+        del top
+        dphi = nls_rhs(phi, lat, traj.coupling)
+        dgamma = _product_rule_rate(phi, dphi, k, lat, guard)
+        gamma = factorized(phi, k, lat, guard=guard)
+        resid = 1j * dgamma + disp * gamma.data - coll
+        alg.append(h_alpha_norm(DensityMatrix(lat, k, "dense", data=resid), alpha))
+        d_ip = None
+        for off, c in _STENCIL.items():
+            snap = factorized(
+                traj.ip_coeffs[step + off], k, lat, guard=guard
+            ).data
+            d_ip = c * snap if d_ip is None else d_ip + c * snap
+        d_ip = d_ip / (60.0 * traj.dt)
+        d_ip_dm = DensityMatrix(lat, k, "dense", data=d_ip)
+        resid = 1j * free_evolve(d_ip_dm, t).data - coll
+        fd.append(h_alpha_norm(DensityMatrix(lat, k, "dense", data=resid), alpha))
     # np.max keeps a NaN that builtin max() would drop
-    return float(np.max(norms, initial=0.0))
+    return (float(np.max(alg, initial=0.0)), float(np.max(fd, initial=0.0)))

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:"), err
         assert "exceeds the cap" in err
+    # exact dependent-mode decay enumerates 2^F shared fields, one Duhamel
+    # evaluator each: 2^11 at M=5 is refused up front, naming mc_samples
+    start = time.perf_counter()
+    assert main(["decay", "--set", "mode=dependent", "--set", "M=5",
+                 "--set", "K_max=3", "--set", "mc_samples=0", "--set", "T=0.1",
+                 "--set", "q=6", "--seed", "30"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mc_samples:"), err
+    assert "exceeds the cap" in err
 
 
 def test_report_determinism(tmp_path):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gphier.dynamics import full_collision
 from gphier.lattice import FrequencyLattice
+from gphier.tensor import MemoryGuardError
 from gphier.nls import (
     factorized_residual,
     mass,
@@ -82,8 +85,7 @@ def test_algebraic_residual(lat):
     phi = sobolev_random(lat, 3)
     traj = nls_evolve(phi, 0.2, 1e-3, lattice=lat)
     for k in (1, 2):
-        r = factorized_residual(traj, k, [0.05, 0.15], alpha=1.0,
-                                derivative="product-rule")
+        r = factorized_residual(traj, k, [0.05, 0.15], alpha=1.0)[0]
         assert r < 1e-10
 
 
@@ -91,8 +93,7 @@ def test_single_mode_residual(lat):
     phi = np.zeros(lat.size, dtype=complex)
     phi[lat.index_of([2])] = 1.0
     traj = nls_evolve(phi, 0.2, 1e-3, lattice=lat)
-    r = factorized_residual(traj, 1, [0.1], alpha=1.0,
-                            derivative="product-rule")
+    r = factorized_residual(traj, 1, [0.1], alpha=1.0)[0]
     assert r < 1e-10
 
 
@@ -100,8 +101,7 @@ def test_fd_residual(lat):
     phi = sobolev_random(lat, 4)
     traj = nls_evolve(phi, 0.5, 1e-3, lattice=lat)
     for k in (1, 2):
-        r = factorized_residual(traj, k, [0.1, 0.25, 0.4], alpha=1.0,
-                                derivative="finite-difference")
+        r = factorized_residual(traj, k, [0.1, 0.25, 0.4], alpha=1.0)[1]
         assert r < 1e-6
 
 
@@ -109,7 +109,7 @@ def test_fd_requires_interior_step(lat):
     phi = sobolev_random(lat, 5)
     traj = nls_evolve(phi, 0.01, 1e-3, lattice=lat)
     with pytest.raises(ValueError, match="stencil"):
-        factorized_residual(traj, 1, [0.0], derivative="finite-difference")
+        factorized_residual(traj, 1, [0.0])
 
 
 def test_rhs_matches_single_mode_ode(lat):
@@ -137,4 +137,54 @@ def test_factorized_residual_keeps_nan(lat, monkeypatch):
 
     traj = nls_evolve(sobolev_random(lat, 8), 0.01, 1e-3, lattice=lat)
     monkeypatch.setattr(nls, "h_alpha_norm", lambda gamma, alpha: math.nan)
-    assert math.isnan(factorized_residual(traj, 1, [0.005]))
+    alg, fd = factorized_residual(traj, 1, [0.005])
+    assert math.isnan(alg) and math.isnan(fd)
+
+
+def test_product_rule_rate_checks_guard(lat):
+    # the 2k dense order-k terms are refused before any is built
+    from gphier import nls
+
+    phi = sobolev_random(lat, 11)
+    with pytest.raises(MemoryGuardError, match="order-2"):
+        nls._product_rule_rate(phi, phi, 2, lat, guard=lat.size**4 - 1)
+
+
+def test_factorized_residual_one_collision_per_time(lat, monkeypatch):
+    # both derivatives are measured against one collision per grid time
+    from gphier import nls
+
+    calls = []
+
+    def counting(gamma, field=None):
+        calls.append(gamma.k)
+        return full_collision(gamma, field)
+
+    monkeypatch.setattr(nls, "full_collision", counting)
+    traj = nls_evolve(sobolev_random(lat, 9), 0.05, 1e-3, lattice=lat)
+    times = [0.01, 0.02, 0.03, 0.04]
+    for k in (1, 2):
+        calls.clear()
+        factorized_residual(traj, k, times)
+        assert calls == [k + 1] * len(times)
+
+
+def test_factorized_residual_holds_one_top_tensor(monkeypatch):
+    # on the gather path the order-3 tensor power of one grid time is
+    # dropped before the next is built: peak traced memory stays near one
+    # order-3 tensor instead of two
+    from gphier import dynamics
+
+    small = FrequencyLattice(1, 3)
+    traj = nls_evolve(sobolev_random(small, 10), 0.02, 1e-3, lattice=small)
+    times = [0.005, 0.01, 0.015]
+    monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
+    factorized_residual(traj, 2, times)  # warm the index and energy tables
+    top_bytes = small.size**6 * 16
+    tracemalloc.start()
+    try:
+        factorized_residual(traj, 2, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * top_bytes, peak / top_bytes
