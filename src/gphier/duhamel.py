@@ -64,10 +64,9 @@ def _buckets(lattice, m):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre order per nesting level and the depth cap."""
+    """Gauss-Legendre order per nesting level."""
 
     q: int = 12
-    j_max: int = 4
 
     def __post_init__(self):
         if self.q < 2:
@@ -169,8 +168,8 @@ class DuhamelEvaluator:
 
     def term_batch(self, k, j, times):
         """Duh_j at level k for a batch of times; (dim_k, n) array."""
-        if j < 0 or j > self.quad.j_max:
-            raise ValueError(f"depth {j} outside 0..{self.quad.j_max}")
+        if j < 0:
+            raise ValueError(f"depth {j} is negative")
         if k + j > self.state.K_max:
             raise ValueError(f"level {k}+depth {j} exceeds K_max={self.state.K_max}")
         times = np.asarray(times, dtype=np.float64)
@@ -336,31 +335,24 @@ def simplex_check(j, t, quad=None):
 
 
 def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
-                  norm_stat="pointwise", mc_samples=0, seed=0):
+                  mc_samples=0, seed=0):
     """Norms of Duh_j for j = 0..j_max plus factorial-normalized diagnostics.
 
-    norm_stat 'pointwise' takes plain H^alpha norms for the mode's own
-    fields; 'omega_l2' averages the squared norm over sign assignments
-    (exact enumeration, or Monte Carlo when mc_samples > 0) of the
-    fields on the levels k+1..k+j the term uses.  The normalized value is
-    a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
+    Each norm is the H^alpha norm of Duh_j averaged in L^2(Omega) by
+    `omega_l2_h_alpha` over the sign fields on the levels k+1..k+j the
+    term uses: exact enumeration, or Monte Carlo when mc_samples > 0.  A
+    deterministic mode is evaluated once, a plain H^alpha norm.  The
+    normalized value is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
     norms = []
-    pointwise = DuhamelEvaluator(state0, mode, quad) \
-        if norm_stat == "pointwise" else None
     for j in range(0, j_max + 1):
-        if norm_stat == "pointwise":
-            norms.append(h_alpha_norm(pointwise.term(k, j, t), alpha))
-        elif norm_stat == "omega_l2":
-            est = omega_l2_h_alpha(
-                lambda md, j=j: h_alpha_norm(
-                    DuhamelEvaluator(state0, md, quad).term(k, j, t), alpha),
-                mode, state0.lattice, range(k + 1, k + j + 1),
-                mc_samples=mc_samples, seed=seed,
-            )
-            norms.append(est.value)
-        else:
-            raise ValueError(f"unknown norm_stat {norm_stat!r}")
+        est = omega_l2_h_alpha(
+            lambda md, j=j: h_alpha_norm(
+                DuhamelEvaluator(state0, md, quad).term(k, j, t), alpha),
+            mode, state0.lattice, range(k + 1, k + j + 1),
+            mc_samples=mc_samples, seed=seed,
+        )
+        norms.append(est.value)
     normalized = []
     for j, nj in enumerate(norms):
         scale = t**j / math.factorial(j) if t > 0 or j == 0 else 0.0

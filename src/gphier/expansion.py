@@ -388,13 +388,13 @@ class NonresonanceReport:
     c1: float = 0.0
 
 
-def nonresonant_check(state, alpha=0.0):
+def nonresonant_check(state):
     """Support check: strictly decreasing moduli |xi_1| > ... > |xi'_m|.
 
     Every nonzero coefficient's frequency tuple must have strictly
     decreasing Euclidean moduli, unprimed block before primed block.
     Also reports the smallest geometric level-norm constant
-    max_m |gamma^(m)|^(1/m).
+    max_m |gamma^(m)|^(1/m), in the L^2 (H^0) norm.
     """
     lat = state.lattice
     c1 = 0.0
@@ -402,7 +402,7 @@ def nonresonant_check(state, alpha=0.0):
         g = state.level(m)
         if g is None:
             continue
-        c1 = max(c1, h_alpha_norm(g, alpha) ** (1.0 / m))
+        c1 = max(c1, h_alpha_norm(g, 0.0) ** (1.0 / m))
         coo = g.to_coo()
         if coo.values.size == 0:
             continue
@@ -415,14 +415,15 @@ def nonresonant_check(state, alpha=0.0):
     return NonresonanceReport(True, c1=c1)
 
 
-def nonresonant_sample(lattice, m_max, seed, target_c1=1.0, entries_per_level=4,
-                       alpha=0.0):
+def nonresonant_sample(lattice, m_max, seed):
     """Random sparse hierarchy in the non-resonant class.
 
-    Each level-m entry draws 2m shells of distinct squared modulus
-    (descending) and one point per shell; coefficients are scaled so the
-    measured geometric constant stays below target_c1.  Needs a lattice
-    with at least 2*m_max distinct modulus shells.
+    Each level m holds up to four entries (fewer when draws repeat).  An
+    entry draws 2m shells of distinct squared modulus (descending) and
+    one point per shell.  Each level is scaled to L^2 (H^0) norm 0.9^m,
+    so the geometric constant that `nonresonant_check` measures is 0.9,
+    below 1.  Needs a lattice with at least 2*m_max distinct modulus
+    shells.
     """
     energies = lattice.energies
     shell_values = np.unique(energies)[::-1]  # descending squared moduli
@@ -436,7 +437,7 @@ def nonresonant_sample(lattice, m_max, seed, target_c1=1.0, entries_per_level=4,
     levels = {}
     for m in range(1, m_max + 1):
         rows = {}
-        for _ in range(entries_per_level):
+        for _ in range(4):
             chosen = np.sort(rng.choice(shell_values.size, 2 * m, replace=False))
             pts = [int(rng.choice(shells[s])) for s in chosen]
             key = tuple(pts)
@@ -444,7 +445,6 @@ def nonresonant_sample(lattice, m_max, seed, target_c1=1.0, entries_per_level=4,
         indices = np.array(list(rows.keys()), dtype=np.int64)
         values = np.array(list(rows.values()), dtype=np.complex128)
         g = DensityMatrix.from_coo(lattice, m, indices, values)
-        cur = h_alpha_norm(g, alpha)
-        g = g * ((0.9 * target_c1) ** m / cur)
+        g = g * (0.9**m / h_alpha_norm(g, 0.0))
         levels[m] = g
     return HierarchyState(lattice, m_max, levels)

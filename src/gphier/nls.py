@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import free_evolve, full_collision, level_energy
-from .tensor import (
-    DEFAULT_MEMORY_GUARD,
-    DensityMatrix,
-    _check_guard,
-    factorized,
-    h_alpha_norm,
-)
+from .tensor import DensityMatrix, _check_guard, factorized, h_alpha_norm
 
 __all__ = [
     "NlsTrajectory",
@@ -71,10 +65,13 @@ def nls_nonlinearity(phi_hat, lattice):
     return out
 
 
-def nls_rhs(phi_hat, lattice, coupling=1.0):
-    """d phi / dt from i phi' + Laplacian phi = coupling |phi|^2 phi."""
-    return -1j * (lattice.energies * phi_hat
-                  + coupling * nls_nonlinearity(phi_hat, lattice))
+def nls_rhs(phi_hat, lattice):
+    """d phi / dt from i phi' + Laplacian phi = |phi|^2 phi.
+
+    The coupling is 1: only then do the pure tensor powers of a solution
+    solve the hierarchy, whose collision carries no coupling constant.
+    """
+    return -1j * (lattice.energies * phi_hat + nls_nonlinearity(phi_hat, lattice))
 
 
 @dataclass
@@ -85,7 +82,6 @@ class NlsTrajectory:
     times: np.ndarray
     ip_coeffs: np.ndarray  # (n_steps+1, F)
     dt: float
-    coupling: float = 1.0
 
     def phi_at(self, step):
         t = self.times[step]
@@ -98,17 +94,16 @@ class NlsTrajectory:
         return step
 
 
-def nls_evolve(phi0, T, dt, lattice=None, coupling=1.0):
-    """RK4 trajectory in the interaction picture, storing every step.
+def nls_evolve(phi0, T, dt, lattice):
+    """RK4 trajectory of `nls_rhs` in the interaction picture, storing every step.
 
     The dispersion phases are applied exactly; only the nonlinear term
-    is stepped, so mass drift is O(dt^4) per unit time.
+    is stepped, so mass drift is O(dt^4) per unit time.  T must be an
+    integer multiple of dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     phi0 = np.asarray(phi0, dtype=np.complex128)
-    if lattice is None:
-        raise ValueError("lattice required")
     e = lattice.energies.astype(np.float64)
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9:
@@ -116,7 +111,7 @@ def nls_evolve(phi0, T, dt, lattice=None, coupling=1.0):
 
     def rate(t, b):
         ph = np.exp(-1j * t * e)
-        return -1j * coupling * np.conj(ph) * nls_nonlinearity(ph * b, lattice)
+        return -1j * np.conj(ph) * nls_nonlinearity(ph * b, lattice)
 
     times = np.arange(nsteps + 1) * dt
     out = np.empty((nsteps + 1, lattice.size), dtype=np.complex128)
@@ -135,16 +130,16 @@ def nls_evolve(phi0, T, dt, lattice=None, coupling=1.0):
                 "Galerkin system is mass-bounded, so this indicates a bug"
             )
         out[n + 1] = b
-    return NlsTrajectory(lattice, times, out, dt, coupling)
+    return NlsTrajectory(lattice, times, out, dt)
 
 
 def mass(phi_hat):
     return float(np.sum(np.abs(phi_hat) ** 2))
 
 
-def _product_rule_rate(phi, dphi, k, lattice, guard):
+def _product_rule_rate(phi, dphi, k, lattice):
     """d/dt of the order-k pure tensor power, assembled term by term."""
-    _check_guard(lattice, k, guard)
+    _check_guard(lattice, k)
     total = None
     for slot in range(2 * k):
         factors = []
@@ -164,8 +159,7 @@ def _product_rule_rate(phi, dphi, k, lattice, guard):
 _STENCIL = {-3: -1.0, -2: 9.0, -1: -45.0, 1: 45.0, 2: -9.0, 3: 1.0}
 
 
-def factorized_residual(traj, k, grid_times, alpha=1.0,
-                        guard=DEFAULT_MEMORY_GUARD):
+def factorized_residual(traj, k, grid_times, alpha=1.0):
     """Hierarchy defect of the pure tensor powers of an NLS trajectory.
 
     Measures, at each grid time, the H^alpha norm of
@@ -197,19 +191,17 @@ def factorized_residual(traj, k, grid_times, alpha=1.0,
     alg, fd = [], []
     for t, step in zip(grid_times, steps):
         phi = traj.phi_at(step)
-        top = factorized(phi, k + 1, lat, guard=guard)
+        top = factorized(phi, k + 1, lat)
         coll = full_collision(top).data
         del top
-        dphi = nls_rhs(phi, lat, traj.coupling)
-        dgamma = _product_rule_rate(phi, dphi, k, lat, guard)
-        gamma = factorized(phi, k, lat, guard=guard)
+        dphi = nls_rhs(phi, lat)
+        dgamma = _product_rule_rate(phi, dphi, k, lat)
+        gamma = factorized(phi, k, lat)
         resid = 1j * dgamma + disp * gamma.data - coll
         alg.append(h_alpha_norm(DensityMatrix(lat, k, "dense", data=resid), alpha))
         d_ip = None
         for off, c in _STENCIL.items():
-            snap = factorized(
-                traj.ip_coeffs[step + off], k, lat, guard=guard
-            ).data
+            snap = factorized(traj.ip_coeffs[step + off], k, lat).data
             d_ip = c * snap if d_ip is None else d_ip + c * snap
         d_ip = d_ip / (60.0 * traj.dt)
         d_ip_dm = DensityMatrix(lat, k, "dense", data=d_ip)

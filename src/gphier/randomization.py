@@ -105,13 +105,12 @@ def enumerate_fields(lattice):
 class OmegaNormEstimate:
     """sqrt of the field-averaged squared H^alpha norm (a float or an array).
 
-    For the Monte Carlo method, stderr is the standard error of the
+    For a Monte Carlo estimate, stderr is the standard error of the
     squared-norm mean (the pre-sqrt estimate); exact estimates carry
     stderr None.
     """
 
     value: object
-    method: str
     samples: int = 0
     stderr: object = None
 
@@ -145,7 +144,7 @@ def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
     """
     levels = sorted(levels)
     if mode.variant == "deterministic" or not levels:
-        return OmegaNormEstimate(norms(mode), "exact")
+        return OmegaNormEstimate(norms(mode))
     keys = [0] if mode.variant == "dependent" else levels
 
     def redrawn(fields):
@@ -163,7 +162,7 @@ def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
         acc = 0.0
         for combo in itertools.product(enumerate_fields(lattice), repeat=len(keys)):
             acc = acc + _squares(norms(redrawn(combo)))
-        return OmegaNormEstimate(_scalar(np.sqrt(acc / total)), "exact", total)
+        return OmegaNormEstimate(_scalar(np.sqrt(acc / total)), total)
     if mc_samples < 2:
         raise ValueError("mc needs at least 2 samples")
     sq = np.stack([
@@ -173,8 +172,7 @@ def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
     ], axis=-1)
     mean = np.mean(sq, axis=-1)
     stderr = np.std(sq, ddof=1, axis=-1) / np.sqrt(mc_samples)
-    return OmegaNormEstimate(_scalar(np.sqrt(mean)), "mc", mc_samples,
-                             _scalar(stderr))
+    return OmegaNormEstimate(_scalar(np.sqrt(mean)), mc_samples, _scalar(stderr))
 
 
 def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):

@@ -14,7 +14,7 @@ import numpy as np
 from .lattice import FrequencyLattice, LatticeError
 
 __all__ = [
-    "DEFAULT_MEMORY_GUARD",
+    "MEMORY_GUARD",
     "MemoryGuardError",
     "DensityMatrix",
     "HierarchyState",
@@ -27,21 +27,24 @@ __all__ = [
 ]
 
 # hard cap on dense tensor entries; exceeding it raises, never truncates
-DEFAULT_MEMORY_GUARD = 2**28
+MEMORY_GUARD = 2**28
 
 
 class MemoryGuardError(MemoryError):
-    """Dense tensor would exceed the configured entry guard."""
+    """Dense tensor would exceed the entry guard."""
 
 
-def _check_guard(lattice, k, guard):
+def _check_guard(lattice, k):
+    """Raise before a dense order-k tensor of more than MEMORY_GUARD entries.
+
+    The guard is read at call time, so a test can lower it.
+    """
     entries = lattice.size ** (2 * k)
-    if entries > guard:
+    if entries > MEMORY_GUARD:
         raise MemoryGuardError(
             f"dense order-{k} tensor needs {entries} entries "
-            f"(> guard {guard}); use sparse storage"
+            f"(> guard {MEMORY_GUARD}); use sparse storage"
         )
-    return entries
 
 
 class DensityMatrix:
@@ -64,8 +67,8 @@ class DensityMatrix:
         self.values = values
 
     @classmethod
-    def zeros(cls, lattice, k, guard=DEFAULT_MEMORY_GUARD):
-        _check_guard(lattice, k, guard)
+    def zeros(cls, lattice, k):
+        _check_guard(lattice, k)
         shape = (lattice.size,) * (2 * k)
         return cls(lattice, k, "dense", data=np.zeros(shape, dtype=np.complex128))
 
@@ -83,35 +86,23 @@ class DensityMatrix:
             raise ValueError("duplicate COO index tuple")
         return cls(lattice, k, "coo", indices=indices, values=values)
 
-    @property
-    def order(self):
-        return self.k
-
-    def to_dense(self, guard=DEFAULT_MEMORY_GUARD):
+    def to_dense(self):
         if self.storage == "dense":
             return self
-        _check_guard(self.lattice, self.k, guard)
+        _check_guard(self.lattice, self.k)
         shape = (self.lattice.size,) * (2 * self.k)
         data = np.zeros(shape, dtype=np.complex128)
         if self.values.size:
             data[tuple(self.indices.T)] = self.values
         return DensityMatrix(self.lattice, self.k, "dense", data=data)
 
-    def to_coo(self, tol=0.0):
+    def to_coo(self):
         if self.storage == "coo":
             return self
-        mask = np.abs(self.data) > tol
+        mask = np.abs(self.data) > 0
         idx = np.argwhere(mask).astype(np.int64)
         vals = self.data[mask]
         return DensityMatrix(self.lattice, self.k, "coo", indices=idx, values=vals)
-
-    def copy(self):
-        if self.storage == "dense":
-            return DensityMatrix(self.lattice, self.k, "dense", data=self.data.copy())
-        return DensityMatrix(
-            self.lattice, self.k, "coo",
-            indices=self.indices.copy(), values=self.values.copy(),
-        )
 
     def _binary(self, other, op):
         if not isinstance(other, DensityMatrix):
@@ -208,12 +199,12 @@ def project(state, N, side):
     return state.with_levels(kept)
 
 
-def factorized(phi, k, lattice, guard=DEFAULT_MEMORY_GUARD):
+def factorized(phi, k, lattice):
     """Pure tensor power: coefficient prod_j phi(xi_j) * prod_j conj(phi(xi'_j))."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (lattice.size,):
         raise ValueError(f"phi must have length F={lattice.size}")
-    _check_guard(lattice, k, guard)
+    _check_guard(lattice, k)
     out = np.ones((), dtype=np.complex128)
     for _ in range(k):
         out = np.multiply.outer(out, phi)
@@ -222,14 +213,13 @@ def factorized(phi, k, lattice, guard=DEFAULT_MEMORY_GUARD):
     return DensityMatrix(lattice, k, "dense", data=out)
 
 
-def random_density_matrix(lattice, k, seed, alpha=None, norm=None,
-                          guard=DEFAULT_MEMORY_GUARD):
+def random_density_matrix(lattice, k, seed, alpha=None, norm=None):
     """Dense tensor with iid complex Gaussian entries, optionally normalized.
 
     When norm is given, the tensor is scaled so its H^alpha norm equals
     norm (alpha defaults to 0 for the scaling).
     """
-    _check_guard(lattice, k, guard)
+    _check_guard(lattice, k)
     rng = np.random.default_rng(seed)
     shape = (lattice.size,) * (2 * k)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

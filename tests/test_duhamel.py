@@ -39,7 +39,7 @@ def lat():
 
 @pytest.fixture
 def quad():
-    return QuadratureSpec(q=12, j_max=4)
+    return QuadratureSpec(q=12)
 
 
 def test_quadrature_spec_validation():
@@ -94,7 +94,9 @@ def test_term_bounds(lat, quad):
     mode = HierarchyMode.deterministic()
     ev = DuhamelEvaluator(st, mode, quad)
     with pytest.raises(ValueError):
-        ev.term(1, 5, 0.1)  # beyond j_max
+        ev.term(1, 5, 0.1)  # depth 5 reaches level 6, beyond K_max
+    with pytest.raises(ValueError):
+        ev.term(1, -1, 0.1)  # negative depth
     with pytest.raises(ValueError):
         ev.term(2, 1, 0.1)  # exceeds K_max
 
@@ -132,7 +134,7 @@ def test_solution_matches_ode(lat, which):
             {2: sample_field(lat, 8, level=2), 3: sample_field(lat, 8, level=3)}
         ),
     }[which]
-    quad = QuadratureSpec(q=16, j_max=3)
+    quad = QuadratureSpec(q=16)
     grid = (0.0, 0.05, 0.1)
     traj = evolve_truncated(st, 3, 0.1, mode, grid_times=grid)
     ev = DuhamelEvaluator(st, mode, quad)
@@ -167,7 +169,7 @@ def test_energy_chains_match_exponential(which, N, data, times, seed):
         ),
     }[which]
     traj = evolve_truncated(st, N, times[-1], mode, grid_times=times)
-    ev = DuhamelEvaluator(st, mode, QuadratureSpec(q=16, j_max=3))
+    ev = DuhamelEvaluator(st, mode, QuadratureSpec(q=16))
     sol = ev.solution_batch(N, k, times)
     for i in range(len(times)):
         ref = ev._wrap(k, sol[:, i])
@@ -183,7 +185,7 @@ def test_chain_chunks_match_and_guard(lat, monkeypatch):
     # guard error naming the field
     st = random_state(lat, 4, 33, alpha=1.0, level_norms=[1.0] * 4)
     mode = HierarchyMode.dependent(sample_field(lat, 34))
-    quad = QuadratureSpec(q=3, j_max=3)
+    quad = QuadratureSpec(q=3)
     times = np.linspace(0.0, 0.3, 30)
     ref = DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
@@ -207,7 +209,7 @@ def test_nonuniform_grid_matches_duhamel():
     )
     grid = (0.0, 0.003, 0.04, 0.041, 0.1)
     traj = evolve_truncated(st, 3, 0.1, mode, grid_times=grid)
-    ev = DuhamelEvaluator(st, mode, QuadratureSpec(q=16, j_max=3))
+    ev = DuhamelEvaluator(st, mode, QuadratureSpec(q=16))
     for k in (1, 2, 3):
         sol = ev.solution_batch(3, k, grid)
         for i in range(len(grid)):
@@ -219,7 +221,7 @@ def test_nonuniform_grid_matches_duhamel():
 
 def test_integral_residual_vanishes(lat):
     st = random_state(lat, 3, 9, alpha=1.0, level_norms=[1.0] * 3)
-    quad = QuadratureSpec(q=16, j_max=3)
+    quad = QuadratureSpec(q=16)
     ev = DuhamelEvaluator(st, HierarchyMode.dependent(sample_field(lat, 10)), quad)
     for k in (1, 2):
         assert integral_residual(ev, 3, k, 0.1, alpha=1.0) < 1e-6
@@ -231,7 +233,7 @@ def test_integral_residual_vanishes(lat):
 def test_integral_residual_single_level(lat):
     # one-level data: the collision integrand vanishes, pure free evolution
     st = HierarchyState(lat, 3, {1: random_state(lat, 1, 11).level(1)})
-    quad = QuadratureSpec(q=12, j_max=3)
+    quad = QuadratureSpec(q=12)
     ev = DuhamelEvaluator(st, HierarchyMode.deterministic(), quad)
     assert integral_residual(ev, 3, 1, 0.2) < 1e-12
 
@@ -259,13 +261,12 @@ def test_decay_profile_zero_top(lat, quad):
 
 def test_decay_chain_bound(lat):
     st = random_state(lat, 3, 14, alpha=1.0, level_norms=[1.0] * 3)
-    quad = QuadratureSpec(q=12, j_max=3)
+    quad = QuadratureSpec(q=12)
     mode = HierarchyMode.independent(
         {lv: sample_field(lat, 20, level=lv) for lv in (2, 3)}
     )
     t = 0.5
-    norms, _ = decay_profile(st, 1, t, mode, 2, quad, alpha=1.0,
-                             norm_stat="omega_l2")
+    norms, _ = decay_profile(st, 1, t, mode, 2, quad, alpha=1.0)
     from gphier.randomization import collision_omega_operator_norm
 
     sig = {}
@@ -287,12 +288,11 @@ def test_dependent_decay_shape():
     from gphier.expansion import nonresonant_sample
 
     lat = FrequencyLattice(1, 5)
-    st = nonresonant_sample(lat, 3, 30, target_c1=1.0)
+    st = nonresonant_sample(lat, 3, 30)
     mode = HierarchyMode.dependent(sample_field(lat, 31))
-    quad = QuadratureSpec(q=6, j_max=2)
+    quad = QuadratureSpec(q=6)
     norms, normalized = decay_profile(st, 1, 0.1, mode, 2, quad, alpha=1.0,
-                                      norm_stat="omega_l2", mc_samples=16,
-                                      seed=32)
+                                      mc_samples=16, seed=32)
     assert normalized[2] <= normalized[1] * 1.5
 
 
@@ -300,7 +300,7 @@ def test_cauchy_increment_identity(lat):
     st = random_state(lat, 4, 15, alpha=1.0,
                       level_norms=[0.5**k for k in range(1, 5)])
     mode = HierarchyMode.dependent(sample_field(lat, 16))
-    quad = QuadratureSpec(q=8, j_max=4)
+    quad = QuadratureSpec(q=8)
     ev = DuhamelEvaluator(st, mode, quad)
     N, k, t = 2, 1, 0.1
     lhs = ev.solution_batch(N + 1, k, [t])[:, 0] - ev.solution_batch(N, k, [t])[:, 0]
@@ -312,7 +312,7 @@ def test_cauchy_diagnostic_decreasing(lat):
     st = random_state(lat, 5, 17, alpha=1.0,
                       level_norms=[0.5**k for k in range(1, 6)])
     mode = HierarchyMode.dependent(sample_field(lat, 18))
-    quad = QuadratureSpec(q=4, j_max=5)
+    quad = QuadratureSpec(q=4)
     D = cauchy_diagnostic(st, [2, 3, 4], 0.1, mode, quad, alpha=1.0, xi=0.5,
                           grid_times=(0.0, 0.1))
     assert D[1] < D[0] and D[2] < D[1]
@@ -322,7 +322,7 @@ def test_cauchy_diagnostic_decreasing(lat):
 def test_solution_time_modulus_decreases(lat):
     st = random_state(lat, 2, 19, alpha=2.0, level_norms=[1.0, 1.0])
     mode = HierarchyMode.independent({2: sample_field(lat, 21, level=2)})
-    quad = QuadratureSpec(q=8, j_max=2)
+    quad = QuadratureSpec(q=8)
     ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), mode,
                                    quad, alpha=1.0, xi=0.5)
     assert ratios[1e-3] <= ratios[1e-2] * (1 + 1e-9)
@@ -334,5 +334,5 @@ def test_solution_time_modulus_keeps_nan(lat, monkeypatch):
     mode = HierarchyMode.deterministic()
     monkeypatch.setattr(duhamel, "h_alpha_norm", lambda gamma, alpha: math.nan)
     ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), mode,
-                                   QuadratureSpec(q=4, j_max=2))
+                                   QuadratureSpec(q=4))
     assert all(math.isnan(v) for v in ratios.values())

@@ -215,7 +215,7 @@ def test_nonresonant_check_examples():
 def test_nonresonant_sampler_roundtrip():
     lat = FrequencyLattice(1, 10)
     for seed in range(10):
-        st = nonresonant_sample(lat, 3, seed, target_c1=1.0)
+        st = nonresonant_sample(lat, 3, seed)
         rep = nonresonant_check(st)
         assert rep.passed
         assert rep.c1 <= 1.0
@@ -229,7 +229,7 @@ def test_nonresonant_sampler_too_small():
 
 def test_nonresonant_scaling():
     lat = FrequencyLattice(1, 10)
-    st = nonresonant_sample(lat, 2, 3, target_c1=1.0)
+    st = nonresonant_sample(lat, 2, 3)
     scaled = HierarchyState(
         lat, 2, {k: 0.25**k * st.level(k) for k in (1, 2)}
     )

@@ -141,13 +141,14 @@ def test_factorized_residual_keeps_nan(lat, monkeypatch):
     assert math.isnan(alg) and math.isnan(fd)
 
 
-def test_product_rule_rate_checks_guard(lat):
+def test_product_rule_rate_checks_guard(lat, monkeypatch):
     # the 2k dense order-k terms are refused before any is built
-    from gphier import nls
+    from gphier import nls, tensor
 
     phi = sobolev_random(lat, 11)
+    monkeypatch.setattr(tensor, "MEMORY_GUARD", lat.size**4 - 1)
     with pytest.raises(MemoryGuardError, match="order-2"):
-        nls._product_rule_rate(phi, phi, 2, lat, guard=lat.size**4 - 1)
+        nls._product_rule_rate(phi, phi, 2, lat)
 
 
 def test_factorized_residual_one_collision_per_time(lat, monkeypatch):

@@ -92,11 +92,15 @@ def test_factorized(lat):
     assert h_alpha_norm(zero, 0.0) == 0.0
 
 
-def test_memory_guard(lat):
+def test_memory_guard(lat, monkeypatch):
+    from gphier import tensor
+
+    monkeypatch.setattr(tensor, "MEMORY_GUARD", 10)
     with pytest.raises(MemoryGuardError):
-        DensityMatrix.zeros(lat, 4, guard=10)
+        DensityMatrix.zeros(lat, 4)
+    monkeypatch.setattr(tensor, "MEMORY_GUARD", 100)
     with pytest.raises(MemoryGuardError):
-        factorized(np.zeros(lat.size), 3, lat, guard=100)
+        factorized(np.zeros(lat.size), 3, lat)
 
 
 def test_dense_sparse_roundtrip(lat):
