@@ -1,12 +1,12 @@
 """Free evolution, collision operators, truncated-hierarchy evolution.
 
-Collision operators are realized as one index table over the lattice:
-each output coefficient is a sum over contracted frequency pairs whose
-combined frequency stays inside the box.  `_roles` fixes the axis layout
-of a collision once, and one gather reads through it.  Applied to the
-coefficients it is the memory-lean `collision` (any size); applied to
-tensors of flat indices it yields the rows and columns of the cached
-scipy.sparse matrix (small systems, used by the exact exponential).
+A collision summand reads its contracted pair (a, b) only through the
+shift s = a - b, so every collision factors through one shift table
+(`_roles`).  `collision` sums gamma over the pairs of each shift once
+(`_pair_reduce`), then gathers each term from that buffer; `full_collision`
+shares one reduction among its 2(m-1) terms (memory-lean, any size).
+Joined with the pairs, the table gives the triplets of the cached
+scipy.sparse matrices (small systems, used by the exact exponential).
 """
 
 from dataclasses import dataclass
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import tensor
 from .tensor import DensityMatrix, HierarchyState, MemoryGuardError, h_alpha_norm
 
 __all__ = [
@@ -118,31 +119,30 @@ def free_evolve(gamma, t):
     )
 
 
-# --- collision index tables -------------------------------------------------
+# --- collision: pair reduction, then shift gather ---------------------------
 
-_PAIR_CACHE = {}
+_SHIFT_CACHE = {}
+# shift-buffer entries per slab of the pair reduction, kept small and in cache
+_SLAB = 2**12
 
 
-def _pair_table(lattice):
-    """All (g, p, q) with g - p + q in the box, as index arrays plus u."""
+def _shift_table(lattice):
+    """F x F flat indices of the shifts x - y, lexicographic in [-2M, 2M]^d."""
     key = (lattice.d, lattice.M)
-    if key not in _PAIR_CACHE:
-        F = lattice.size
-        g, p, q = (x.ravel() for x in np.meshgrid(*[np.arange(F)] * 3, indexing="ij"))
-        u, valid = lattice.combine_indices(g, p, q)
-        table = (g[valid], u[valid], p[valid], q[valid])
-        order = np.argsort(table[0], kind="stable")
-        _PAIR_CACHE[key] = tuple(a[order] for a in table)
-    return _PAIR_CACHE[key]
+    if key not in _SHIFT_CACHE:
+        pts, M = lattice.points, lattice.M
+        strides = (4 * M + 1) ** np.arange(lattice.d - 1, -1, -1)
+        _SHIFT_CACHE[key] = (pts[:, None] - pts[None] + 2 * M) @ strides
+    return _SHIFT_CACHE[key]
 
 
-def _roles(lattice, m, ell, n, sign, field):
-    """Axis layout and weighted pair table of the (ell, n) collision at order m.
+def _roles(lattice, m, ell, n, sign):
+    """Axis layout and gather table of the (ell, n) collision at order m.
 
     Returns the input axes (combined slot, unprimed pair slot, primed pair
-    slot), the output axis, the pair table (g, u, a, b) with a and b the
-    values read at the unprimed and primed pair slots, and the per-pair
-    weights h(g) h(u) h(a) h(b) (all ones without a field).
+    slot), the output axis and the shift s of each (g, u): the combined
+    frequency is u = g - s ('+') or u = g + s ('-'), s = a - b for the
+    values a, b at the unprimed and primed pair slots (`_shift_table`).
     """
     if not (1 <= ell < n <= m):
         raise ValueError(f"positions must satisfy 1 <= ell < n <= m, got "
@@ -153,47 +153,81 @@ def _roles(lattice, m, ell, n, sign, field):
         comb, out_ax = m + ell - 1, (m - 1) + (ell - 1)
     else:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    g, u, p, q = _pair_table(lattice)
-    # '-' mirrors on the primed side: the primed pair slot reads p
-    a, b = (p, q) if sign == "+" else (q, p)
-    if field is None:
-        weights = np.ones(g.shape, dtype=np.float64)
-    else:
-        h = field.values.astype(np.float64)
-        weights = h[g] * h[u] * h[a] * h[b]
-    return (comb, n - 1, m + n - 1), out_ax, (g, u, a, b), weights
+    shift = _shift_table(lattice)
+    return (comb, n - 1, m + n - 1), out_ax, shift if sign == "+" else shift.T
+
+
+def _pair_reduce(gamma, n, h):
+    """D[rest, s]: the sum of h(a) h(b) gamma over the pairs (a, b) of shift s.
+
+    a and b sit at the pair slots (n, n'); rest are gamma's other axes in
+    order, the output axes of every (ell, n) collision.  Row a of the shift
+    table is the box a + 2M - [0, 2M]^d reversed, so each a adds a slab of
+    gamma into a slice; leading axes are looped over until a slab is small.
+    """
+    lat, m = gamma.lattice, gamma.k
+    F, side, d, M = lat.size, lat.side, lat.d, lat.M
+    entries = F ** (2 * m - 2) * (4 * M + 1) ** d
+    if entries > tensor.MEMORY_GUARD:
+        raise MemoryGuardError(f"order-{m} collision shift buffer needs {entries} "
+                               f"entries (> guard {tensor.MEMORY_GUARD})")
+    # gamma as (unprimed rest, a, primed rest, b)
+    v = np.moveaxis(gamma.to_dense().data, (n - 1, m + n - 1), (m - 1, 2 * m - 1))
+    D = np.zeros(v.shape[:m - 1] + v.shape[m:-1] + (4 * M + 1,) * d,
+                 dtype=np.complex128)
+    lead = 0
+    while lead < m - 1 and D.size > _SLAB * F**lead:
+        lead += 1
+    hb = None if h is None else h.reshape((side,) * d)
+    boxes = [(Ellipsis,) + tuple(slice(c + 2 * M, c - 1 if c else None, -1)
+                                 for c in pt + M) for pt in lat.points]
+    for i in np.ndindex(v.shape[:lead]):
+        for a, box in enumerate(boxes):
+            slab = v[i + (slice(None),) * (m - 1 - lead) + (a,)]
+            slab = slab.reshape(slab.shape[:-1] + (side,) * d)
+            D[i][box] += slab if h is None else slab * (h[a] * hb)
+    return D.reshape(D.shape[:2 * m - 2] + (-1,))
+
+
+def _collide(gamma, n, terms, field):
+    """Sum of coef times the (ell, n) collision over terms (ell, sign, coef).
+
+    One pair reduction serves every term; each term then gathers
+    out[..g..] += coef sum_u h(g) h(u) D[..u.., s(g, u)] at its output axis.
+    """
+    m, lat = gamma.k, gamma.lattice
+    if m < 2:
+        raise ValueError("collision input must have order >= 2")
+    roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,) for ell, sign, coef in terms]
+    h = None if field is None else field.values.astype(np.float64)
+    D = _pair_reduce(gamma, n, h)
+    out = np.zeros((lat.size,) * (2 * m - 2), dtype=np.complex128)
+    u = np.arange(lat.size)
+    for out_ax, gather, coef in roles:
+        Dv = np.moveaxis(D, (out_ax, -1), (0, 1))  # (u, s, other output axes)
+        ov = np.moveaxis(out, out_ax, 0)           # (g, other output axes)
+        for g in range(u.size):
+            w = coef * (np.ones(u.size) if h is None else h[g] * h)
+            ov[g] += (w @ Dv[u, gather[g]].reshape(u.size, -1)).reshape(ov.shape[1:])
+    return DensityMatrix(lat, m - 1, "dense", data=out)
 
 
 def collision(gamma, ell, n, sign, field=None):
     """One collision operator: contract the pair at position n into slot ell.
 
-    '+' substitutes the combined frequency on the unprimed side and sums
-    over in-box contracted pairs with in-box combination; '-' mirrors on
-    the primed side.  With a sign field, each summand carries the four
-    factors h(slot) h(combined) h(pair unprimed) h(pair primed).
+    '+' substitutes the combined frequency g - a + b on the unprimed side and
+    sums over the contracted pairs (a, b) whose combination stays in the box;
+    '-' mirrors on the primed side.  With a sign field, each summand carries
+    the four factors h(slot) h(combined) h(pair unprimed) h(pair primed).
     """
-    m = gamma.k
-    if m < 2:
-        raise ValueError("collision input must have order >= 2")
-    lat = gamma.lattice
-    in_axes, out_ax, (gs, us, as_, bs), ws = _roles(lat, m, ell, n, sign, field)
-    F = lat.size
-    data = gamma.to_dense().data
-    perm = np.moveaxis(data, in_axes, (0, 1, 2))
-    out_shape = (F,) + perm.shape[3:]
-    out = np.zeros(out_shape, dtype=np.complex128)
-    for g in range(F):
-        selm = gs == g
-        if not np.any(selm):
-            continue
-        gathered = perm[us[selm], as_[selm], bs[selm]]
-        out[g] = np.einsum("e,e...->...", ws[selm], gathered)
-    out = np.moveaxis(out, 0, out_ax)
-    return DensityMatrix(lat, m - 1, "dense", data=np.ascontiguousarray(out))
+    return _collide(gamma, n, [(ell, sign, 1.0)], field)
 
 
 def full_collision(gamma, field=None):
-    """Sum over j of the (j, m) plus-minus collision pairs (order m -> m-1)."""
+    """Sum over j of the (j, m) plus-minus collision pairs (order m -> m-1).
+
+    Above MATRIX_DOMAIN_CAP all 2(m-1) terms share one pair reduction.
+    """
     m = gamma.k
     if m < 2:
         raise ValueError("full collision needs order >= 2")
@@ -204,11 +238,8 @@ def full_collision(gamma, field=None):
         return DensityMatrix(
             lat, m - 1, "dense", data=flat.reshape((lat.size,) * (2 * (m - 1)))
         )
-    out = None
-    for j in range(1, m):
-        term = collision(gamma, j, m, "+", field) - collision(gamma, j, m, "-", field)
-        out = term if out is None else out + term
-    return out
+    return _collide(gamma, m, [(j, sign, coef) for j in range(1, m)
+                               for sign, coef in (("+", 1.0), ("-", -1.0))], field)
 
 
 _MATRIX_CACHE = {}
@@ -240,12 +271,18 @@ def _check_matrix_domain(lattice, m):
 def _collision_triplets(lattice, m, ell, n, sign, field):
     """(rows, cols, weights) of the (ell, n) collision on flattened tensors.
 
-    The gather of `collision`, applied to tensors holding their own flat
-    indices: entry (e, rest) of the input gather is the column that pair e
-    reads, entry (e, rest) of the output is the row it writes.
+    The join of the shift table with the term's gather table: every (g, u)
+    meets every pair (a, b) of its shift.  Entry (e, rest) of the flat input
+    indices at (u, a, b) is the column summand e reads, entry (e, rest) of
+    the flat output indices at g the row it writes.
     """
     F = lattice.size
-    in_axes, out_ax, (g, u, a, b), w = _roles(lattice, m, ell, n, sign, field)
+    in_axes, out_ax, gather = _roles(lattice, m, ell, n, sign)
+    # F^4 <= F^(2m) <= MATRIX_DOMAIN_CAP: the comparison stays small
+    e, pair = np.nonzero(gather.reshape(-1, 1) == _shift_table(lattice).reshape(1, -1))
+    (g, u), (a, b) = np.divmod(e, F), np.divmod(pair, F)
+    h = None if field is None else field.values.astype(np.float64)
+    w = np.ones(g.shape) if h is None else h[g] * h[u] * h[a] * h[b]
     flat_in = np.arange(F ** (2 * m), dtype=np.int64).reshape((F,) * (2 * m))
     flat_out = np.arange(F ** (2 * m - 2), dtype=np.int64)
     cols = np.moveaxis(flat_in, in_axes, (0, 1, 2))[u, a, b]

@@ -80,20 +80,6 @@ class FrequencyLattice:
             raise LatticeError(f"index out of range 0..{self.size - 1}")
         return self.points[index]
 
-    def combine_indices(self, gi, ai, bi):
-        """Index form of the combination rule g - a + b.
-
-        Takes arrays of point indices, returns (indices, valid) where
-        valid marks combinations that stay inside the box.  Invalid
-        entries get index 0 and must be masked by the caller.
-        """
-        coords = self.points[gi] - self.points[ai] + self.points[bi]
-        valid = self.in_box(coords)
-        out = np.zeros(np.shape(valid), dtype=np.int64)
-        if np.any(valid):
-            out[valid] = (coords[valid] + self.M) @ self._strides
-        return out, valid
-
 
 def combine(xi_l, xi_n, xi_n_prime, lattice):
     """Combined frequency xi_l - xi_n + xi_n' of a collision summand.

@@ -53,6 +53,9 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["decay", "--set", "mode=dependent"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: M:") and "modulus shells" in err
+    # decay at K_max=1 has no depth to profile
+    assert main(["decay", "--set", "K_max=1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: K_max:")
     # each kind's largest dense size is checked before any state is built,
     # and the error names the field at fault
     for argv, name in (
@@ -98,6 +101,20 @@ def test_exit_codes(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, argv
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:"), err
+
+
+def test_checks_with_nothing_to_compare_are_left_out():
+    # converge at N=3 has no ratio after the first; dependent decay at
+    # K_max=2 has no depth >= 2.  Each check would measure an empty list.
+    for cfg, name in (
+        (ExperimentConfig(kind="converge", N=3, K_max=4),
+         "duhamel.cauchy_ratio_below_first"),
+        (ExperimentConfig(kind="decay", mode="dependent", M=3, K_max=2,
+                          mc_samples=16), "duhamel.dependent_decay_shape"),
+    ):
+        rep = run_experiment(cfg)
+        assert rep.passed
+        assert name not in [c["name"] for c in rep.checks]
 
 
 def test_decay_builds_only_levels_it_reads(monkeypatch):

@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gphier import dynamics
-from gphier.lattice import FrequencyLattice
+from gphier import dynamics, tensor
+from gphier.lattice import FrequencyLattice, combine
 from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
+    MemoryGuardError,
     h_alpha_norm,
     random_density_matrix,
     random_state,
@@ -146,12 +149,15 @@ def test_matrix_matches_gather(lat):
     assert np.max(np.abs(via2 - collision(g2, 1, 2, "-", f).data)) < 1e-13
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_full_collision_gather_matches_matrix(lat, monkeypatch, m):
+@pytest.mark.parametrize("d, m", [(1, 2), (1, 3), (2, 2), (2, 3)],
+                         ids=["2", "3", "d2-2", "d2-3"])
+def test_full_collision_gather_matches_matrix(monkeypatch, d, m):
     # below the cap full_collision applies the cached matrix; with the cap
-    # lowered it takes the per-term gather instead
+    # lowered it takes the pair reduction and shift gathers instead
+    lat = FrequencyLattice(d, 1)
     g = random_density_matrix(lat, m, 30 + m)
-    f = sample_field(lat, 4)  # mixed signs: [-1, 1, 1]
+    f = sample_field(lat, 4)
+    assert set(f.values) == {-1, 1}
     via_matrix = full_collision(g, f).data
     monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
     with pytest.raises(MemoryError):
@@ -177,6 +183,87 @@ def test_matrix_matches_gather_every_role(m, ell, n, sign, field, seed):
     via = (mat @ g.data.reshape(-1)).reshape((3,) * (2 * m - 2))
     ref = collision(g, ell, n, sign, field).data
     assert np.max(np.abs(via - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def _by_definition(gamma, ell, n, sign, field):
+    """The (ell, n) collision summed summand by summand over (g, p, q).
+
+    '+' combines xi_ell - xi_n + xi'_n on the unprimed side, '-' combines
+    xi'_ell - xi'_n + xi_n on the primed side; a summand whose combination
+    leaves the box is dropped.  Each summand is added for all other
+    indices at once.  No shift table is involved: an oracle for both.
+    """
+    lat, m = gamma.lattice, gamma.k
+    F = lat.size
+    h = np.ones(F) if field is None else field.values.astype(np.float64)
+    comb = ell - 1 if sign == "+" else m + ell - 1
+    src = np.moveaxis(gamma.data, (comb, n - 1, m + n - 1), (0, 1, 2))
+    out = np.zeros((F,) + src.shape[3:], dtype=np.complex128)
+    for g, p, q in itertools.product(range(F), repeat=3):
+        c = combine(lat.points[g], lat.points[p], lat.points[q], lat)
+        if c is None:
+            continue
+        u = lat.index_of(c)
+        # p is xi_n for '+' and xi'_n for '-'; a, b are xi_n, xi'_n
+        a, b = (p, q) if sign == "+" else (q, p)
+        out[g] += h[g] * h[u] * h[p] * h[q] * src[u, a, b]
+    return np.moveaxis(out, 0, comb if sign == "+" else comb - 1)
+
+
+def _mixed_fields(F):
+    signs = st.lists(st.sampled_from((1, -1)), min_size=F, max_size=F)
+    return st.none() | signs.filter(lambda v: len(set(v)) == 2).map(
+        lambda v: SignField(np.array(v, dtype=np.int8), "drawn"))
+
+
+_ROLES_TO_3 = [r for r in _ROLES if r[0] <= 3]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m, ell, n, sign", _ROLES_TO_3)
+@settings(max_examples=4, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_collision_matches_definition(d, m, ell, n, sign, data, seed):
+    lat = FrequencyLattice(d, 1)
+    field = data.draw(_mixed_fields(lat.size))
+    g = random_density_matrix(lat, m, seed)
+    ref = _by_definition(g, ell, n, sign, field)
+    got = collision(g, ell, n, sign, field).data
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=4, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_full_collision_matches_definition(d, m, data, seed):
+    lat = FrequencyLattice(d, 1)
+    field = data.draw(_mixed_fields(lat.size))
+    g = random_density_matrix(lat, m, seed)
+    ref = sum(_by_definition(g, j, m, "+", field)
+              - _by_definition(g, j, m, "-", field) for j in range(1, m))
+    scale = np.max(np.abs(ref))
+    # the cached matrix below the cap, the shift gathers above it
+    assert np.max(np.abs(full_collision(g, field).data - ref)) <= 1e-13 * scale
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
+        got = full_collision(g, field).data
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_shift_buffer_guard(lat, monkeypatch):
+    # the pair reduction holds F^(2m-2) (4M+1)^d entries; the dense-tensor
+    # guard is checked before that buffer is allocated
+    g = random_density_matrix(lat, 3, 40)
+    need = lat.size**4 * 5
+    monkeypatch.setattr(tensor, "MEMORY_GUARD", need - 1)
+    with pytest.raises(MemoryGuardError, match="order-3 collision shift buffer"):
+        collision(g, 1, 3, "+")
+    monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
+    with pytest.raises(MemoryGuardError, match="order-3 collision shift buffer"):
+        full_collision(g)
+    monkeypatch.setattr(tensor, "MEMORY_GUARD", need)
+    assert full_collision(g).k == 2
 
 
 def test_evolve_missing_independent_field(lat):

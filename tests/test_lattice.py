@@ -68,14 +68,3 @@ def test_combine_rejects_nonmembers():
     lat = FrequencyLattice(1, 1)
     with pytest.raises(LatticeError):
         combine([2], [0], [0], lat)
-
-
-def test_combine_indices_vectorized():
-    lat = FrequencyLattice(2, 1)
-    gi = np.arange(lat.size)
-    ai = np.zeros(lat.size, dtype=int)
-    bi = np.zeros(lat.size, dtype=int)
-    out, valid = lat.combine_indices(gi, ai, bi)
-    # g - a + b with a = b gives g back, always valid
-    assert np.all(valid)
-    assert np.array_equal(out, gi)
