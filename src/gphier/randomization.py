@@ -5,7 +5,11 @@ point of the Bernoulli probability space.  `omega_l2_h_alpha` is the one
 routine that turns a hierarchy mode into its sample space Omega and
 averages squared H^alpha norms over it, either exactly (enumerating all
 2^F sign assignments per redrawn field) or by Monte Carlo with
-counter-based, reproducible per-level streams.
+counter-based, reproducible per-level streams.  It hands the whole
+sample space to its `norms` callable in one call: norms(modes) takes
+the list of redrawn modes and returns one norm, or one array of norms,
+per mode in the same order, so a caller can share work between modes
+(`duhamel.DuhamelEvaluator` evaluates the batch in one climb).
 
 `collision_omega_operator_norm` keeps its own field list on purpose: it
 stacks one operator block per field instead of averaging norms, and it
@@ -131,20 +135,22 @@ def _scalar(x):
 
 
 def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
-    """L^2(Omega) average of the H^alpha norms `norms(mode)` over the sign fields.
+    """L^2(Omega) average of the H^alpha norms `norms(modes)` over the sign fields.
 
     Each point of Omega redraws the mode's fields on `levels`: one field
     per level for an independent mode, the shared field (keyed as level
     0) for a dependent one.  With mc_samples == 0 the average is exact
     over every joint assignment, in `enumerate_fields` order; otherwise
     sample i draws sample_field(lattice, seed, level=lv, sample=i).
-    norms(mode) returns one H^alpha norm or an array of them, and the
-    estimate holds the root mean square of each.  A deterministic mode,
-    or empty `levels`, is evaluated once as given.
+    norms is called once, with the list of every redrawn mode in that
+    order, and returns one H^alpha norm or one array of them per mode;
+    the squares are folded in the same order, and the estimate holds the
+    root mean square of each.  A deterministic mode, or empty `levels`,
+    is evaluated once as given, a batch of one.
     """
     levels = sorted(levels)
     if mode.variant == "deterministic" or not levels:
-        return OmegaNormEstimate(norms(mode))
+        return OmegaNormEstimate(_scalar(norms([mode])[0]))
     keys = [0] if mode.variant == "dependent" else levels
 
     def redrawn(fields):
@@ -159,17 +165,18 @@ def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
                 f"exact enumeration needs {total} assignments "
                 f"(> cap {ENUMERATION_CAP})"
             )
+        modes = [redrawn(combo) for combo in
+                 itertools.product(enumerate_fields(lattice), repeat=len(keys))]
         acc = 0.0
-        for combo in itertools.product(enumerate_fields(lattice), repeat=len(keys)):
-            acc = acc + _squares(norms(redrawn(combo)))
+        for value in norms(modes):
+            acc = acc + _squares(value)
         return OmegaNormEstimate(_scalar(np.sqrt(acc / total)), total)
     if mc_samples < 2:
         raise ValueError("mc needs at least 2 samples")
-    sq = np.stack([
-        _squares(norms(redrawn(
-            [sample_field(lattice, seed, level=lv, sample=i) for lv in keys])))
-        for i in range(mc_samples)
-    ], axis=-1)
+    modes = [redrawn([sample_field(lattice, seed, level=lv, sample=i)
+                      for lv in keys])
+             for i in range(mc_samples)]
+    sq = np.stack([_squares(value) for value in norms(modes)], axis=-1)
     mean = np.mean(sq, axis=-1)
     stderr = np.std(sq, ddof=1, axis=-1) / np.sqrt(mc_samples)
     return OmegaNormEstimate(_scalar(np.sqrt(mean)), mc_samples, _scalar(stderr))

@@ -14,6 +14,8 @@ import functools
 import time
 from dataclasses import asdict
 
+import pytest
+
 from gphier.cli import ExperimentConfig, run_experiment
 
 RESIDUAL = ExperimentConfig(kind="residual", d=1, M=2, N=4, K_max=4, T=0.1,
@@ -82,6 +84,16 @@ def test_criterion_3_randomized_estimate():
 def test_criterion_4_factorial_decay():
     verdict(4, "factorial Duhamel decay", DECAY,
             ["duhamel.decay_chain_bound_excess"], 120)
+
+
+def test_criterion_4_decay_norms_pinned():
+    # the exact Omega-averaged norms of Duh_0..Duh_3 at criterion 4, pinned
+    # so that a change in how the average is evaluated cannot move them
+    rep, _ = pinned_run(DECAY)
+    expected = [1.0000000000000002, 0.2231928091224439, 0.04169676605426055,
+                0.0056740349324868235]
+    assert rep.constants["decay_norms"] == pytest.approx(expected, rel=1e-12,
+                                                        abs=0.0)
 
 
 def test_criterion_5_truncation_cauchy():

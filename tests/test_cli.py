@@ -68,7 +68,7 @@ def test_exit_codes(tmp_path, capsys):
         (["continuity", "--set", "M=6", "--set", "N=3"], "N"),
         # 11 * 16^5 Gauss-Legendre nodes for the depth-5 Duhamel term
         (["residual", "--set", "N=6", "--set", "K_max=6"], "N"),
-        # 2^14 and 2^11 joint sign fields, one Duhamel evaluator each
+        # 2^14 and 2^11 joint sign fields, above the 2^10 one climb takes
         (["continuity", "--set", "M=3", "--set", "N=3"], "N"),
         (["continuity", "--set", "M=5", "--set", "N=2"], "M"),
     ):
@@ -76,8 +76,8 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:"), err
         assert "exceeds the cap" in err
-    # exact dependent-mode decay enumerates 2^F shared fields, one Duhamel
-    # evaluator each: 2^11 at M=5 is refused up front, naming mc_samples
+    # exact dependent-mode decay enumerates 2^F shared fields: 2^11 at M=5
+    # is refused up front, naming mc_samples
     start = time.perf_counter()
     assert main(["decay", "--set", "mode=dependent", "--set", "M=5",
                  "--set", "K_max=3", "--set", "mc_samples=0", "--set", "T=0.1",
@@ -104,17 +104,40 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_checks_with_nothing_to_compare_are_left_out():
-    # converge at N=3 has no ratio after the first; dependent decay at
-    # K_max=2 has no depth >= 2.  Each check would measure an empty list.
-    for cfg, name in (
-        (ExperimentConfig(kind="converge", N=3, K_max=4),
-         "duhamel.cauchy_ratio_below_first"),
-        (ExperimentConfig(kind="decay", mode="dependent", M=3, K_max=2,
-                          mc_samples=16), "duhamel.dependent_decay_shape"),
-    ):
-        rep = run_experiment(cfg)
-        assert rep.passed
-        assert name not in [c["name"] for c in rep.checks]
+    # converge at N=3 has no ratio after the first; the check would measure
+    # an empty list.  Dependent decay at K_max=2 has no depth >= 2, so none
+    # of its checks would be left: the config is refused, and a report with
+    # no checks does not pass.
+    cfg, name = (ExperimentConfig(kind="converge", N=3, K_max=4),
+                 "duhamel.cauchy_ratio_below_first")
+    rep = run_experiment(cfg)
+    assert rep.passed
+    assert name not in [c["name"] for c in rep.checks]
+    with pytest.raises(ConfigError, match="K_max: dependent-mode decay"):
+        run_experiment(ExperimentConfig(kind="decay", mode="dependent", M=3,
+                                        K_max=2, mc_samples=16))
+    assert not Report(config={}).passed
+
+
+def test_independent_decay_field_count_is_capped(capsys):
+    # independent-mode decay averages over 2^(F min(K_max - 1, 3)) joint
+    # sign fields.  2^9 is admitted: criterion 4 (M=1, K_max=4) and M=4 at
+    # K_max=2.  2^11 at M=5 and 2^15 at M=7 are refused up front, naming M
+    for M, K_max in ((1, 4), (4, 2)):
+        ExperimentConfig(kind="decay", mode="independent", M=M,
+                         K_max=K_max).validate()
+    for M in (5, 7):
+        start = time.perf_counter()
+        assert main(["decay", "--set", "mode=independent", "--set", "K_max=2",
+                     "--set", f"M={M}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: M:"), err
+        assert "joint sign field" in err and "exceeds the cap 1024" in err
+    # dependent-mode decay at K_max=2 would report no check at all
+    assert main(["decay", "--set", "mode=dependent", "--set", "M=3",
+                 "--set", "K_max=2", "--set", "mc_samples=16"]) == 2
+    assert capsys.readouterr().err.startswith("config error: K_max:")
 
 
 def test_decay_builds_only_levels_it_reads(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from gphier.duhamel import (
     simplex_check,
     solution_time_modulus,
 )
-from gphier.randomization import sample_field
+from gphier.randomization import enumerate_fields, sample_field
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ def test_quadrature_spec_validation():
 def test_depth_zero_is_free_evolution(lat, quad):
     st = random_state(lat, 2, 0)
     mode = HierarchyMode.deterministic()
-    out = DuhamelEvaluator(st, mode, quad).term(1, 0, 0.4)
+    out = DuhamelEvaluator(st, [mode], quad).term(1, 0, 0.4)[0]
     ref = free_evolve(st.level(1), 0.4)
     assert h_alpha_norm(out - ref, 0.0) < 1e-14
 
@@ -63,7 +64,7 @@ def test_depth_one_closed_form(lat, quad):
     st = HierarchyState(lat, 2, {2: g2})
     mode = HierarchyMode.deterministic()
     t = 0.37
-    term = DuhamelEvaluator(st, mode, quad).term(1, 1, t)
+    term = DuhamelEvaluator(st, [mode], quad).term(1, 1, t)[0]
     coll = full_collision(g2)
     e_in = 1.0  # |1|^2 + |0|^2 - |0|^2 - |0|^2
     e_out = level_energy(lat, 1).reshape(3, 3)
@@ -85,14 +86,14 @@ def test_depth_one_closed_form(lat, quad):
 def test_depth_positive_at_zero_time(lat, quad):
     st = random_state(lat, 3, 1)
     mode = HierarchyMode.deterministic()
-    out = DuhamelEvaluator(st, mode, quad).term(1, 2, 0.0)
+    out = DuhamelEvaluator(st, [mode], quad).term(1, 2, 0.0)[0]
     assert not np.any(out.data)
 
 
 def test_term_bounds(lat, quad):
     st = random_state(lat, 2, 2)
     mode = HierarchyMode.deterministic()
-    ev = DuhamelEvaluator(st, mode, quad)
+    ev = DuhamelEvaluator(st, [mode], quad)
     with pytest.raises(ValueError):
         ev.term(1, 5, 0.1)  # depth 5 reaches level 6, beyond K_max
     with pytest.raises(ValueError):
@@ -104,14 +105,14 @@ def test_term_bounds(lat, quad):
 def test_missing_leaf_level_gives_zero(lat, quad):
     st = HierarchyState(lat, 3, {1: random_state(lat, 1, 3).level(1)})
     mode = HierarchyMode.deterministic()
-    out = DuhamelEvaluator(st, mode, quad).term(1, 2, 0.2)
+    out = DuhamelEvaluator(st, [mode], quad).term(1, 2, 0.2)[0]
     assert not np.any(out.data)
 
 
 def test_truncated_solution_top_level(lat, quad):
     st = random_state(lat, 3, 4)
     mode = HierarchyMode.deterministic()
-    sol = DuhamelEvaluator(st, mode, quad).solution(3, 3, 0.3)
+    sol = DuhamelEvaluator(st, [mode], quad).solution(3, 3, 0.3)[0]
     ref = free_evolve(st.level(3), 0.3)
     assert h_alpha_norm(sol - ref, 0.0) < 1e-13
 
@@ -119,7 +120,7 @@ def test_truncated_solution_top_level(lat, quad):
 def test_truncated_solution_at_zero(lat, quad):
     st = random_state(lat, 3, 5)
     mode = HierarchyMode.deterministic()
-    sol = DuhamelEvaluator(st, mode, quad).solution(3, 1, 0.0)
+    sol = DuhamelEvaluator(st, [mode], quad).solution(3, 1, 0.0)[0]
     assert h_alpha_norm(sol - st.level(1), 0.0) < 1e-14
 
 
@@ -137,9 +138,9 @@ def test_solution_matches_ode(lat, which):
     quad = QuadratureSpec(q=16)
     grid = (0.0, 0.05, 0.1)
     traj = evolve_truncated(st, 3, 0.1, mode, grid_times=grid)
-    ev = DuhamelEvaluator(st, mode, quad)
+    ev = DuhamelEvaluator(st, [mode], quad)
     for k in (1, 2, 3):
-        sol = ev.solution_batch(3, k, grid)
+        sol = ev.solution_batch(3, k, grid).of(0)
         for i in range(len(grid)):
             diff = ev._wrap(k, sol[:, i]) - traj.states[i].level(k)
             rel = h_alpha_norm(diff, 1.0) \
@@ -169,13 +170,76 @@ def test_energy_chains_match_exponential(which, N, data, times, seed):
         ),
     }[which]
     traj = evolve_truncated(st, N, times[-1], mode, grid_times=times)
-    ev = DuhamelEvaluator(st, mode, QuadratureSpec(q=16))
-    sol = ev.solution_batch(N, k, times)
+    ev = DuhamelEvaluator(st, [mode], QuadratureSpec(q=16))
+    sol = ev.solution_batch(N, k, times).of(0)
     for i in range(len(times)):
         ref = ev._wrap(k, sol[:, i])
         rel = h_alpha_norm(ref - traj.states[i].level(k), 1.0) \
             / (1 + h_alpha_norm(ref, 1.0))
         assert rel < 1e-5
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(N=hst.integers(1, 4), data=hst.data(),
+       times=hst.lists(hst.floats(0.0, 0.2), min_size=2, max_size=3,
+                       unique=True).map(sorted),
+       seed=hst.integers(0, 2**16))
+def test_batch_slices_match_batches_of_one(N, data, times, seed):
+    # one batch mixes the full 8^(N-1) independent product set on levels
+    # 2..N, dependent Monte Carlo fields, the deterministic mode and
+    # repeated modes, in any order.  Each mode's slice equals that mode run
+    # as a batch of one, bitwise; for N <= 3 it also matches the exact
+    # exponential at the 1e-5 measure of test_energy_chains_match_exponential
+    lat = FrequencyLattice(1, 1)
+    st = random_state(lat, N, seed, alpha=1.0, level_norms=[1.0] * N)
+    product = [HierarchyMode.independent(dict(zip(range(2, N + 1), combo)))
+               for combo in itertools.product(enumerate_fields(lat),
+                                              repeat=N - 1)]
+    sampled = [HierarchyMode.dependent(sample_field(lat, seed, sample=i))
+               for i in range(3)]
+    pool = product + sampled + [HierarchyMode.deterministic()]
+    repeats = data.draw(hst.lists(hst.sampled_from(pool), max_size=4),
+                        label="repeats")
+    modes = data.draw(hst.permutations(pool + repeats), label="modes")
+    checked = data.draw(hst.lists(hst.integers(0, len(modes) - 1), min_size=1,
+                                  max_size=4, unique=True), label="checked")
+    k = data.draw(hst.integers(1, N), label="k")
+    quad = QuadratureSpec(q=16)
+    ev = DuhamelEvaluator(st, modes, quad)
+    terms = [ev.term_batch(k, j, times) for j in range(N - k + 1)]
+    sol = ev.solution_batch(N, k, times)
+    for i in checked:
+        one = DuhamelEvaluator(st, [modes[i]], quad)
+        for j, term in enumerate(terms):
+            assert np.array_equal(term.of(i), one.term_batch(k, j, times).of(0))
+        assert np.array_equal(sol.of(i), one.solution_batch(N, k, times).of(0))
+        if N > 3:
+            continue
+        traj = evolve_truncated(st, N, times[-1], modes[i], grid_times=times)
+        for t in range(len(times)):
+            ref = ev._wrap(k, sol.of(i)[:, t])
+            rel = h_alpha_norm(ref - traj.states[t].level(k), 1.0) \
+                / (1 + h_alpha_norm(ref, 1.0))
+            assert rel < 1e-5
+
+
+def test_batch_too_large_for_the_cap_is_refused(lat, monkeypatch):
+    # eight shared fields give eight level-1 terms of 9 entries at 30 times,
+    # 2,160 entries; one mode alone needs 270.  Above the cap, the batch is
+    # a guard error naming the field, raised before any block is built
+    st = random_state(lat, 3, 40, alpha=1.0, level_norms=[1.0] * 3)
+    modes = [HierarchyMode.dependent(f) for f in enumerate_fields(lat)]
+    times = np.linspace(0.0, 0.1, 30)
+    quad = QuadratureSpec(q=3)
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 2000)
+    DuhamelEvaluator(st, modes[:1], quad).term_batch(1, 2, times)
+
+    def no_block(*args):
+        raise AssertionError("a block was built before the guard")
+
+    monkeypatch.setattr(DuhamelEvaluator, "_leaf", no_block)
+    with pytest.raises(MemoryGuardError, match="^mc_samples: "):
+        DuhamelEvaluator(st, modes, quad).term_batch(1, 2, times)
 
 
 def test_chain_chunks_match_and_guard(lat, monkeypatch):
@@ -187,16 +251,16 @@ def test_chain_chunks_match_and_guard(lat, monkeypatch):
     mode = HierarchyMode.dependent(sample_field(lat, 34))
     quad = QuadratureSpec(q=3)
     times = np.linspace(0.0, 0.3, 30)
-    ref = DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
+    ref = DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times).of(0)
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
-    out = DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
+    out = DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times).of(0)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 800)
     with pytest.raises(MemoryGuardError, match="^q: "):
-        DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
+        DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times)
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 700)
     with pytest.raises(MemoryGuardError, match="^M: "):
-        DuhamelEvaluator(st, mode, quad).term_batch(1, 3, times)
+        DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times)
 
 
 def test_nonuniform_grid_matches_duhamel():
@@ -209,9 +273,9 @@ def test_nonuniform_grid_matches_duhamel():
     )
     grid = (0.0, 0.003, 0.04, 0.041, 0.1)
     traj = evolve_truncated(st, 3, 0.1, mode, grid_times=grid)
-    ev = DuhamelEvaluator(st, mode, QuadratureSpec(q=16))
+    ev = DuhamelEvaluator(st, [mode], QuadratureSpec(q=16))
     for k in (1, 2, 3):
-        sol = ev.solution_batch(3, k, grid)
+        sol = ev.solution_batch(3, k, grid).of(0)
         for i in range(len(grid)):
             ref = ev._wrap(k, sol[:, i])
             rel = h_alpha_norm(ref - traj.states[i].level(k), 1.0) \
@@ -222,10 +286,10 @@ def test_nonuniform_grid_matches_duhamel():
 def test_integral_residual_vanishes(lat):
     st = random_state(lat, 3, 9, alpha=1.0, level_norms=[1.0] * 3)
     quad = QuadratureSpec(q=16)
-    ev = DuhamelEvaluator(st, HierarchyMode.dependent(sample_field(lat, 10)), quad)
+    ev = DuhamelEvaluator(st, [HierarchyMode.dependent(sample_field(lat, 10))], quad)
     for k in (1, 2):
-        assert integral_residual(ev, 3, k, 0.1, alpha=1.0) < 1e-6
-    assert integral_residual(ev, 3, 1, 0.0, alpha=1.0) == 0.0
+        assert integral_residual(ev, 3, k, 0.1, alpha=1.0)[0] < 1e-6
+    assert integral_residual(ev, 3, 1, 0.0, alpha=1.0)[0] == 0.0
     with pytest.raises(ValueError):
         integral_residual(ev, 3, 3, 0.1)
 
@@ -234,8 +298,8 @@ def test_integral_residual_single_level(lat):
     # one-level data: the collision integrand vanishes, pure free evolution
     st = HierarchyState(lat, 3, {1: random_state(lat, 1, 11).level(1)})
     quad = QuadratureSpec(q=12)
-    ev = DuhamelEvaluator(st, HierarchyMode.deterministic(), quad)
-    assert integral_residual(ev, 3, 1, 0.2) < 1e-12
+    ev = DuhamelEvaluator(st, [HierarchyMode.deterministic()], quad)
+    assert integral_residual(ev, 3, 1, 0.2)[0] < 1e-12
 
 
 def test_simplex_identity(quad):
@@ -301,10 +365,11 @@ def test_cauchy_increment_identity(lat):
                       level_norms=[0.5**k for k in range(1, 5)])
     mode = HierarchyMode.dependent(sample_field(lat, 16))
     quad = QuadratureSpec(q=8)
-    ev = DuhamelEvaluator(st, mode, quad)
+    ev = DuhamelEvaluator(st, [mode], quad)
     N, k, t = 2, 1, 0.1
-    lhs = ev.solution_batch(N + 1, k, [t])[:, 0] - ev.solution_batch(N, k, [t])[:, 0]
-    rhs = ev.term_batch(k, N + 1 - k, [t])[:, 0]
+    lhs = ev.solution_batch(N + 1, k, [t]).of(0)[:, 0] \
+        - ev.solution_batch(N, k, [t]).of(0)[:, 0]
+    rhs = ev.term_batch(k, N + 1 - k, [t]).of(0)[:, 0]
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 

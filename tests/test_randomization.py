@@ -26,11 +26,16 @@ SHARED = HierarchyMode.dependent(None)
 PER_LEVEL = HierarchyMode.independent({})
 
 
+def each(norm):
+    """norms() that applies `norm` to every mode of the batch."""
+    return lambda modes: [norm(md) for md in modes]
+
+
 def difference_norm(gamma, field_of):
     """norms() of the (+) - (-) collision of gamma under the field of a mode."""
-    return lambda md: h_alpha_norm(
+    return each(lambda md: h_alpha_norm(
         collision(gamma, 1, 2, "+", field_of(md))
-        - collision(gamma, 1, 2, "-", field_of(md)), 1.0)
+        - collision(gamma, 1, 2, "-", field_of(md)), 1.0))
 
 
 def test_sample_determinism(lat):
@@ -80,10 +85,11 @@ def test_randomize_norm_and_involution(lat):
 
 def test_omega_constant_evaluator(lat):
     g = random_density_matrix(lat, 1, 3)
-    est = omega_l2_h_alpha(lambda md: h_alpha_norm(g, 1.0), PER_LEVEL, lat, [2])
+    est = omega_l2_h_alpha(each(lambda md: h_alpha_norm(g, 1.0)), PER_LEVEL, lat,
+                           [2])
     assert est.value == pytest.approx(h_alpha_norm(g, 1.0), rel=1e-13)
-    mc = omega_l2_h_alpha(lambda md: h_alpha_norm(g, 1.0), PER_LEVEL, lat, [2],
-                          mc_samples=16, seed=0)
+    mc = omega_l2_h_alpha(each(lambda md: h_alpha_norm(g, 1.0)), PER_LEVEL, lat,
+                          [2], mc_samples=16, seed=0)
     assert mc.stderr == pytest.approx(0.0, abs=1e-12)
 
 
@@ -94,11 +100,11 @@ def test_omega_sign_product_modulus(lat):
     base.data[0, 2] = 1.0
     c = 0.37 - 0.11j
 
-    def norms(md):
+    def norm(md):
         h = md.fields[2].values
         return h_alpha_norm((c * h[0] * h[1] * h[2] * h[0]) * base, 0.0)
 
-    est = omega_l2_h_alpha(norms, PER_LEVEL, lat, [2])
+    est = omega_l2_h_alpha(each(norm), PER_LEVEL, lat, [2])
     assert est.value == pytest.approx(abs(c), rel=1e-13)
 
 
@@ -113,7 +119,8 @@ def test_omega_exact_vs_mc(lat):
 
 def test_enumeration_cap(lat):
     with pytest.raises(ValueError, match="cap"):
-        omega_l2_h_alpha(lambda md: None, PER_LEVEL, lat, list(range(2, 12)))
+        omega_l2_h_alpha(each(lambda md: None), PER_LEVEL, lat,
+                         list(range(2, 12)))
 
 
 def test_unused_level_seeds_do_not_matter(lat):
@@ -186,8 +193,8 @@ def test_omega_array_norms_match_scalar_averages(lat):
     gs = [random_density_matrix(lat, 2, seed) for seed in (70, 71, 72)]
     scalar = [difference_norm(g, lambda md: md.field) for g in gs]
 
-    def stacked(md):
-        return np.array([norms(md) for norms in scalar])
+    def stacked(modes):
+        return np.array([norms(modes) for norms in scalar]).T
 
     for kw in ({}, {"mc_samples": 24, "seed": 4}):
         whole = omega_l2_h_alpha(stacked, SHARED, lat, [0], **kw)
@@ -200,9 +207,9 @@ def test_omega_array_norms_match_scalar_averages(lat):
 def test_omega_redraws_only_random_levels(lat):
     seen = []
 
-    def norms(md):
-        seen.append(md)
-        return 1.0
+    def norms(modes):
+        seen.extend(modes)
+        return [1.0] * len(modes)
 
     det = HierarchyMode.deterministic()
     assert omega_l2_h_alpha(norms, det, lat, [2, 3]).value == 1.0
