@@ -23,7 +23,9 @@ each mode's row, so every `norms` here computes a norm once per row and
 returns one per mode, in the order of its batch.  The scalar half is
 computed once per level and chunk for the whole batch; the vector half
 walks the distinct fields depth first, so modes that share the deeper
-fields share their products.
+fields share their products.  A field h conjugates the deterministic
+collision, B_m^h = S_(m-1)(h) B_m S_m(h), and S_m commutes with every
+P_e, so all fields share one split per level (`dynamics.conjugate`).
 """
 
 import functools
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import full_collision_matrix, level_energy
+from .dynamics import conjugate, full_collision_matrix, level_energy, sign_vector
 from .randomization import omega_l2_h_alpha
 from .tensor import DensityMatrix, MemoryGuardError, h_alpha_norm
 
@@ -123,10 +125,10 @@ def _branches(paths, sub, col):
 class DuhamelEvaluator:
     """Energy-chain evaluator of Duhamel terms for one state and a batch of modes.
 
-    Caches the flattened initial coefficients of each level m and, per
-    level m and sign field, the per-energy column slices B_m P_e of the
-    randomized collision matrix stacked into one matrix and the leaf
-    block of columns B_m P_e gamma0^(m).  A term of depth j starts from
+    Caches the flattened initial coefficients of each level m, per level
+    m the per-energy column slices B_m P_e of the deterministic collision
+    matrix stacked into one matrix, and per level m and sign field the
+    leaf block of columns B_m^h P_e gamma0^(m).  A term of depth j starts from
     the leaf block of level k+j and walks up to level k.  At each level
     the chain block (the vector half) takes one product with the stacked
     slices, and the scalar functions of the chain suffixes (the scalar
@@ -176,16 +178,13 @@ class DuhamelEvaluator:
             self._fields[m] = (np.array(ids, dtype=np.intp), fields)
         return self._fields[m]
 
-    def _mat(self, m, fid):
-        return full_collision_matrix(self.lattice, m, self._field_ids(m)[1][fid])
-
     def _block(self, key, build):
         """A leaf or full split block from the cache, built on a miss.
 
         The newest blocks are kept within CHAIN_CAP stored entries: the
-        small blocks of an enumerated product set are built once per
-        (level, field), and a batch of large per-field blocks holds about
-        what the evaluator of one mode holds.
+        small leaf blocks of an enumerated product set are built once per
+        (level, field), and a batch of large per-field leaf blocks holds
+        about what the evaluator of one mode holds.
         """
         if key not in self._blocks:
             self._blocks[key] = build()
@@ -196,7 +195,7 @@ class DuhamelEvaluator:
                 total -= self._blocks.pop(old).nnz
         return self._blocks[key]
 
-    def _split(self, m, lo, hi, fid):
+    def _split(self, m, lo, hi):
         """B_m P_e for the energy buckets lo <= e < hi, stacked row-wise.
 
         Row r (hi - lo) + (e - lo) is row r of B_m restricted to the columns
@@ -207,7 +206,7 @@ class DuhamelEvaluator:
         full = (lo, hi) == (0, vals.size)
 
         def build():
-            B = self._mat(m, fid)
+            B = full_collision_matrix(self.lattice, m)
             bucket = inv[B.indices]
             new_row = (hi - lo) * np.repeat(np.arange(B.shape[0]),
                                             np.diff(B.indptr)) + bucket - lo
@@ -219,22 +218,28 @@ class DuhamelEvaluator:
             return sp.csr_matrix((B.data[order], B.indices[order], indptr),
                                  shape=shape)
 
-        return self._block(("split", m, fid), build) if full else build()
+        return self._block(("split", m), build) if full else build()
 
     def _leaf(self, m, fid):
-        """B_m P_e gamma0^(m) for every energy bucket e of level m.
+        """B_m^h P_e gamma0^(m) for every energy bucket e of level m.
 
         A sparse (dim_(m-1), n_e) block, built by one sparse product with
-        the bucket split of gamma0^(m), which stores only the nonzero
-        coefficients, so the block is as sparse as the data.
+        the bucket split of S_m(h) gamma0^(m), which stores only the
+        nonzero coefficients, so the block is as sparse as the data.
         """
         def build():
+            field = self._field_ids(m)[1][fid]
             g = self._gamma_flat(m)
+            if field is not None:
+                g = sign_vector(self.lattice, field, m) * g
             vals, inv, _ = _buckets(self.lattice, m)
             nz = np.flatnonzero(g)
             cols = sp.csr_matrix((g[nz], (nz, inv[nz])),
                                  shape=(g.size, vals.size))
-            return (self._mat(m, fid) @ cols).tocsc()
+            leaf = (full_collision_matrix(self.lattice, m) @ cols).tocsc()
+            if field is not None:
+                leaf.data *= sign_vector(self.lattice, field, m - 1)[leaf.indices]
+            return leaf
 
         return self._block(("leaf", m, fid), build)
 
@@ -359,7 +364,7 @@ class DuhamelEvaluator:
         for lo in range(0, vals.size, n_e):
             hi = min(lo + n_e, vals.size)
             E = None
-            splits = {}
+            split = None
             for c0 in range(0, c, n_c):
                 cols = slice(c0, min(c0 + n_c, c))
                 entry = None if memo is None else memo.get((lo, c0))
@@ -379,13 +384,14 @@ class DuhamelEvaluator:
                     for e in range(lo, hi):
                         out[p][rows[e]] += W[rows[e], cols] @ fn[:, e - lo, :].T
                     continue
+                if split is None:
+                    split = self._split(level, lo, hi)
+                    fields = self._field_ids(level)[1]
                 for fid, grp in branches:
-                    if fid not in splits:
-                        splits[fid] = self._split(level, lo, hi, fid)
-                    Wn = splits[fid] @ W[:, cols]
-                    self._climb(k, level - 1, Wn.reshape(dim_next, -1),
-                                fn.reshape(s.size, -1), nodes, out, paths, grp,
-                                below)
+                    Wn = conjugate(lambda X: (split @ X).reshape(dim_next, -1),
+                                   W[:, cols], self.lattice, fields[fid], level)
+                    self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
+                                out, paths, grp, below)
 
     def collide(self, m, batch):
         """B_m under each mode's level-m field, applied to that mode's array.
@@ -393,9 +399,11 @@ class DuhamelEvaluator:
         `batch` holds (dim_m, n) arrays; returns ModeValues of
         (dim_(m-1), n) arrays.
         """
-        fids = self._field_ids(m)[0]
-        rows, index = _join(batch.index, fids)
-        return ModeValues(np.stack([self._mat(m, fid) @ batch.values[b]
+        B = full_collision_matrix(self.lattice, m)
+        ids, fields = self._field_ids(m)
+        rows, index = _join(batch.index, ids)
+        return ModeValues(np.stack([conjugate(B.__matmul__, batch.values[b],
+                                              self.lattice, fields[fid], m)
                                     for b, fid in rows]), index)
 
     def solution_batch(self, N, k, times):
@@ -418,10 +426,8 @@ class DuhamelEvaluator:
         return ModeValues(acc, index)
 
     def _wrap(self, k, col):
-        F = self.lattice.size
-        return DensityMatrix(
-            self.lattice, k, "dense", data=col.reshape((F,) * (2 * k)).copy()
-        )
+        shape = (self.lattice.size,) * (2 * k)
+        return DensityMatrix(self.lattice, k, "dense", data=col.reshape(shape).copy())
 
     def term(self, k, j, t):
         """Duh_j at level k and time t, one DensityMatrix per mode.
@@ -574,24 +580,16 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
     grid = np.asarray(grid_times, dtype=np.float64)
     pairs = [(N, k) for N in Ns for k in range(1, N + 1)]
 
-    def pair_norms(ev):
+    def norms(modes):
         """[mode, pair, ti]: H^alpha norm of the level-k collision of Duh_(N-k)."""
-        out = np.zeros((len(ev.modes), len(pairs), grid.size))
+        ev = DuhamelEvaluator(state0, modes, quad)
+        out = np.zeros((len(modes), len(pairs), grid.size))
         for p, (N, k) in enumerate(pairs):
             cols = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid))
             out[:, p] = cols.per_mode(lambda col, k=k: [
                 h_alpha_norm(ev._wrap(k, col[:, i]), alpha)
                 for i in range(grid.size)])
         return out
-
-    def norms(modes):
-        # each redrawn shared field changes the matrices of every level, so
-        # the modes share no vector half.  A batch of one per mode keeps one
-        # field's matrices and leaves resident across all the pairs; one
-        # batch of every mode rebuilds them pair by pair (criterion 5: 85
-        # matrix builds instead of 40, about 1.5 times the run time).
-        return np.concatenate([pair_norms(DuhamelEvaluator(state0, [md], quad))
-                               for md in modes])
 
     levels = range(2, max(Ns) + 2) if mode.variant == "dependent" else ()
     rms = omega_l2_h_alpha(norms, mode, state0.lattice, levels).value

@@ -7,8 +7,14 @@ shift s = a - b, so every collision factors through one shift table
 shares one reduction among its 2(m-1) terms (memory-lean, any size).
 Joined with the pairs, the table gives the triplets of the cached
 scipy.sparse matrices (small systems, used by the exact exponential).
+
+Every kernel and cached matrix is deterministic.  A sign field h enters
+only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`): the
+summand h(g) h(u) h(a) h(b) of an order-m collision is, entry by entry,
+B^h = S_(m-1)(h) B S_m(h), since untouched slots meet as h^2 = 1.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,9 @@ __all__ = [
     "continuity_defect",
     "phase_inequality_scan",
     "level_energy",
+    "sign_vector",
+    "conjugate",
+    "conjugate_matrix",
 ]
 
 # above this dense-domain size, collision matrices are not materialized
@@ -60,10 +69,8 @@ class HierarchyMode:
         return cls("independent", fields=dict(fields))
 
     def field_for_level(self, level):
-        if self.variant == "deterministic":
-            return None
-        if self.variant == "dependent":
-            return self.field
+        if self.variant != "independent":
+            return self.field  # None when deterministic
         try:
             return self.fields[level]
         except (KeyError, TypeError):
@@ -87,16 +94,13 @@ _ENERGY_CACHE = {}
 
 def level_energy(lattice, k):
     """Flat array of |xi_vec|^2 - |xi'_vec|^2 over the order-k index space."""
+    tensor._check_guard(lattice, k)
     key = (lattice.d, lattice.M, k)
     if key not in _ENERGY_CACHE:
         e = lattice.energies.astype(np.float64)
-        F = lattice.size
-        nd = 2 * k
-        total = np.zeros((F,) * nd)
-        for ax in range(nd):
-            sign = 1.0 if ax < k else -1.0
-            total += sign * e.reshape((1,) * ax + (F,) + (1,) * (nd - ax - 1))
-        _ENERGY_CACHE[key] = total.reshape(-1)
+        # integer energies: every order of summation is exact
+        _ENERGY_CACHE[key] = functools.reduce(
+            np.add.outer, [e] * k + [-e] * k).reshape(-1)
     return _ENERGY_CACHE[key]
 
 
@@ -157,59 +161,78 @@ def _roles(lattice, m, ell, n, sign):
     return (comb, n - 1, m + n - 1), out_ax, shift if sign == "+" else shift.T
 
 
-def _pair_reduce(gamma, n, h):
-    """D[rest, s]: the sum of h(a) h(b) gamma over the pairs (a, b) of shift s.
+def _pair_reduce(lat, m, x, n):
+    """D[rest, s]: the sum of gamma = x (flat, order m) over the pairs of shift s.
 
     a and b sit at the pair slots (n, n'); rest are gamma's other axes in
     order, the output axes of every (ell, n) collision.  Row a of the shift
     table is the box a + 2M - [0, 2M]^d reversed, so each a adds a slab of
     gamma into a slice; leading axes are looped over until a slab is small.
     """
-    lat, m = gamma.lattice, gamma.k
     F, side, d, M = lat.size, lat.side, lat.d, lat.M
     entries = F ** (2 * m - 2) * (4 * M + 1) ** d
     if entries > tensor.MEMORY_GUARD:
         raise MemoryGuardError(f"order-{m} collision shift buffer needs {entries} "
                                f"entries (> guard {tensor.MEMORY_GUARD})")
     # gamma as (unprimed rest, a, primed rest, b)
-    v = np.moveaxis(gamma.to_dense().data, (n - 1, m + n - 1), (m - 1, 2 * m - 1))
+    v = np.moveaxis(x.reshape((F,) * (2 * m)), (n - 1, m + n - 1), (m - 1, 2 * m - 1))
     D = np.zeros(v.shape[:m - 1] + v.shape[m:-1] + (4 * M + 1,) * d,
                  dtype=np.complex128)
     lead = 0
     while lead < m - 1 and D.size > _SLAB * F**lead:
         lead += 1
-    hb = None if h is None else h.reshape((side,) * d)
     boxes = [(Ellipsis,) + tuple(slice(c + 2 * M, c - 1 if c else None, -1)
                                  for c in pt + M) for pt in lat.points]
     for i in np.ndindex(v.shape[:lead]):
         for a, box in enumerate(boxes):
             slab = v[i + (slice(None),) * (m - 1 - lead) + (a,)]
-            slab = slab.reshape(slab.shape[:-1] + (side,) * d)
-            D[i][box] += slab if h is None else slab * (h[a] * hb)
+            D[i][box] += slab.reshape(slab.shape[:-1] + (side,) * d)
     return D.reshape(D.shape[:2 * m - 2] + (-1,))
 
 
-def _collide(gamma, n, terms, field):
-    """Sum of coef times the (ell, n) collision over terms (ell, sign, coef).
+def _collide(lat, m, x, terms):
+    """Sum of coef times the (ell, n) collision over terms (ell, n, sign, coef).
 
-    One pair reduction serves every term; each term then gathers
-    out[..g..] += coef sum_u h(g) h(u) D[..u.., s(g, u)] at its output axis.
+    x and the result are flat tensors of orders m and m-1.  The terms share
+    n, so one pair reduction serves them all; each term then gathers
+    out[..g..] += coef sum_u D[..u.., s(g, u)] at its output axis.
     """
-    m, lat = gamma.k, gamma.lattice
     if m < 2:
         raise ValueError("collision input must have order >= 2")
-    roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,) for ell, sign, coef in terms]
-    h = None if field is None else field.values.astype(np.float64)
-    D = _pair_reduce(gamma, n, h)
+    roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,)
+             for ell, n, sign, coef in terms]
+    D = _pair_reduce(lat, m, x, terms[0][1])
     out = np.zeros((lat.size,) * (2 * m - 2), dtype=np.complex128)
     u = np.arange(lat.size)
     for out_ax, gather, coef in roles:
         Dv = np.moveaxis(D, (out_ax, -1), (0, 1))  # (u, s, other output axes)
         ov = np.moveaxis(out, out_ax, 0)           # (g, other output axes)
+        w = coef * np.ones(u.size)
         for g in range(u.size):
-            w = coef * (np.ones(u.size) if h is None else h[g] * h)
             ov[g] += (w @ Dv[u, gather[g]].reshape(u.size, -1)).reshape(ov.shape[1:])
-    return DensityMatrix(lat, m - 1, "dense", data=out)
+    return out.reshape(-1)
+
+
+def sign_vector(lattice, field, k):
+    """S_k(h): the field h multiplied over all 2k slots of order k, flattened."""
+    return tensor.slot_product(lattice, field.values.astype(np.float64), k)
+
+
+def conjugate(apply, x, lattice, field, m):
+    """S_(m-1)(h) apply(S_m(h) x) on the leading flat index; apply(x) if no field."""
+    if field is None:
+        return apply(x)
+    tail = (1,) * (x.ndim - 1)
+    out = apply(sign_vector(lattice, field, m).reshape((-1,) + tail) * x)
+    return sign_vector(lattice, field, m - 1).reshape((-1,) + tail) * out
+
+
+def _conjugated(apply, gamma, field):
+    """The collision `apply` (flat order m -> m-1) of gamma under the field."""
+    lat, m = gamma.lattice, gamma.k
+    flat = conjugate(apply, gamma.to_dense().data.reshape(-1), lat, field, m)
+    return DensityMatrix(lat, m - 1, "dense",
+                         data=flat.reshape((lat.size,) * (2 * m - 2)))
 
 
 def collision(gamma, ell, n, sign, field=None):
@@ -220,7 +243,15 @@ def collision(gamma, ell, n, sign, field=None):
     '-' mirrors on the primed side.  With a sign field, each summand carries
     the four factors h(slot) h(combined) h(pair unprimed) h(pair primed).
     """
-    return _collide(gamma, n, [(ell, sign, 1.0)], field)
+    lat, m = gamma.lattice, gamma.k
+    return _conjugated(lambda x: _collide(lat, m, x, ((ell, n, sign, 1.0),)),
+                       gamma, field)
+
+
+def _full_terms(m):
+    """The (ell, n, sign, coef) terms of the full collision at order m."""
+    return tuple((j, m, sign, coef) for j in range(1, m)
+                 for sign, coef in (("+", 1.0), ("-", -1.0)))
 
 
 def full_collision(gamma, field=None):
@@ -228,48 +259,23 @@ def full_collision(gamma, field=None):
 
     Above MATRIX_DOMAIN_CAP all 2(m-1) terms share one pair reduction.
     """
-    m = gamma.k
+    m, lat = gamma.k, gamma.lattice
     if m < 2:
         raise ValueError("full collision needs order >= 2")
-    lat = gamma.lattice
     if lat.size ** (2 * m) <= MATRIX_DOMAIN_CAP:
-        mat = full_collision_matrix(lat, m, field)
-        flat = mat @ gamma.to_dense().data.reshape(-1)
-        return DensityMatrix(
-            lat, m - 1, "dense", data=flat.reshape((lat.size,) * (2 * (m - 1)))
-        )
-    return _collide(gamma, m, [(j, sign, coef) for j in range(1, m)
-                               for sign, coef in (("+", 1.0), ("-", -1.0))], field)
+        return _conjugated(full_collision_matrix(lat, m).__matmul__, gamma, field)
+    return _conjugated(lambda x: _collide(lat, m, x, _full_terms(m)), gamma, field)
 
 
 _MATRIX_CACHE = {}
-# total nnz the cache may hold.  Each run with fresh sign fields brings
-# fresh matrices, so a bound on the entry count alone let memory grow with
-# every run; the oldest entries are dropped first.
+# total nnz the cache may hold.  It holds deterministic matrices only, but
+# one process sees many lattices and orders (a test run, a sweep over M), so
+# an entry count alone would not bound memory; the oldest go first.
 _MATRIX_CACHE_NNZ = 2**22
 
 
-def _cache_store(key, mat):
-    _MATRIX_CACHE[key] = mat
-    total = sum(m.nnz for m in _MATRIX_CACHE.values())
-    for old in list(_MATRIX_CACHE)[:-1]:
-        if total <= _MATRIX_CACHE_NNZ:
-            break
-        total -= _MATRIX_CACHE.pop(old).nnz
-    return mat
-
-
-def _check_matrix_domain(lattice, m):
-    F = lattice.size
-    if F ** (2 * m) > MATRIX_DOMAIN_CAP:
-        raise MemoryGuardError(
-            f"order-{m} collision matrix domain {F ** (2 * m)} exceeds the "
-            f"cap {MATRIX_DOMAIN_CAP}"
-        )
-
-
-def _collision_triplets(lattice, m, ell, n, sign, field):
-    """(rows, cols, weights) of the (ell, n) collision on flattened tensors.
+def _collision_triplets(lattice, m, ell, n, sign):
+    """(rows, cols) of the unit summands of the (ell, n) collision, flattened.
 
     The join of the shift table with the term's gather table: every (g, u)
     meets every pair (a, b) of its shift.  Entry (e, rest) of the flat input
@@ -281,57 +287,64 @@ def _collision_triplets(lattice, m, ell, n, sign, field):
     # F^4 <= F^(2m) <= MATRIX_DOMAIN_CAP: the comparison stays small
     e, pair = np.nonzero(gather.reshape(-1, 1) == _shift_table(lattice).reshape(1, -1))
     (g, u), (a, b) = np.divmod(e, F), np.divmod(pair, F)
-    h = None if field is None else field.values.astype(np.float64)
-    w = np.ones(g.shape) if h is None else h[g] * h[u] * h[a] * h[b]
     flat_in = np.arange(F ** (2 * m), dtype=np.int64).reshape((F,) * (2 * m))
     flat_out = np.arange(F ** (2 * m - 2), dtype=np.int64)
     cols = np.moveaxis(flat_in, in_axes, (0, 1, 2))[u, a, b]
     rows = np.moveaxis(flat_out.reshape((F,) * (2 * m - 2)), out_ax, 0)[g]
-    return rows.reshape(-1), cols.reshape(-1), np.repeat(w, F ** (2 * m - 3))
+    return rows.reshape(-1), cols.reshape(-1)
 
 
-def _csr(lattice, m, rows, cols, vals):
+def conjugate_matrix(mat, lattice, field, m):
+    """S_(m-1)(h) mat S_m(h), exact on a copy of mat's pattern; mat if no field."""
+    if field is None:
+        return mat
+    rows = np.repeat(sign_vector(lattice, field, m - 1), np.diff(mat.indptr))
+    data = mat.data * rows * sign_vector(lattice, field, m)[mat.indices]
+    return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
+                         shape=mat.shape)
+
+
+def _matrix(lattice, m, terms, field):
+    """Sum of coef times the (ell, n, sign) term matrices, built in one pass.
+
+    Only the deterministic matrix is cached; a field reweights it.
+    """
     F = lattice.size
-    return sp.coo_matrix(
-        (vals, (rows, cols)), shape=(F ** (2 * (m - 1)), F ** (2 * m))
-    ).tocsr()
+    if F ** (2 * m) > MATRIX_DOMAIN_CAP:
+        raise MemoryGuardError(f"order-{m} collision matrix domain "
+                               f"{F ** (2 * m)} exceeds the cap {MATRIX_DOMAIN_CAP}")
+    key = (lattice.d, lattice.M, m, terms)
+    mat = _MATRIX_CACHE.get(key)
+    if mat is None:
+        rows, cols, vals = [], [], []
+        for ell, n, sign, coef in terms:
+            r, c = _collision_triplets(lattice, m, ell, n, sign)
+            rows.append(r)
+            cols.append(c)
+            vals.append(np.full(r.size, coef))
+        mat = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(F ** (2 * (m - 1)), F ** (2 * m))).tocsr()
+        mat.eliminate_zeros()
+        # summing duplicates leaves the arrays as views into the triplet-sized
+        # buffers (up to twice nnz); the cache keeps a compact copy instead
+        _MATRIX_CACHE[key] = mat = mat.copy()
+        total = sum(c.nnz for c in _MATRIX_CACHE.values())
+        for old in list(_MATRIX_CACHE)[:-1]:
+            if total <= _MATRIX_CACHE_NNZ:
+                break
+            total -= _MATRIX_CACHE.pop(old).nnz
+    return conjugate_matrix(mat, lattice, field, m)
 
 
 def collision_matrix(lattice, m, ell, n, sign, field=None):
     """The (ell, n) collision as a sparse matrix on flattened tensors."""
-    _check_matrix_domain(lattice, m)
-    fkey = None if field is None else field.fingerprint()
-    key = (lattice.d, lattice.M, m, ell, n, sign, fkey)
-    if key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
-    rows, cols, vals = _collision_triplets(lattice, m, ell, n, sign, field)
-    return _cache_store(key, _csr(lattice, m, rows, cols, vals))
+    return _matrix(lattice, m, ((ell, n, sign, 1.0),), field)
 
 
 def full_collision_matrix(lattice, m, field=None):
-    """Matrix of the full collision operator at order m.
-
-    Built in one pass from the index-table triplets of every (j, +-) term,
-    with the '-' terms negated and duplicates summed.
-    """
-    _check_matrix_domain(lattice, m)
-    fkey = None if field is None else field.fingerprint()
-    key = (lattice.d, lattice.M, m, "full", fkey)
-    if key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
-    rows, cols, vals = [], [], []
-    for j in range(1, m):
-        for sign in "+-":
-            r, c, w = _collision_triplets(lattice, m, j, m, sign, field)
-            rows.append(r)
-            cols.append(c)
-            vals.append(w if sign == "+" else -w)
-    mat = _csr(lattice, m, np.concatenate(rows), np.concatenate(cols),
-               np.concatenate(vals))
-    mat.eliminate_zeros()
-    # summing duplicates leaves the arrays as views into the triplet-sized
-    # buffers (up to twice nnz); the cache keeps a compact copy instead
-    return _cache_store(key, mat.copy())
+    """Matrix of the full collision operator at order m, '-' terms negated."""
+    return _matrix(lattice, m, _full_terms(m), field)
 
 
 # --- time evolution ---------------------------------------------------------
@@ -395,14 +408,8 @@ def evolve_truncated(state0, N, T, mode=None, grid_times=None, *, dt=1e-3):
         raise ValueError("grid times must lie in [0, T]")
 
     F = lat.size
-    ys = []
-    for k in range(1, N + 1):
-        g = state0.level(k)
-        ys.append(
-            np.zeros(F ** (2 * k), dtype=np.complex128)
-            if g is None
-            else g.to_dense().data.reshape(-1)
-        )
+    ys = [np.zeros(F ** (2 * k), dtype=np.complex128) if state0.level(k) is None
+          else state0.level(k).to_dense().data.reshape(-1) for k in range(1, N + 1)]
     dims = [y.size for y in ys[: N - 1]]
     gen = _augmented_generator(lat, N, mode, ys[N - 1])
     z = np.concatenate(ys[: N - 1]

@@ -24,8 +24,8 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import HierarchyMode, collision_matrix
-from .tensor import MemoryGuardError
+from .dynamics import HierarchyMode, collision_matrix, conjugate_matrix, sign_vector
+from .tensor import MemoryGuardError, slot_product
 
 __all__ = [
     "SignField",
@@ -59,9 +59,6 @@ class SignField:
             raise ValueError("sign field values must be +1 or -1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def __call__(self, point_index):
-        return self.values[point_index]
 
     def fingerprint(self):
         return self.values.tobytes()
@@ -98,11 +95,8 @@ def randomize_function(f, field):
 
 def enumerate_fields(lattice):
     """All 2^F sign fields in a fixed (lexicographic-bits) order."""
-    F = lattice.size
-    out = []
-    for bits in itertools.product((1, -1), repeat=F):
-        out.append(SignField(np.array(bits, dtype=np.int8), "enumerated"))
-    return out
+    return [SignField(np.array(bits, dtype=np.int8), "enumerated")
+            for bits in itertools.product((1, -1), repeat=lattice.size)]
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,8 @@ def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
     2^F sign fields); fields=[None] gives the deterministic norm.
     Returns (sigma, stacked): stacked operators up to DENSE_SVD_CAP
     entries are materialized and take a dense SVD; larger ones iterate on
-    the normal operator and return None for the matrix.
+    the normal operator and return None for the matrix.  Each field's
+    block is the deterministic operator conjugated by the field's signs.
 
     The field list is built here, not through `omega_l2_h_alpha`, on
     purpose: this stacks an operator rather than averaging norms, and it
@@ -209,28 +204,28 @@ def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
         )
     if fields is None:
         fields = enumerate_fields(lattice)
-    w_in = _weight_vector(lattice, k + 1, alpha)
-    w_out = _weight_vector(lattice, k, alpha)
-    mats = [
-        collision_matrix(lattice, k + 1, j, k + 1, "+", f)
-        - collision_matrix(lattice, k + 1, j, k + 1, "-", f)
-        for f in fields
-    ]
+    w_in = slot_product(lattice, lattice.brackets**alpha, k + 1)
+    w_out = slot_product(lattice, lattice.brackets**alpha, k)
+    base = (collision_matrix(lattice, k + 1, j, k + 1, "+")
+            - collision_matrix(lattice, k + 1, j, k + 1, "-"))
     scale = 1.0 / np.sqrt(len(fields))
-    rng_dim = mats[0].shape[0]
-    if dom * rng_dim * len(fields) <= DENSE_SVD_CAP:
-        blocks = [scale * (w_out[:, None] * m.toarray()) / w_in[None, :]
-                  for m in mats]
-        stacked = np.vstack(blocks)
+    if dom * base.shape[0] * len(fields) <= DENSE_SVD_CAP:
+        blocks = (conjugate_matrix(base, lattice, f, k + 1).toarray() for f in fields)
+        stacked = np.vstack([scale * (w_out[:, None] * b) / w_in[None, :]
+                             for b in blocks])
         sigma = float(np.linalg.svd(stacked, compute_uv=False)[0])
         return sigma, stacked
-    # largest eigenvalue of the normal operator
-    weighted = [scale * sp.diags(w_out) @ m @ sp.diags(1.0 / w_in) for m in mats]
+    # largest eigenvalue of the normal operator: field f's block S_k W S_(k+1)
+    # of the weighted deterministic W adds S_(k+1) W^T W S_(k+1) (S_k S_k = 1)
+    base = scale * sp.diags(w_out) @ base @ sp.diags(1.0 / w_in)
+    base_t = base.T
+    signs = [np.ones(dom) if f is None else sign_vector(lattice, f, k + 1)
+             for f in fields]
 
     def normal_apply(x):
         acc = np.zeros(dom, dtype=np.float64)
-        for wmat in weighted:
-            acc += wmat.T @ (wmat @ x)
+        for s in signs:
+            acc += s * (base_t @ (base @ (s * x)))
         return acc
 
     op = spla.LinearOperator((dom, dom), matvec=normal_apply, dtype=np.float64)
@@ -239,11 +234,3 @@ def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
     v0 = np.random.default_rng(2024).standard_normal(dom)
     lam = spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
     return float(np.sqrt(max(lam[0], 0.0))), None
-
-
-def _weight_vector(lattice, k, alpha):
-    w = lattice.brackets**alpha
-    out = np.ones(1)
-    for _ in range(2 * k):
-        out = np.multiply.outer(out, w).reshape(-1)
-    return out

@@ -7,6 +7,7 @@ list.  All norms are defined directly on coefficient space with
 Plancherel constant 1 (volume-one torus convention).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "DensityMatrix",
     "HierarchyState",
     "sobolev_apply",
+    "slot_product",
     "h_alpha_norm",
     "project",
     "factorized",
@@ -170,6 +172,12 @@ def sobolev_apply(gamma, alpha):
         shape = (1,) * ax + (lat.size,) + (1,) * (nd - ax - 1)
         out *= w.reshape(shape)
     return DensityMatrix(lat, gamma.k, "dense", data=out)
+
+
+def slot_product(lattice, w, k):
+    """w (one value per lattice point) multiplied over the 2k slots, flat order k."""
+    _check_guard(lattice, k)
+    return functools.reduce(np.multiply.outer, [w] * (2 * k)).reshape(-1)
 
 
 def h_alpha_norm(gamma, alpha):

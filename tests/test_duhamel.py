@@ -20,6 +20,7 @@ from gphier.dynamics import (
     free_evolve,
     full_collision,
     level_energy,
+    sign_vector,
 )
 from gphier.duhamel import (
     DuhamelEvaluator,
@@ -30,7 +31,7 @@ from gphier.duhamel import (
     simplex_check,
     solution_time_modulus,
 )
-from gphier.randomization import enumerate_fields, sample_field
+from gphier.randomization import SignField, enumerate_fields, sample_field
 
 
 @pytest.fixture
@@ -221,6 +222,43 @@ def test_batch_slices_match_batches_of_one(N, data, times, seed):
             rel = h_alpha_norm(ref - traj.states[t].level(k), 1.0) \
                 / (1 + h_alpha_norm(ref, 1.0))
             assert rel < 1e-5
+
+
+@pytest.mark.parametrize("d, M, N", [(1, 1, 3), (1, 2, 3), (2, 1, 2)],
+                         ids=["M1", "M2", "d2"])
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=hst.data(), seed=hst.integers(0, 2**16))
+def test_dependent_mode_is_conjugated_deterministic(d, M, N, data, seed):
+    # under one shared field h every collision is S_(m-1) B S_m, and the
+    # inner signs of a chain meet as h^2 = 1: level k of the dependent
+    # solution is S_k times level k of the deterministic solution from the
+    # data S_m gamma0^(m).  A sign tensor on the wrong slots breaks this.
+    lat = FrequencyLattice(d, M)
+    F = lat.size
+    signs = data.draw(hst.lists(hst.sampled_from((1, -1)), min_size=F,
+                                max_size=F).filter(lambda v: len(set(v)) == 2),
+                      label="field")
+    h = SignField(np.array(signs, dtype=np.int8), "drawn")
+    st = random_state(lat, N, seed, alpha=1.0, level_norms=[1.0] * N)
+    signed = st.with_levels({
+        m: DensityMatrix(lat, m, "dense", data=st.level(m).data
+                         * sign_vector(lat, h, m).reshape((F,) * (2 * m)))
+        for m in range(1, N + 1)})
+    dep, det = HierarchyMode.dependent(h), HierarchyMode.deterministic()
+    times = (0.0, 0.05, 0.2)
+    quad = QuadratureSpec(q=8)
+    dep_ev = DuhamelEvaluator(st, [dep], quad)
+    det_ev = DuhamelEvaluator(signed, [det], quad)
+    dep_traj = evolve_truncated(st, N, times[-1], dep, grid_times=times)
+    det_traj = evolve_truncated(signed, N, times[-1], det, grid_times=times)
+    for k in range(1, N + 1):
+        s_k = sign_vector(lat, h, k)
+        got = dep_ev.solution_batch(N, k, times).of(0)
+        ref = s_k[:, None] * det_ev.solution_batch(N, k, times).of(0)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for a, b in zip(dep_traj.states, det_traj.states):
+            got, ref = a.level(k).data.reshape(-1), s_k * b.level(k).data.reshape(-1)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_batch_too_large_for_the_cap_is_refused(lat, monkeypatch):

@@ -251,6 +251,18 @@ def test_full_collision_matches_definition(d, m, data, seed):
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
+def test_energy_and_sign_vectors_guard(lat, monkeypatch):
+    # level_energy and sign_vector each hold F^(2k) entries; the dense-tensor
+    # guard is checked before either is built, cached or not
+    dynamics.level_energy(lat, 2)
+    monkeypatch.setattr(tensor, "MEMORY_GUARD", lat.size**4 - 1)
+    with pytest.raises(MemoryGuardError, match="order-2"):
+        dynamics.level_energy(lat, 2)
+    with pytest.raises(MemoryGuardError, match="order-2"):
+        dynamics.sign_vector(lat, sample_field(lat, 41), 2)
+    assert dynamics.sign_vector(lat, sample_field(lat, 41), 1).size == lat.size**2
+
+
 def test_shift_buffer_guard(lat, monkeypatch):
     # the pair reduction holds F^(2m-2) (4M+1)^d entries; the dense-tensor
     # guard is checked before that buffer is allocated
@@ -369,16 +381,26 @@ def test_blowup_guard(lat):
 
 
 def test_matrix_cache_stays_within_nnz_budget(monkeypatch):
-    lat = FrequencyLattice(1, 2)
-    one = full_collision_matrix(lat, 3, sample_field(lat, 100)).nnz
-    budget = 3 * one
+    # the cache holds deterministic matrices only, one per lattice, order
+    # and term; with a sign field the cached matrix is reweighted and the
+    # call stores nothing
+    sizes = [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4)]
+    monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
+    # a budget that holds the largest matrix, and not all of them
+    budget = max(full_collision_matrix(FrequencyLattice(1, M), m).nnz
+                 for M, m in sizes)
     monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
     monkeypatch.setattr(dynamics, "_MATRIX_CACHE_NNZ", budget)
-    for seed in range(101, 109):
-        mat = full_collision_matrix(lat, 3, sample_field(lat, seed))
+    for M, m in sizes:
+        lat = FrequencyLattice(1, M)
+        mat = full_collision_matrix(lat, m)
         cached = dynamics._MATRIX_CACHE
-        assert sum(m.nnz for m in cached.values()) <= budget
+        assert sum(c.nnz for c in cached.values()) <= budget
         assert list(cached.values())[-1] is mat
-    assert len(dynamics._MATRIX_CACHE) == 3
+        keys = list(cached)
+        signed = full_collision_matrix(lat, m, sample_field(lat, 10 * M + m))
+        assert list(dynamics._MATRIX_CACHE) == keys
+        assert signed.nnz == mat.nnz
+    assert len(dynamics._MATRIX_CACHE) < len(sizes)
     # the full matrix is built in one pass: no per-term entries are cached
-    assert all(key[3] == "full" for key in dynamics._MATRIX_CACHE)
+    assert all(len(key[3]) == 2 * (key[2] - 1) for key in dynamics._MATRIX_CACHE)
