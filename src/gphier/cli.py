@@ -50,7 +50,6 @@ from .duhamel import (
     solution_time_modulus,
 )
 from .randomization import (
-    DENSE_SVD_CAP,
     NORM_DOMAIN_CAP,
     all_plus,
     collision_omega_operator_norm,
@@ -77,10 +76,11 @@ KINDS = (
     "continuity", "nls", "expand", "report-merge",
 )
 
-# continuity and exact decay enumerate at most 2^10 joint sign fields, all
-# in one Duhamel climb per average: continuity at d=1, M=2, N=3 (1,024
-# fields) takes about 1.5 s on a 2-core host at one BLAS thread
-CONTINUITY_FIELD_BITS = 10
+# continuity, exact decay and estimate-c0 enumerate at most 2^10 joint sign
+# fields: continuity and decay in one Duhamel climb per average (continuity
+# at d=1, M=2, N=3, 1,024 fields, takes about 1.5 s on a 2-core host at one
+# BLAS thread), estimate-c0 in its exact average and its operator norm
+FIELD_BITS = 10
 
 
 class ConfigError(ValueError):
@@ -137,13 +137,14 @@ class ExperimentConfig:
              "the order-(N+1) collision matrix on F^(2(N+1)) coefficients"),
             ("continuity", "N", 2 * n_cont * logF, MATRIX_DOMAIN_CAP,
              "the order-min(N, K_max, 3) collision matrix"),
-            ("continuity", "N" if F <= CONTINUITY_FIELD_BITS else big,
-             F * (n_cont - 1) * math.log(2), 2**CONTINUITY_FIELD_BITS,
+            ("continuity", "N" if F <= FIELD_BITS else big,
+             F * (n_cont - 1) * math.log(2), 2**FIELD_BITS,
              "a Duhamel climb over every joint sign field of levels "
              "2..min(N, K_max, 3), 2^(F (min(N, K_max, 3) - 1)) of them"),
-            # F^4 domain x F^2 range x 2^F fields, one dense SVD
-            ("estimate-c0", big, 6 * logF + F * math.log(2), DENSE_SVD_CAP,
-             "the dense F^6 2^F stacked order-2 collision (F <= 5)"),
+            # the exact Omega-average and the operator norm's loop over fields
+            ("estimate-c0", big, F * math.log(2), 2**FIELD_BITS,
+             "an exact average and an operator norm over every sign field, "
+             "2^F of them"),
         ]
         if self.mode != "dependent":
             limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
@@ -151,9 +152,9 @@ class ExperimentConfig:
                            "order-min(K_max, 4) collisions"))
         if self.mode == "independent":
             # the exact profile averages over the joint fields of levels
-            # 2..min(K_max, 4); the operator norms stack no more, 2^F
+            # 2..min(K_max, 4); the operator norms loop over no more, 2^F
             limits.append(("decay", big, F * min(self.K_max - 1, 3) * math.log(2),
-                           2**CONTINUITY_FIELD_BITS, "a Duhamel climb over "
+                           2**FIELD_BITS, "a Duhamel climb over "
                            "every joint sign field of levels 2..min(K_max, 4), "
                            "2^(F min(K_max - 1, 3)) of them"))
         # the decay profile builds collision matrices of orders 2..min(K_max, 4)
@@ -164,7 +165,7 @@ class ExperimentConfig:
             # the exact average enumerates every shared field; Monte Carlo
             # (mc_samples >= 2) is the way out, and F <= 6 always enumerates
             limits.append(("decay", "mc_samples", F * math.log(2),
-                           2**CONTINUITY_FIELD_BITS, "a Duhamel climb over "
+                           2**FIELD_BITS, "a Duhamel climb over "
                            "every shared sign field, 2^F of them"))
         for kind, name, log_size, cap, what in limits:
             if kind == self.kind and log_size > math.log(cap):
@@ -196,6 +197,9 @@ class ExperimentConfig:
             problems.append(f"N: must be >= 1, got {self.N}")
         if self.kind in ("residual",) and self.K_max < self.N:
             problems.append(f"K_max: need K_max >= N={self.N}, got {self.K_max}")
+        if self.kind == "residual" and self.N < 2:
+            problems.append(f"N: residual checks the integral equation on levels "
+                            f"1..N-1, so it needs N >= 2; got {self.N}")
         if self.kind == "decay" and self.K_max < 2:
             problems.append(f"K_max: decay needs K_max >= 2, got {self.K_max}")
         elif self.kind == "decay" and self.mode == "dependent" and self.K_max < 3:
@@ -224,6 +228,15 @@ class ExperimentConfig:
             )
         if self.T <= 0 or self.dt <= 0:
             problems.append(f"T/dt: must be positive, got T={self.T}, dt={self.dt}")
+        elif self.kind == "nls":
+            n, interior = _nls_steps(self)
+            if abs(n * self.dt - self.T) > 1e-9:
+                problems.append(f"dt: nls steps to T={self.T} in whole steps of "
+                                f"dt, got dt={self.dt}")
+            elif not 3 <= min(interior) <= max(interior) <= n - 3:
+                problems.append(f"T: nls needs T >= 13 dt, so that its residual "
+                                f"times lie three steps inside the trajectory; "
+                                f"got T/dt = {n}")
         if self.q < 2:
             problems.append(f"q: quadrature order must be >= 2, got {self.q}")
         if self.mc_samples < (2 if self.kind == "estimate-c0" else 0) \
@@ -377,6 +390,12 @@ def _make_mode(cfg, lattice, which=None):
     )
 
 
+def _nls_steps(cfg):
+    """nls step count T/dt and the steps of its three interior residual times."""
+    interior = [round(x, 10) for x in np.linspace(0.2 * cfg.T, 0.8 * cfg.T, 3)]
+    return round(cfg.T / cfg.dt), [round(t / cfg.dt) for t in interior]
+
+
 # --- experiment bodies --------------------------------------------------------
 
 
@@ -487,9 +506,8 @@ def _run_estimate_c0(cfg, rep, csv_dir):
         "random.exact_vs_mc_4sigma",
         abs(mc.value**2 - exact.value**2), 4.0 * mc.stderr, "DERIVED",
     )
-    sigma, mat = collision_omega_operator_norm(lat, k, j, cfg.alpha)
+    sigma = collision_omega_operator_norm(lat, k, j, cfg.alpha)
     rep.constants["c0_exact_operator_norm"] = sigma
-    rep.constants["operator_matrix_shape"] = list(mat.shape)
     ratios = []
     for trial in range(20):
         gt = random_density_matrix(lat, k + 1, cfg.seed + 100 + trial)
@@ -552,7 +570,7 @@ def _run_decay(cfg, rep, csv_dir):
     fields = [None] if cfg.mode == "deterministic" else None
     for m in range(k + 1, k + j_max + 1):
         sig[m] = _worst(
-            collision_omega_operator_norm(lat, m - 1, jj, cfg.alpha, fields)[0]
+            collision_omega_operator_norm(lat, m - 1, jj, cfg.alpha, fields)
             for jj in range(1, m)
         )
     rep.constants["per_level_operator_norms"] = {str(m): sig[m] for m in sig}
@@ -701,9 +719,7 @@ def _run_nls(cfg, rep, csv_dir):
     exact = np.exp(-1j * (zsq + 1.0) * cfg.T)
     rep.check("nls.single_mode", abs(last[zidx] - exact), 1e-8, "DERIVED")
     # residuals at interior grid times
-    interior = [round(x, 10) for x in
-                np.linspace(0.2 * cfg.T, 0.8 * cfg.T, 3)]
-    interior = [round(t / cfg.dt) * cfg.dt for t in interior]
+    interior = [step * cfg.dt for step in _nls_steps(cfg)[1]]
     rows = []
     for k in (1, 2):
         alg, fd = nlsmod.factorized_residual(traj, k, interior, alpha=cfg.alpha)

@@ -127,14 +127,16 @@ class DuhamelEvaluator:
 
     Caches the flattened initial coefficients of each level m, per level
     m the per-energy column slices B_m P_e of the deterministic collision
-    matrix stacked into one matrix, and per level m and sign field the
-    leaf block of columns B_m^h P_e gamma0^(m).  A term of depth j starts from
-    the leaf block of level k+j and walks up to level k.  At each level
-    the chain block (the vector half) takes one product with the stacked
-    slices, and the scalar functions of the chain suffixes (the scalar
-    half) take one nested Gauss-Legendre step; the two are contracted row
-    by row at level k.  Both are chunked over chain columns, never over
-    times, so each array stays within `CHAIN_CAP` complex elements.
+    matrix stacked into one matrix, per level m and sign field the leaf
+    block of columns B_m^h P_e gamma0^(m), and per sign field and order m
+    the sign vector S_m(h) that conjugates the collisions.  A term of
+    depth j starts from the leaf block of level k+j and walks up to level
+    k.  At each level the chain block (the vector half) takes one product
+    with the stacked slices, and the scalar functions of the chain
+    suffixes (the scalar half) take one nested Gauss-Legendre step; the
+    two are contracted row by row at level k.  Both are chunked over chain
+    columns, never over times, so each array stays within `CHAIN_CAP`
+    complex elements.
 
     The scalar half does not depend on the fields: it is computed once
     per level and chunk for the whole batch.  The vector half walks a
@@ -153,6 +155,7 @@ class DuhamelEvaluator:
         self._gamma = {}
         self._fields = {}
         self._blocks = {}
+        self._stored = 0
         self._gl = self.quad.nodes()
 
     def _gamma_flat(self, m):
@@ -179,21 +182,32 @@ class DuhamelEvaluator:
         return self._fields[m]
 
     def _block(self, key, build):
-        """A leaf or full split block from the cache, built on a miss.
+        """A leaf block, full split or sign vector from the cache, built on a miss.
 
-        The newest blocks are kept within CHAIN_CAP stored entries: the
-        small leaf blocks of an enumerated product set are built once per
-        (level, field), and a batch of large per-field leaf blocks holds
-        about what the evaluator of one mode holds.
+        The most recently used blocks are kept within CHAIN_CAP stored
+        entries (a sparse block's nnz, a vector's size): the small blocks
+        of an enumerated product set are built once per (level, field) or
+        (field, order), and a batch of large per-field blocks holds about
+        what the evaluator of one mode holds.
         """
-        if key not in self._blocks:
-            self._blocks[key] = build()
-            total = sum(b.nnz for b in self._blocks.values())
-            for old in list(self._blocks)[:-1]:
-                if total <= CHAIN_CAP:
-                    break
-                total -= self._blocks.pop(old).nnz
-        return self._blocks[key]
+        block = self._blocks.pop(key, None)
+        if block is None:
+            block = build()
+            self._stored += block.size
+        self._blocks[key] = block
+        while self._stored > CHAIN_CAP and len(self._blocks) > 1:
+            self._stored -= self._blocks.pop(next(iter(self._blocks))).size
+        return block
+
+    def _signs(self, m, fid):
+        """(S_(m-1)(h), S_m(h)) for the level-m field h of id fid; None if no field."""
+        field = self._field_ids(m)[1][fid]
+        if field is None:
+            return None
+        return tuple(self._block(("signs", field.fingerprint(), order),
+                                 functools.partial(sign_vector, self.lattice,
+                                                   field, order))
+                     for order in (m - 1, m))
 
     def _split(self, m, lo, hi):
         """B_m P_e for the energy buckets lo <= e < hi, stacked row-wise.
@@ -228,17 +242,17 @@ class DuhamelEvaluator:
         nonzero coefficients, so the block is as sparse as the data.
         """
         def build():
-            field = self._field_ids(m)[1][fid]
+            signs = self._signs(m, fid)
             g = self._gamma_flat(m)
-            if field is not None:
-                g = sign_vector(self.lattice, field, m) * g
+            if signs is not None:
+                g = signs[1] * g
             vals, inv, _ = _buckets(self.lattice, m)
             nz = np.flatnonzero(g)
             cols = sp.csr_matrix((g[nz], (nz, inv[nz])),
                                  shape=(g.size, vals.size))
             leaf = (full_collision_matrix(self.lattice, m) @ cols).tocsc()
-            if field is not None:
-                leaf.data *= sign_vector(self.lattice, field, m - 1)[leaf.indices]
+            if signs is not None:
+                leaf.data *= signs[0][leaf.indices]
             return leaf
 
         return self._block(("leaf", m, fid), build)
@@ -386,10 +400,9 @@ class DuhamelEvaluator:
                     continue
                 if split is None:
                     split = self._split(level, lo, hi)
-                    fields = self._field_ids(level)[1]
                 for fid, grp in branches:
                     Wn = conjugate(lambda X: (split @ X).reshape(dim_next, -1),
-                                   W[:, cols], self.lattice, fields[fid], level)
+                                   W[:, cols], self._signs(level, fid))
                     self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
                                 out, paths, grp, below)
 
@@ -400,10 +413,9 @@ class DuhamelEvaluator:
         (dim_(m-1), n) arrays.
         """
         B = full_collision_matrix(self.lattice, m)
-        ids, fields = self._field_ids(m)
-        rows, index = _join(batch.index, ids)
+        rows, index = _join(batch.index, self._field_ids(m)[0])
         return ModeValues(np.stack([conjugate(B.__matmul__, batch.values[b],
-                                              self.lattice, fields[fid], m)
+                                              self._signs(m, fid))
                                     for b, fid in rows]), index)
 
     def solution_batch(self, N, k, times):

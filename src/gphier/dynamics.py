@@ -218,19 +218,25 @@ def sign_vector(lattice, field, k):
     return tensor.slot_product(lattice, field.values.astype(np.float64), k)
 
 
-def conjugate(apply, x, lattice, field, m):
-    """S_(m-1)(h) apply(S_m(h) x) on the leading flat index; apply(x) if no field."""
-    if field is None:
+def conjugate(apply, x, signs):
+    """s_out apply(s_in x) on the leading flat index; apply(x) if signs is None.
+
+    Under a field h, an order-m collision takes signs = (S_(m-1)(h), S_m(h)).
+    """
+    if signs is None:
         return apply(x)
+    s_out, s_in = signs
     tail = (1,) * (x.ndim - 1)
-    out = apply(sign_vector(lattice, field, m).reshape((-1,) + tail) * x)
-    return sign_vector(lattice, field, m - 1).reshape((-1,) + tail) * out
+    out = apply(s_in.reshape((-1,) + tail) * x)
+    return s_out.reshape((-1,) + tail) * out
 
 
 def _conjugated(apply, gamma, field):
     """The collision `apply` (flat order m -> m-1) of gamma under the field."""
     lat, m = gamma.lattice, gamma.k
-    flat = conjugate(apply, gamma.to_dense().data.reshape(-1), lat, field, m)
+    signs = None if field is None else (sign_vector(lat, field, m - 1),
+                                        sign_vector(lat, field, m))
+    flat = conjugate(apply, gamma.to_dense().data.reshape(-1), signs)
     return DensityMatrix(lat, m - 1, "dense",
                          data=flat.reshape((lat.size,) * (2 * m - 2)))
 

@@ -33,33 +33,32 @@ _NLS_TABLES = {}
 
 
 def _tables(lattice):
-    """Scatter tables for the in-box double convolution."""
+    """Shift table of the in-box double convolution.
+
+    Pair (a, b), flattened as a F + b, has shift index of a - b: the
+    same table sums phi(a) conj(phi(b)) into shifts and gathers the
+    shift out - in for each (out, in) pair.
+    """
     key = (lattice.d, lattice.M)
     if key not in _NLS_TABLES:
         F = lattice.size
         side = 4 * lattice.M + 1
         sstrides = side ** np.arange(lattice.d - 1, -1, -1, dtype=np.int64)
-        # pair (a, b) -> shift index of a - b
         a, b = (x.ravel() for x in np.meshgrid(np.arange(F), np.arange(F),
                                                indexing="ij"))
         pair_shift = (lattice.points[a] - lattice.points[b]
                       + 2 * lattice.M) @ sstrides
-        # (out, in) pairs per shift: out - in = shift
-        o, i = (x.ravel() for x in np.meshgrid(np.arange(F), np.arange(F),
-                                               indexing="ij"))
-        out_shift = (lattice.points[o] - lattice.points[i]
-                     + 2 * lattice.M) @ sstrides
-        _NLS_TABLES[key] = (pair_shift, o, i, out_shift, side**lattice.d)
+        _NLS_TABLES[key] = (pair_shift, a, b, side**lattice.d)
     return _NLS_TABLES[key]
 
 
 def nls_nonlinearity(phi_hat, lattice):
     """Coefficients of |phi|^2 phi under the in-box truncation."""
-    pair_shift, out_idx, in_idx, out_shift, nshift = _tables(lattice)
+    pair_shift, out_idx, in_idx, nshift = _tables(lattice)
     prod = np.outer(phi_hat, np.conj(phi_hat)).ravel()
     w = np.bincount(pair_shift, weights=prod.real, minlength=nshift) \
         + 1j * np.bincount(pair_shift, weights=prod.imag, minlength=nshift)
-    vals = w[out_shift] * phi_hat[in_idx]
+    vals = w[pair_shift] * phi_hat[in_idx]
     out = np.bincount(out_idx, weights=vals.real, minlength=lattice.size) \
         + 1j * np.bincount(out_idx, weights=vals.imag, minlength=lattice.size)
     return out

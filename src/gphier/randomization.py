@@ -12,8 +12,9 @@ per mode in the same order, so a caller can share work between modes
 (`duhamel.DuhamelEvaluator` evaluates the batch in one climb).
 
 `collision_omega_operator_norm` keeps its own field list on purpose: it
-stacks one operator block per field instead of averaging norms, and it
-is the independent cross-check that bounds the averages from above.
+takes the norm of the field-stacked operator instead of averaging norms,
+and it is the independent upper bound on the averages behind
+`random.opnorm_majorizes_ratios`.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import HierarchyMode, collision_matrix, conjugate_matrix, sign_vector
+from .dynamics import HierarchyMode, collision_matrix, sign_vector
 from .tensor import MemoryGuardError, slot_product
 
 __all__ = [
@@ -41,9 +42,6 @@ __all__ = [
 ENUMERATION_CAP = 2**20
 # largest domain (order-(k+1) coefficients) an operator norm is taken on
 NORM_DOMAIN_CAP = 2**16
-# stacked operators up to this many entries take a dense SVD; larger ones
-# iterate on the normal operator
-DENSE_SVD_CAP = 12 * 2**20
 
 
 @dataclass(frozen=True)
@@ -183,20 +181,19 @@ def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
     order-(k+1) H^alpha space into the stacked (field x space) H^alpha
     codomain, each field block weighted by 1/sqrt(#fields) so that the
     codomain norm is the L^2(Omega) average over `fields` (default: all
-    2^F sign fields); fields=[None] gives the deterministic norm.
-    Returns (sigma, stacked): stacked operators up to DENSE_SVD_CAP
-    entries are materialized and take a dense SVD; larger ones iterate on
-    the normal operator and return None for the matrix.  Each field's
-    block is the deterministic operator conjugated by the field's signs.
+    2^F sign fields); fields=[None] gives the deterministic norm.  Each
+    field's block is the deterministic operator conjugated by the field's
+    signs.  Returns the largest singular value, from Lanczos (`eigsh`) on
+    the normal operator; no stacked matrix is built.
 
     The field list is built here, not through `omega_l2_h_alpha`, on
-    purpose: this stacks an operator rather than averaging norms, and it
-    is the independent cross-check behind `random.opnorm_majorizes_ratios`.
+    purpose: this bounds the averages of every input at once rather than
+    averaging norms of one, and it is the independent upper bound behind
+    `random.opnorm_majorizes_ratios`.
     """
     import scipy.sparse.linalg as spla
 
-    F = lattice.size
-    dom = F ** (2 * (k + 1))
+    dom = lattice.size ** (2 * (k + 1))
     if dom > NORM_DOMAIN_CAP:
         raise MemoryGuardError(
             f"operator-norm domain dimension {dom} exceeds the cap "
@@ -209,14 +206,8 @@ def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
     base = (collision_matrix(lattice, k + 1, j, k + 1, "+")
             - collision_matrix(lattice, k + 1, j, k + 1, "-"))
     scale = 1.0 / np.sqrt(len(fields))
-    if dom * base.shape[0] * len(fields) <= DENSE_SVD_CAP:
-        blocks = (conjugate_matrix(base, lattice, f, k + 1).toarray() for f in fields)
-        stacked = np.vstack([scale * (w_out[:, None] * b) / w_in[None, :]
-                             for b in blocks])
-        sigma = float(np.linalg.svd(stacked, compute_uv=False)[0])
-        return sigma, stacked
-    # largest eigenvalue of the normal operator: field f's block S_k W S_(k+1)
-    # of the weighted deterministic W adds S_(k+1) W^T W S_(k+1) (S_k S_k = 1)
+    # field f's block S_k W S_(k+1) of the weighted deterministic W adds
+    # S_(k+1) W^T W S_(k+1) to the normal operator (S_k S_k = 1)
     base = scale * sp.diags(w_out) @ base @ sp.diags(1.0 / w_in)
     base_t = base.T
     signs = [np.ones(dom) if f is None else sign_vector(lattice, f, k + 1)
@@ -233,4 +224,4 @@ def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
     # the dominant eigenspace by symmetry
     v0 = np.random.default_rng(2024).standard_normal(dom)
     lam = spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
-    return float(np.sqrt(max(lam[0], 0.0))), None
+    return float(np.sqrt(max(lam[0], 0.0)))

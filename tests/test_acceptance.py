@@ -78,7 +78,9 @@ def test_criterion_3_randomized_estimate():
     rep = verdict(3, "randomized-estimate machinery", ESTIMATE_C0,
                   ["random.exact_vs_mc_4sigma",
                    "random.opnorm_majorizes_ratios"], 10)
-    assert rep.constants["operator_matrix_shape"] == [72, 81]
+    # the exact L^2(Omega) operator norm of the order-2 collision at M=1
+    assert rep.constants["c0_exact_operator_norm"] == pytest.approx(
+        1.732050807568877, rel=1e-12, abs=0.0)
 
 
 def test_criterion_4_factorial_decay():

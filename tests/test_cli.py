@@ -56,12 +56,25 @@ def test_exit_codes(tmp_path, capsys):
     # decay at K_max=1 has no depth to profile
     assert main(["decay", "--set", "K_max=1"]) == 2
     assert capsys.readouterr().err.startswith("config error: K_max:")
+    # residual at N=1 has no level below N to check the integral equation on
+    assert main(["residual", "--set", "N=1", "--set", "K_max=1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: N:")
+    # nls steps to T in whole steps of dt, and needs 13 of them for its
+    # residual times to clear the seven-point stencil
+    assert main(["nls", "--set", "T=0.5", "--set", "dt=0.3"]) == 2
+    assert capsys.readouterr().err.startswith("config error: dt:")
+    assert main(["nls", "--set", "T=0.01"]) == 2
+    assert capsys.readouterr().err.startswith("config error: T:")
+    ExperimentConfig(kind="nls", T=0.013).validate()
+    with pytest.raises(ConfigError, match="^T: "):
+        ExperimentConfig(kind="nls", T=0.012).validate()
     # each kind's largest dense size is checked before any state is built,
     # and the error names the field at fault
     for argv, name in (
-        (["estimate-c0", "--set", "M=3"], "M"),
-        (["estimate-c0", "--set", "M=4"], "M"),
-        (["estimate-c0", "--set", "d=2"], "d"),
+        # 2^11, 2^17 and 2^25 sign fields, above the 2^10 estimate-c0 averages
+        (["estimate-c0", "--set", "M=5"], "M"),
+        (["estimate-c0", "--set", "M=8"], "M"),
+        (["estimate-c0", "--set", "d=2", "--set", "M=2"], "d"),
         (["decay", "--set", "M=2", "--set", "K_max=4"], "K_max"),
         (["decay", "--set", "M=3", "--set", "K_max=4"], "K_max"),
         (["converge", "--set", "M=3", "--set", "N=3", "--set", "K_max=4"], "N"),

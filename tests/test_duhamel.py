@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -224,6 +225,60 @@ def test_batch_slices_match_batches_of_one(N, data, times, seed):
             assert rel < 1e-5
 
 
+def test_sign_vectors_built_once_per_field_and_order(monkeypatch):
+    # an all-modes batch at M=1, K_max=4: the 8^3 independent product set
+    # on levels 2..4, dependent fields and the deterministic mode.  Every
+    # term, solution and collision of the batch builds each sign vector
+    # S_m(h) at most once per (field, order)
+    lat = FrequencyLattice(1, 1)
+    st = random_state(lat, 4, 44, alpha=1.0, level_norms=[1.0] * 4)
+    product = [HierarchyMode.independent(dict(zip(range(2, 5), combo)))
+               for combo in itertools.product(enumerate_fields(lat), repeat=3)]
+    sampled = [HierarchyMode.dependent(sample_field(lat, 45, sample=i))
+               for i in range(3)]
+    ev = DuhamelEvaluator(st, product + sampled + [HierarchyMode.deterministic()],
+                          QuadratureSpec(q=4))
+    builds = collections.Counter()
+
+    def counted(lattice, field, k):
+        builds[field.fingerprint(), k] += 1
+        return sign_vector(lattice, field, k)
+
+    monkeypatch.setattr(duhamel, "sign_vector", counted)
+    times = [0.0, 0.1]
+    for k in range(1, 5):
+        for j in range(5 - k):
+            term = ev.term_batch(k, j, times)
+            if k > 1:
+                ev.collide(k, term)
+        ev.solution_batch(4, k, times)
+    integral_residual(ev, 4, 1, 0.1)
+    # the lattice has 8 fields, each used at orders 1..4
+    assert len(builds) == 8 * 4 and max(builds.values()) == 1
+
+
+def test_block_cache_stays_within_the_cap(monkeypatch):
+    # 64 shared fields each bring a leaf block and sign vectors of up to
+    # 729 entries; under a cap of 3,000 stored entries the cache evicts
+    # the least recently used and the terms are unchanged
+    lat = FrequencyLattice(1, 1)
+    st = random_state(lat, 4, 46, alpha=1.0, level_norms=[1.0] * 4)
+    modes = [HierarchyMode.dependent(sample_field(lat, 47, sample=i))
+             for i in range(64)]
+    quad = QuadratureSpec(q=4)
+    times = [0.05, 0.1]
+    full = DuhamelEvaluator(st, modes, quad)
+    ref = full.term_batch(1, 3, times)
+    assert sum(b.size for b in full._blocks.values()) > 3000
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
+    ev = DuhamelEvaluator(st, modes, quad)
+    out = ev.term_batch(1, 3, times)
+    assert np.array_equal(out.index, ref.index)
+    assert np.max(np.abs(out.values - ref.values)) \
+        <= 1e-13 * np.max(np.abs(ref.values))
+    assert ev._stored == sum(b.size for b in ev._blocks.values()) <= 3000
+
+
 @pytest.mark.parametrize("d, M, N", [(1, 1, 3), (1, 2, 3), (2, 1, 2)],
                          ids=["M1", "M2", "d2"])
 @settings(max_examples=3, deadline=None, database=None)
@@ -374,7 +429,7 @@ def test_decay_chain_bound(lat):
     sig = {}
     for m in (2, 3):
         sig[m] = max(
-            collision_omega_operator_norm(lat, m - 1, jj, 1.0)[0]
+            collision_omega_operator_norm(lat, m - 1, jj, 1.0)
             for jj in range(1, m)
         )
     for j in (1, 2):

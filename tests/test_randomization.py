@@ -1,10 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
-from gphier import randomization
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import DensityMatrix, h_alpha_norm, random_density_matrix
-from gphier.dynamics import HierarchyMode, collision
+from gphier.dynamics import HierarchyMode, collision, collision_matrix
 from gphier.randomization import (
     SignField,
     all_plus,
@@ -133,8 +134,7 @@ def test_unused_level_seeds_do_not_matter(lat):
 
 
 def test_operator_norm_majorizes(lat):
-    sigma, mat = collision_omega_operator_norm(lat, 1, 1, 1.0)
-    assert mat.shape == (72, 81)
+    sigma = collision_omega_operator_norm(lat, 1, 1, 1.0)
     worst = 0.0
     for trial in range(12):
         g = random_density_matrix(lat, 2, 50 + trial)
@@ -145,38 +145,31 @@ def test_operator_norm_majorizes(lat):
     assert worst > 0.1 * sigma  # the bound is within reach of random data
 
 
-def test_operator_norm_dense_matches_power_iteration(lat):
-    # the k=2 domain takes the dense route; compare against a direct
-    # power-iteration estimate of the same normal operator (random start:
-    # structured vectors can be orthogonal to the dominant eigenspace)
-    sigma, stacked = collision_omega_operator_norm(lat, 2, 1, 0.5)
-    assert stacked is not None
-    gram = stacked.T @ stacked
-    v = np.random.default_rng(3).standard_normal(gram.shape[0])
-    for _ in range(300):
-        v = gram @ v
-        v /= np.linalg.norm(v)
-    assert sigma == pytest.approx(np.sqrt(v @ (gram @ v)), rel=1e-8)
-
-
-def test_operator_norm_eigsh_matches_dense(lat, monkeypatch):
-    # the eigsh route on the normal operator, forced on cases small enough
-    # for the dense SVD to be the reference
-    cases = [(1, 1, None), (2, 1, None), (2, 2, None), (2, 1, [None]),
-             (1, 1, [sample_field(lat, 8), sample_field(lat, 9)])]
-    dense = [collision_omega_operator_norm(lat, k, j, 0.5, fields)
-             for k, j, fields in cases]
-    assert all(mat is not None for _, mat in dense)
-    monkeypatch.setattr(randomization, "DENSE_SVD_CAP", 0)
-    for (k, j, fields), (ref, _) in zip(cases, dense):
-        sigma, mat = collision_omega_operator_norm(lat, k, j, 0.5, fields)
-        assert mat is None
-        assert sigma == pytest.approx(ref, rel=1e-10)
+@pytest.mark.parametrize("k, j, fields", [
+    (1, 1, "all"), (2, 1, "all"), (2, 2, "all"), (2, 1, "none"),
+    (1, 1, "sampled"),
+], ids=["k1-all", "k2-all", "k2-j2-all", "k2-deterministic", "k1-sampled"])
+def test_operator_norm_matches_stacked_svd(lat, k, j, fields):
+    # the largest singular value of the field-stacked map, materialized here
+    # from the randomized collision matrices and the H^alpha weights
+    alpha = 0.5
+    fields = {"all": enumerate_fields(lat), "none": [None],
+              "sampled": [sample_field(lat, 8), sample_field(lat, 9)]}[fields]
+    b = lat.brackets**alpha
+    w_in = functools.reduce(np.multiply.outer, [b] * (2 * k + 2)).reshape(-1)
+    w_out = functools.reduce(np.multiply.outer, [b] * (2 * k)).reshape(-1)
+    stacked = np.vstack([
+        (collision_matrix(lat, k + 1, j, k + 1, "+", f)
+         - collision_matrix(lat, k + 1, j, k + 1, "-", f)).toarray()
+        * w_out[:, None] / w_in[None, :] for f in fields]) / np.sqrt(len(fields))
+    ref = np.linalg.svd(stacked, compute_uv=False)[0]
+    sigma = collision_omega_operator_norm(lat, k, j, alpha, fields)
+    assert sigma == pytest.approx(ref, rel=1e-10)
 
 
 def test_deterministic_norm_bounds_instance(lat):
     g = random_density_matrix(lat, 2, 60)
-    s, _ = collision_omega_operator_norm(lat, 1, 1, 1.0, [None])
+    s = collision_omega_operator_norm(lat, 1, 1, 1.0, [None])
     out = collision(g, 1, 2, "+") - collision(g, 1, 2, "-")
     assert h_alpha_norm(out, 1.0) <= s * h_alpha_norm(g, 1.0) * (1 + 1e-12)
 
