@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -185,16 +185,23 @@ class ExperimentConfig:
 
     def validate(self):
         problems = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            whole = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            finite = whole or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+            if f.type is int and not whole:
+                problems.append(f"{f.name}: must be an integer, got {v!r}")
+            elif f.type is float and not finite:
+                problems.append(f"{f.name}: must be a finite number, got {v!r}")
+        if problems:  # the checks below compare numbers
+            raise ConfigError(problems)
+        least = {"M": 1, "K_max": 1, "N": 1, "q": 2, "grid_points": 2, "seed": 0}
+        problems = [f"{name}: must be >= {low}, got {getattr(self, name)}"
+                    for name, low in least.items() if getattr(self, name) < low]
         if self.kind not in KINDS:
             problems.append(f"kind: unknown kind {self.kind!r}")
         if not (1 <= self.d <= 3):
             problems.append(f"d: must be 1..3, got {self.d}")
-        if self.M < 1:
-            problems.append(f"M: must be >= 1, got {self.M}")
-        if self.K_max < 1:
-            problems.append(f"K_max: must be >= 1, got {self.K_max}")
-        if self.N < 1:
-            problems.append(f"N: must be >= 1, got {self.N}")
         if self.kind in ("residual",) and self.K_max < self.N:
             problems.append(f"K_max: need K_max >= N={self.N}, got {self.K_max}")
         if self.kind == "residual" and self.N < 2:
@@ -237,14 +244,10 @@ class ExperimentConfig:
                 problems.append(f"T: nls needs T >= 13 dt, so that its residual "
                                 f"times lie three steps inside the trajectory; "
                                 f"got T/dt = {n}")
-        if self.q < 2:
-            problems.append(f"q: quadrature order must be >= 2, got {self.q}")
         if self.mc_samples < (2 if self.kind == "estimate-c0" else 0) \
                 or self.mc_samples == 1:
             problems.append(f"mc_samples: need 0 (exact) or >= 2, and >= 2 for "
                             f"estimate-c0; got {self.mc_samples}")
-        if self.grid_points < 2:
-            problems.append(f"grid_points: must be >= 2, got {self.grid_points}")
         if self.mode not in ("deterministic", "dependent", "independent"):
             problems.append(f"mode: unknown mode {self.mode!r}")
         if problems:
@@ -830,8 +833,6 @@ def _parse_value(text):
             return cast(text)
         except ValueError:
             pass
-    if text in ("true", "false"):
-        return text == "true"
     return text
 
 
@@ -848,8 +849,7 @@ def _load_config(args, kind):
             raise ConfigError([f"override {item!r} is not key=value"])
         key, val = item.split("=", 1)
         base[key] = _parse_value(val)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(base) - known
+    unknown = set(base) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError([f"{k}: unknown config field" for k in sorted(unknown)])
     return ExperimentConfig(**base)

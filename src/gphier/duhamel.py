@@ -214,25 +214,25 @@ class DuhamelEvaluator:
 
         Row r (hi - lo) + (e - lo) is row r of B_m restricted to the columns
         of bucket e, so `(split @ W).reshape(dim_(m-1), -1)` is the chain
-        block with e as its new leading chain index.
+        block with e as its new leading chain index.  The split over all n
+        buckets is cached; a chunk of them selects its rows r n + e.
         """
         vals, inv, _ = _buckets(self.lattice, m)
-        full = (lo, hi) == (0, vals.size)
+        n = vals.size
 
         def build():
             B = full_collision_matrix(self.lattice, m)
-            bucket = inv[B.indices]
-            new_row = (hi - lo) * np.repeat(np.arange(B.shape[0]),
-                                            np.diff(B.indptr)) + bucket - lo
+            new_row = n * np.repeat(np.arange(B.shape[0]),
+                                    np.diff(B.indptr)) + inv[B.indices]
             order = np.argsort(new_row, kind="stable")
-            if not full:
-                order = order[(bucket[order] >= lo) & (bucket[order] < hi)]
-            shape = ((hi - lo) * B.shape[0], B.shape[1])
-            indptr = np.searchsorted(new_row[order], np.arange(shape[0] + 1))
+            indptr = np.searchsorted(new_row[order], np.arange(n * B.shape[0] + 1))
             return sp.csr_matrix((B.data[order], B.indices[order], indptr),
-                                 shape=shape)
+                                 shape=(n * B.shape[0], B.shape[1]))
 
-        return self._block(("split", m), build) if full else build()
+        split = self._block(("split", m), build)
+        if (lo, hi) == (0, n):
+            return split
+        return split[np.arange(split.shape[0]).reshape(-1, n)[:, lo:hi].ravel()]
 
     def _leaf(self, m, fid):
         """B_m^h P_e gamma0^(m) for every energy bucket e of level m.

@@ -2,11 +2,11 @@
 
 A collision summand reads its contracted pair (a, b) only through the
 shift s = a - b, so every collision factors through one shift table
-(`_roles`).  `collision` sums gamma over the pairs of each shift once
-(`_pair_reduce`), then gathers each term from that buffer; `full_collision`
-shares one reduction among its 2(m-1) terms (memory-lean, any size).
-Joined with the pairs, the table gives the triplets of the cached
-scipy.sparse matrices (small systems, used by the exact exponential).
+(`_roles`).  Joined with the pairs, the table gives the triplets of the
+cached scipy.sparse matrices; above MATRIX_DOMAIN_CAP, the gather kernel
+sums gamma over the pairs of each shift once (`_pair_reduce`), then
+gathers each term from that buffer (memory-lean, any size).  `collision`
+and `full_collision` pick between the two by F^(2m) alone (`_apply`).
 
 Every kernel and cached matrix is deterministic.  A sign field h enters
 only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`): the
@@ -197,8 +197,6 @@ def _collide(lat, m, x, terms):
     n, so one pair reduction serves them all; each term then gathers
     out[..g..] += coef sum_u D[..u.., s(g, u)] at its output axis.
     """
-    if m < 2:
-        raise ValueError("collision input must have order >= 2")
     roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,)
              for ell, n, sign, coef in terms]
     D = _pair_reduce(lat, m, x, terms[0][1])
@@ -231,9 +229,18 @@ def conjugate(apply, x, signs):
     return s_out.reshape((-1,) + tail) * out
 
 
-def _conjugated(apply, gamma, field):
-    """The collision `apply` (flat order m -> m-1) of gamma under the field."""
+def _apply(gamma, terms, field):
+    """Sum of coef times the (ell, n, sign) collisions of gamma under the field.
+
+    At or below MATRIX_DOMAIN_CAP the cached deterministic matrix applies
+    the terms; above it `_collide` shares one pair reduction among them.
+    """
     lat, m = gamma.lattice, gamma.k
+    if m < 2:
+        raise ValueError("collision input must have order >= 2")
+    apply = (_matrix(lat, m, terms, None).__matmul__
+             if lat.size ** (2 * m) <= MATRIX_DOMAIN_CAP
+             else functools.partial(_collide, lat, m, terms=terms))
     signs = None if field is None else (sign_vector(lat, field, m - 1),
                                         sign_vector(lat, field, m))
     flat = conjugate(apply, gamma.to_dense().data.reshape(-1), signs)
@@ -249,9 +256,7 @@ def collision(gamma, ell, n, sign, field=None):
     '-' mirrors on the primed side.  With a sign field, each summand carries
     the four factors h(slot) h(combined) h(pair unprimed) h(pair primed).
     """
-    lat, m = gamma.lattice, gamma.k
-    return _conjugated(lambda x: _collide(lat, m, x, ((ell, n, sign, 1.0),)),
-                       gamma, field)
+    return _apply(gamma, ((ell, n, sign, 1.0),), field)
 
 
 def _full_terms(m):
@@ -263,14 +268,9 @@ def _full_terms(m):
 def full_collision(gamma, field=None):
     """Sum over j of the (j, m) plus-minus collision pairs (order m -> m-1).
 
-    Above MATRIX_DOMAIN_CAP all 2(m-1) terms share one pair reduction.
+    All 2(m-1) terms are one cached matrix, or share one pair reduction.
     """
-    m, lat = gamma.k, gamma.lattice
-    if m < 2:
-        raise ValueError("full collision needs order >= 2")
-    if lat.size ** (2 * m) <= MATRIX_DOMAIN_CAP:
-        return _conjugated(full_collision_matrix(lat, m).__matmul__, gamma, field)
-    return _conjugated(lambda x: _collide(lat, m, x, _full_terms(m)), gamma, field)
+    return _apply(gamma, _full_terms(gamma.k), field)
 
 
 _MATRIX_CACHE = {}

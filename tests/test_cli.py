@@ -68,6 +68,23 @@ def test_exit_codes(tmp_path, capsys):
     ExperimentConfig(kind="nls", T=0.013).validate()
     with pytest.raises(ConfigError, match="^T: "):
         ExperimentConfig(kind="nls", T=0.012).validate()
+    # integer fields take whole numbers only, float fields finite numbers,
+    # and the seed is >= 0; each is a config error naming the field
+    for argv, name in (
+        (["residual", "--set", "T=abc"], "T"),
+        (["residual", "--set", "T=nan"], "T"),
+        (["residual", "--set", "T=inf"], "T"),
+        (["decay", "--set", "K_max=2.5"], "K_max"),
+        (["estimate-c0", "--set", "mc_samples=2.5"], "mc_samples"),
+        (["verify", "--set", "q=nan"], "q"),
+        (["verify", "--set", "alpha=nan"], "alpha"),
+        (["verify", "--set", "seed=-1"], "seed"),
+        (["verify", "--set", "M=1.5"], "M"),
+        (["verify", "--set", "M=true"], "M"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"config error: {name}:"), argv
+    ExperimentConfig(kind="residual", T=1, xi=np.float64(0.25)).validate()
     # each kind's largest dense size is checked before any state is built,
     # and the error names the field at fault
     for argv, name in (

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import numpy as np
@@ -31,6 +32,20 @@ from gphier.randomization import SignField, all_plus, sample_field
 @pytest.fixture
 def lat():
     return FrequencyLattice(1, 1)
+
+
+@contextlib.contextmanager
+def _gather():
+    """MATRIX_DOMAIN_CAP at 1, so every collision takes the gather kernel.
+
+    For tests that put one input through both kernels in turn: the matrix
+    outside this context, the gather inside.  The hypothesis tests do so
+    for each drawn example rather than take the `kernel` fixture, which
+    hypothesis would share across examples.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
+        yield
 
 
 def test_free_evolve_t0(lat):
@@ -120,14 +135,14 @@ def test_full_collision_single_term(lat):
     assert np.max(np.abs(full_collision(g, f).data - direct.data)) < 1e-13
 
 
-def test_full_collision_all_plus_bitwise(lat):
+def test_full_collision_all_plus_bitwise(lat, kernel):
     g = random_density_matrix(lat, 3, 7)
     assert np.array_equal(
         full_collision(g, all_plus(lat)).data, full_collision(g).data
     )
 
 
-def test_collision_linearity(lat):
+def test_collision_linearity(lat, kernel):
     f = sample_field(lat, 11)
     a = random_density_matrix(lat, 2, 8)
     b = random_density_matrix(lat, 2, 9)
@@ -142,16 +157,17 @@ def test_matrix_matches_gather(lat):
     f = sample_field(lat, 4)
     mat = full_collision_matrix(lat, 3, f)
     via = (mat @ g.data.reshape(-1)).reshape((3,) * 4)
-    assert np.max(np.abs(via - full_collision(g, f).data)) < 1e-12
     single = collision_matrix(lat, 2, 1, 2, "-", f)
     g2 = random_density_matrix(lat, 2, 11)
     via2 = (single @ g2.data.reshape(-1)).reshape((3,) * 2)
-    assert np.max(np.abs(via2 - collision(g2, 1, 2, "-", f).data)) < 1e-13
+    with _gather():
+        assert np.max(np.abs(via - full_collision(g, f).data)) < 1e-12
+        assert np.max(np.abs(via2 - collision(g2, 1, 2, "-", f).data)) < 1e-13
 
 
 @pytest.mark.parametrize("d, m", [(1, 2), (1, 3), (2, 2), (2, 3)],
                          ids=["2", "3", "d2-2", "d2-3"])
-def test_full_collision_gather_matches_matrix(monkeypatch, d, m):
+def test_full_collision_gather_matches_matrix(d, m):
     # below the cap full_collision applies the cached matrix; with the cap
     # lowered it takes the pair reduction and shift gathers instead
     lat = FrequencyLattice(d, 1)
@@ -159,10 +175,10 @@ def test_full_collision_gather_matches_matrix(monkeypatch, d, m):
     f = sample_field(lat, 4)
     assert set(f.values) == {-1, 1}
     via_matrix = full_collision(g, f).data
-    monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
-    with pytest.raises(MemoryError):
-        full_collision_matrix(lat, m, f)
-    via_gather = full_collision(g, f).data
+    with _gather():
+        with pytest.raises(MemoryError):
+            full_collision_matrix(lat, m, f)
+        via_gather = full_collision(g, f).data
     assert np.max(np.abs(via_gather - via_matrix)) <= 1e-13
 
 
@@ -181,7 +197,8 @@ def test_matrix_matches_gather_every_role(m, ell, n, sign, field, seed):
     g = random_density_matrix(lat, m, seed)
     mat = collision_matrix(lat, m, ell, n, sign, field)
     via = (mat @ g.data.reshape(-1)).reshape((3,) * (2 * m - 2))
-    ref = collision(g, ell, n, sign, field).data
+    with _gather():
+        ref = collision(g, ell, n, sign, field).data
     assert np.max(np.abs(via - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -228,8 +245,11 @@ def test_collision_matches_definition(d, m, ell, n, sign, data, seed):
     field = data.draw(_mixed_fields(lat.size))
     g = random_density_matrix(lat, m, seed)
     ref = _by_definition(g, ell, n, sign, field)
-    got = collision(g, ell, n, sign, field).data
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    via_matrix = collision(g, ell, n, sign, field).data
+    with _gather():
+        via_gather = collision(g, ell, n, sign, field).data
+    for got in (via_matrix, via_gather):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -243,12 +263,29 @@ def test_full_collision_matches_definition(d, m, data, seed):
     ref = sum(_by_definition(g, j, m, "+", field)
               - _by_definition(g, j, m, "-", field) for j in range(1, m))
     scale = np.max(np.abs(ref))
-    # the cached matrix below the cap, the shift gathers above it
     assert np.max(np.abs(full_collision(g, field).data - ref)) <= 1e-13 * scale
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
+    with _gather():
         got = full_collision(g, field).data
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_kernel_is_chosen_by_size(lat, kernel, monkeypatch):
+    # collision and full_collision both apply the cached matrix at or below
+    # MATRIX_DOMAIN_CAP and reach the gather kernel only above it
+    calls = []
+    collide = dynamics._collide
+
+    def counted(lattice, m, x, terms):
+        calls.append(terms)
+        return collide(lattice, m, x, terms)
+
+    monkeypatch.setattr(dynamics, "_collide", counted)
+    g = random_density_matrix(lat, 3, 42)
+    f = sample_field(lat, 43)
+    collision(g, 2, 3, "-", f)
+    full_collision(g)
+    assert calls == ([] if kernel == "matrix"
+                     else [((2, 3, "-", 1.0),), dynamics._full_terms(3)])
 
 
 def test_energy_and_sign_vectors_guard(lat, monkeypatch):
@@ -268,10 +305,10 @@ def test_shift_buffer_guard(lat, monkeypatch):
     # guard is checked before that buffer is allocated
     g = random_density_matrix(lat, 3, 40)
     need = lat.size**4 * 5
+    monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
     monkeypatch.setattr(tensor, "MEMORY_GUARD", need - 1)
     with pytest.raises(MemoryGuardError, match="order-3 collision shift buffer"):
         collision(g, 1, 3, "+")
-    monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
     with pytest.raises(MemoryGuardError, match="order-3 collision shift buffer"):
         full_collision(g)
     monkeypatch.setattr(tensor, "MEMORY_GUARD", need)
