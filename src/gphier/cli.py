@@ -32,12 +32,14 @@ from .tensor import (
 from .dynamics import (
     MATRIX_DOMAIN_CAP,
     HierarchyMode,
-    collision,
+    conjugate,
     continuity_defect,
     evolve_truncated,
     free_evolve,
     full_collision,
+    full_collision_matrix,
     phase_inequality_scan,
+    sign_vector,
 )
 from .duhamel import (
     CHAIN_CAP,
@@ -79,7 +81,7 @@ KINDS = (
 # continuity, exact decay and estimate-c0 enumerate at most 2^10 joint sign
 # fields: continuity and decay in one Duhamel climb per average (continuity
 # at d=1, M=2, N=3, 1,024 fields, takes about 1.5 s on a 2-core host at one
-# BLAS thread), estimate-c0 in its exact average and its operator norm
+# BLAS thread), estimate-c0 in its exact average (operator norms take none)
 FIELD_BITS = 10
 
 
@@ -141,10 +143,9 @@ class ExperimentConfig:
              F * (n_cont - 1) * math.log(2), 2**FIELD_BITS,
              "a Duhamel climb over every joint sign field of levels "
              "2..min(N, K_max, 3), 2^(F (min(N, K_max, 3) - 1)) of them"),
-            # the exact Omega-average and the operator norm's loop over fields
+            # the exact Omega-average; the operator norm takes no field
             ("estimate-c0", big, F * math.log(2), 2**FIELD_BITS,
-             "an exact average and an operator norm over every sign field, "
-             "2^F of them"),
+             "an exact average over every sign field, 2^F of them"),
         ]
         if self.mode != "dependent":
             limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
@@ -152,7 +153,7 @@ class ExperimentConfig:
                            "order-min(K_max, 4) collisions"))
         if self.mode == "independent":
             # the exact profile averages over the joint fields of levels
-            # 2..min(K_max, 4); the operator norms loop over no more, 2^F
+            # 2..min(K_max, 4) in one climb; the operator norms take no field
             limits.append(("decay", big, F * min(self.K_max - 1, 3) * math.log(2),
                            2**FIELD_BITS, "a Duhamel climb over "
                            "every joint sign field of levels 2..min(K_max, 4), "
@@ -198,6 +199,8 @@ class ExperimentConfig:
         least = {"M": 1, "K_max": 1, "N": 1, "q": 2, "grid_points": 2, "seed": 0}
         problems = [f"{name}: must be >= {low}, got {getattr(self, name)}"
                     for name, low in least.items() if getattr(self, name) < low]
+        if self.seed >= 2**62:  # streams key signed int64s by seed plus small offsets
+            problems.append(f"seed: must be < 2^62, got {self.seed}")
         if self.kind not in KINDS:
             problems.append(f"kind: unknown kind {self.kind!r}")
         if not (1 <= self.d <= 3):
@@ -490,33 +493,44 @@ def _run_verify(cfg, rep, csv_dir):
 def _run_estimate_c0(cfg, rep, csv_dir):
     lat = FrequencyLattice(cfg.d, cfg.M)
     k, j = 1, 1
-    gamma = random_density_matrix(lat, k + 1, cfg.seed, alpha=cfg.alpha, norm=1.0)
+    # gamma, then the trial data whose ratios the operator norm bounds
+    gs = [random_density_matrix(lat, k + 1, cfg.seed, alpha=cfg.alpha, norm=1.0)] \
+        + [random_density_matrix(lat, k + 1, cfg.seed + 100 + trial)
+           for trial in range(20)]
+    block = np.stack([g.to_dense().data.reshape(-1) for g in gs], axis=1)
     mode = _make_mode(cfg, lat, "dependent")
+    # at k = j = 1 the (+) - (-) collision pair is the order-2 full collision
+    B = full_collision_matrix(lat, k + 1)
+    shape = (lat.size,) * (2 * k)
 
-    def randomized_norm(g):
-        """norms() of the shared-field collision difference applied to g."""
-        return lambda modes: [h_alpha_norm(
-            collision(g, j, k + 1, "+", md.field)
-            - collision(g, j, k + 1, "-", md.field), cfg.alpha) for md in modes]
+    def randomized_norms(n):
+        """norms(): per mode, the shared-field collision's norm on each of gs[:n]."""
+        def norms(modes):
+            out = []
+            for md in modes:
+                signs = (sign_vector(lat, md.field, k),
+                         sign_vector(lat, md.field, k + 1))
+                cols = conjugate(B.__matmul__, block[:, :n], signs)
+                out.append([h_alpha_norm(DensityMatrix(
+                    lat, k, "dense", data=c.reshape(shape)), cfg.alpha)
+                    for c in cols.T])
+            return out
+        return norms
 
-    exact = omega_l2_h_alpha(randomized_norm(gamma), mode, lat, [0])
-    mc = omega_l2_h_alpha(randomized_norm(gamma), mode, lat, [0],
+    exact = omega_l2_h_alpha(randomized_norms(len(gs)), mode, lat, [0])
+    mc = omega_l2_h_alpha(randomized_norms(1), mode, lat, [0],
                           mc_samples=cfg.mc_samples, seed=cfg.seed)
-    rep.constants["omega_norm_exact"] = exact.value
-    rep.constants["omega_norm_mc"] = mc.value
-    rep.constants["omega_norm_mc_stderr"] = mc.stderr
+    rep.constants["omega_norm_exact"] = exact.value[0]
+    rep.constants["omega_norm_mc"] = mc.value[0]
+    rep.constants["omega_norm_mc_stderr"] = mc.stderr[0]
     rep.check(
         "random.exact_vs_mc_4sigma",
-        abs(mc.value**2 - exact.value**2), 4.0 * mc.stderr, "DERIVED",
+        abs(mc.value[0]**2 - exact.value[0]**2), 4.0 * mc.stderr[0], "DERIVED",
     )
     sigma = collision_omega_operator_norm(lat, k, j, cfg.alpha)
     rep.constants["c0_exact_operator_norm"] = sigma
-    ratios = []
-    for trial in range(20):
-        gt = random_density_matrix(lat, k + 1, cfg.seed + 100 + trial)
-        est = omega_l2_h_alpha(randomized_norm(gt), mode, lat, [0])
-        ratios.append(est.value / h_alpha_norm(gt, cfg.alpha))
-    worst_ratio = _worst(ratios)
+    worst_ratio = _worst(est / h_alpha_norm(g, cfg.alpha)
+                         for est, g in zip(exact.value[1:], gs[1:]))
     rep.constants["c0_empirical"] = worst_ratio
     rep.check("random.opnorm_majorizes_ratios", worst_ratio,
               sigma * (1 + 1e-12), "DERIVED")
@@ -569,13 +583,9 @@ def _run_decay(cfg, rep, csv_dir):
         return
     # chain bound with exact per-level operator norms: averaged norms for
     # the randomized modes, deterministic norms for the deterministic one
-    sig = {}
-    fields = [None] if cfg.mode == "deterministic" else None
-    for m in range(k + 1, k + j_max + 1):
-        sig[m] = _worst(
-            collision_omega_operator_norm(lat, m - 1, jj, cfg.alpha, fields)
-            for jj in range(1, m)
-        )
+    sig = {m: _worst(collision_omega_operator_norm(
+        lat, m - 1, jj, cfg.alpha, cfg.mode != "deterministic")
+        for jj in range(1, m)) for m in range(k + 1, k + j_max + 1)}
     rep.constants["per_level_operator_norms"] = {str(m): sig[m] for m in sig}
     excess = []
     for j in range(1, j_max + 1):
@@ -624,22 +634,24 @@ def _run_residual(cfg, rep, csv_dir):
                          level_norms=[1.0] * cfg.N)
     quad = QuadratureSpec(q=max(cfg.q, 16))
     grid = tuple(np.linspace(0.0, cfg.T, cfg.grid_points))
-    rows, residuals = [], []
-    for which in ("deterministic", "dependent", "independent"):
-        mode = _make_mode(cfg, lat, which)
-        ev = DuhamelEvaluator(state, [mode], quad)
+    modes = {which: _make_mode(cfg, lat, which)
+             for which in ("deterministic", "dependent", "independent")}
+    # one evaluator: each level's solution and residual for all three modes
+    ev = DuhamelEvaluator(state, list(modes.values()), quad)
+    sols = [ev.solution_batch(cfg.N, k, grid) for k in range(1, cfg.N + 1)]
+    rows = []
+    for m, (which, mode) in enumerate(modes.items()):
         traj = evolve_truncated(state, cfg.N, cfg.T, mode, grid_times=grid)
         for k in range(1, cfg.N + 1):
-            sol = ev.solution_batch(cfg.N, k, grid).of(0)
+            sol = sols[k - 1].of(m)
             for i, t in enumerate(grid):
                 ode = traj.states[i].level(k)
                 diff = ev._wrap(k, sol[:, i] - ode.data.reshape(-1))
                 rel = h_alpha_norm(diff, cfg.alpha) \
                     / (1.0 + h_alpha_norm(ev._wrap(k, sol[:, i]), cfg.alpha))
                 rows.append((which, k, float(t), rel))
-        for k in range(1, cfg.N):
-            residuals.append(integral_residual(ev, cfg.N, k, cfg.T,
-                                               alpha=cfg.alpha)[0])
+    residuals = [r for k in range(1, cfg.N)
+                 for r in integral_residual(ev, cfg.N, k, cfg.T, alpha=cfg.alpha)]
     worst_disc = _worst(row[3] for row in rows)
     worst_res = _worst(residuals)
     _write_csv(csv_dir, "duhamel_vs_ode.csv", ["mode", "k", "t", "rel_err"], rows)

@@ -512,23 +512,22 @@ def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
                   mc_samples=0, seed=0):
     """Norms of Duh_j for j = 0..j_max plus factorial-normalized diagnostics.
 
-    Each norm is the H^alpha norm of Duh_j averaged in L^2(Omega) by
-    `omega_l2_h_alpha` over the sign fields on the levels k+1..k+j the
-    term uses: exact enumeration, or Monte Carlo when mc_samples > 0.  A
-    deterministic mode is evaluated once, a plain H^alpha norm.  The
+    The H^alpha norms of Duh_0..Duh_j_max are averaged in L^2(Omega) by one
+    `omega_l2_h_alpha` call over the sign fields on levels k+1..k+j_max
+    (depth j reads levels k+1..k+j): exact enumeration, or Monte Carlo when
+    mc_samples > 0; a deterministic mode is evaluated once.  The
     normalized value is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
-    norms = []
-    for j in range(0, j_max + 1):
-        def depth_norms(modes, j=j):
-            ev = DuhamelEvaluator(state0, modes, quad)
-            return ev.term_batch(k, j, [t]).per_mode(
-                lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), alpha))
+    def depth_norms(modes):
+        """[mode, j]: the H^alpha norm of Duh_j under the mode's fields."""
+        ev = DuhamelEvaluator(state0, modes, quad)
+        return np.stack([ev.term_batch(k, j, [t]).per_mode(
+            lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), alpha))
+            for j in range(j_max + 1)], axis=1)
 
-        est = omega_l2_h_alpha(depth_norms, mode, state0.lattice,
-                               range(k + 1, k + j + 1),
-                               mc_samples=mc_samples, seed=seed)
-        norms.append(est.value)
+    norms = omega_l2_h_alpha(depth_norms, mode, state0.lattice,
+                             range(k + 1, k + j_max + 1),
+                             mc_samples=mc_samples, seed=seed).value
     normalized = []
     for j, nj in enumerate(norms):
         scale = t**j / math.factorial(j) if t > 0 or j == 0 else 0.0

@@ -11,13 +11,14 @@ the list of redrawn modes and returns one norm, or one array of norms,
 per mode in the same order, so a caller can share work between modes
 (`duhamel.DuhamelEvaluator` evaluates the batch in one climb).
 
-`collision_omega_operator_norm` keeps its own field list on purpose: it
-takes the norm of the field-stacked operator instead of averaging norms,
-and it is the independent upper bound on the averages behind
-`random.opnorm_majorizes_ratios`.
+`collision_omega_operator_norm` takes no field: by Walsh orthogonality
+its averaged normal operator is one class-lifted sparse matrix.  It
+shares no sampling code with `omega_l2_h_alpha`, so it stays the
+independent upper bound behind `random.opnorm_majorizes_ratios`.
 """
 
 from dataclasses import dataclass
+import functools
 import hashlib
 import itertools
 import struct
@@ -25,7 +26,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import HierarchyMode, collision_matrix, sign_vector
+from .dynamics import HierarchyMode, collision_matrix
 from .tensor import MemoryGuardError, slot_product
 
 __all__ = [
@@ -174,52 +175,40 @@ def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
     return OmegaNormEstimate(_scalar(np.sqrt(mean)), mc_samples, _scalar(stderr))
 
 
-def collision_omega_operator_norm(lattice, k, j, alpha, fields=None):
+def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     """Exact operator norm of the (randomized) (j, k+1) collision on H^alpha.
 
-    The linear map gamma -> [B]^omega gamma is taken from the
-    order-(k+1) H^alpha space into the stacked (field x space) H^alpha
-    codomain, each field block weighted by 1/sqrt(#fields) so that the
-    codomain norm is the L^2(Omega) average over `fields` (default: all
-    2^F sign fields); fields=[None] gives the deterministic norm.  Each
-    field's block is the deterministic operator conjugated by the field's
-    signs.  Returns the largest singular value, from Lanczos (`eigsh`) on
-    the normal operator; no stacked matrix is built.
-
-    The field list is built here, not through `omega_l2_h_alpha`, on
-    purpose: this bounds the averages of every input at once rather than
-    averaging norms of one, and it is the independent upper bound behind
-    `random.opnorm_majorizes_ratios`.
+    The map is gamma -> [B]^omega gamma into L^2(Omega; H^alpha) over all
+    2^F sign fields, or the deterministic map if not `randomized`.  With W
+    the weighted deterministic collision, field h gives S_k(h) W
+    S_(k+1)(h), and E_h[S(h)_x S(h)_y] is 1 when inputs x and y hold the
+    same lattice points an odd number of times among their 2(k+1) slots
+    (one class), else 0.  So the averaged normal operator is L^T L, with L
+    the matrix W with entry (r, x) moved to row r n + class(x) (n classes;
+    one class, L = W, when deterministic).  Returns the largest singular
+    value of L, by Lanczos (`eigsh`) on L^T L.  No field is drawn, so this
+    bound is independent of the enumerated averages it majorizes.
     """
     import scipy.sparse.linalg as spla
 
     dom = lattice.size ** (2 * (k + 1))
     if dom > NORM_DOMAIN_CAP:
-        raise MemoryGuardError(
-            f"operator-norm domain dimension {dom} exceeds the cap "
-            f"{NORM_DOMAIN_CAP}"
-        )
-    if fields is None:
-        fields = enumerate_fields(lattice)
+        raise MemoryGuardError(f"operator-norm domain dimension {dom} exceeds "
+                               f"the cap {NORM_DOMAIN_CAP}")
     w_in = slot_product(lattice, lattice.brackets**alpha, k + 1)
     w_out = slot_product(lattice, lattice.brackets**alpha, k)
-    base = (collision_matrix(lattice, k + 1, j, k + 1, "+")
-            - collision_matrix(lattice, k + 1, j, k + 1, "-"))
-    scale = 1.0 / np.sqrt(len(fields))
-    # field f's block S_k W S_(k+1) of the weighted deterministic W adds
-    # S_(k+1) W^T W S_(k+1) to the normal operator (S_k S_k = 1)
-    base = scale * sp.diags(w_out) @ base @ sp.diags(1.0 / w_in)
-    base_t = base.T
-    signs = [np.ones(dom) if f is None else sign_vector(lattice, f, k + 1)
-             for f in fields]
-
-    def normal_apply(x):
-        acc = np.zeros(dom, dtype=np.float64)
-        for s in signs:
-            acc += s * (base_t @ (base @ (s * x)))
-        return acc
-
-    op = spla.LinearOperator((dom, dom), matvec=normal_apply, dtype=np.float64)
+    W = (sp.diags(w_out) @ (collision_matrix(lattice, k + 1, j, k + 1, "+")
+                            - collision_matrix(lattice, k + 1, j, k + 1, "-"))
+         @ sp.diags(1.0 / w_in)).tocoo()
+    # one bit per lattice point (none when deterministic); F^4 <= dom <=
+    # NORM_DOMAIN_CAP = 2^16 keeps F <= 16, so the masks fit an int64
+    bits = (1 << np.arange(lattice.size, dtype=np.int64)) * randomized
+    odd = functools.reduce(np.bitwise_xor.outer, [bits] * (2 * (k + 1)))
+    classes, cls = np.unique(odd.reshape(-1), return_inverse=True)
+    L = sp.csr_matrix((W.data, (W.row * classes.size + cls[W.col], W.col)),
+                      shape=(W.shape[0] * classes.size, dom))
+    op = spla.LinearOperator((dom, dom), matvec=lambda x: L.T @ (L @ x),
+                             dtype=np.float64)
     # seeded random start: a structured vector can be exactly orthogonal to
     # the dominant eigenspace by symmetry
     v0 = np.random.default_rng(2024).standard_normal(dom)

@@ -78,9 +78,14 @@ def test_criterion_3_randomized_estimate():
     rep = verdict(3, "randomized-estimate machinery", ESTIMATE_C0,
                   ["random.exact_vs_mc_4sigma",
                    "random.opnorm_majorizes_ratios"], 10)
-    # the exact L^2(Omega) operator norm of the order-2 collision at M=1
-    assert rep.constants["c0_exact_operator_norm"] == pytest.approx(
-        1.732050807568877, rel=1e-12, abs=0.0)
+    # the exact L^2(Omega) operator norm of the order-2 collision at M=1, and
+    # the exact Omega-averages of gamma and of the trial ratios, pinned so
+    # that a change in how the averages are batched cannot move them
+    pins = {"c0_exact_operator_norm": 1.732050807568877,
+            "omega_norm_exact": 0.5103595305805632,
+            "c0_empirical": 0.6327294235872727}
+    for name, value in pins.items():
+        assert rep.constants[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
 def test_criterion_4_factorial_decay():

@@ -69,7 +69,7 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(ConfigError, match="^T: "):
         ExperimentConfig(kind="nls", T=0.012).validate()
     # integer fields take whole numbers only, float fields finite numbers,
-    # and the seed is >= 0; each is a config error naming the field
+    # and the seed is in [0, 2^62); each is a config error naming the field
     for argv, name in (
         (["residual", "--set", "T=abc"], "T"),
         (["residual", "--set", "T=nan"], "T"),
@@ -79,12 +79,16 @@ def test_exit_codes(tmp_path, capsys):
         (["verify", "--set", "q=nan"], "q"),
         (["verify", "--set", "alpha=nan"], "alpha"),
         (["verify", "--set", "seed=-1"], "seed"),
+        # seeds key signed 64-bit streams after small offsets: < 2^62
+        (["verify", "--set", "seed=9223372036854775806"], "seed"),
+        (["verify", "--set", f"seed={2**62}"], "seed"),
         (["verify", "--set", "M=1.5"], "M"),
         (["verify", "--set", "M=true"], "M"),
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"config error: {name}:"), argv
     ExperimentConfig(kind="residual", T=1, xi=np.float64(0.25)).validate()
+    ExperimentConfig(kind="verify", seed=2**62 - 1).validate()
     # each kind's largest dense size is checked before any state is built,
     # and the error names the field at fault
     for argv, name in (
