@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .lattice import FrequencyLattice
 from .tensor import (
+    MEMORY_GUARD,
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
@@ -122,6 +123,9 @@ class ExperimentConfig:
         Returns a message naming the field at fault, or None.  Sizes are
         compared in logarithms, so a huge N or K_max costs nothing.
         """
+        if self.kind == "nls":
+            # nls runs on the M' = max(M, 2) lattice
+            F = (2 * max(self.M, 2) + 1) ** self.d
         logF = math.log(F)
         big = "d" if self.d > 1 else "M"
         # continuity's modulus check averages over every joint sign field of
@@ -146,6 +150,10 @@ class ExperimentConfig:
             # the exact Omega-average; the operator norm takes no field
             ("estimate-c0", big, F * math.log(2), 2**FIELD_BITS,
              "an exact average over every sign field, 2^F of them"),
+            # the k=2 residual's collision acts on the dense order-3 power
+            ("nls", big, 6 * logF, MEMORY_GUARD,
+             "the dense order-3 tensor power on F^6 coefficients, with M "
+             "read as max(M, 2)"),
         ]
         if self.mode != "dependent":
             limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,

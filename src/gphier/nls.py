@@ -6,6 +6,19 @@ with a, b, c, xi all inside the box, the same in-box rule the hierarchy
 collision sums use.  Pure tensor powers of an NLS solution then solve
 the deterministic hierarchy exactly, level by level.
 
+The convolution is table driven.  `_tables` lists, for each shift s,
+the flat pairs (a, b) with a - b = s, padded with a zero slot, and the
+shift out - in of each (in, out) pair.  One call gathers phi(a) conj(phi(b))
+by the first table and sums over its rows into w(s), then gathers
+w(out - in) phi(in) by the second and sums over in.  Each sum runs over
+axis 0 in increasing pair order, so it adds in the same order as a
+weighted bincount over the flat pairs would.
+
+`_tables` builds the same shift table as `dynamics._shift_table` and
+stays separate on purpose: the NLS side is the independent half of the
+factorized check, so it shares no collision code with the hierarchy it
+is checked against.
+
 `factorized_residual` checks that: at each grid time it builds the
 order-(k+1) tensor power once, applies the generic collision to it once,
 and measures the defect against two time derivatives of the order-k
@@ -33,35 +46,42 @@ _NLS_TABLES = {}
 
 
 def _tables(lattice):
-    """Shift table of the in-box double convolution.
+    """Gather tables of the in-box double convolution.
 
-    Pair (a, b), flattened as a F + b, has shift index of a - b: the
-    same table sums phi(a) conj(phi(b)) into shifts and gathers the
-    shift out - in for each (out, in) pair.
+    Pair (a, b) is flattened as a F + b and has the shift a - b, indexed
+    on the box of side 4M+1.  Returns:
+
+    - pair_at (P, S): column s lists the flat pairs with shift s in
+      increasing order, padded with F^2, the index of a zero slot;
+    - shift_in_out (F, F): row in, column out holds the shift out - in.
     """
     key = (lattice.d, lattice.M)
     if key not in _NLS_TABLES:
         F = lattice.size
         side = 4 * lattice.M + 1
         sstrides = side ** np.arange(lattice.d - 1, -1, -1, dtype=np.int64)
-        a, b = (x.ravel() for x in np.meshgrid(np.arange(F), np.arange(F),
-                                               indexing="ij"))
-        pair_shift = (lattice.points[a] - lattice.points[b]
-                      + 2 * lattice.M) @ sstrides
-        _NLS_TABLES[key] = (pair_shift, a, b, side**lattice.d)
+        pts = lattice.points
+        shift = (pts[:, None, :] - pts[None, :, :] + 2 * lattice.M) @ sstrides
+        pair_shift = shift.ravel()
+        order = np.argsort(pair_shift, kind="stable")
+        counts = np.bincount(pair_shift, minlength=side**lattice.d)
+        starts = np.cumsum(counts) - counts
+        rank = np.arange(F * F) - np.repeat(starts, counts)
+        pair_at = np.full((counts.max(), counts.size), F * F, dtype=np.intp)
+        pair_at[rank, pair_shift[order]] = order
+        _NLS_TABLES[key] = (pair_at, np.ascontiguousarray(shift.T))
     return _NLS_TABLES[key]
 
 
 def nls_nonlinearity(phi_hat, lattice):
     """Coefficients of |phi|^2 phi under the in-box truncation."""
-    pair_shift, out_idx, in_idx, nshift = _tables(lattice)
-    prod = np.outer(phi_hat, np.conj(phi_hat)).ravel()
-    w = np.bincount(pair_shift, weights=prod.real, minlength=nshift) \
-        + 1j * np.bincount(pair_shift, weights=prod.imag, minlength=nshift)
-    vals = w[pair_shift] * phi_hat[in_idx]
-    out = np.bincount(out_idx, weights=vals.real, minlength=lattice.size) \
-        + 1j * np.bincount(out_idx, weights=vals.imag, minlength=lattice.size)
-    return out
+    pair_at, shift_in_out = _tables(lattice)
+    F = lattice.size
+    prod = np.empty(F * F + 1, dtype=np.complex128)
+    np.multiply.outer(phi_hat, np.conj(phi_hat), out=prod[:-1].reshape(F, F))
+    prod[-1] = 0.0
+    w = np.add.reduce(prod[pair_at], axis=0)
+    return np.add.reduce(w[shift_in_out] * phi_hat[:, None], axis=0)
 
 
 def nls_rhs(phi_hat, lattice):
@@ -98,7 +118,8 @@ def nls_evolve(phi0, T, dt, lattice):
 
     The dispersion phases are applied exactly; only the nonlinear term
     is stepped, so mass drift is O(dt^4) per unit time.  T must be an
-    integer multiple of dt.
+    integer multiple of dt.  A non-finite coefficient raises RuntimeError
+    naming the end time of the first step that produced one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -108,27 +129,29 @@ def nls_evolve(phi0, T, dt, lattice):
     if abs(nsteps * dt - T) > 1e-9:
         raise ValueError("T must be an integer multiple of dt")
 
-    def rate(t, b):
-        ph = np.exp(-1j * t * e)
-        return -1j * np.conj(ph) * nls_nonlinearity(ph * b, lattice)
-
     times = np.arange(nsteps + 1) * dt
+    t = times[:-1, None]
+    # the phases of the stage times t, t + dt/2, t + dt of every step
+    ph = np.exp(-1j * np.stack([t, t + 0.5 * dt, t + dt], axis=1) * e)
+    back = -1j * np.conj(ph)
     out = np.empty((nsteps + 1, lattice.size), dtype=np.complex128)
     out[0] = phi0
     b = phi0.copy()
     for n in range(nsteps):
-        t = times[n]
-        k1 = rate(t, b)
-        k2 = rate(t + 0.5 * dt, b + 0.5 * dt * k1)
-        k3 = rate(t + 0.5 * dt, b + 0.5 * dt * k2)
-        k4 = rate(t + dt, b + dt * k3)
+        (p1, p2, p4), (c1, c2, c4) = ph[n], back[n]
+        k1 = c1 * nls_nonlinearity(p1 * b, lattice)
+        k2 = c2 * nls_nonlinearity(p2 * (b + 0.5 * dt * k1), lattice)
+        k3 = c2 * nls_nonlinearity(p2 * (b + 0.5 * dt * k2), lattice)
+        k4 = c4 * nls_nonlinearity(p4 * (b + dt * k3), lattice)
         b = b + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(b)):
-            raise RuntimeError(
-                f"non-finite NLS coefficient at t={t + dt}; the defocusing "
-                "Galerkin system is mass-bounded, so this indicates a bug"
-            )
         out[n + 1] = b
+    bad = ~np.all(np.isfinite(out[1:]), axis=1)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise RuntimeError(
+            f"non-finite NLS coefficient at t={times[n] + dt}; the defocusing "
+            "Galerkin system is mass-bounded, so this indicates a bug"
+        )
     return NlsTrajectory(lattice, times, out, dt)
 
 

@@ -208,17 +208,22 @@ def project(state, N, side):
 
 
 def factorized(phi, k, lattice):
-    """Pure tensor power: coefficient prod_j phi(xi_j) * prod_j conj(phi(xi'_j))."""
+    """Pure tensor power: coefficient prod_j phi(xi_j) * prod_j conj(phi(xi'_j)).
+
+    Entries are associated as h(xi) * conj(h(xi')), where
+    h(xi) = (phi(xi_1) phi(xi_2)) ... phi(xi_k), folded left, is the
+    order-k power of phi; h is built once and the F^(2k) entries come from
+    one outer product.
+    """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (lattice.size,):
         raise ValueError(f"phi must have length F={lattice.size}")
     _check_guard(lattice, k)
-    out = np.ones((), dtype=np.complex128)
+    half = np.ones((), dtype=np.complex128)
     for _ in range(k):
-        out = np.multiply.outer(out, phi)
-    for _ in range(k):
-        out = np.multiply.outer(out, np.conj(phi))
-    return DensityMatrix(lattice, k, "dense", data=out)
+        half = np.multiply.outer(half, phi)
+    return DensityMatrix(lattice, k, "dense",
+                         data=np.multiply.outer(half, np.conj(half)))
 
 
 def random_density_matrix(lattice, k, seed, alpha=None, norm=None):

@@ -142,6 +142,16 @@ def test_criterion_10_nls_factorized():
              "nls.rk4_order_low", "nls.rk4_order_high"], 60)
 
 
+def test_criterion_10_nls_constants_pinned():
+    # the RK4 step-halving ratio and the mass drift at criterion 10, pinned
+    # so that a change in how the NLS stepper evaluates cannot move them
+    rep, _ = pinned_run(NLS)
+    pins = {"rk4_halving_ratio": 16.064635556126323,
+            "mass_drift": 5.948574965941589e-13}
+    for name, value in pins.items():
+        assert rep.constants[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
 def test_criterion_11_simplex_identity():
     verdict(11, "simplex identity", VERIFY, ["duhamel.simplex_identity"], 5)
 

@@ -105,6 +105,10 @@ def test_exit_codes(tmp_path, capsys):
         # 2^14 and 2^11 joint sign fields, above the 2^10 one climb takes
         (["continuity", "--set", "M=3", "--set", "N=3"], "N"),
         (["continuity", "--set", "M=5", "--set", "N=2"], "M"),
+        # the order-3 tensor power on the M' = max(M, 2) lattice: 125^6 and
+        # 33^6 entries, above the 2^28 dense guard
+        (["nls", "--set", "d=3"], "d"),
+        (["nls", "--set", "M=16"], "M"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -16,6 +16,11 @@ from gphier.nls import (
 )
 
 
+# the nonlinearity is checked on every dimension, at d=2 for M = 1 and 2
+LATTICES = [(1, 8), (2, 1), (2, 2), (3, 1)]
+LATTICE_IDS = [f"d{d}M{M}" for d, M in LATTICES]
+
+
 @pytest.fixture
 def lat():
     return FrequencyLattice(1, 8)
@@ -28,20 +33,51 @@ def sobolev_random(lat, seed, decay=2.0):
     return phi / np.sqrt(mass(phi))
 
 
-def test_nonlinearity_direct_sum(lat):
+@pytest.mark.parametrize("d, M", LATTICES, ids=LATTICE_IDS)
+def test_nonlinearity_direct_sum(d, M):
+    lat = FrequencyLattice(d, M)
     phi = sobolev_random(lat, 0)
     out = nls_nonlinearity(phi, lat)
     # brute-force triple sum over a - b + c = xi, everything in the box
     brute = np.zeros(lat.size, dtype=complex)
-    pts = lat.points.ravel()
+    pts = lat.points
     for ia, a in enumerate(pts):
         for ib, b in enumerate(pts):
             for ic, c in enumerate(pts):
                 out_freq = a - b + c
-                if abs(out_freq) <= lat.M:
-                    io = lat.index_of([out_freq])
+                if np.all(np.abs(out_freq) <= lat.M):
+                    io = lat.index_of(out_freq)
                     brute[io] += phi[ia] * np.conj(phi[ib]) * phi[ic]
     assert np.max(np.abs(out - brute)) < 1e-13
+
+
+def bincount_nonlinearity(phi, lat):
+    """The convolution as two weighted bincounts over the flat pairs."""
+    F = lat.size
+    side = 4 * lat.M + 1
+    sstrides = side ** np.arange(lat.d - 1, -1, -1)
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(F), np.arange(F),
+                                           indexing="ij"))
+    pair_shift = (lat.points[a] - lat.points[b] + 2 * lat.M) @ sstrides
+    prod = np.outer(phi, np.conj(phi)).ravel()
+    nshift = side**lat.d
+    w = np.bincount(pair_shift, weights=prod.real, minlength=nshift) \
+        + 1j * np.bincount(pair_shift, weights=prod.imag, minlength=nshift)
+    vals = w[pair_shift] * phi[b]
+    return np.bincount(a, weights=vals.real, minlength=F) \
+        + 1j * np.bincount(a, weights=vals.imag, minlength=F)
+
+
+@pytest.mark.parametrize("d, M", LATTICES, ids=LATTICE_IDS)
+def test_nonlinearity_bitwise_matches_bincount(d, M):
+    # the gather tables add in the order of the bincount formula, so the
+    # two agree to the last bit, not just to roundoff
+    lat = FrequencyLattice(d, M)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        phi = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+        assert np.array_equal(nls_nonlinearity(phi, lat),
+                              bincount_nonlinearity(phi, lat))
 
 
 def test_zero_stays_zero(lat):
@@ -79,6 +115,30 @@ def test_rk4_order(lat):
 
     ratio = err(1e-3) / err(5e-4)
     assert 12 < ratio < 20
+
+
+@pytest.mark.parametrize("bad_call, step", [(1, 0), (10, 2)])
+def test_evolve_refuses_non_finite(lat, monkeypatch, bad_call, step):
+    # the nonlinearity turns inf from its bad_call-th call on, which falls in
+    # RK4 step `step`; the error names the time that step ends at
+    from gphier import nls
+
+    calls = []
+    real = nls.nls_nonlinearity
+
+    def turning(phi_hat, lattice):
+        calls.append(1)
+        if len(calls) >= bad_call:
+            return np.full(lattice.size, np.inf, dtype=np.complex128)
+        return real(phi_hat, lattice)
+
+    monkeypatch.setattr(nls, "nls_nonlinearity", turning)
+    dt = 1e-3
+    t_bad = step * dt + dt
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(RuntimeError,
+                           match=rf"non-finite NLS coefficient at t={t_bad};"):
+            nls_evolve(sobolev_random(lat, 12), 0.01, dt, lattice=lat)
 
 
 def test_algebraic_residual(lat):
