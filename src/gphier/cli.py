@@ -647,6 +647,10 @@ def _run_residual(cfg, rep, csv_dir):
     # one evaluator: each level's solution and residual for all three modes
     ev = DuhamelEvaluator(state, list(modes.values()), quad)
     sols = [ev.solution_batch(cfg.N, k, grid) for k in range(1, cfg.N + 1)]
+    # [mode, i]: modes that share a solution row share its norms
+    sol_norms = [sols[k - 1].per_mode(lambda sol, k=k: [
+        h_alpha_norm(ev._wrap(k, sol[:, i]), cfg.alpha) for i in range(len(grid))])
+        for k in range(1, cfg.N + 1)]
     rows = []
     for m, (which, mode) in enumerate(modes.items()):
         traj = evolve_truncated(state, cfg.N, cfg.T, mode, grid_times=grid)
@@ -654,9 +658,9 @@ def _run_residual(cfg, rep, csv_dir):
             sol = sols[k - 1].of(m)
             for i, t in enumerate(grid):
                 ode = traj.states[i].level(k)
-                diff = ev._wrap(k, sol[:, i] - ode.data.reshape(-1))
-                rel = h_alpha_norm(diff, cfg.alpha) \
-                    / (1.0 + h_alpha_norm(ev._wrap(k, sol[:, i]), cfg.alpha))
+                diff = (sol[:, i] - ode.data.reshape(-1)).reshape(ode.data.shape)
+                rel = h_alpha_norm(DensityMatrix(lat, k, "dense", data=diff),
+                                   cfg.alpha) / (1.0 + sol_norms[k - 1][m, i])
                 rows.append((which, k, float(t), rel))
     residuals = [r for k in range(1, cfg.N)
                  for r in integral_residual(ev, cfg.N, k, cfg.T, alpha=cfg.alpha)]

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import conjugate, full_collision_matrix, level_energy, sign_vector
+from .dynamics import _energy_split, conjugate, full_collision_matrix, sign_vector
 from .randomization import omega_l2_h_alpha
 from .tensor import DensityMatrix, MemoryGuardError, h_alpha_norm
 
@@ -53,7 +53,7 @@ __all__ = [
 
 CHAIN_CAP = 2**22  # complex elements per chain-block or scalar-array chunk
 
-_BUCKETS = {}  # (d, M, m) -> energy buckets of level m; see _buckets
+_BUCKETS = {}  # (d, M, m) -> coefficient rows per energy of level m; see _buckets
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,14 +65,17 @@ def _leggauss(q):
 
 
 def _buckets(lattice, m):
-    """(distinct energies, bucket of each coefficient, rows per bucket)."""
+    """The coefficient rows of each energy bucket of level m, in increasing order.
+
+    Bucket e holds the coefficients at the e-th distinct energy of the
+    shared split (`dynamics._energy_split`).
+    """
     key = (lattice.d, lattice.M, m)
     if key not in _BUCKETS:
-        vals, inv = np.unique(level_energy(lattice, m), return_inverse=True)
+        vals, inv = _energy_split(lattice, m)
         order = np.argsort(inv, kind="stable")
         bounds = np.searchsorted(inv[order], np.arange(vals.size + 1))
-        rows = [order[bounds[e]:bounds[e + 1]] for e in range(vals.size)]
-        _BUCKETS[key] = (vals, inv, rows)
+        _BUCKETS[key] = [order[bounds[e]:bounds[e + 1]] for e in range(vals.size)]
     return _BUCKETS[key]
 
 
@@ -124,6 +127,11 @@ def _branches(paths, sub, col):
 
 class DuhamelEvaluator:
     """Energy-chain evaluator of Duhamel terms for one state and a batch of modes.
+
+    The energy buckets of every level are those of the free flow: the
+    distinct energies and each coefficient's bucket come from the cached
+    split `dynamics._energy_split`, and the rows of each bucket, built
+    only for the levels a term ends at, from `_buckets`.
 
     Caches the flattened initial coefficients of each level m, per level
     m the per-energy column slices B_m P_e of the deterministic collision
@@ -217,7 +225,7 @@ class DuhamelEvaluator:
         block with e as its new leading chain index.  The split over all n
         buckets is cached; a chunk of them selects its rows r n + e.
         """
-        vals, inv, _ = _buckets(self.lattice, m)
+        vals, inv = _energy_split(self.lattice, m)
         n = vals.size
 
         def build():
@@ -246,7 +254,7 @@ class DuhamelEvaluator:
             g = self._gamma_flat(m)
             if signs is not None:
                 g = signs[1] * g
-            vals, inv, _ = _buckets(self.lattice, m)
+            vals, inv = _energy_split(self.lattice, m)
             nz = np.flatnonzero(g)
             cols = sp.csr_matrix((g[nz], (nz, inv[nz])),
                                  shape=(g.size, vals.size))
@@ -259,7 +267,7 @@ class DuhamelEvaluator:
 
     def _phases(self, m, gaps):
         """exp(-i * gap * E_m) as a (dim_m, len(gaps)) array."""
-        vals, inv, _ = _buckets(self.lattice, m)
+        vals, inv = _energy_split(self.lattice, m)
         table = np.exp(-1j * np.outer(vals, gaps))
         return table[inv, :]
 
@@ -305,7 +313,7 @@ class DuhamelEvaluator:
                        dtype=np.complex128)
         # the leaf: one chain column per energy e of level k + j, with the
         # block B P_e gamma0 and the scalar e^(-ieu) at the deepest nodes
-        vals = _buckets(self.lattice, k + j)[0]
+        vals = _energy_split(self.lattice, k + j)[0]
         dim_leaf = self.lattice.size ** (2 * (k + j - 1))
         step = max(1, CHAIN_CAP // max(dim_leaf, nodes[j].size))
         branches = _branches(paths, np.arange(len(paths)), j - 1)
@@ -362,7 +370,7 @@ class DuhamelEvaluator:
         call's chunks (and of the levels below) for the sibling branches
         that make the same call with another W.
         """
-        vals, _, rows = _buckets(self.lattice, level)
+        vals = _energy_split(self.lattice, level)[0]
         x, w = self._gl
         s = nodes[level - k]
         c = W.shape[1]
@@ -395,6 +403,7 @@ class DuhamelEvaluator:
                 fn, below = entry
                 if branches is None:
                     (p,) = sub
+                    rows = _buckets(self.lattice, k)
                     for e in range(lo, hi):
                         out[p][rows[e]] += W[rows[e], cols] @ fn[:, e - lo, :].T
                     continue

@@ -207,11 +207,13 @@ def test_report_determinism(tmp_path):
 
 
 def test_report_reproducible(monkeypatch):
-    # a report is a function of (config, seed): a run on cold collision-matrix
-    # and energy-bucket caches equals a rerun on the caches it left warm
+    # a report is a function of (config, seed): a run on cold collision-matrix,
+    # energy-split and energy-bucket caches equals a rerun on the caches it
+    # left warm
     from gphier import duhamel, dynamics
 
     monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
+    monkeypatch.setattr(dynamics, "_SPLIT_CACHE", {})
     monkeypatch.setattr(duhamel, "_BUCKETS", {})
     configs = [
         ExperimentConfig(kind="estimate-c0", M=1, mc_samples=200),
@@ -223,7 +225,7 @@ def test_report_reproducible(monkeypatch):
         for obj in objs:
             obj.pop("environment")
         runs.append(objs)
-    assert dynamics._MATRIX_CACHE and duhamel._BUCKETS
+    assert dynamics._MATRIX_CACHE and dynamics._SPLIT_CACHE and duhamel._BUCKETS
     assert runs[0] == runs[1]
 
 

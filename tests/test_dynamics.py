@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 
 import numpy as np
@@ -85,6 +86,30 @@ def test_free_evolve_sparse_matches_dense(lat):
     coo = free_evolve(g.to_coo(), 0.9).to_dense()
     dense = free_evolve(g, 0.9)
     assert np.max(np.abs(coo.data - dense.data)) < 1e-14
+
+
+@pytest.mark.parametrize("d, M, k", [(1, 3, 3), (1, 8, 2), (2, 1, 2), (3, 1, 1)])
+def test_free_flow_phases_bitwise(d, M, k):
+    # a phase taken once per distinct energy and gathered multiplies to the
+    # same bits as the phase of every coefficient, in free_evolve and in
+    # evolve_truncated's top level alike
+    lat = FrequencyLattice(d, M)
+    e = lat.energies.astype(np.float64)
+    energy = functools.reduce(np.add.outer, [e] * k + [-e] * k).reshape(-1)
+    # the split is np.unique's: sorted distinct energies, and their inverse
+    assert np.array_equal(dynamics._energy_split(lat, k)[0], np.unique(energy))
+    assert np.array_equal(dynamics.level_energy(lat, k), energy)
+    g = random_density_matrix(lat, k, 31)
+    times = (0.0, 1e-3, 0.37, 1.0, 2.9)
+    for t in times:
+        ref = g.data * np.exp(-1j * t * energy.reshape(g.data.shape))
+        assert np.array_equal(free_evolve(g, t).data, ref)
+    traj = evolve_truncated(HierarchyState(lat, k, {k: g}), k, times[-1],
+                            HierarchyMode.deterministic(), grid_times=times)
+    top = g.data.reshape(-1)
+    for t, state in zip(times, traj.states):
+        ref = top * np.exp(-1j * t * energy)
+        assert np.array_equal(state.level(k).data.reshape(-1), ref)
 
 
 def test_collision_zero(lat):
@@ -355,6 +380,20 @@ def test_evolve_trajectory_mode_collapse_bitwise(lat):
     for s1, s2 in zip(dep.states, ind.states):
         for k in (1, 2, 3):
             assert np.array_equal(s1.level(k).data, s2.level(k).data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_evolve_subnormal_interval_is_identity(lat, N):
+    # over an interval this short scipy's scaled norm underflows and it takes
+    # no step; the state comes out unchanged, and without a warning
+    st = random_state(lat, 3, 24)
+    for grid, moved in (((5e-324, 0.1), 0), ((0.0, 5e-324), 1)):
+        traj = evolve_truncated(st, N, 0.1, HierarchyMode.deterministic(),
+                                grid_times=grid)
+        for k in range(1, N + 1):
+            assert np.array_equal(traj.states[moved].level(k).data,
+                                  st.level(k).data)
 
 
 def test_continuity_defect_examples(lat):
