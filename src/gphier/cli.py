@@ -150,10 +150,12 @@ class ExperimentConfig:
             # the exact Omega-average; the operator norm takes no field
             ("estimate-c0", big, F * math.log(2), 2**FIELD_BITS,
              "an exact average over every sign field, 2^F of them"),
-            # the k=2 residual's collision acts on the dense order-3 power
-            ("nls", big, 6 * logF, MEMORY_GUARD,
-             "the dense order-3 tensor power on F^6 coefficients, with M "
-             "read as max(M, 2)"),
+            # the k=2 residual streams the order-3 tensor power into the
+            # gather collision, whose shift buffer is then the largest array;
+            # the kernel refuses the same size (`dynamics._pair_reduce`)
+            ("nls", big, 4 * logF + self.d * math.log(4 * max(self.M, 2) + 1),
+             MEMORY_GUARD, "the order-3 collision's shift buffer on "
+             "F^4 (4M+1)^d entries, with M read as max(M, 2)"),
         ]
         if self.mode != "dependent":
             limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,

@@ -7,6 +7,10 @@ cached scipy.sparse matrices; above MATRIX_DOMAIN_CAP, the gather kernel
 sums gamma over the pairs of each shift once (`_pair_reduce`), then
 gathers each term from that buffer (memory-lean, any size).  `collision`
 and `full_collision` pick between the two by F^(2m) alone (`_apply`).
+The pair reduction reads gamma only slab by slab, so it also takes a
+rank-one gamma = h (x) g as its two factors and forms each slab as it is
+read: `power_collision` collides a pure tensor power this way above the
+cap, in the memory of the shift buffer rather than of the power.
 
 Every kernel and cached matrix is deterministic.  A sign field h enters
 only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`): the
@@ -37,6 +41,7 @@ __all__ = [
     "free_evolve",
     "collision",
     "full_collision",
+    "power_collision",
     "collision_matrix",
     "full_collision_matrix",
     "evolve_truncated",
@@ -189,30 +194,40 @@ def _roles(lattice, m, ell, n, sign):
 
 
 def _pair_reduce(lat, m, x, n):
-    """D[rest, s]: the sum of gamma = x (flat, order m) over the pairs of shift s.
+    """D[rest, s]: the sum of gamma = x (order m) over the pairs of shift s.
 
     a and b sit at the pair slots (n, n'); rest are gamma's other axes in
     order, the output axes of every (ell, n) collision.  Row a of the shift
     table is the box a + 2M - [0, 2M]^d reversed, so each a adds a slab of
     gamma into a slice; leading axes are looped over until a slab is small.
+
+    gamma is read only slab by slab, v[i..., a] with v = gamma as (unprimed
+    rest, a, primed rest, b).  x is gamma flat, or a rank-one pair (h, g)
+    with gamma = h (x) g, h and g of shape (F,)*m: then each slab is the
+    outer product of h'[i..., a] with g', h' and g' being h and g with the
+    pair axis last, formed when the loop reads it, and gamma never exists.
     """
     F, side, d, M = lat.size, lat.side, lat.d, lat.M
     entries = F ** (2 * m - 2) * (4 * M + 1) ** d
     if entries > tensor.MEMORY_GUARD:
         raise MemoryGuardError(f"order-{m} collision shift buffer needs {entries} "
                                f"entries (> guard {tensor.MEMORY_GUARD})")
-    # gamma as (unprimed rest, a, primed rest, b)
-    v = np.moveaxis(x.reshape((F,) * (2 * m)), (n - 1, m + n - 1), (m - 1, 2 * m - 1))
-    D = np.zeros(v.shape[:m - 1] + v.shape[m:-1] + (4 * M + 1,) * d,
-                 dtype=np.complex128)
+    if isinstance(x, tuple):
+        h, g = (np.moveaxis(f.reshape((F,) * m), n - 1, -1) for f in x)
+        slab_at = lambda idx: np.multiply.outer(h[idx], g)
+    else:
+        v = np.moveaxis(x.reshape((F,) * (2 * m)), (n - 1, m + n - 1),
+                        (m - 1, 2 * m - 1))
+        slab_at = v.__getitem__
+    D = np.zeros((F,) * (2 * m - 2) + (4 * M + 1,) * d, dtype=np.complex128)
     lead = 0
     while lead < m - 1 and D.size > _SLAB * F**lead:
         lead += 1
     boxes = [(Ellipsis,) + tuple(slice(c + 2 * M, c - 1 if c else None, -1)
                                  for c in pt + M) for pt in lat.points]
-    for i in np.ndindex(v.shape[:lead]):
+    for i in np.ndindex((F,) * lead):
         for a, box in enumerate(boxes):
-            slab = v[i + (slice(None),) * (m - 1 - lead) + (a,)]
+            slab = slab_at(i + (slice(None),) * (m - 1 - lead) + (a,))
             D[i][box] += slab.reshape(slab.shape[:-1] + (side,) * d)
     return D.reshape(D.shape[:2 * m - 2] + (-1,))
 
@@ -220,7 +235,8 @@ def _pair_reduce(lat, m, x, n):
 def _collide(lat, m, x, terms):
     """Sum of coef times the (ell, n) collision over terms (ell, n, sign, coef).
 
-    x and the result are flat tensors of orders m and m-1.  The terms share
+    x is an order-m operand of `_pair_reduce` (flat, or a rank-one pair);
+    the result is a flat tensor of order m-1.  The terms share
     n, so one pair reduction serves them all; each term then gathers
     out[..g..] += coef sum_u D[..u.., s(g, u)] at its output axis.
     """
@@ -298,6 +314,25 @@ def full_collision(gamma, field=None):
     All 2(m-1) terms are one cached matrix, or share one pair reduction.
     """
     return _apply(gamma, _full_terms(gamma.k), field)
+
+
+def power_collision(phi, m, lattice):
+    """full_collision(tensor.factorized(phi, m, lattice)), bitwise.
+
+    At or below MATRIX_DOMAIN_CAP it is exactly that, on the cached matrix.
+    Above it the power h (x) conj(h), h the left-folded half power of phi,
+    goes to `_collide` as a rank-one operand: the pair reduction forms each
+    slab from the two factors, with the same products as the dense power's
+    entries, summed in the same order, so the F^(2m) power is never built.
+    """
+    if m < 2:
+        raise ValueError("collision input must have order >= 2")
+    if lattice.size ** (2 * m) <= MATRIX_DOMAIN_CAP:
+        return full_collision(tensor.factorized(phi, m, lattice))
+    half = tensor._half_power(phi, m, lattice)
+    flat = _collide(lattice, m, (half, np.conj(half)), _full_terms(m))
+    return DensityMatrix(lattice, m - 1, "dense",
+                         data=flat.reshape((lattice.size,) * (2 * m - 2)))
 
 
 _MATRIX_CACHE = {}

@@ -19,17 +19,19 @@ stays separate on purpose: the NLS side is the independent half of the
 factorized check, so it shares no collision code with the hierarchy it
 is checked against.
 
-`factorized_residual` checks that: at each grid time it builds the
-order-(k+1) tensor power once, applies the generic collision to it once,
-and measures the defect against two time derivatives of the order-k
-power, one by the product rule and one by finite differences.
+`factorized_residual` checks that: at each grid time it applies the
+hierarchy's generic full collision to the order-(k+1) tensor power once
+(`dynamics.power_collision`, which above the matrix cap streams the power
+from its two half-power factors instead of building it), and measures the
+defect against two time derivatives of the order-k power, one by the
+product rule and one by finite differences.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import free_evolve, full_collision, level_energy
+from .dynamics import free_evolve, level_energy, power_collision
 from .tensor import DensityMatrix, _check_guard, factorized, h_alpha_norm
 
 __all__ = [
@@ -197,9 +199,10 @@ def factorized_residual(traj, k, grid_times, alpha=1.0):
     its residual reflects the time resolution; every grid time must lie
     at least three steps inside the trajectory.
 
-    B gamma^(k+1) is the generic collision applied to the dense tensor
-    power, once per grid time, and the order-(k+1) tensor is dropped
-    before anything else is built.
+    B gamma^(k+1) is the generic full collision of the tensor power, once
+    per grid time (`dynamics.power_collision`): bitwise the collision of
+    the dense power, which above the matrix cap is never built, since the
+    gather kernel forms its slabs from the two half-power factors.
     """
     lat = traj.lattice
     n = len(traj.times) - 1
@@ -213,9 +216,7 @@ def factorized_residual(traj, k, grid_times, alpha=1.0):
     alg, fd = [], []
     for t, step in zip(grid_times, steps):
         phi = traj.phi_at(step)
-        top = factorized(phi, k + 1, lat)
-        coll = full_collision(top).data
-        del top
+        coll = power_collision(phi, k + 1, lat).data
         dphi = nls_rhs(phi, lat)
         dgamma = _product_rule_rate(phi, dphi, k, lat)
         gamma = factorized(phi, k, lat)

@@ -207,21 +207,30 @@ def project(state, N, side):
     return state.with_levels(kept)
 
 
-def factorized(phi, k, lattice):
-    """Pure tensor power: coefficient prod_j phi(xi_j) * prod_j conj(phi(xi'_j)).
+def _half_power(phi, k, lattice):
+    """h(xi) = (phi(xi_1) phi(xi_2)) ... phi(xi_k), folded left: shape (F,)*k.
 
-    Entries are associated as h(xi) * conj(h(xi')), where
-    h(xi) = (phi(xi_1) phi(xi_2)) ... phi(xi_k), folded left, is the
-    order-k power of phi; h is built once and the F^(2k) entries come from
-    one outer product.
+    The one definition of the half power, so every consumer of the tensor
+    power h(xi) * conj(h(xi')) multiplies the same floats.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (lattice.size,):
         raise ValueError(f"phi must have length F={lattice.size}")
-    _check_guard(lattice, k)
     half = np.ones((), dtype=np.complex128)
     for _ in range(k):
         half = np.multiply.outer(half, phi)
+    return half
+
+
+def factorized(phi, k, lattice):
+    """Pure tensor power: coefficient prod_j phi(xi_j) * prod_j conj(phi(xi'_j)).
+
+    Entries are associated as h(xi) * conj(h(xi')), with h the left-folded
+    order-k power of phi (`_half_power`); h is built once and the F^(2k)
+    entries come from one outer product.
+    """
+    half = _half_power(phi, k, lattice)
+    _check_guard(lattice, k)
     return DensityMatrix(lattice, k, "dense",
                          data=np.multiply.outer(half, np.conj(half)))
 

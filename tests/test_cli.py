@@ -66,6 +66,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["nls", "--set", "T=0.01"]) == 2
     assert capsys.readouterr().err.startswith("config error: T:")
     ExperimentConfig(kind="nls", T=0.013).validate()
+    # the largest nls lattice at d=1: a shift buffer of 41^4 81 < 2^28 entries
+    ExperimentConfig(kind="nls", M=20).validate()
     with pytest.raises(ConfigError, match="^T: "):
         ExperimentConfig(kind="nls", T=0.012).validate()
     # integer fields take whole numbers only, float fields finite numbers,
@@ -105,10 +107,10 @@ def test_exit_codes(tmp_path, capsys):
         # 2^14 and 2^11 joint sign fields, above the 2^10 one climb takes
         (["continuity", "--set", "M=3", "--set", "N=3"], "N"),
         (["continuity", "--set", "M=5", "--set", "N=2"], "M"),
-        # the order-3 tensor power on the M' = max(M, 2) lattice: 125^6 and
-        # 33^6 entries, above the 2^28 dense guard
+        # the order-3 collision's shift buffer on the M' = max(M, 2) lattice:
+        # 125^4 9^3 and 43^4 85 entries, above the 2^28 entry guard
         (["nls", "--set", "d=3"], "d"),
-        (["nls", "--set", "M=16"], "M"),
+        (["nls", "--set", "M=21"], "M"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -12,6 +12,7 @@ from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
+    factorized,
     h_alpha_norm,
     random_density_matrix,
     random_state,
@@ -26,6 +27,7 @@ from gphier.dynamics import (
     full_collision,
     full_collision_matrix,
     phase_inequality_scan,
+    power_collision,
 )
 from gphier.randomization import SignField, all_plus, sample_field
 
@@ -205,6 +207,49 @@ def test_full_collision_gather_matches_matrix(d, m):
             full_collision_matrix(lat, m, f)
         via_gather = full_collision(g, f).data
     assert np.max(np.abs(via_gather - via_matrix)) <= 1e-13
+
+
+@pytest.mark.parametrize("d, M, m", [(1, 2, 3), (1, 3, 3), (2, 1, 3), (1, 1, 4)])
+def test_power_collision_bitwise(d, M, m, kernel):
+    # the gather kernel reads the streamed power's slabs as the same products
+    # the dense power holds, summed in the same order: equal to the last bit
+    lat = FrequencyLattice(d, M)
+    rng = np.random.default_rng(50 + 10 * d + M)
+    phi = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+    assert np.array_equal(power_collision(phi, m, lat).data,
+                          full_collision(factorized(phi, m, lat)).data)
+
+
+_PHI = st.lists(st.complex_numbers(max_magnitude=4.0, allow_subnormal=False),
+                min_size=5, max_size=5).map(np.array)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(phi=_PHI, psi=_PHI,
+       c=st.complex_numbers(max_magnitude=4.0, allow_subnormal=False))
+def test_power_collision_streams_rank_one(phi, psi, c):
+    # gather path, d=1, M=2: the streamed power collides bitwise as the dense
+    # one, and the rank-one operand (h, g) is linear in each factor
+    lat = FrequencyLattice(1, 2)
+    m, terms = 3, dynamics._full_terms(3)
+    h1, h2 = (tensor._half_power(v, m, lat) for v in (phi, psi))
+    g1, g2 = np.conj(h1), np.conj(h2)
+
+    def coll(h, g):
+        return dynamics._collide(lat, m, (h, g), terms)
+
+    with _gather():
+        assert np.array_equal(power_collision(phi, m, lat).data,
+                              full_collision(factorized(phi, m, lat)).data)
+        # an output entry sums at most 2(m-1) F^2 products, each at most
+        # (|c| max|h1| + max|h2|) max|h1| in both checks, as |g| = |h|
+        count = 2 * (m - 1) * lat.size**2
+        prod = (abs(c) * np.abs(h1).max() + np.abs(h2).max()) * np.abs(h1).max()
+        for got, want in (
+            (coll(c * h1 + h2, g1), c * coll(h1, g1) + coll(h2, g1)),
+            (coll(h1, c * g1 + g2), c * coll(h1, g1) + coll(h1, g2)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-13 * count * prod
 
 
 _ROLES = [(m, ell, n, sign) for m in (2, 3, 4) for n in range(2, m + 1)

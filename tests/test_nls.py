@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gphier.dynamics import full_collision
+from gphier.dynamics import power_collision
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import MemoryGuardError
 from gphier.nls import (
@@ -212,16 +212,17 @@ def test_product_rule_rate_checks_guard(lat, monkeypatch):
 
 
 def test_factorized_residual_one_collision_per_time(lat, monkeypatch):
-    # both derivatives are measured against one collision per grid time
+    # both derivatives are measured against one collision of the order-(k+1)
+    # tensor power per grid time
     from gphier import nls
 
     calls = []
 
-    def counting(gamma, field=None):
-        calls.append(gamma.k)
-        return full_collision(gamma, field)
+    def counting(phi, m, lattice):
+        calls.append(m)
+        return power_collision(phi, m, lattice)
 
-    monkeypatch.setattr(nls, "full_collision", counting)
+    monkeypatch.setattr(nls, "power_collision", counting)
     traj = nls_evolve(sobolev_random(lat, 9), 0.05, 1e-3, lattice=lat)
     times = [0.01, 0.02, 0.03, 0.04]
     for k in (1, 2):
@@ -230,10 +231,10 @@ def test_factorized_residual_one_collision_per_time(lat, monkeypatch):
         assert calls == [k + 1] * len(times)
 
 
-def test_factorized_residual_holds_one_top_tensor(monkeypatch):
-    # on the gather path the order-3 tensor power of one grid time is
-    # dropped before the next is built: peak traced memory stays near one
-    # order-3 tensor instead of two
+def test_factorized_residual_never_holds_top_tensor(monkeypatch):
+    # on the gather path the order-3 tensor power is streamed into the
+    # collision from its two half-power factors: peak traced memory stays
+    # well below one order-3 tensor (the shift buffer is 13/49 of one)
     from gphier import dynamics
 
     small = FrequencyLattice(1, 3)
@@ -248,4 +249,21 @@ def test_factorized_residual_holds_one_top_tensor(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * top_bytes, peak / top_bytes
+    assert peak < 0.6 * top_bytes, peak / top_bytes
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "RK4's O(dt^4) trajectory error puts the k=2 finite-difference residual "
+    "of this seed at 1.2693e-6; see the FOUND entry on nls.fd_residual_k2 "
+    "in CHANGES.md"))
+def test_fd_residual_k2_seed_102095334():
+    # the nls-factorized job of seed 102095334: criterion 10's data at M=8,
+    # T=0.5, dt=1e-3, and its three interior residual times
+    lat = FrequencyLattice(1, 8)
+    rng = np.random.default_rng(102095334)
+    raw = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+    phi0 = raw / lat.brackets**2
+    phi0 /= np.sqrt(mass(phi0))
+    traj = nls_evolve(phi0, 0.5, 1e-3, lattice=lat)
+    fd = factorized_residual(traj, 2, [0.1, 0.25, 0.4], alpha=1.0)[1]
+    assert fd <= 1e-6, fd
