@@ -79,10 +79,12 @@ KINDS = (
     "continuity", "nls", "expand", "report-merge",
 )
 
-# continuity, exact decay and estimate-c0 enumerate at most 2^10 joint sign
-# fields: continuity and decay in one Duhamel climb per average (continuity
-# at d=1, M=2, N=3, 1,024 fields, takes about 1.5 s on a 2-core host at one
-# BLAS thread), estimate-c0 in its exact average (operator norms take none)
+# continuity and estimate-c0 enumerate at most 2^10 joint sign fields:
+# continuity in one Duhamel climb per average (d=1, M=2, N=3, 1,024 fields,
+# takes about 1.5 s on a 2-core host at one BLAS thread), estimate-c0 in its
+# exact average (operator norms take none).  Exact independent decay takes
+# its average over the same count of joint fields by class paths and
+# enumerates none; its row keeps this cap until one is measured for them
 FIELD_BITS = 10
 
 
@@ -117,7 +119,7 @@ class ExperimentConfig:
         """The largest size this kind builds, checked before any state is.
 
         A size is a dense array or, for continuity and exact decay, a count
-        of joint sign fields averaged over in one climb.  Dependent-mode
+        of joint sign fields averaged over.  Dependent-mode
         decay also needs enough modulus shells on the lattice.
 
         Returns a message naming the field at fault, or None.  Sizes are
@@ -163,9 +165,9 @@ class ExperimentConfig:
                            "order-min(K_max, 4) collisions"))
         if self.mode == "independent":
             # the exact profile averages over the joint fields of levels
-            # 2..min(K_max, 4) in one climb; the operator norms take no field
+            # 2..min(K_max, 4) by class paths; the operator norms take no field
             limits.append(("decay", big, F * min(self.K_max - 1, 3) * math.log(2),
-                           2**FIELD_BITS, "a Duhamel climb over "
+                           2**FIELD_BITS, "an exact average over "
                            "every joint sign field of levels 2..min(K_max, 4), "
                            "2^(F min(K_max - 1, 3)) of them"))
         # the decay profile builds collision matrices of orders 2..min(K_max, 4)
@@ -527,6 +529,9 @@ def _run_estimate_c0(cfg, rep, csv_dir):
             return out
         return norms
 
+    # enumerated on purpose: this average is the side of
+    # random.opnorm_majorizes_ratios that draws fields, against the
+    # class-lifted operator norm that draws none
     exact = omega_l2_h_alpha(randomized_norms(len(gs)), mode, lat, [0])
     mc = omega_l2_h_alpha(randomized_norms(1), mode, lat, [0],
                           mc_samples=cfg.mc_samples, seed=cfg.seed)

@@ -26,6 +26,16 @@ walks the distinct fields depth first, so modes that share the deeper
 fields share their products.  A field h conjugates the deterministic
 collision, B_m^h = S_(m-1)(h) B_m S_m(h), and S_m commutes with every
 P_e, so all fields share one split per level (`dynamics.conjugate`).
+
+The exact average of a depth-j norm over independent fields, one per
+collision, needs no field at all: `DuhamelEvaluator.omega_norm` climbs
+once with a class projection P_c in place of the signs on the input of
+each collision, carrying every path of odd-multiplicity classes as chain
+columns, and sums the squares over class paths.  `decay_profile` takes
+its exact independent averages this way.  The enumeration through
+`randomization.omega_l2_h_alpha` stays for averages that are not
+per-depth norms (`solution_time_modulus`), for dependent and Monte Carlo
+averages, and as the test oracle of the class paths.
 """
 
 import functools
@@ -38,7 +48,7 @@ import scipy.sparse as sp
 
 from .dynamics import _energy_split, conjugate, full_collision_matrix, sign_vector
 from .randomization import omega_l2_h_alpha
-from .tensor import DensityMatrix, MemoryGuardError, h_alpha_norm
+from .tensor import DensityMatrix, MemoryGuardError, h_alpha_norm, odd_classes
 
 __all__ = [
     "QuadratureSpec",
@@ -152,7 +162,9 @@ class DuhamelEvaluator:
     among the modes that share the deeper path, so every mode with the
     same fields on the levels a term climbs through gets the same array,
     computed once, and only one path's chain blocks are resident at a
-    time.
+    time.  `omega_norm` climbs with no field: its splits and leaf blocks
+    are taken per (energy, class), and its chain blocks carry the class
+    paths as a second column axis.
     """
 
     def __init__(self, state0, modes, quad=None):
@@ -164,6 +176,7 @@ class DuhamelEvaluator:
         self._fields = {}
         self._blocks = {}
         self._stored = 0
+        self._classes = {}
         self._gl = self.quad.nodes()
 
     def _gamma_flat(self, m):
@@ -217,53 +230,78 @@ class DuhamelEvaluator:
                                                    field, order))
                      for order in (m - 1, m))
 
-    def _split(self, m, lo, hi):
+    def _labels(self, m, classes):
+        """(column label of each level-m coefficient, labels per energy).
+
+        The label is the coefficient's energy bucket e, or with `classes`
+        e n_c + c, with c its odd-multiplicity class among n_c
+        (`tensor.odd_classes`).
+        """
+        inv = _energy_split(self.lattice, m)[1]
+        if not classes:
+            return inv, 1
+        if m not in self._classes:
+            cls, n_c = odd_classes(self.lattice, m)
+            self._classes[m] = (inv * n_c + cls, n_c)
+        return self._classes[m]
+
+    def _split(self, m, lo, hi, classes=False):
         """B_m P_e for the energy buckets lo <= e < hi, stacked row-wise.
 
         Row r (hi - lo) + (e - lo) is row r of B_m restricted to the columns
         of bucket e, so `(split @ W).reshape(dim_(m-1), -1)` is the chain
-        block with e as its new leading chain index.  The split over all n
-        buckets is cached; a chunk of them selects its rows r n + e.
+        block with e as its new leading chain index.  With `classes` the
+        columns are split by energy and class (`_labels`): B_m P_e P_c is
+        row (r (hi - lo) + (e - lo)) n_c + c.  The split over all n buckets
+        is cached; a chunk of them selects its rows.
         """
-        vals, inv = _energy_split(self.lattice, m)
-        n = vals.size
+        n = _energy_split(self.lattice, m)[0].size
+        label, n_c = self._labels(m, classes)
 
         def build():
             B = full_collision_matrix(self.lattice, m)
-            new_row = n * np.repeat(np.arange(B.shape[0]),
-                                    np.diff(B.indptr)) + inv[B.indices]
+            new_row = n * n_c * np.repeat(np.arange(B.shape[0]),
+                                          np.diff(B.indptr)) + label[B.indices]
             order = np.argsort(new_row, kind="stable")
-            indptr = np.searchsorted(new_row[order], np.arange(n * B.shape[0] + 1))
+            indptr = np.searchsorted(new_row[order],
+                                     np.arange(n * n_c * B.shape[0] + 1))
             return sp.csr_matrix((B.data[order], B.indices[order], indptr),
-                                 shape=(n * B.shape[0], B.shape[1]))
+                                 shape=(n * n_c * B.shape[0], B.shape[1]))
 
-        split = self._block(("split", m), build)
+        split = self._block(("split", m, classes), build)
         if (lo, hi) == (0, n):
             return split
-        return split[np.arange(split.shape[0]).reshape(-1, n)[:, lo:hi].ravel()]
 
-    def _leaf(self, m, fid):
+        def chunk():
+            rows = np.arange(split.shape[0]).reshape(-1, n * n_c)
+            return split[rows[:, lo * n_c:hi * n_c].ravel()]
+
+        return self._block(("split", m, classes, lo, hi), chunk)
+
+    def _leaf(self, m, fid, classes=False):
         """B_m^h P_e gamma0^(m) for every energy bucket e of level m.
 
         A sparse (dim_(m-1), n_e) block, built by one sparse product with
         the bucket split of S_m(h) gamma0^(m), which stores only the
-        nonzero coefficients, so the block is as sparse as the data.
+        nonzero coefficients, so the block is as sparse as the data.  With
+        `classes` no field is read, and the block has one column
+        B_m P_e P_c gamma0^(m) per energy e and class c, column e n_c + c.
         """
         def build():
-            signs = self._signs(m, fid)
+            signs = None if classes else self._signs(m, fid)
             g = self._gamma_flat(m)
             if signs is not None:
                 g = signs[1] * g
-            vals, inv = _energy_split(self.lattice, m)
+            label, n_c = self._labels(m, classes)
             nz = np.flatnonzero(g)
-            cols = sp.csr_matrix((g[nz], (nz, inv[nz])),
-                                 shape=(g.size, vals.size))
+            n = _energy_split(self.lattice, m)[0].size * n_c
+            cols = sp.csr_matrix((g[nz], (nz, label[nz])), shape=(g.size, n))
             leaf = (full_collision_matrix(self.lattice, m) @ cols).tocsc()
             if signs is not None:
                 leaf.data *= signs[0][leaf.indices]
             return leaf
 
-        return self._block(("leaf", m, fid), build)
+        return self._block(("leaf", m, fid, classes), build)
 
     def _phases(self, m, gaps):
         """exp(-i * gap * E_m) as a (dim_m, len(gaps)) array."""
@@ -281,10 +319,7 @@ class DuhamelEvaluator:
 
         Modes with the same fields on levels k+1..k+j share one array.
         """
-        if j < 0:
-            raise ValueError(f"depth {j} is negative")
-        if k + j > self.state.K_max:
-            raise ValueError(f"level {k}+depth {j} exceeds K_max={self.state.K_max}")
+        self._check_depth(k, j)
         times = np.asarray(times, dtype=np.float64)
         dim_k = self.lattice.size ** (2 * k)
         one = np.zeros(len(self.modes), dtype=np.intp)
@@ -295,27 +330,69 @@ class DuhamelEvaluator:
             return ModeValues(self._free(k, times)[None], one)
         paths, index = _join(*(self._field_ids(m)[0]
                                for m in range(k + 1, k + j + 1)))
-        return ModeValues(self._chain_term(k, j, times, paths), index)
+        return ModeValues(self._chain_term(k, j, times, paths)[:, :, 0], index)
 
-    def _chain_term(self, k, j, times, paths):
+    def _check_depth(self, k, j):
+        if j < 0:
+            raise ValueError(f"depth {j} is negative")
+        if k + j > self.state.K_max:
+            raise ValueError(f"level {k}+depth {j} exceeds K_max={self.state.K_max}")
+
+    def omega_norm(self, k, j, t, alpha=1.0):
+        """Exact L^2(Omega) H^alpha norm of Duh_j at level k and time t.
+
+        The average is over independent uniform sign fields on levels
+        k+1..k+j, one per collision; the modes' own fields are not read.
+        The field h_m enters only as S_(m-1)(h_m) B_m S_m(h_m).  Averaging
+        h_(k+1), h_(k+2), ... in turn, the output sign S_(m-1)(h_m) is +-1 on
+        each class of level m - 1, so the class projection taken there (or
+        the diagonal H^alpha weights, at level k) absorbs it, and the input
+        sign splits the square into class projections P_c
+        (`tensor.odd_classes`) by Walsh orthogonality:
+
+            E ||Duh_j||^2 = sum over class paths (c_(k+1), ..., c_(k+j)) of
+                            ||Duh_j with P_(c_m) on the input of each B_m||^2.
+
+        One climb carries every class path as chain columns, and no field
+        is drawn.  The root sum of squares over class paths, taken per
+        coefficient, goes to `h_alpha_norm`.
+        """
+        self._check_depth(k, j)
+        times = np.array([t], dtype=np.float64)
+        if self._gamma_flat(k + j) is None:
+            return 0.0
+        if j == 0:
+            return h_alpha_norm(self._wrap(k, self._free(k, times)[:, 0]), alpha)
+        paths = np.zeros((1, j), dtype=np.intp)
+        terms = self._chain_term(k, j, times, paths, classes=True)[0, :, :, 0]
+        return h_alpha_norm(self._wrap(k, np.linalg.norm(terms, axis=1)), alpha)
+
+    def _chain_term(self, k, j, times, paths, classes=False):
         """Duh_j at level k (j >= 1) by energy chains; see the module docstring.
 
         paths[p] holds the field ids of path p on levels k+1..k+j; returns
-        the (len(paths), dim_k, n) terms.
+        the (len(paths), dim_k, P, n) terms.  Without `classes` P = 1.
+        With `classes` (one path, no field) P counts the class paths of
+        levels k+1..k+j (`omega_norm`): the split and leaf of each level
+        are taken per (energy, class), and a chain block carries one
+        column per (class path, energy chain).
         """
-        self._check_chain(k, j, times.size, len(paths))
+        n_cls = [self._labels(m, classes)[1] for m in range(k + 1, k + j + 1)]
+        self._check_chain(k, j, times.size, len(paths), n_cls)
         x, _ = self._gl
         # nodes[i]: the Gauss-Legendre tree's time nodes at level k + i
         nodes = [times]
         for _ in range(j):
             nodes.append((0.5 * nodes[-1][:, None] * (x + 1.0)).reshape(-1))
-        out = np.zeros((len(paths), self.lattice.size ** (2 * k), times.size),
-                       dtype=np.complex128)
-        # the leaf: one chain column per energy e of level k + j, with the
-        # block B P_e gamma0 and the scalar e^(-ieu) at the deepest nodes
+        out = np.zeros((len(paths), self.lattice.size ** (2 * k),
+                        math.prod(n_cls), times.size), dtype=np.complex128)
+        # the leaf: one chain column per energy e of level k + j (and class
+        # c), with the block B P_e gamma0 and the scalar e^(-ieu) at the
+        # deepest nodes
         vals = _energy_split(self.lattice, k + j)[0]
+        n_top = n_cls[-1]
         dim_leaf = self.lattice.size ** (2 * (k + j - 1))
-        step = max(1, CHAIN_CAP // max(dim_leaf, nodes[j].size))
+        step = max(1, CHAIN_CAP // max(dim_leaf * n_top, nodes[j].size))
         branches = _branches(paths, np.arange(len(paths)), j - 1)
         for lo in range(0, vals.size, step):
             hi = min(lo + step, vals.size)
@@ -323,27 +400,46 @@ class DuhamelEvaluator:
             # the levels below share their scalars across these branches
             memo = {} if len(branches) > 1 else None
             for fid, sub in branches:
-                W = self._leaf(k + j, fid)[:, lo:hi].toarray()
-                self._climb(k, k + j - 1, W, f, nodes, out, paths, sub, memo)
+                leaf = self._leaf(k + j, fid, classes)
+                W = leaf[:, lo * n_top:hi * n_top].toarray()
+                W = W.reshape(dim_leaf, hi - lo, n_top).transpose(0, 2, 1)
+                self._climb(k, k + j - 1, W, f, nodes, out, paths, sub, memo,
+                            classes)
         out *= (-1j) ** j
         return out
 
-    def _check_chain(self, k, j, n_times, n_paths):
-        """Raise before allocating if a chain column or the batch exceeds the cap."""
+    def _check_chain(self, k, j, n_times, n_paths, n_cls):
+        """Raise before allocating if a chain column or the batch exceeds the cap.
+
+        n_cls[i] is the class count of level k+1+i (1 without classes).
+        """
         F = self.lattice.size
+        name = "d" if self.lattice.d > 1 else "M"
         n_nodes = n_times * self.quad.q ** j
-        dim = F ** (2 * (k + j - 1))
-        if dim > CHAIN_CAP:
-            name = "d" if self.lattice.d > 1 else "M"
-            raise MemoryGuardError(
-                f"{name}: a depth-{j} Duhamel chain block at level {k + j - 1} "
-                f"has F^{2 * (k + j - 1)} = {dim} rows per chain column, F = "
-                f"{F}; that exceeds the cap {CHAIN_CAP}")
+        # a chain column at level m carries the class paths of levels
+        # m+1..k+j; the top level has the most rows when there are none
+        for m in range(k + j - 1, k - 1, -1):
+            dim, width = F ** (2 * m), math.prod(n_cls[m - k:])
+            if dim * width > CHAIN_CAP:
+                levels = f"level {m + 1}" if m + 1 == k + j else \
+                    f"levels {m + 1}..{k + j}"
+                per = "" if width == 1 else \
+                    f" for each of {width} class paths of {levels}"
+                raise MemoryGuardError(
+                    f"{name}: a depth-{j} Duhamel chain block at level {m} "
+                    f"has F^{2 * m} = {dim} rows per chain column{per}, F = "
+                    f"{F}; that exceeds the cap {CHAIN_CAP}")
         if n_nodes > CHAIN_CAP:
             raise MemoryGuardError(
                 f"q: the depth-{j} Gauss-Legendre tree over {n_times} times "
                 f"has {n_nodes} nodes at q={self.quad.q}; that exceeds the "
                 f"cap {CHAIN_CAP}")
+        size = math.prod(n_cls) * F ** (2 * k) * n_times
+        if math.prod(n_cls) > 1 and size > CHAIN_CAP:
+            raise MemoryGuardError(
+                f"{name}: the depth-{j} terms at level {k} over {n_times} times "
+                f"hold {size} entries for {math.prod(n_cls)} class paths, F = "
+                f"{F}; that exceeds the cap {CHAIN_CAP}")
         # one path alone is what a single mode needs; more must fit the cap
         size = n_paths * F ** (2 * k) * n_times
         if n_paths > 1 and size > CHAIN_CAP:
@@ -354,32 +450,50 @@ class DuhamelEvaluator:
                 f"{n_times} times hold {size} entries, F = {F}; that exceeds "
                 f"the cap {CHAIN_CAP}")
 
-    def _climb(self, k, level, W, f, nodes, out, paths, sub, memo):
+    def _climb(self, k, level, W, f, nodes, out, paths, sub, memo,
+               classes=False):
         """Carry one chunk of chains from `level` up to level k into `out`.
 
-        W is the chain block at `level` (dim_level x c) of the paths `sub`,
-        which share their fields below `level`; f holds the scalar
+        W is the chain block at `level` (dim_level x P x c) of the paths
+        `sub`, which share their fields below `level`: P class paths (1
+        without `classes`) by c chain suffixes.  f holds the scalar
         functions of the same c chain suffixes at the time nodes of level
         + 1.  One step prepends the energy e of `level` to every suffix:
         the scalar half computes
         f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r)
         and, above level k, the vector half applies B_level P_e under each
-        distinct field of `level` among `sub`.  At level k, where `sub` is
-        one path, the scalars are contracted with each row of W at that
-        row's energy.  `memo`, when not None, keeps the scalars of this
-        call's chunks (and of the levels below) for the sibling branches
-        that make the same call with another W.
+        distinct field of `level` among `sub`, or with `classes`
+        B_level P_e P_c for every class c of `level`, which prepends c to
+        every class path.  At level k, where `sub` is one path, the
+        scalars are contracted with each row of W at that row's energy.
+        `memo`, when not None, keeps the scalars of this call's chunks (and
+        of the levels below) for the sibling branches that make the same
+        call with another W.
         """
         vals = _energy_split(self.lattice, level)[0]
         x, w = self._gl
         s = nodes[level - k]
-        c = W.shape[1]
-        dim_next = W.shape[0] if level == k else \
-            self.lattice.size ** (2 * (level - 1))
+        dim, P, c = W.shape
+        if level == k:
+            dim_next, width = dim, P
+        else:
+            dim_next = self.lattice.size ** (2 * (level - 1))
+            n_cls = self._labels(level, classes)[1]
+            width = n_cls * P
         # one chunk of (energies x suffixes) columns stays within the cap
-        per_col = max(dim_next, s.size)
+        per_col = max(dim_next * width, s.size)
         n_e = min(vals.size, max(1, CHAIN_CAP // max(per_col, s.size * x.size)))
+        if classes and level > k:
+            # one energy per chunk, so the product's rows (r, e, c) by its
+            # columns (path, suffix) are already rows r by columns
+            # (c, path) x (e, suffix), with no transposed copy (without
+            # classes, c and path take one value)
+            n_e = 1
         n_c = max(1, CHAIN_CAP // (per_col * n_e))
+        if level == k and P > 1:
+            # the rows split by energy, so the blocks gathered for all
+            # energies of a column hold dim_k P entries together
+            n_c = max(1, CHAIN_CAP // max(dim * P, s.size * n_e))
         branches = None if level == k else _branches(paths, sub, level - k - 1)
         # the levels below share their scalars across sibling calls
         shared = branches is not None and (memo is not None or len(branches) > 1)
@@ -405,15 +519,20 @@ class DuhamelEvaluator:
                     (p,) = sub
                     rows = _buckets(self.lattice, k)
                     for e in range(lo, hi):
-                        out[p][rows[e]] += W[rows[e], cols] @ fn[:, e - lo, :].T
+                        block = W[rows[e], :, cols]
+                        out[p][rows[e]] += (
+                            block.reshape(-1, block.shape[2])
+                            @ fn[:, e - lo, :].T).reshape(block.shape[:2] + (-1,))
                     continue
                 if split is None:
-                    split = self._split(level, lo, hi)
+                    split = self._split(level, lo, hi, classes)
                 for fid, grp in branches:
-                    Wn = conjugate(lambda X: (split @ X).reshape(dim_next, -1),
-                                   W[:, cols], self._signs(level, fid))
+                    signs = None if classes else self._signs(level, fid)
+                    Wn = conjugate(lambda X: (split @ X.reshape(dim, -1))
+                                   .reshape(dim_next, width, -1),
+                                   W[:, :, cols], signs)
                     self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
-                                out, paths, grp, below)
+                                out, paths, grp, below, classes)
 
     def collide(self, m, batch):
         """B_m under each mode's level-m field, applied to that mode's array.
@@ -521,10 +640,13 @@ def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
                   mc_samples=0, seed=0):
     """Norms of Duh_j for j = 0..j_max plus factorial-normalized diagnostics.
 
-    The H^alpha norms of Duh_0..Duh_j_max are averaged in L^2(Omega) by one
-    `omega_l2_h_alpha` call over the sign fields on levels k+1..k+j_max
-    (depth j reads levels k+1..k+j): exact enumeration, or Monte Carlo when
-    mc_samples > 0; a deterministic mode is evaluated once.  The
+    The H^alpha norms of Duh_0..Duh_j_max are averaged in L^2(Omega) over
+    the sign fields on levels k+1..k+j_max (depth j reads levels
+    k+1..k+j).  The exact independent average (mc_samples == 0) takes one
+    class-path climb per depth (`DuhamelEvaluator.omega_norm`) and draws
+    no field.  Otherwise one `omega_l2_h_alpha` call averages: exact
+    enumeration of the shared field of a dependent mode, or Monte Carlo
+    when mc_samples > 0; a deterministic mode is evaluated once.  The
     normalized value is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
     def depth_norms(modes):
@@ -534,9 +656,13 @@ def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
             lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), alpha))
             for j in range(j_max + 1)], axis=1)
 
-    norms = omega_l2_h_alpha(depth_norms, mode, state0.lattice,
-                             range(k + 1, k + j_max + 1),
-                             mc_samples=mc_samples, seed=seed).value
+    if mode.variant == "independent" and not mc_samples:
+        ev = DuhamelEvaluator(state0, [mode], quad)
+        norms = [ev.omega_norm(k, j, t, alpha) for j in range(j_max + 1)]
+    else:
+        norms = omega_l2_h_alpha(depth_norms, mode, state0.lattice,
+                                 range(k + 1, k + j_max + 1),
+                                 mc_samples=mc_samples, seed=seed).value
     normalized = []
     for j, nj in enumerate(norms):
         scale = t**j / math.factorial(j) if t > 0 or j == 0 else 0.0
@@ -577,6 +703,9 @@ def solution_time_modulus(state0, N, base_times, deltas, mode, quad=None,
             out[..., k - 1] = ev.solution_batch(N, k, times).per_mode(increments)
         return out
 
+    # enumerated on purpose: a solution sums terms of every depth, so its
+    # average has cross terms between depths that per-depth class paths
+    # (`DuhamelEvaluator.omega_norm`) do not give
     rms = omega_l2_h_alpha(norms, mode, state0.lattice, range(2, N + 1)).value
     weighted = sum(xi**k * rms[:, :, k - 1] for k in range(1, N + 1))
     sup = np.max(weighted, axis=1)

@@ -11,14 +11,18 @@ the list of redrawn modes and returns one norm, or one array of norms,
 per mode in the same order, so a caller can share work between modes
 (`duhamel.DuhamelEvaluator` evaluates the batch in one climb).
 
-`collision_omega_operator_norm` takes no field: by Walsh orthogonality
-its averaged normal operator is one class-lifted sparse matrix.  It
-shares no sampling code with `omega_l2_h_alpha`, so it stays the
-independent upper bound behind `random.opnorm_majorizes_ratios`.
+Two exact averages take no field: by Walsh orthogonality
+(`tensor.odd_classes`) an average over a uniform field splits into
+odd-multiplicity classes.  `collision_omega_operator_norm` takes its
+averaged normal operator as one class-lifted sparse matrix, and
+`duhamel.DuhamelEvaluator.omega_norm` the per-depth Duhamel norms of
+the independent mode as sums over class paths.  Neither shares
+sampling code with `omega_l2_h_alpha`.  The enumeration stays as the
+field-drawing side of `random.opnorm_majorizes_ratios`, the average of
+the continuity check, and the test oracle of the class paths.
 """
 
 from dataclasses import dataclass
-import functools
 import hashlib
 import itertools
 import struct
@@ -27,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import HierarchyMode, collision_matrix
-from .tensor import MemoryGuardError, slot_product
+from .tensor import MemoryGuardError, odd_classes, slot_product
 
 __all__ = [
     "SignField",
@@ -200,13 +204,10 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     W = (sp.diags(w_out) @ (collision_matrix(lattice, k + 1, j, k + 1, "+")
                             - collision_matrix(lattice, k + 1, j, k + 1, "-"))
          @ sp.diags(1.0 / w_in)).tocoo()
-    # one bit per lattice point (none when deterministic); F^4 <= dom <=
-    # NORM_DOMAIN_CAP = 2^16 keeps F <= 16, so the masks fit an int64
-    bits = (1 << np.arange(lattice.size, dtype=np.int64)) * randomized
-    odd = functools.reduce(np.bitwise_xor.outer, [bits] * (2 * (k + 1)))
-    classes, cls = np.unique(odd.reshape(-1), return_inverse=True)
-    L = sp.csr_matrix((W.data, (W.row * classes.size + cls[W.col], W.col)),
-                      shape=(W.shape[0] * classes.size, dom))
+    cls, n = odd_classes(lattice, k + 1) if randomized \
+        else (np.zeros(dom, dtype=np.intp), 1)
+    L = sp.csr_matrix((W.data, (W.row * n + cls[W.col], W.col)),
+                      shape=(W.shape[0] * n, dom))
     op = spla.LinearOperator((dom, dom), matvec=lambda x: L.T @ (L @ x),
                              dtype=np.float64)
     # seeded random start: a structured vector can be exactly orthogonal to

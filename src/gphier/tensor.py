@@ -21,6 +21,7 @@ __all__ = [
     "HierarchyState",
     "sobolev_apply",
     "slot_product",
+    "odd_classes",
     "h_alpha_norm",
     "project",
     "factorized",
@@ -178,6 +179,29 @@ def slot_product(lattice, w, k):
     """w (one value per lattice point) multiplied over the 2k slots, flat order k."""
     _check_guard(lattice, k)
     return functools.reduce(np.multiply.outer, [w] * (2 * k)).reshape(-1)
+
+
+def odd_classes(lattice, k):
+    """The class of each flat order-k index, and the number of classes.
+
+    The class of an index is the set of lattice points it holds an odd
+    number of times among its 2k slots, kept as an int64 bit mask (bit p
+    for point p), so F <= 62 is required.  Classes are numbered 0..n-1 in
+    increasing mask order.  Over uniform sign fields h,
+    E_h[S_k(h)_x S_k(h)_y] is 1 when x and y share a class and 0 otherwise
+    (Walsh orthogonality), so an average over h splits into class terms.
+    """
+    F = lattice.size
+    if F > 62:
+        name = "d" if lattice.d > 1 else "M"
+        raise MemoryGuardError(
+            f"{name}: odd-multiplicity classes keep one bit per lattice point "
+            f"in an int64 mask; F = (2M+1)^d = {F} exceeds 62")
+    _check_guard(lattice, k)
+    bits = 1 << np.arange(F, dtype=np.int64)
+    odd = functools.reduce(np.bitwise_xor.outer, [bits] * (2 * k))
+    classes, labels = np.unique(odd.reshape(-1), return_inverse=True)
+    return labels.reshape(-1), classes.size
 
 
 def h_alpha_norm(gamma, alpha):

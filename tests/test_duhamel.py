@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from gphier import duhamel
+from gphier import duhamel, randomization
+from gphier.cli import ExperimentConfig, run_experiment
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
     h_alpha_norm,
+    odd_classes,
     random_state,
 )
 from gphier.dynamics import (
@@ -32,7 +34,12 @@ from gphier.duhamel import (
     simplex_check,
     solution_time_modulus,
 )
-from gphier.randomization import SignField, enumerate_fields, sample_field
+from gphier.randomization import (
+    SignField,
+    enumerate_fields,
+    omega_l2_h_alpha,
+    sample_field,
+)
 
 
 @pytest.fixture
@@ -257,6 +264,68 @@ def test_sign_vectors_built_once_per_field_and_order(monkeypatch):
     assert len(builds) == 8 * 4 and max(builds.values()) == 1
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (1, 4), (2, 3)])
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=hst.data(), t=hst.floats(0.05, 1.0), seed=hst.integers(0, 2**16))
+def test_class_paths_match_field_enumeration(shape, data, t, seed):
+    # the oracle: the class-path average of Duh_j against the enumeration
+    # of every joint field of levels k+1..k+j (2^(F j) modes, up to 2^10 at
+    # M=2) over one evaluator batch.  The class path ignores the mode's own
+    # fields, so the mode carries some
+    M, K_max = shape
+    lat = FrequencyLattice(1, M)
+    k = data.draw(hst.integers(1, K_max - 1), label="k")
+    j = data.draw(hst.integers(1, K_max - k), label="j")
+    st = random_state(lat, K_max, seed, alpha=1.0, level_norms=[1.0] * K_max)
+    mode = HierarchyMode.independent(
+        {lv: sample_field(lat, seed + 1, level=lv) for lv in range(2, K_max + 1)})
+    quad = QuadratureSpec(q=4)
+
+    def norms(modes):
+        ev = DuhamelEvaluator(st, modes, quad)
+        return ev.term_batch(k, j, [t]).per_mode(
+            lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), 1.0))
+
+    ref = omega_l2_h_alpha(norms, mode, lat, range(k + 1, k + j + 1)).value
+    got = DuhamelEvaluator(st, [mode], quad).omega_norm(k, j, t, 1.0)
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_exact_independent_decay_draws_no_field(monkeypatch):
+    # criterion 4's run takes its exact averages by class paths: no field
+    # is enumerated, every evaluator holds one mode, and the climbs number
+    # at most the class paths of the depths averaged (k=1, j <= 3 and
+    # k=2, j=1: 4 + 16 + 64 + 4 at M=1)
+    def no_enumeration(lattice):
+        raise AssertionError("enumerate_fields was called")
+
+    batches, climbs = [], collections.Counter()
+    init, climb = DuhamelEvaluator.__init__, DuhamelEvaluator._climb
+
+    def counted_init(self, state0, modes, quad=None):
+        modes = list(modes)
+        batches.append(len(modes))
+        init(self, state0, modes, quad)
+
+    def counted_climb(self, *args, **kwargs):
+        climbs["climb"] += 1
+        return climb(self, *args, **kwargs)
+
+    monkeypatch.setattr(randomization, "enumerate_fields", no_enumeration)
+    monkeypatch.setattr(DuhamelEvaluator, "__init__", counted_init)
+    monkeypatch.setattr(DuhamelEvaluator, "_climb", counted_climb)
+    cfg = ExperimentConfig(kind="decay", mode="independent", M=1, K_max=4,
+                           T=0.5, q=12, seed=104)
+    assert run_experiment(cfg).passed
+    lat = FrequencyLattice(1, 1)
+    n_cls = {m: odd_classes(lat, m)[1] for m in range(2, 5)}
+    paths = sum(math.prod(n_cls[m] for m in range(k + 1, k + j + 1))
+                for k, j_max in ((1, 3), (2, 1)) for j in range(1, j_max + 1))
+    assert paths == 88
+    assert batches and set(batches) == {1}
+    assert 0 < climbs["climb"] <= paths
+
+
 def test_block_cache_stays_within_the_cap(monkeypatch):
     # 64 shared fields each bring a leaf block and sign vectors of up to
     # 729 entries; under a cap of 3,000 stored entries the cache evicts
@@ -354,6 +423,23 @@ def test_chain_chunks_match_and_guard(lat, monkeypatch):
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 700)
     with pytest.raises(MemoryGuardError, match="^M: "):
         DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times)
+
+
+def test_class_path_chunks_match_and_guard(lat, monkeypatch):
+    # the class-path climb at depth 3 carries 4, 16 and 64 class paths per
+    # chain column at levels 3, 2 and 1 (2,916, 1,296 and 576 rows).  A cap
+    # of 3,000 chunks every level and gives the same norm; below the widest
+    # column it is a guard error naming the field
+    st = random_state(lat, 4, 35, alpha=1.0, level_norms=[1.0] * 4)
+    mode = HierarchyMode.independent({})
+    quad = QuadratureSpec(q=4)
+    ref = DuhamelEvaluator(st, [mode], quad).omega_norm(1, 3, 0.4)
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
+    got = DuhamelEvaluator(st, [mode], quad).omega_norm(1, 3, 0.4)
+    assert abs(got - ref) <= 1e-13 * ref
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 2900)
+    with pytest.raises(MemoryGuardError, match="^M: .* for each of 4 class paths"):
+        DuhamelEvaluator(st, [mode], quad).omega_norm(1, 3, 0.4)
 
 
 def test_nonuniform_grid_matches_duhamel():

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from gphier.lattice import FrequencyLattice, LatticeError
 from gphier.tensor import (
@@ -8,6 +11,7 @@ from gphier.tensor import (
     MemoryGuardError,
     factorized,
     h_alpha_norm,
+    odd_classes,
     project,
     random_density_matrix,
     random_state,
@@ -107,6 +111,56 @@ def test_dense_sparse_roundtrip(lat):
     g = random_density_matrix(lat, 2, 9)
     back = g.to_coo().to_dense()
     assert np.array_equal(back.data, g.data)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(shape=hst.sampled_from([(1, 1, 1), (1, 2, 1), (1, 1, 2), (1, 2, 2),
+                               (2, 1, 1)]), data=hst.data())
+def test_dense_coo_round_trip_on_sparse_draws(shape, data):
+    # a random sparse set of nonzero entries survives COO -> dense -> COO
+    # exactly; to_coo lists the entries in row-major order
+    d, M, k = shape
+    lat = FrequencyLattice(d, M)
+    dims = (lat.size,) * (2 * k)
+    flat = np.array(data.draw(hst.lists(hst.integers(0, lat.size ** (2 * k) - 1),
+                                        max_size=12, unique=True), label="flat"),
+                    dtype=np.int64)
+    vals = np.array(data.draw(hst.lists(
+        hst.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
+                            allow_nan=False, allow_infinity=False),
+        min_size=flat.size, max_size=flat.size), label="vals"), dtype=np.complex128)
+    idx = np.stack(np.unravel_index(flat, dims), axis=1).reshape(-1, 2 * k)
+    g = DensityMatrix.from_coo(lat, k, idx, vals)
+    dense = g.to_dense()
+    assert np.count_nonzero(dense.data) == flat.size
+    back = dense.to_coo()
+    order = np.argsort(flat)
+    assert np.array_equal(back.indices, idx[order])
+    assert np.array_equal(back.values, vals[order])
+    assert np.array_equal(back.to_dense().data, dense.data)
+
+
+@pytest.mark.parametrize("d,M,k", [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 1)])
+def test_odd_classes_match_slot_parities(d, M, k):
+    # two indices share a class exactly when every lattice point sits in
+    # their 2k slots with the same parity
+    lat = FrequencyLattice(d, M)
+    labels, n = odd_classes(lat, k)
+    parity = {}
+    for flat, slots in enumerate(itertools.product(range(lat.size),
+                                                   repeat=2 * k)):
+        odd = frozenset(p for p in slots if slots.count(p) % 2)
+        assert parity.setdefault(odd, labels[flat]) == labels[flat]
+    assert len(parity) == n and set(parity.values()) == set(range(n))
+
+
+def test_odd_classes_refuse_wide_lattices():
+    # the int64 masks hold 62 points: F = 61 is the widest d=1 lattice
+    assert odd_classes(FrequencyLattice(1, 30), 1)[1] == 1 + 61 * 60 // 2
+    with pytest.raises(MemoryGuardError, match=r"^M: .*F = \(2M\+1\)\^d = 63"):
+        odd_classes(FrequencyLattice(1, 31), 1)
+    with pytest.raises(MemoryGuardError, match=r"^d: .*F = \(2M\+1\)\^d = 81"):
+        odd_classes(FrequencyLattice(2, 4), 1)
 
 
 def test_from_coo_rejects_bad_indices(lat):
