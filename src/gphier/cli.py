@@ -82,9 +82,9 @@ KINDS = (
 # continuity and estimate-c0 enumerate at most 2^10 joint sign fields:
 # continuity in one Duhamel climb per average (d=1, M=2, N=3, 1,024 fields,
 # takes about 1.5 s on a 2-core host at one BLAS thread), estimate-c0 in its
-# exact average (operator norms take none).  Exact independent decay takes
-# its average over the same count of joint fields by class paths and
-# enumerates none; its row keeps this cap until one is measured for them
+# exact average (operator norms take none), as does exact dependent decay.
+# Exact independent decay averages by class paths, enumerates no field and
+# has no row here
 FIELD_BITS = 10
 
 
@@ -118,8 +118,8 @@ class ExperimentConfig:
     def _size_problem(self, F):
         """The largest size this kind builds, checked before any state is.
 
-        A size is a dense array or, for continuity and exact decay, a count
-        of joint sign fields averaged over.  Dependent-mode
+        A size is a dense array or, for continuity, estimate-c0 and exact
+        dependent decay, a count of sign fields averaged over.  Dependent-mode
         decay also needs enough modulus shells on the lattice.
 
         Returns a message naming the field at fault, or None.  Sizes are
@@ -160,16 +160,15 @@ class ExperimentConfig:
              "F^4 (4M+1)^d entries, with M read as max(M, 2)"),
         ]
         if self.mode != "dependent":
-            limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
-                           NORM_DOMAIN_CAP, "operator norms of the "
-                           "order-min(K_max, 4) collisions"))
-        if self.mode == "independent":
-            # the exact profile averages over the joint fields of levels
-            # 2..min(K_max, 4) by class paths; the operator norms take no field
-            limits.append(("decay", big, F * min(self.K_max - 1, 3) * math.log(2),
-                           2**FIELD_BITS, "an exact average over "
-                           "every joint sign field of levels 2..min(K_max, 4), "
-                           "2^(F min(K_max - 1, 3)) of them"))
+            # the chain bound's operator norms.  This row binds independent
+            # decay, whose exact profile takes class paths and enumerates no
+            # field: the largest config it admits, d=1 M=7 K_max=2, takes
+            # about 1.9 s and 190 MiB on a 2-core host at one BLAS thread.
+            # At K_max=2 the lattice is at fault
+            limits.append(("decay", "K_max" if F**4 <= NORM_DOMAIN_CAP else big,
+                           2 * min(self.K_max, 4) * logF, NORM_DOMAIN_CAP,
+                           "operator norms of the order-min(K_max, 4) "
+                           "collisions on F^(2 min(K_max, 4)) coefficients"))
         # the decay profile builds collision matrices of orders 2..min(K_max, 4)
         limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
                        MATRIX_DOMAIN_CAP, "the order-min(K_max, 4) collision "
@@ -597,10 +596,13 @@ def _run_decay(cfg, rep, csv_dir):
         rep.check("duhamel.dependent_decay_shape", worst, bound, "DERIVED")
         return
     # chain bound with exact per-level operator norms: averaged norms for
-    # the randomized modes, deterministic norms for the deterministic one
-    sig = {m: _worst(collision_omega_operator_norm(
-        lat, m - 1, jj, cfg.alpha, cfg.mode != "deterministic")
-        for jj in range(1, m)) for m in range(k + 1, k + j_max + 1)}
+    # the randomized modes, deterministic norms for the deterministic one.
+    # One norm per order: swapping slots j and 1 permutes the index space,
+    # keeping the product H^alpha weights and the odd-multiplicity classes,
+    # so the norm of B_(j,m) is the same for every slot j < m
+    sig = {m: collision_omega_operator_norm(lat, m - 1, 1, cfg.alpha,
+                                            cfg.mode != "deterministic")
+           for m in range(k + 1, k + j_max + 1)}
     rep.constants["per_level_operator_norms"] = {str(m): sig[m] for m in sig}
     excess = []
     for j in range(1, j_max + 1):

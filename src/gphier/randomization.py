@@ -14,9 +14,12 @@ per mode in the same order, so a caller can share work between modes
 Two exact averages take no field: by Walsh orthogonality
 (`tensor.odd_classes`) an average over a uniform field splits into
 odd-multiplicity classes.  `collision_omega_operator_norm` takes its
-averaged normal operator as one class-lifted sparse matrix, and
-`duhamel.DuhamelEvaluator.omega_norm` the per-depth Duhamel norms of
-the independent mode as sums over class paths.  Neither shares
+averaged normal operator as L^T L, with L one class-lifted sparse matrix
+whose transpose it takes once per call; the norm is the same for every
+collision slot j (a slot swap permutes the indices and keeps the weights
+and the classes), so a caller needs one per order.
+`duhamel.DuhamelEvaluator.omega_norm` takes the per-depth Duhamel norms
+of the independent mode as sums over class paths.  Neither shares
 sampling code with `omega_l2_h_alpha`.  The enumeration stays as the
 field-drawing side of `random.opnorm_majorizes_ratios`, the average of
 the continuity check, and the test oracle of the class paths.
@@ -190,8 +193,15 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     (one class), else 0.  So the averaged normal operator is L^T L, with L
     the matrix W with entry (r, x) moved to row r n + class(x) (n classes;
     one class, L = W, when deterministic).  Returns the largest singular
-    value of L, by Lanczos (`eigsh`) on L^T L.  No field is drawn, so this
-    bound is independent of the enumerated averages it majorizes.
+    value of L, by Lanczos (`eigsh`) on L^T L, with L^T taken once before
+    the iteration.  No field is drawn, so this bound is independent of the
+    enumerated averages it majorizes.
+
+    The norm does not depend on the slot j: swapping slots j and 1 of
+    both index sides is a permutation of the coefficients that maps
+    B_(j,k+1) to B_(1,k+1), keeps the product H^alpha weights (one bracket
+    per slot) and keeps each input's multiset of lattice points, so its
+    class.  `gph decay` therefore takes one norm per order, at j = 1.
     """
     import scipy.sparse.linalg as spla
 
@@ -208,7 +218,8 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
         else (np.zeros(dom, dtype=np.intp), 1)
     L = sp.csr_matrix((W.data, (W.row * n + cls[W.col], W.col)),
                       shape=(W.shape[0] * n, dom))
-    op = spla.LinearOperator((dom, dom), matvec=lambda x: L.T @ (L @ x),
+    Lt = L.T
+    op = spla.LinearOperator((dom, dom), matvec=lambda x: Lt @ (L @ x),
                              dtype=np.float64)
     # seeded random start: a structured vector can be exactly orthogonal to
     # the dominant eigenspace by symmetry

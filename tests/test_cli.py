@@ -159,25 +159,62 @@ def test_checks_with_nothing_to_compare_are_left_out():
     assert not Report(config={}).passed
 
 
-def test_independent_decay_field_count_is_capped(capsys):
-    # independent-mode decay averages over 2^(F min(K_max - 1, 3)) joint
-    # sign fields.  2^9 is admitted: criterion 4 (M=1, K_max=4) and M=4 at
-    # K_max=2.  2^11 at M=5 and 2^15 at M=7 are refused up front, naming M
-    for M, K_max in ((1, 4), (4, 2)):
-        ExperimentConfig(kind="decay", mode="independent", M=M,
-                         K_max=K_max).validate()
-    for M in (5, 7):
+def test_independent_decay_size_boundary(capsys):
+    # independent-mode decay takes class paths and enumerates no field; the
+    # size guard that binds it is the operator norms' domain
+    # F^(2 min(K_max, 4)) <= 2^16.  The largest admitted config (d=1, M=7, K_max=2) runs and
+    # passes; M=8 is refused up front, naming M, since K_max=2 is the least
+    for M, K_max, d in ((2, 3, 1), (1, 4, 1), (1, 2, 2)):
+        ExperimentConfig(kind="decay", mode="independent", M=M, K_max=K_max,
+                         d=d).validate()
+    assert main(["decay", "--set", "mode=independent", "--set", "K_max=2",
+                 "--set", "M=7"]) == 0
+    capsys.readouterr()
+    for sets, name in ((["M=8"], "M"), (["M=3", "K_max=3"], "K_max"),
+                       (["d=2", "K_max=3"], "K_max"), (["d=3"], "d")):
+        args = ["decay", "--set", "mode=independent", "--set", "K_max=2"]
         start = time.perf_counter()
-        assert main(["decay", "--set", "mode=independent", "--set", "K_max=2",
-                     "--set", f"M={M}"]) == 2
+        assert main(args + [a for v in sets for a in ("--set", v)]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("config error: M:"), err
-        assert "joint sign field" in err and "exceeds the cap 1024" in err
+        assert err.startswith(f"config error: {name}:"), err
+        assert "operator norms" in err and "exceeds the cap 65536" in err
     # dependent-mode decay at K_max=2 would report no check at all
     assert main(["decay", "--set", "mode=dependent", "--set", "M=3",
                  "--set", "K_max=2", "--set", "mc_samples=16"]) == 2
     assert capsys.readouterr().err.startswith("config error: K_max:")
+
+
+def test_decay_takes_one_operator_norm_per_order(monkeypatch):
+    # criterion 4 (K_max=4): orders 2..4, each at slot j=1 only, since the
+    # norm does not depend on the slot
+    calls = []
+    real = cli.collision_omega_operator_norm
+
+    def counted(lattice, k, j, alpha, randomized=True):
+        calls.append((k, j))
+        return real(lattice, k, j, alpha, randomized)
+
+    monkeypatch.setattr(cli, "collision_omega_operator_norm", counted)
+    rep = run_experiment(ExperimentConfig(kind="decay", mode="independent",
+                                          M=1, K_max=4, T=0.5, q=12, seed=104))
+    assert rep.passed
+    assert calls == [(1, 1), (2, 1), (3, 1)]
+
+
+def test_nan_operator_norm_fails_decay(monkeypatch, tmp_path):
+    # a NaN norm makes the chain bound NaN, which no check may pass
+    monkeypatch.setattr(cli, "collision_omega_operator_norm",
+                        lambda *a, **k: math.nan)
+    out = tmp_path / "rep.json"
+    assert main(["decay", "--set", "mode=independent", "--set", "K_max=4",
+                 "--set", "T=0.5", "--set", "q=12", "--seed", "104",
+                 "--out", str(out)]) == 1
+    obj = json.loads(out.read_text())
+    by = {c["name"]: c for c in obj["checks"]}
+    assert by["duhamel.decay_chain_bound_excess"]["passed"] is False
+    assert by["duhamel.decay_chain_bound_excess"]["measured"] == "nan"
+    assert obj["passed"] is False
 
 
 def test_decay_builds_only_levels_it_reads(monkeypatch):

@@ -512,6 +512,8 @@ def test_decay_chain_bound(lat):
     norms, _ = decay_profile(st, 1, t, mode, 2, quad, alpha=1.0)
     from gphier.randomization import collision_omega_operator_norm
 
+    # the largest norm over every slot j < m: `gph decay` takes slot 1 only,
+    # by the slot symmetry, so this per-slot max is its independent oracle
     sig = {}
     for m in (2, 3):
         sig[m] = max(

@@ -339,6 +339,59 @@ def test_full_collision_matches_definition(d, m, data, seed):
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
+_LATTICES = [(1, 1), (1, 2), (2, 1)]
+_COEFS = st.complex_numbers(max_magnitude=4.0, allow_subnormal=False)
+
+
+def _drawn_collision_case(data):
+    """A drawn lattice, role (m, ell, n, sign) and field (None, or mixed).
+
+    Orders stay at m <= 3, and at m = 2 on d=2, so that each example runs
+    both kernels in a fraction of a second.
+    """
+    d, M = data.draw(st.sampled_from(_LATTICES))
+    lat = FrequencyLattice(d, M)
+    role = data.draw(st.sampled_from(
+        [r for r in _ROLES_TO_3 if d == 1 or r[0] == 2]))
+    return lat, role, data.draw(_mixed_fields(lat.size))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data(), seeds=st.tuples(st.integers(0, 2**16),
+                                       st.integers(0, 2**16)), c=_COEFS)
+def test_collision_linearity_drawn(data, seeds, c):
+    # B(c a + b) = c B(a) + B(b) for single and full collisions, on the
+    # cached matrix and on the gather kernel
+    lat, (m, ell, n, sign), field = _drawn_collision_case(data)
+    a, b = (random_density_matrix(lat, m, s) for s in seeds)
+    combo = c * a + b
+    for ctx in (contextlib.nullcontext, _gather):
+        with ctx():
+            for op in (lambda g: collision(g, ell, n, sign, field),
+                       lambda g: full_collision(g, field)):
+                got, want = op(combo).data, c * op(a).data + op(b).data
+                # each output entry sums at most 2(m-1) F^2 products
+                scale = 2 * (m - 1) * lat.size**2 * (abs(c) + 1) * max(
+                    np.abs(a.data).max(), np.abs(b.data).max())
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_all_plus_recovers_deterministic_drawn(data, seed):
+    # the all-plus field conjugates by ones, so on each kernel a collision
+    # under it is bitwise the deterministic one
+    lat, (m, ell, n, sign), _ = _drawn_collision_case(data)
+    g = random_density_matrix(lat, m, seed)
+    plus = all_plus(lat)
+    for ctx in (contextlib.nullcontext, _gather):
+        with ctx():
+            assert np.array_equal(collision(g, ell, n, sign, plus).data,
+                                  collision(g, ell, n, sign).data)
+            assert np.array_equal(full_collision(g, plus).data,
+                                  full_collision(g).data)
+
+
 def test_kernel_is_chosen_by_size(lat, kernel, monkeypatch):
     # collision and full_collision both apply the cached matrix at or below
     # MATRIX_DOMAIN_CAP and reach the gather kernel only above it

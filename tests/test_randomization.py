@@ -168,6 +168,20 @@ def test_operator_norm_matches_stacked_svd(M, k, j, randomized):
     assert sigma == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("M, k", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("randomized", [True, False])
+def test_operator_norm_is_slot_symmetric(M, k, alpha, randomized):
+    # swapping slots j and 1 permutes the indices, keeping the product
+    # H^alpha weights and the odd-multiplicity classes, so `gph decay`
+    # takes one norm per order at j = 1.  At k = 1 there is one slot, and
+    # d=2 at k = 2 exceeds NORM_DOMAIN_CAP
+    lat = FrequencyLattice(1, M)
+    norms = [collision_omega_operator_norm(lat, k, j, alpha, randomized)
+             for j in range(1, k + 1)]
+    assert norms == pytest.approx([norms[0]] * k, rel=1e-13, abs=0.0)
+
+
 def test_deterministic_norm_bounds_instance(lat):
     g = random_density_matrix(lat, 2, 60)
     s = collision_omega_operator_norm(lat, 1, 1, 1.0, randomized=False)
