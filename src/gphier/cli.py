@@ -24,6 +24,7 @@ from .tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
+    class_pieces,
     h_alpha_norm,
     project,
     random_density_matrix,
@@ -82,9 +83,8 @@ KINDS = (
 # continuity and estimate-c0 enumerate at most 2^10 joint sign fields:
 # continuity in one Duhamel climb per average (d=1, M=2, N=3, 1,024 fields,
 # takes about 1.5 s on a 2-core host at one BLAS thread), estimate-c0 in its
-# exact average (operator norms take none), as does exact dependent decay.
-# Exact independent decay averages by class paths, enumerates no field and
-# has no row here
+# exact average (operator norms take none).  Exact decay and converge
+# averages go by odd-multiplicity classes and enumerate no field
 FIELD_BITS = 10
 
 
@@ -118,9 +118,9 @@ class ExperimentConfig:
     def _size_problem(self, F):
         """The largest size this kind builds, checked before any state is.
 
-        A size is a dense array or, for continuity, estimate-c0 and exact
-        dependent decay, a count of sign fields averaged over.  Dependent-mode
-        decay also needs enough modulus shells on the lattice.
+        A size is a dense array or, for continuity and estimate-c0, a count
+        of sign fields averaged over.  Dependent-mode decay also needs
+        enough modulus shells on the lattice.
 
         Returns a message naming the field at fault, or None.  Sizes are
         compared in logarithms, so a huge N or K_max costs nothing.
@@ -173,12 +173,9 @@ class ExperimentConfig:
         limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
                        MATRIX_DOMAIN_CAP, "the order-min(K_max, 4) collision "
                        "matrix on F^(2 min(K_max, 4)) coefficients"))
-        if self.mode == "dependent" and self.mc_samples == 0:
-            # the exact average enumerates every shared field; Monte Carlo
-            # (mc_samples >= 2) is the way out, and F <= 6 always enumerates
-            limits.append(("decay", "mc_samples", F * math.log(2),
-                           2**FIELD_BITS, "a Duhamel climb over "
-                           "every shared sign field, 2^F of them"))
+        # dependent decay and converge run once per odd-multiplicity class of
+        # their data, at most 16 (no row): decay reads <= 4 levels of <= 4
+        # entries, and converge's row keeps F <= 5, with 2^4 even-size masks
         for kind, name, log_size, cap, what in limits:
             if kind == self.kind and log_size > math.log(cap):
                 return (f"{name}: {self.kind} builds {what}, F = (2M+1)^d = "
@@ -562,11 +559,8 @@ def _run_decay(cfg, rep, csv_dir):
         state = random_state(lat, k + j_max, cfg.seed, alpha=cfg.alpha,
                              level_norms=[1.0] * (k + j_max))
     mode = _make_mode(cfg, lat)
-    mc = cfg.mc_samples if (cfg.mode == "dependent" and lat.size > 6) else 0
-    norms, normalized = decay_profile(
-        state, k, cfg.T, mode, j_max, quad, alpha=cfg.alpha,
-        mc_samples=mc, seed=cfg.seed,
-    )
+    norms, normalized = decay_profile(state, k, cfg.T, mode, j_max, quad,
+                                      alpha=cfg.alpha)
     rep.constants["decay_norms"] = [float(x) for x in norms]
     rep.constants["decay_normalized"] = [float(x) for x in normalized]
     _write_csv(csv_dir, "decay_profile.csv", ["j", "norm", "normalized"],
@@ -582,12 +576,14 @@ def _run_decay(cfg, rep, csv_dir):
         rep.constants["c1T_over_xi_prime"] = c1_hat * cfg.T / cfg.xi_prime
     if cfg.K_max >= k + 2 and state.level(k + 1) is not None:
         n_k1 = decay_profile(state, k + 1, cfg.T, mode, 1, quad,
-                             alpha=cfg.alpha, mc_samples=mc, seed=cfg.seed)[0]
+                             alpha=cfg.alpha)[0]
         if norms[1] > 0 and n_k1[1] > 0:
             c2_hat = float(n_k1[1] / norms[1])
             rep.constants["c2_hat"] = c2_hat
             rep.constants["c2xi_over_xi_prime"] = c2_hat * cfg.xi / cfg.xi_prime
     if cfg.mode == "dependent":
+        rep.constants["dependent_class_count"] = len(
+            class_pieces(state, range(k, k + j_max + 1)))
         # factorial-normalized diagnostics stay near the depth-1 value
         bound = float(normalized[1]) * 1.5
         rep.constants["dependent_aj_bound"] = bound
@@ -630,6 +626,9 @@ def _run_converge(cfg, rep, csv_dir):
     D = cauchy_diagnostic(state, Ns, cfg.T, mode, quad, alpha=cfg.alpha,
                           xi=cfg.xi, grid_times=grid)
     rep.constants["cauchy_D"] = {str(N): float(v) for N, v in zip(Ns, D)}
+    if mode.variant == "dependent":
+        rep.constants["dependent_class_count"] = len(
+            class_pieces(state, range(3, cfg.N + 2)))
     ratios = [float(D[i + 1] / D[i]) for i in range(len(Ns) - 1)]
     rep.constants["cauchy_ratios"] = ratios
     _write_csv(csv_dir, "cauchy.csv", ["N", "D", "ratio"],
@@ -754,11 +753,14 @@ def _run_nls(cfg, rep, csv_dir):
     zsq = float(lat.energies[zidx])
     exact = np.exp(-1j * (zsq + 1.0) * cfg.T)
     rep.check("nls.single_mode", abs(last[zidx] - exact), 1e-8, "DERIVED")
-    # residuals at interior grid times
+    # residuals at interior grid times on the order check's dt/2 trajectory,
+    # stored every dt: the stencil spacing stays dt, the RK4 error drops 16x
+    half = nlsmod.nls_evolve(phi0, cfg.T, cfg.dt / 2, lattice=lat)
+    stored = nlsmod.NlsTrajectory(lat, half.times[::2], half.ip_coeffs[::2], cfg.dt)
     interior = [step * cfg.dt for step in _nls_steps(cfg)[1]]
     rows = []
     for k in (1, 2):
-        alg, fd = nlsmod.factorized_residual(traj, k, interior, alpha=cfg.alpha)
+        alg, fd = nlsmod.factorized_residual(stored, k, interior, alpha=cfg.alpha)
         rows.append((k, alg, fd))
         rep.check(f"nls.algebraic_residual_k{k}", alg, 1e-10, "DERIVED")
         rep.check(f"nls.fd_residual_k{k}", fd, 1e-6, "DERIVED")
@@ -767,7 +769,6 @@ def _run_nls(cfg, rep, csv_dir):
     ref = nlsmod.nls_evolve(phi0, cfg.T, cfg.dt / 8, lattice=lat)
     refT = ref.phi_at(len(ref.times) - 1)
     e1 = np.linalg.norm(traj.phi_at(len(traj.times) - 1) - refT)
-    half = nlsmod.nls_evolve(phi0, cfg.T, cfg.dt / 2, lattice=lat)
     e2 = np.linalg.norm(half.phi_at(len(half.times) - 1) - refT)
     ratio = float(e1 / e2)
     rep.constants["rk4_halving_ratio"] = ratio

@@ -15,27 +15,18 @@ chain suffix) arrays of scalars.  The method uses no generator and no
 matrix exponential, so it stays an independent construction from
 `dynamics.evolve_truncated`.
 
-A `DuhamelEvaluator` holds a batch of modes: the list of redrawn modes
-that `randomization.omega_l2_h_alpha` passes to its `norms` callable, in
-enumeration or sample order; a single mode is a batch of one.  Its
-results are `ModeValues`, one array per distinct path of sign fields and
-each mode's row, so every `norms` here computes a norm once per row and
-returns one per mode, in the order of its batch.  The scalar half is
-computed once per level and chunk for the whole batch; the vector half
-walks the distinct fields depth first, so modes that share the deeper
-fields share their products.  A field h conjugates the deterministic
-collision, B_m^h = S_(m-1)(h) B_m S_m(h), and S_m commutes with every
-P_e, so all fields share one split per level (`dynamics.conjugate`).
+A `DuhamelEvaluator` holds one state and a batch of modes, such as the
+redrawn modes of an enumeration (`randomization.omega_l2_h_alpha`); a
+field h enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).
 
-The exact average of a depth-j norm over independent fields, one per
-collision, needs no field at all: `DuhamelEvaluator.omega_norm` climbs
-once with a class projection P_c in place of the signs on the input of
-each collision, carrying every path of odd-multiplicity classes as chain
-columns, and sums the squares over class paths.  `decay_profile` takes
-its exact independent averages this way.  The enumeration through
-`randomization.omega_l2_h_alpha` stays for averages that are not
-per-depth norms (`solution_time_modulus`), for dependent and Monte Carlo
-averages, and as the test oracle of the class paths.
+Exact averages of per-depth norms draw no field.  Independent fields are
+averaged by class paths (`DuhamelEvaluator.omega_norm`).  A dependent
+field h gives Duh_j^h gamma0 = S_k(h) Duh_j(S_(k+j)(h) gamma0), and S(h)
+is a Walsh character on each class piece of the data
+(`tensor.class_pieces`), so `decay_profile` and `cauchy_diagnostic` add
+the squares of one deterministic run per piece.  Enumeration stays for
+averages with cross terms between depths (`solution_time_modulus`) and
+as the test oracle of both.
 """
 
 import functools
@@ -46,9 +37,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import _energy_split, conjugate, full_collision_matrix, sign_vector
+from .dynamics import (HierarchyMode, _energy_split, conjugate,
+                       full_collision_matrix, sign_vector)
 from .randomization import omega_l2_h_alpha
-from .tensor import DensityMatrix, MemoryGuardError, h_alpha_norm, odd_classes
+from .tensor import (DensityMatrix, MemoryGuardError, class_pieces, h_alpha_norm,
+                     odd_classes)
 
 __all__ = [
     "QuadratureSpec",
@@ -444,11 +437,10 @@ class DuhamelEvaluator:
         size = n_paths * F ** (2 * k) * n_times
         if n_paths > 1 and size > CHAIN_CAP:
             raise MemoryGuardError(
-                f"mc_samples: a batch of {len(self.modes)} modes takes "
-                f"{n_paths} distinct sign-field paths through levels "
-                f"{k + 1}..{k + j}; their depth-{j} terms at level {k} over "
-                f"{n_times} times hold {size} entries, F = {F}; that exceeds "
-                f"the cap {CHAIN_CAP}")
+                f"a batch of {len(self.modes)} modes takes {n_paths} distinct "
+                f"sign-field paths through levels {k + 1}..{k + j}; their "
+                f"depth-{j} terms at level {k} over {n_times} times hold "
+                f"{size} entries, F = {F}; that exceeds the cap {CHAIN_CAP}")
 
     def _climb(self, k, level, W, f, nodes, out, paths, sub, memo,
                classes=False):
@@ -636,33 +628,39 @@ def simplex_check(j, t, quad=None):
     return nested(t, j), t**j / math.factorial(j)
 
 
-def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0,
-                  mc_samples=0, seed=0):
+def _class_rms(state0, mode, levels, quad, norms):
+    """L^2(Omega) average of the norms `norms(ev)` over the mode's shared field.
+
+    A dependent mode runs the deterministic evaluator `ev` once per class
+    piece of `levels` (`tensor.class_pieces`), or once if the data vanish
+    there, and the pieces' norms are added in squares by hypot.  Any other
+    mode runs once as given, so its norms come back unchanged.
+    """
+    runs = [(state0, mode)] if mode.variant != "dependent" else [
+        (piece, HierarchyMode.deterministic())
+        for piece in class_pieces(state0, levels) or [state0]]
+    return np.hypot.reduce([norms(DuhamelEvaluator(state, [md], quad))
+                            for state, md in runs], axis=0, initial=0.0)
+
+
+def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0):
     """Norms of Duh_j for j = 0..j_max plus factorial-normalized diagnostics.
 
     The H^alpha norms of Duh_0..Duh_j_max are averaged in L^2(Omega) over
     the sign fields on levels k+1..k+j_max (depth j reads levels
-    k+1..k+j).  The exact independent average (mc_samples == 0) takes one
-    class-path climb per depth (`DuhamelEvaluator.omega_norm`) and draws
-    no field.  Otherwise one `omega_l2_h_alpha` call averages: exact
-    enumeration of the shared field of a dependent mode, or Monte Carlo
-    when mc_samples > 0; a deterministic mode is evaluated once.  The
+    k+1..k+j), exactly and with no field drawn.  The independent average
+    takes one class-path climb per depth (`DuhamelEvaluator.omega_norm`),
+    the dependent one a deterministic run per class piece of levels
+    k..k+j_max (`_class_rms`); a deterministic mode is evaluated once.  The
     normalized value is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
-    def depth_norms(modes):
-        """[mode, j]: the H^alpha norm of Duh_j under the mode's fields."""
-        ev = DuhamelEvaluator(state0, modes, quad)
-        return np.stack([ev.term_batch(k, j, [t]).per_mode(
-            lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), alpha))
-            for j in range(j_max + 1)], axis=1)
-
-    if mode.variant == "independent" and not mc_samples:
+    if mode.variant == "independent":
         ev = DuhamelEvaluator(state0, [mode], quad)
         norms = [ev.omega_norm(k, j, t, alpha) for j in range(j_max + 1)]
     else:
-        norms = omega_l2_h_alpha(depth_norms, mode, state0.lattice,
-                                 range(k + 1, k + j_max + 1),
-                                 mc_samples=mc_samples, seed=seed).value
+        norms = _class_rms(state0, mode, range(k, k + j_max + 1), quad, lambda ev: [
+            h_alpha_norm(ev._wrap(k, ev.term_batch(k, j, [t]).of(0)[:, 0]), alpha)
+            for j in range(j_max + 1)])
     normalized = []
     for j, nj in enumerate(norms):
         scale = t**j / math.factorial(j) if t > 0 or j == 0 else 0.0
@@ -720,8 +718,9 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
     sum over k of the averaged H^alpha norms of [B^(k+1)] applied to
     (Gamma_(N+1) - Gamma_N) at level k+1.  The increment identity
     Gamma_(N+1)^(m) - Gamma_N^(m) = Duh_(N+1-m) is used directly.
-    Averaging is exact over the shared field for the dependent mode and
-    pointwise otherwise.
+    Averaging is exact over the shared field for the dependent mode, by
+    one deterministic run per class piece of the levels N + 1 (`_class_rms`),
+    and pointwise otherwise.
     """
     for N in Ns:
         if N + 1 > state0.K_max:
@@ -729,23 +728,16 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
     grid = np.asarray(grid_times, dtype=np.float64)
     pairs = [(N, k) for N in Ns for k in range(1, N + 1)]
 
-    def norms(modes):
-        """[mode, pair, ti]: H^alpha norm of the level-k collision of Duh_(N-k)."""
-        ev = DuhamelEvaluator(state0, modes, quad)
-        out = np.zeros((len(modes), len(pairs), grid.size))
-        for p, (N, k) in enumerate(pairs):
-            cols = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid))
-            out[:, p] = cols.per_mode(lambda col, k=k: [
-                h_alpha_norm(ev._wrap(k, col[:, i]), alpha)
-                for i in range(grid.size)])
+    def norms(ev):
+        """[pair, ti]: H^alpha norm of the level-k collision of Duh_(N-k)."""
+        out = []
+        for N, k in pairs:
+            col = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid)).of(0)
+            out.append([h_alpha_norm(ev._wrap(k, col[:, i]), alpha)
+                        for i in range(grid.size)])
         return out
 
-    levels = range(2, max(Ns) + 2) if mode.variant == "dependent" else ()
-    rms = omega_l2_h_alpha(norms, mode, state0.lattice, levels).value
-    out = []
-    for N in Ns:
-        per_time = np.zeros(grid.size)
-        for k in range(1, N + 1):
-            per_time += xi**k * rms[pairs.index((N, k))]
-        out.append(float(np.max(per_time)))
-    return np.array(out)
+    # the pair (N, k) reads level N + 1 only
+    rms = _class_rms(state0, mode, {N + 1 for N in Ns}, quad, norms)
+    return np.array([np.max(sum(xi**k * rms[pairs.index((N, k))]
+                                for k in range(1, N + 1))) for N in Ns])

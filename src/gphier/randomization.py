@@ -11,18 +11,17 @@ the list of redrawn modes and returns one norm, or one array of norms,
 per mode in the same order, so a caller can share work between modes
 (`duhamel.DuhamelEvaluator` evaluates the batch in one climb).
 
-Two exact averages take no field: by Walsh orthogonality
-(`tensor.odd_classes`) an average over a uniform field splits into
-odd-multiplicity classes.  `collision_omega_operator_norm` takes its
-averaged normal operator as L^T L, with L one class-lifted sparse matrix
-whose transpose it takes once per call; the norm is the same for every
-collision slot j (a slot swap permutes the indices and keeps the weights
-and the classes), so a caller needs one per order.
-`duhamel.DuhamelEvaluator.omega_norm` takes the per-depth Duhamel norms
-of the independent mode as sums over class paths.  Neither shares
-sampling code with `omega_l2_h_alpha`.  The enumeration stays as the
-field-drawing side of `random.opnorm_majorizes_ratios`, the average of
-the continuity check, and the test oracle of the class paths.
+Exact averages that draw no field split a uniform field's average into
+odd-multiplicity classes by Walsh orthogonality (`tensor.odd_classes`).
+`collision_omega_operator_norm` is the norm of one class-lifted matrix
+L, whose transpose it takes once per call, and is the same for every
+collision slot j, so a caller needs one per order.  The Duhamel norms of
+`duhamel.decay_profile` and `duhamel.cauchy_diagnostic` are sums over
+class paths (independent mode) or class pieces (dependent mode).  None
+of them shares sampling code with `omega_l2_h_alpha`, whose enumeration
+and Monte Carlo stay as the field-drawing side of
+`random.opnorm_majorizes_ratios` (`gph estimate-c0`), the average of the
+continuity check, and the test oracle of the class sums.
 """
 
 from dataclasses import dataclass

@@ -22,6 +22,7 @@ __all__ = [
     "sobolev_apply",
     "slot_product",
     "odd_classes",
+    "class_pieces",
     "h_alpha_norm",
     "project",
     "factorized",
@@ -181,16 +182,9 @@ def slot_product(lattice, w, k):
     return functools.reduce(np.multiply.outer, [w] * (2 * k)).reshape(-1)
 
 
-def odd_classes(lattice, k):
-    """The class of each flat order-k index, and the number of classes.
-
-    The class of an index is the set of lattice points it holds an odd
-    number of times among its 2k slots, kept as an int64 bit mask (bit p
-    for point p), so F <= 62 is required.  Classes are numbered 0..n-1 in
-    increasing mask order.  Over uniform sign fields h,
-    E_h[S_k(h)_x S_k(h)_y] is 1 when x and y share a class and 0 otherwise
-    (Walsh orthogonality), so an average over h splits into class terms.
-    """
+def _odd_masks(lattice, k):
+    """Each flat order-k index's odd-multiplicity class as an int64 mask: bit p
+    is set when the index holds point p an odd number of times (F <= 62)."""
     F = lattice.size
     if F > 62:
         name = "d" if lattice.d > 1 else "M"
@@ -199,9 +193,52 @@ def odd_classes(lattice, k):
             f"in an int64 mask; F = (2M+1)^d = {F} exceeds 62")
     _check_guard(lattice, k)
     bits = 1 << np.arange(F, dtype=np.int64)
-    odd = functools.reduce(np.bitwise_xor.outer, [bits] * (2 * k))
-    classes, labels = np.unique(odd.reshape(-1), return_inverse=True)
+    return functools.reduce(np.bitwise_xor.outer, [bits] * (2 * k)).reshape(-1)
+
+
+def odd_classes(lattice, k):
+    """The class of each flat order-k index, numbered 0..n-1 in increasing
+    mask order (`_odd_masks`), and the number n of classes.
+
+    Over uniform sign fields h, E_h[S_k(h)_x S_k(h)_y] is 1 when x and y
+    share a class and 0 otherwise (Walsh orthogonality), so an average
+    over h splits into class terms.
+    """
+    classes, labels = np.unique(_odd_masks(lattice, k), return_inverse=True)
     return labels.reshape(-1), classes.size
+
+
+def class_pieces(state, levels):
+    """The state on `levels`, split by odd-multiplicity class (`_odd_masks`).
+
+    One piece per class of a nonzero coefficient there, in increasing mask
+    order, holding each level's coefficients of that class in the level's
+    storage.  A class is a point set, so it spans levels, and on it S_k(h)
+    is the Walsh character prod_(p in class) h(p) at every level k.
+    """
+    held, nonzero = [], [np.zeros(0, dtype=np.int64)]
+    for k in (k for k in levels if state.level(k) is not None):
+        g, masks = state.level(k), _odd_masks(state.lattice, k)
+        if g.storage == "coo":
+            shape = (state.lattice.size,) * (2 * k)
+            masks, vals = masks[np.ravel_multi_index(g.indices.T, shape)], g.values
+        else:
+            vals = g.data.reshape(-1)
+        held.append((g, masks, vals))
+        nonzero.append(masks[vals != 0])
+    pieces = []
+    for c in np.unique(np.concatenate(nonzero)):
+        piece = {}
+        for g, masks, vals in held:
+            sel = masks == c
+            if g.storage == "coo" and sel.any():
+                piece[g.k] = DensityMatrix(g.lattice, g.k, "coo",
+                                           indices=g.indices[sel], values=vals[sel])
+            elif sel.any():
+                piece[g.k] = DensityMatrix(g.lattice, g.k, "dense", data=np.where(
+                    sel, vals, 0).reshape(g.data.shape))
+        pieces.append(state.with_levels(piece))
+    return pieces
 
 
 def h_alpha_norm(gamma, alpha):

@@ -116,16 +116,6 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:"), err
         assert "exceeds the cap" in err
-    # exact dependent-mode decay enumerates 2^F shared fields: 2^11 at M=5
-    # is refused up front, naming mc_samples
-    start = time.perf_counter()
-    assert main(["decay", "--set", "mode=dependent", "--set", "M=5",
-                 "--set", "K_max=3", "--set", "mc_samples=0", "--set", "T=0.1",
-                 "--set", "q=6", "--seed", "30"]) == 2
-    assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("config error: mc_samples:"), err
-    assert "exceeds the cap" in err
     # refused in under a second, naming the field: converge at N < 3 has no
     # ratio to check (and at N=2 nothing bounds its 2^F shared fields), and
     # dependent-mode decay at M=6 would build an order-3 collision matrix
@@ -141,6 +131,23 @@ def test_exit_codes(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, argv
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:"), err
+
+
+def test_dependent_decay_ignores_mc_samples(tmp_path):
+    # exact dependent-mode decay runs once per odd-multiplicity class of its
+    # data and draws no field: at M=5 (2^11 shared fields) it passes, and
+    # mc_samples, which only estimate-c0 reads, changes nothing
+    objs = []
+    for n in ("0", "10000"):
+        out = tmp_path / f"mc{n}.json"
+        assert main(["decay", "--set", "mode=dependent", "--set", "M=5",
+                     "--set", "K_max=3", "--set", f"mc_samples={n}",
+                     "--set", "T=0.1", "--set", "q=6", "--seed", "30",
+                     "--out", str(out)]) == 0
+        objs.append(json.loads(out.read_text()))
+    assert objs[0]["constants"] == objs[1]["constants"]
+    assert objs[0]["checks"] == objs[1]["checks"]
+    assert 1 <= objs[0]["constants"]["dependent_class_count"] <= 16
 
 
 def test_checks_with_nothing_to_compare_are_left_out():

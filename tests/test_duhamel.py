@@ -388,7 +388,8 @@ def test_dependent_mode_is_conjugated_deterministic(d, M, N, data, seed):
 def test_batch_too_large_for_the_cap_is_refused(lat, monkeypatch):
     # eight shared fields give eight level-1 terms of 9 entries at 30 times,
     # 2,160 entries; one mode alone needs 270.  Above the cap, the batch is
-    # a guard error naming the field, raised before any block is built
+    # a guard error naming its mode and path counts, raised before any
+    # block is built
     st = random_state(lat, 3, 40, alpha=1.0, level_norms=[1.0] * 3)
     modes = [HierarchyMode.dependent(f) for f in enumerate_fields(lat)]
     times = np.linspace(0.0, 0.1, 30)
@@ -400,7 +401,8 @@ def test_batch_too_large_for_the_cap_is_refused(lat, monkeypatch):
         raise AssertionError("a block was built before the guard")
 
     monkeypatch.setattr(DuhamelEvaluator, "_leaf", no_block)
-    with pytest.raises(MemoryGuardError, match="^mc_samples: "):
+    with pytest.raises(MemoryGuardError,
+                       match="^a batch of 8 modes takes 8 distinct sign-field paths"):
         DuhamelEvaluator(st, modes, quad).term_batch(1, 2, times)
 
 
@@ -536,9 +538,58 @@ def test_dependent_decay_shape():
     st = nonresonant_sample(lat, 3, 30)
     mode = HierarchyMode.dependent(sample_field(lat, 31))
     quad = QuadratureSpec(q=6)
-    norms, normalized = decay_profile(st, 1, 0.1, mode, 2, quad, alpha=1.0,
-                                      mc_samples=16, seed=32)
+    norms, normalized = decay_profile(st, 1, 0.1, mode, 2, quad, alpha=1.0)
     assert normalized[2] <= normalized[1] * 1.5
+
+
+def _sparse_state(lat, K, seed):
+    """Up to four random COO entries per level 1..K, the shape of non-resonant data."""
+    rng = np.random.default_rng(seed)
+    levels = {}
+    for m in range(1, K + 1):
+        idx = np.unique(rng.integers(0, lat.size, size=(4, 2 * m)), axis=0)
+        vals = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+        levels[m] = DensityMatrix.from_coo(lat, m, idx, vals)
+    return HierarchyState(lat, K, levels)
+
+
+@pytest.mark.parametrize("M", [1, 2])
+@pytest.mark.parametrize("storage", ["dense", "coo"])
+@settings(max_examples=3, deadline=None, database=None)
+@given(seed=hst.integers(0, 2**16), t=hst.floats(0.05, 0.5))
+def test_dependent_class_sums_match_field_enumeration(M, storage, seed, t):
+    # the dependent decay profile and Cauchy diagnostic add deterministic
+    # runs over class pieces; enumerating all 2^F shared fields through the
+    # dependent evaluator gives the same averages.  Non-resonant data needs
+    # 2K modulus shells, more than M <= 2 has, so the sparse data is drawn
+    # in its shape: up to four COO entries per level
+    lat = FrequencyLattice(1, M)
+    quad = QuadratureSpec(q=4)
+    st = random_state(lat, 3, seed, alpha=1.0, level_norms=[1.0] * 3) \
+        if storage == "dense" else _sparse_state(lat, 3, seed)
+    mode = HierarchyMode.dependent(sample_field(lat, seed))  # not read
+    pairs, grid = [(1, 1), (2, 1), (2, 2)], np.array([0.0, t])
+
+    def norms(modes):
+        """[mode, (depth j of the profile, then pair (N, k)), ti]."""
+        ev = DuhamelEvaluator(st, modes, quad)
+        out = [np.repeat(ev.term_batch(1, j, [t]).per_mode(
+            lambda term: h_alpha_norm(ev._wrap(1, term[:, 0]), 1.0))[:, None],
+            grid.size, axis=1) for j in range(3)]
+        for N, k in pairs:
+            cols = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid))
+            out.append(cols.per_mode(lambda col, k=k: [
+                h_alpha_norm(ev._wrap(k, col[:, i]), 1.0)
+                for i in range(grid.size)]))
+        return np.stack(out, axis=1)
+
+    rms = omega_l2_h_alpha(norms, mode, lat, [0]).value
+    assert rms.shape == (6, 2)
+    profile = decay_profile(st, 1, t, mode, 2, quad)[0]
+    assert np.all(np.abs(profile - rms[:3, 0]) <= 1e-13 * rms[:3, 0])
+    ref = [np.max(0.5 * rms[3]), np.max(0.5 * rms[4] + 0.25 * rms[5])]
+    got = cauchy_diagnostic(st, [1, 2], t, mode, quad, xi=0.5, grid_times=grid)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.array(ref))
 
 
 def test_cauchy_increment_identity(lat):

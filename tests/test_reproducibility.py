@@ -1,0 +1,49 @@
+"""A report is reproduced from its (config, seed), in a fresh process too.
+
+Each config runs as `python -m gphier.cli` in two fresh processes at once,
+and the two report files must be byte-identical outside their
+`environment` section, which holds the timestamp.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CONFIGS = {
+    # criterion 5: dependent converge, one run per class of levels 3..6
+    "converge-criterion-5": [
+        "converge", "--set", "mode=dependent", "--set", "M=1", "--set", "N=5",
+        "--set", "K_max=6", "--set", "T=0.1", "--set", "xi=0.5",
+        "--set", "xi_prime=1.0", "--set", "q=4", "--seed", "106"],
+    # dependent decay at M=5, whose shared field has 2^11 values
+    "decay-dependent-M5": [
+        "decay", "--set", "mode=dependent", "--set", "M=5", "--set", "K_max=3",
+        "--set", "T=0.1", "--set", "q=6", "--seed", "30"],
+}
+
+
+def _outside_environment(text):
+    """The report text with the body of its flat `environment` object removed."""
+    out, n = re.subn(r'"environment": \{[^{}]*\}', '"environment": {}', text)
+    assert n == 1
+    return out
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_report_bytes_repeat_across_processes(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    paths = [tmp_path / f"run{i}.json" for i in range(2)]
+    procs = [subprocess.Popen([sys.executable, "-m", "gphier.cli",
+                               *CONFIGS[name], "--out", str(path)], env=env)
+             for path in paths]
+    assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
+    first, second = (_outside_environment(path.read_text()) for path in paths)
+    assert first == second

@@ -9,6 +9,7 @@ from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
+    class_pieces,
     factorized,
     h_alpha_norm,
     odd_classes,
@@ -161,6 +162,34 @@ def test_odd_classes_refuse_wide_lattices():
         odd_classes(FrequencyLattice(1, 31), 1)
     with pytest.raises(MemoryGuardError, match=r"^d: .*F = \(2M\+1\)\^d = 81"):
         odd_classes(FrequencyLattice(2, 4), 1)
+
+
+def test_class_pieces_partition_by_mask():
+    # a dense level and a COO level split into pieces that each hold one
+    # odd-multiplicity class on every level they keep, in increasing mask
+    # order, and sum back to the state on the levels read; an unread level
+    # is left out, and a state that vanishes there has no piece
+    lat = FrequencyLattice(1, 1)
+    st = random_state(lat, 3, 21)
+    st = st.with_levels({1: st.level(1), 2: st.level(2).to_coo(),
+                         3: st.level(3)})
+    pieces = class_pieces(st, [2, 3])
+    masks = []
+    for piece in pieces:
+        assert set(piece.levels) <= {2, 3}
+        held = set()
+        for k, g in piece.levels.items():
+            for row in g.to_coo().indices:
+                held.add(sum(1 << int(p) for p in set(row.tolist())
+                             if row.tolist().count(p) % 2))
+        assert len(held) == 1
+        masks.append(held.pop())
+    assert masks == sorted(set(masks)) and len(masks) == 4
+    for k in (2, 3):
+        total = sum((p.level(k) for p in pieces if p.level(k) is not None),
+                    DensityMatrix.zeros(lat, k))
+        assert np.array_equal(total.data, st.level(k).to_dense().data)
+    assert class_pieces(st.with_levels({1: st.level(1)}), [2, 3]) == []
 
 
 def test_from_coo_rejects_bad_indices(lat):
