@@ -24,7 +24,7 @@ from .tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
-    class_pieces,
+    data_classes,
     h_alpha_norm,
     project,
     random_density_matrix,
@@ -173,8 +173,8 @@ class ExperimentConfig:
         limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
                        MATRIX_DOMAIN_CAP, "the order-min(K_max, 4) collision "
                        "matrix on F^(2 min(K_max, 4)) coefficients"))
-        # dependent decay and converge run once per odd-multiplicity class of
-        # their data, at most 16 (no row): decay reads <= 4 levels of <= 4
+        # dependent decay and converge climb once per odd-multiplicity class
+        # of their data, at most 16 (no row): decay reads <= 4 levels of <= 4
         # entries, and converge's row keeps F <= 5, with 2^4 even-size masks
         for kind, name, log_size, cap, what in limits:
             if kind == self.kind and log_size > math.log(cap):
@@ -583,7 +583,7 @@ def _run_decay(cfg, rep, csv_dir):
             rep.constants["c2xi_over_xi_prime"] = c2_hat * cfg.xi / cfg.xi_prime
     if cfg.mode == "dependent":
         rep.constants["dependent_class_count"] = len(
-            class_pieces(state, range(k, k + j_max + 1)))
+            data_classes(state, range(k, k + j_max + 1)))
         # factorial-normalized diagnostics stay near the depth-1 value
         bound = float(normalized[1]) * 1.5
         rep.constants["dependent_aj_bound"] = bound
@@ -628,7 +628,7 @@ def _run_converge(cfg, rep, csv_dir):
     rep.constants["cauchy_D"] = {str(N): float(v) for N, v in zip(Ns, D)}
     if mode.variant == "dependent":
         rep.constants["dependent_class_count"] = len(
-            class_pieces(state, range(3, cfg.N + 2)))
+            data_classes(state, range(3, cfg.N + 2)))
     ratios = [float(D[i + 1] / D[i]) for i in range(len(Ns) - 1)]
     rep.constants["cauchy_ratios"] = ratios
     _write_csv(csv_dir, "cauchy.csv", ["N", "D", "ratio"],

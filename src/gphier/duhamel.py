@@ -19,14 +19,14 @@ A `DuhamelEvaluator` holds one state and a batch of modes, such as the
 redrawn modes of an enumeration (`randomization.omega_l2_h_alpha`); a
 field h enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).
 
-Exact averages of per-depth norms draw no field.  Independent fields are
-averaged by class paths (`DuhamelEvaluator.omega_norm`).  A dependent
-field h gives Duh_j^h gamma0 = S_k(h) Duh_j(S_(k+j)(h) gamma0), and S(h)
-is a Walsh character on each class piece of the data
-(`tensor.class_pieces`), so `decay_profile` and `cauchy_diagnostic` add
-the squares of one deterministic run per piece.  Enumeration stays for
-averages with cross terms between depths (`solution_time_modulus`) and
-as the test oracle of both.
+Exact averages of per-depth norms draw no field: one climb takes the
+input of some collisions per odd-multiplicity class, and Walsh
+orthogonality adds the classes in squares (`DuhamelEvaluator.omega_norm`).
+Independent fields split every collision of the chain; a dependent field
+h gives Duh_j^h gamma0 = S_k(h) Duh_j(S_(k+j)(h) gamma0), and S(h) is a
+Walsh character on each class of the data, so it splits the data alone.
+Enumeration stays for averages with cross terms between depths
+(`solution_time_modulus`) and as the test oracle of both.
 """
 
 import functools
@@ -37,11 +37,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import (HierarchyMode, _energy_split, conjugate,
+from .dynamics import (_energy_split, conjugate,
                        full_collision_matrix, sign_vector)
 from .randomization import omega_l2_h_alpha
-from .tensor import (DensityMatrix, MemoryGuardError, class_pieces, h_alpha_norm,
-                     odd_classes)
+from .tensor import (DensityMatrix, MemoryGuardError, _odd_masks, data_classes,
+                     h_alpha_norm, odd_classes)
 
 __all__ = [
     "QuadratureSpec",
@@ -122,6 +122,12 @@ def _join(*indexes):
     return rows, index.reshape(-1)
 
 
+def _root_sum_squares(terms):
+    """Per row of (dim, P) class-split terms, the root sum of squares; the
+    column itself when P = 1, so an unsplit term keeps its bits."""
+    return terms[:, 0] if terms.shape[1] == 1 else np.linalg.norm(terms, axis=1)
+
+
 def _branches(paths, sub, col):
     """(field id, paths of `sub` with that id in column col), for each id."""
     ids = paths[sub, col]
@@ -155,9 +161,9 @@ class DuhamelEvaluator:
     among the modes that share the deeper path, so every mode with the
     same fields on the levels a term climbs through gets the same array,
     computed once, and only one path's chain blocks are resident at a
-    time.  `omega_norm` climbs with no field: its splits and leaf blocks
-    are taken per (energy, class), and its chain blocks carry the class
-    paths as a second column axis.
+    time.  `omega_norm` climbs with no field: the splits and leaf blocks
+    of the levels it averages are taken per (energy, class), and its chain
+    blocks carry the class paths as a second column axis.
     """
 
     def __init__(self, state0, modes, quad=None):
@@ -170,13 +176,26 @@ class DuhamelEvaluator:
         self._blocks = {}
         self._stored = 0
         self._classes = {}
+        self._present = {}
         self._gl = self.quad.nodes()
 
     def _gamma_flat(self, m):
+        """The flat level-m coefficients; None when they all vanish."""
         if m not in self._gamma:
             g = self.state.level(m)
-            self._gamma[m] = None if g is None else g.to_dense().data.reshape(-1)
+            g = None if g is None else g.to_dense().data.reshape(-1)
+            self._gamma[m] = g if g is not None and g.any() else None
         return self._gamma[m]
+
+    def _data_classes(self, m):
+        """(flat indices of the nonzero level-m coefficients, the class of
+        each among the n of the data there (`tensor.data_classes`), n)."""
+        if m not in self._present:
+            nz = np.flatnonzero(self._gamma_flat(m))
+            present = data_classes(self.state, [m])
+            self._present[m] = (nz, np.searchsorted(
+                present, _odd_masks(self.lattice, m)[nz]), present.size)
+        return self._present[m]
 
     def _field_ids(self, m):
         """(field id of each mode at level m, the sign field of each id).
@@ -227,8 +246,8 @@ class DuhamelEvaluator:
         """(column label of each level-m coefficient, labels per energy).
 
         The label is the coefficient's energy bucket e, or with `classes`
-        e n_c + c, with c its odd-multiplicity class among n_c
-        (`tensor.odd_classes`).
+        e n_c + c, with c its odd-multiplicity class among the n_c of the
+        level (`tensor.odd_classes`).
         """
         inv = _energy_split(self.lattice, m)[1]
         if not classes:
@@ -278,17 +297,19 @@ class DuhamelEvaluator:
         the bucket split of S_m(h) gamma0^(m), which stores only the
         nonzero coefficients, so the block is as sparse as the data.  With
         `classes` no field is read, and the block has one column
-        B_m P_e P_c gamma0^(m) per energy e and class c, column e n_c + c.
+        B_m P_e P_c gamma0^(m) per energy e and class c of the data
+        (`_data_classes`), column e n_c + c.
         """
         def build():
             signs = None if classes else self._signs(m, fid)
             g = self._gamma_flat(m)
             if signs is not None:
                 g = signs[1] * g
-            label, n_c = self._labels(m, classes)
-            nz = np.flatnonzero(g)
+            nz, cls, n_c = self._data_classes(m) if classes else \
+                (np.flatnonzero(g), 0, 1)
+            label = _energy_split(self.lattice, m)[1][nz] * n_c + cls
             n = _energy_split(self.lattice, m)[0].size * n_c
-            cols = sp.csr_matrix((g[nz], (nz, label[nz])), shape=(g.size, n))
+            cols = sp.csr_matrix((g[nz], (nz, label)), shape=(g.size, n))
             leaf = (full_collision_matrix(self.lattice, m) @ cols).tocsc()
             if signs is not None:
                 leaf.data *= signs[0][leaf.indices]
@@ -332,80 +353,92 @@ class DuhamelEvaluator:
             raise ValueError(f"level {k}+depth {j} exceeds K_max={self.state.K_max}")
 
     def omega_norm(self, k, j, t, alpha=1.0):
-        """Exact L^2(Omega) H^alpha norm of Duh_j at level k and time t.
-
-        The average is over independent uniform sign fields on levels
-        k+1..k+j, one per collision; the modes' own fields are not read.
-        The field h_m enters only as S_(m-1)(h_m) B_m S_m(h_m).  Averaging
-        h_(k+1), h_(k+2), ... in turn, the output sign S_(m-1)(h_m) is +-1 on
-        each class of level m - 1, so the class projection taken there (or
-        the diagonal H^alpha weights, at level k) absorbs it, and the input
-        sign splits the square into class projections P_c
-        (`tensor.odd_classes`) by Walsh orthogonality:
-
-            E ||Duh_j||^2 = sum over class paths (c_(k+1), ..., c_(k+j)) of
-                            ||Duh_j with P_(c_m) on the input of each B_m||^2.
-
-        One climb carries every class path as chain columns, and no field
-        is drawn.  The root sum of squares over class paths, taken per
-        coefficient, goes to `h_alpha_norm`.
-        """
+        """Exact L^2(Omega) H^alpha norm of Duh_j at level k and time t: the
+        root sum of squares per coefficient of its class-split terms."""
         self._check_depth(k, j)
-        times = np.array([t], dtype=np.float64)
-        if self._gamma_flat(k + j) is None:
-            return 0.0
-        if j == 0:
-            return h_alpha_norm(self._wrap(k, self._free(k, times)[:, 0]), alpha)
-        paths = np.zeros((1, j), dtype=np.intp)
-        terms = self._chain_term(k, j, times, paths, classes=True)[0, :, :, 0]
-        return h_alpha_norm(self._wrap(k, np.linalg.norm(terms, axis=1)), alpha)
+        terms = self._class_terms(k, j, [t])[:, :, 0]
+        return h_alpha_norm(self._wrap(k, _root_sum_squares(terms)), alpha)
 
-    def _chain_term(self, k, j, times, paths, classes=False):
+    def _class_terms(self, k, j, times):
+        """Duh_j at level k split for its exact average over the modes' fields.
+
+        A (dim_k, P, n) array whose P columns, squared and added, give the
+        average of |Duh_j|^2 per coefficient; no field is drawn.  A field h
+        enters as S_(m-1)(h) B_m S_m(h): the output sign is +-1 on each
+        class of level m - 1, absorbed by the split there (or the H^alpha
+        weights, at level k), and the input sign splits the square into
+        class projections P_c by Walsh orthogonality.  Independent fields
+        split the input of every B_m, m = k+1..k+j, by the classes of level
+        m (`tensor.odd_classes`).  A shared h gives Duh_j^h gamma0 = S_k(h)
+        Duh_j(S_(k+j)(h) gamma0): only the data at level k+j is split, by
+        its classes (`_data_classes`).  No field, or depth 0, takes none.
+        """
+        (variant,) = {md.variant for md in self.modes}
+        times = np.asarray(times, dtype=np.float64)
+        if self._gamma_flat(k + j) is None:
+            return np.zeros((self.lattice.size ** (2 * k), 1, times.size),
+                            dtype=np.complex128)
+        if j == 0:
+            return self._free(k, times)[:, None]
+        by_class = {"independent": range(k + 1, k + j + 1),
+                    "dependent": (k + j,)}.get(variant, ())
+        paths = np.zeros((1, j), dtype=np.intp)
+        return self._chain_term(k, j, times, paths, by_class)[0]
+
+    def _chain_term(self, k, j, times, paths, by_class=()):
         """Duh_j at level k (j >= 1) by energy chains; see the module docstring.
 
         paths[p] holds the field ids of path p on levels k+1..k+j; returns
-        the (len(paths), dim_k, P, n) terms.  Without `classes` P = 1.
-        With `classes` (one path, no field) P counts the class paths of
-        levels k+1..k+j (`omega_norm`): the split and leaf of each level
-        are taken per (energy, class), and a chain block carries one
-        column per (class path, energy chain).
+        the (len(paths), dim_k, P, n) terms.  With `by_class` (one path, no
+        field read) its levels take the input of their collision per
+        class, the leaf's per class of the data, and P counts the class
+        paths; without it P = 1.  A chain block carries one column per
+        (class path, energy chain), but the data's classes climb one at a
+        time, sharing their scalars, through levels above k with no split.
         """
-        n_cls = [self._labels(m, classes)[1] for m in range(k + 1, k + j + 1)]
-        self._check_chain(k, j, times.size, len(paths), n_cls)
+        n_top = self._data_classes(k + j)[2] if k + j in by_class else 1
+        n_cls = [self._labels(m, m in by_class)[1] for m in range(k + 1, k + j)]
+        alone = n_top > 1 and j > 1 and k + j - 1 not in by_class
+        width = 1 if alone else n_top
+        self._check_chain(k, j, times.size, len(paths), n_cls + [width],
+                          math.prod(n_cls) * n_top)
         x, _ = self._gl
         # nodes[i]: the Gauss-Legendre tree's time nodes at level k + i
         nodes = [times]
         for _ in range(j):
             nodes.append((0.5 * nodes[-1][:, None] * (x + 1.0)).reshape(-1))
         out = np.zeros((len(paths), self.lattice.size ** (2 * k),
-                        math.prod(n_cls), times.size), dtype=np.complex128)
+                        math.prod(n_cls) * n_top, times.size), dtype=np.complex128)
         # the leaf: one chain column per energy e of level k + j (and class
         # c), with the block B P_e gamma0 and the scalar e^(-ieu) at the
         # deepest nodes
         vals = _energy_split(self.lattice, k + j)[0]
-        n_top = n_cls[-1]
         dim_leaf = self.lattice.size ** (2 * (k + j - 1))
-        step = max(1, CHAIN_CAP // max(dim_leaf * n_top, nodes[j].size))
+        step = max(1, CHAIN_CAP // max(dim_leaf * width, nodes[j].size))
         branches = _branches(paths, np.arange(len(paths)), j - 1)
         for lo in range(0, vals.size, step):
             hi = min(lo + step, vals.size)
             f = np.exp(-1j * np.outer(nodes[j], vals[lo:hi]))
             # the levels below share their scalars across these branches
-            memo = {} if len(branches) > 1 else None
+            memo = {} if len(branches) > 1 or alone else None
             for fid, sub in branches:
-                leaf = self._leaf(k + j, fid, classes)
-                W = leaf[:, lo * n_top:hi * n_top].toarray()
-                W = W.reshape(dim_leaf, hi - lo, n_top).transpose(0, 2, 1)
-                self._climb(k, k + j - 1, W, f, nodes, out, paths, sub, memo,
-                            classes)
+                leaf = self._leaf(k + j, fid, k + j in by_class)
+                # columns e n_top + c for e in lo..hi-1, one class c at a time
+                blocks = [(leaf[:, lo * n_top:hi * n_top], out)] if not alone else (
+                    (leaf[:, lo * n_top + c:hi * n_top:n_top], out[:, :, c:c + 1])
+                    for c in range(n_top))
+                for cols, dest in blocks:
+                    W = cols.toarray().reshape(dim_leaf, hi - lo, -1)
+                    self._climb(k, k + j - 1, W.transpose(0, 2, 1), f, nodes, dest,
+                                paths, sub, memo, by_class)
         out *= (-1j) ** j
         return out
 
-    def _check_chain(self, k, j, n_times, n_paths, n_cls):
+    def _check_chain(self, k, j, n_times, n_paths, n_cls, n_out):
         """Raise before allocating if a chain column or the batch exceeds the cap.
 
-        n_cls[i] is the class count of level k+1+i (1 without classes).
-        """
+        n_cls[i] is the class count a chain block carries for level k+1+i
+        (1 without classes), n_out the class paths of the terms."""
         F = self.lattice.size
         name = "d" if self.lattice.d > 1 else "M"
         n_nodes = n_times * self.quad.q ** j
@@ -427,11 +460,11 @@ class DuhamelEvaluator:
                 f"q: the depth-{j} Gauss-Legendre tree over {n_times} times "
                 f"has {n_nodes} nodes at q={self.quad.q}; that exceeds the "
                 f"cap {CHAIN_CAP}")
-        size = math.prod(n_cls) * F ** (2 * k) * n_times
-        if math.prod(n_cls) > 1 and size > CHAIN_CAP:
+        size = n_out * F ** (2 * k) * n_times
+        if n_out > 1 and size > CHAIN_CAP:
             raise MemoryGuardError(
                 f"{name}: the depth-{j} terms at level {k} over {n_times} times "
-                f"hold {size} entries for {math.prod(n_cls)} class paths, F = "
+                f"hold {size} entries for {n_out} class paths, F = "
                 f"{F}; that exceeds the cap {CHAIN_CAP}")
         # one path alone is what a single mode needs; more must fit the cap
         size = n_paths * F ** (2 * k) * n_times
@@ -442,22 +475,22 @@ class DuhamelEvaluator:
                 f"depth-{j} terms at level {k} over {n_times} times hold "
                 f"{size} entries, F = {F}; that exceeds the cap {CHAIN_CAP}")
 
-    def _climb(self, k, level, W, f, nodes, out, paths, sub, memo,
-               classes=False):
+    def _climb(self, k, level, W, f, nodes, out, paths, sub, memo, by_class=()):
         """Carry one chunk of chains from `level` up to level k into `out`.
 
         W is the chain block at `level` (dim_level x P x c) of the paths
         `sub`, which share their fields below `level`: P class paths (1
-        without `classes`) by c chain suffixes.  f holds the scalar
+        without `by_class`) by c chain suffixes.  f holds the scalar
         functions of the same c chain suffixes at the time nodes of level
         + 1.  One step prepends the energy e of `level` to every suffix:
         the scalar half computes
         f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r)
         and, above level k, the vector half applies B_level P_e under each
-        distinct field of `level` among `sub`, or with `classes`
-        B_level P_e P_c for every class c of `level`, which prepends c to
-        every class path.  At level k, where `sub` is one path, the
-        scalars are contracted with each row of W at that row's energy.
+        distinct field of `level` among `sub`, or with `by_class` no field,
+        and B_level P_e P_c for every class c of `level` if it holds
+        `level`, which prepends c to every class path.  At level k, where
+        `sub` is one path, the scalars are contracted with each row of W at
+        that row's energy.
         `memo`, when not None, keeps the scalars of this call's chunks (and
         of the levels below) for the sibling branches that make the same
         call with another W.
@@ -470,12 +503,11 @@ class DuhamelEvaluator:
             dim_next, width = dim, P
         else:
             dim_next = self.lattice.size ** (2 * (level - 1))
-            n_cls = self._labels(level, classes)[1]
-            width = n_cls * P
+            width = self._labels(level, level in by_class)[1] * P
         # one chunk of (energies x suffixes) columns stays within the cap
         per_col = max(dim_next * width, s.size)
         n_e = min(vals.size, max(1, CHAIN_CAP // max(per_col, s.size * x.size)))
-        if classes and level > k:
+        if level in by_class:
             # one energy per chunk, so the product's rows (r, e, c) by its
             # columns (path, suffix) are already rows r by columns
             # (c, path) x (e, suffix), with no transposed copy (without
@@ -517,14 +549,14 @@ class DuhamelEvaluator:
                             @ fn[:, e - lo, :].T).reshape(block.shape[:2] + (-1,))
                     continue
                 if split is None:
-                    split = self._split(level, lo, hi, classes)
+                    split = self._split(level, lo, hi, level in by_class)
                 for fid, grp in branches:
-                    signs = None if classes else self._signs(level, fid)
+                    signs = None if by_class else self._signs(level, fid)
                     Wn = conjugate(lambda X: (split @ X.reshape(dim, -1))
                                    .reshape(dim_next, width, -1),
                                    W[:, :, cols], signs)
                     self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
-                                out, paths, grp, below, classes)
+                                out, paths, grp, below, by_class)
 
     def collide(self, m, batch):
         """B_m under each mode's level-m field, applied to that mode's array.
@@ -628,39 +660,16 @@ def simplex_check(j, t, quad=None):
     return nested(t, j), t**j / math.factorial(j)
 
 
-def _class_rms(state0, mode, levels, quad, norms):
-    """L^2(Omega) average of the norms `norms(ev)` over the mode's shared field.
-
-    A dependent mode runs the deterministic evaluator `ev` once per class
-    piece of `levels` (`tensor.class_pieces`), or once if the data vanish
-    there, and the pieces' norms are added in squares by hypot.  Any other
-    mode runs once as given, so its norms come back unchanged.
-    """
-    runs = [(state0, mode)] if mode.variant != "dependent" else [
-        (piece, HierarchyMode.deterministic())
-        for piece in class_pieces(state0, levels) or [state0]]
-    return np.hypot.reduce([norms(DuhamelEvaluator(state, [md], quad))
-                            for state, md in runs], axis=0, initial=0.0)
-
-
 def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0):
     """Norms of Duh_j for j = 0..j_max plus factorial-normalized diagnostics.
 
     The H^alpha norms of Duh_0..Duh_j_max are averaged in L^2(Omega) over
-    the sign fields on levels k+1..k+j_max (depth j reads levels
-    k+1..k+j), exactly and with no field drawn.  The independent average
-    takes one class-path climb per depth (`DuhamelEvaluator.omega_norm`),
-    the dependent one a deterministic run per class piece of levels
-    k..k+j_max (`_class_rms`); a deterministic mode is evaluated once.  The
-    normalized value is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
+    the mode's sign fields exactly, with no field drawn, by one class-split
+    climb per depth (`DuhamelEvaluator.omega_norm`).  The normalized value
+    is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
-    if mode.variant == "independent":
-        ev = DuhamelEvaluator(state0, [mode], quad)
-        norms = [ev.omega_norm(k, j, t, alpha) for j in range(j_max + 1)]
-    else:
-        norms = _class_rms(state0, mode, range(k, k + j_max + 1), quad, lambda ev: [
-            h_alpha_norm(ev._wrap(k, ev.term_batch(k, j, [t]).of(0)[:, 0]), alpha)
-            for j in range(j_max + 1)])
+    ev = DuhamelEvaluator(state0, [mode], quad)
+    norms = [ev.omega_norm(k, j, t, alpha) for j in range(j_max + 1)]
     normalized = []
     for j, nj in enumerate(norms):
         scale = t**j / math.factorial(j) if t > 0 or j == 0 else 0.0
@@ -719,25 +728,31 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
     (Gamma_(N+1) - Gamma_N) at level k+1.  The increment identity
     Gamma_(N+1)^(m) - Gamma_N^(m) = Duh_(N+1-m) is used directly.
     Averaging is exact over the shared field for the dependent mode, by
-    one deterministic run per class piece of the levels N + 1 (`_class_rms`),
-    and pointwise otherwise.
+    the class-split terms of one evaluator (`DuhamelEvaluator._class_terms`)
+    under the deterministic collision, and pointwise otherwise.
     """
     for N in Ns:
         if N + 1 > state0.K_max:
             raise ValueError(f"need K_max >= {N + 1}")
     grid = np.asarray(grid_times, dtype=np.float64)
-    pairs = [(N, k) for N in Ns for k in range(1, N + 1)]
+    ev = DuhamelEvaluator(state0, [mode], quad)
 
-    def norms(ev):
-        """[pair, ti]: H^alpha norm of the level-k collision of Duh_(N-k)."""
-        out = []
-        for N, k in pairs:
-            col = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid)).of(0)
-            out.append([h_alpha_norm(ev._wrap(k, col[:, i]), alpha)
-                        for i in range(grid.size)])
-        return out
+    def norms(N, k):
+        """[ti]: averaged H^alpha norm of the level-k collision of Duh_(N-k)."""
+        if mode.variant == "independent":
+            cols = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid)).of(0)[:, None]
+        elif mode.variant == "dependent" and N == k and ev._gamma_flat(k + 1) is not None:
+            # per class c, the leaf's columns B P_e P_c gamma0 times e^(-iet)
+            phases = np.exp(-1j * np.outer(_energy_split(state0.lattice, k + 1)[0], grid))
+            n_c = ev._data_classes(k + 1)[2]
+            cols = (ev._leaf(k + 1, 0, True) @ np.kron(phases, np.eye(n_c))).reshape(
+                -1, grid.size, n_c).transpose(0, 2, 1)
+        else:
+            terms = ev._class_terms(k + 1, N - k, grid)
+            cols = (full_collision_matrix(state0.lattice, k + 1) @ terms.reshape(
+                terms.shape[0], -1)).reshape(-1, *terms.shape[1:])
+        return np.array([h_alpha_norm(ev._wrap(k, _root_sum_squares(cols[:, :, i])),
+                                      alpha) for i in range(grid.size)])
 
-    # the pair (N, k) reads level N + 1 only
-    rms = _class_rms(state0, mode, {N + 1 for N in Ns}, quad, norms)
-    return np.array([np.max(sum(xi**k * rms[pairs.index((N, k))]
-                                for k in range(1, N + 1))) for N in Ns])
+    return np.array([np.max(sum(xi**k * norms(N, k) for k in range(1, N + 1)))
+                     for N in Ns])

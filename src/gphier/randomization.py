@@ -16,8 +16,8 @@ odd-multiplicity classes by Walsh orthogonality (`tensor.odd_classes`).
 `collision_omega_operator_norm` is the norm of one class-lifted matrix
 L, whose transpose it takes once per call, and is the same for every
 collision slot j, so a caller needs one per order.  The Duhamel norms of
-`duhamel.decay_profile` and `duhamel.cauchy_diagnostic` are sums over
-class paths (independent mode) or class pieces (dependent mode).  None
+`duhamel.decay_profile` and `duhamel.cauchy_diagnostic` sum one climb's
+class paths (independent mode) or classes of the data (dependent).  None
 of them shares sampling code with `omega_l2_h_alpha`, whose enumeration
 and Monte Carlo stay as the field-drawing side of
 `random.opnorm_majorizes_ratios` (`gph estimate-c0`), the average of the

@@ -22,7 +22,7 @@ __all__ = [
     "sobolev_apply",
     "slot_product",
     "odd_classes",
-    "class_pieces",
+    "data_classes",
     "h_alpha_norm",
     "project",
     "factorized",
@@ -208,37 +208,21 @@ def odd_classes(lattice, k):
     return labels.reshape(-1), classes.size
 
 
-def class_pieces(state, levels):
-    """The state on `levels`, split by odd-multiplicity class (`_odd_masks`).
-
-    One piece per class of a nonzero coefficient there, in increasing mask
-    order, holding each level's coefficients of that class in the level's
-    storage.  A class is a point set, so it spans levels, and on it S_k(h)
-    is the Walsh character prod_(p in class) h(p) at every level k.
-    """
-    held, nonzero = [], [np.zeros(0, dtype=np.int64)]
+def data_classes(state, levels):
+    """The odd-multiplicity classes of the nonzero coefficients of `state`
+    on `levels`, as sorted int64 masks (`_odd_masks`).  A class is a point
+    set, so it compares across levels, and on it S_k(h) is the Walsh
+    character prod_(p in class) h(p) at every level k."""
+    found = [np.zeros(0, dtype=np.int64)]
     for k in (k for k in levels if state.level(k) is not None):
         g, masks = state.level(k), _odd_masks(state.lattice, k)
         if g.storage == "coo":
             shape = (state.lattice.size,) * (2 * k)
-            masks, vals = masks[np.ravel_multi_index(g.indices.T, shape)], g.values
+            found.append(masks[np.ravel_multi_index(g.indices[g.values != 0].T,
+                                                    shape)])
         else:
-            vals = g.data.reshape(-1)
-        held.append((g, masks, vals))
-        nonzero.append(masks[vals != 0])
-    pieces = []
-    for c in np.unique(np.concatenate(nonzero)):
-        piece = {}
-        for g, masks, vals in held:
-            sel = masks == c
-            if g.storage == "coo" and sel.any():
-                piece[g.k] = DensityMatrix(g.lattice, g.k, "coo",
-                                           indices=g.indices[sel], values=vals[sel])
-            elif sel.any():
-                piece[g.k] = DensityMatrix(g.lattice, g.k, "dense", data=np.where(
-                    sel, vals, 0).reshape(g.data.shape))
-        pieces.append(state.with_levels(piece))
-    return pieces
+            found.append(masks[g.data.reshape(-1) != 0])
+    return np.unique(np.concatenate(found))
 
 
 def h_alpha_norm(gamma, alpha):

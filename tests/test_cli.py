@@ -134,8 +134,8 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_dependent_decay_ignores_mc_samples(tmp_path):
-    # exact dependent-mode decay runs once per odd-multiplicity class of its
-    # data and draws no field: at M=5 (2^11 shared fields) it passes, and
+    # exact dependent-mode decay climbs once per odd-multiplicity class of
+    # its data and draws no field: at M=5 (2^11 shared fields) it passes, and
     # mc_samples, which only estimate-c0 reads, changes nothing
     objs = []
     for n in ("0", "10000"):

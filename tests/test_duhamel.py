@@ -13,6 +13,7 @@ from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
+    data_classes,
     h_alpha_norm,
     odd_classes,
     random_state,
@@ -326,6 +327,29 @@ def test_exact_independent_decay_draws_no_field(monkeypatch):
     assert 0 < climbs["climb"] <= paths
 
 
+def test_dependent_averages_build_one_evaluator(monkeypatch):
+    # the dependent decay profile and Cauchy diagnostic split the data by
+    # class inside one evaluator's climbs: one build per call, whatever the
+    # number of classes of the data
+    built = []
+    init = DuhamelEvaluator.__init__
+
+    def counted_init(self, state0, modes, quad=None):
+        built.append(len(list(modes)))
+        init(self, state0, modes, quad)
+
+    monkeypatch.setattr(DuhamelEvaluator, "__init__", counted_init)
+    lat = FrequencyLattice(1, 1)
+    st = random_state(lat, 3, 40, alpha=1.0, level_norms=[1.0] * 3)
+    assert data_classes(st, [1, 2, 3]).size == 4
+    mode = HierarchyMode.dependent(sample_field(lat, 41))
+    quad = QuadratureSpec(q=4)
+    decay_profile(st, 1, 0.2, mode, 2, quad)
+    assert built == [1]
+    cauchy_diagnostic(st, [1, 2], 0.2, mode, quad, grid_times=(0.0, 0.2))
+    assert built == [1, 1]
+
+
 def test_block_cache_stays_within_the_cap(monkeypatch):
     # 64 shared fields each bring a leaf block and sign vectors of up to
     # 729 entries; under a cap of 3,000 stored entries the cache evicts
@@ -502,6 +526,21 @@ def test_decay_profile_zero_top(lat, quad):
     norms, normalized = decay_profile(st, 1, 0.3, mode, 2, quad, alpha=1.0)
     assert norms[2] == 0.0
     assert norms[0] == pytest.approx(h_alpha_norm(st.level(1), 1.0), rel=1e-13)
+
+
+def test_vanishing_dense_level_has_norm_zero(lat, quad):
+    # a dense level of zeros has no class: its depth's average is 0.0 in
+    # every mode, and so is the Cauchy increment that reads only it
+    st = random_state(lat, 2, 12, alpha=1.0, level_norms=[1.0] * 2)
+    st = HierarchyState(lat, 3, {1: st.level(1), 2: st.level(2),
+                                 3: DensityMatrix.zeros(lat, 3)})
+    for mode in (HierarchyMode.deterministic(),
+                 HierarchyMode.dependent(sample_field(lat, 13)),
+                 HierarchyMode.independent({})):
+        norms, _ = decay_profile(st, 1, 0.3, mode, 2, quad, alpha=1.0)
+        assert norms[2] == 0.0 and norms[1] > 0.0
+    mode = HierarchyMode.dependent(sample_field(lat, 13))
+    assert cauchy_diagnostic(st, [2], 0.3, mode, quad).tolist() == [0.0]
 
 
 def test_decay_chain_bound(lat):

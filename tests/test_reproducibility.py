@@ -16,7 +16,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIGS = {
-    # criterion 5: dependent converge, one run per class of levels 3..6
+    # criterion 4: independent decay, exact averages by class paths
+    "decay-criterion-4": [
+        "decay", "--set", "mode=independent", "--set", "M=1", "--set", "K_max=4",
+        "--set", "T=0.5", "--set", "q=12", "--seed", "104"],
+    # deterministic decay: the class-split climb with no split
+    "decay-deterministic": [
+        "decay", "--set", "M=2", "--set", "K_max=3", "--set", "T=0.3",
+        "--seed", "7"],
+    # criterion 5: dependent converge, split by the classes of levels 3..6
     "converge-criterion-5": [
         "converge", "--set", "mode=dependent", "--set", "M=1", "--set", "N=5",
         "--set", "K_max=6", "--set", "T=0.1", "--set", "xi=0.5",

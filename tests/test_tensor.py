@@ -9,7 +9,7 @@ from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
-    class_pieces,
+    data_classes,
     factorized,
     h_alpha_norm,
     odd_classes,
@@ -164,32 +164,34 @@ def test_odd_classes_refuse_wide_lattices():
         odd_classes(FrequencyLattice(2, 4), 1)
 
 
-def test_class_pieces_partition_by_mask():
-    # a dense level and a COO level split into pieces that each hold one
-    # odd-multiplicity class on every level they keep, in increasing mask
-    # order, and sum back to the state on the levels read; an unread level
-    # is left out, and a state that vanishes there has no piece
+def test_data_classes_hold_the_nonzero_coefficients():
+    # the classes of a dense and a COO level are the masks of their nonzero
+    # coefficients, sorted and shared across levels; an unread level, an
+    # explicit COO zero and a vanishing level add none
     lat = FrequencyLattice(1, 1)
     st = random_state(lat, 3, 21)
     st = st.with_levels({1: st.level(1), 2: st.level(2).to_coo(),
                          3: st.level(3)})
-    pieces = class_pieces(st, [2, 3])
-    masks = []
-    for piece in pieces:
-        assert set(piece.levels) <= {2, 3}
-        held = set()
-        for k, g in piece.levels.items():
-            for row in g.to_coo().indices:
-                held.add(sum(1 << int(p) for p in set(row.tolist())
-                             if row.tolist().count(p) % 2))
-        assert len(held) == 1
-        masks.append(held.pop())
-    assert masks == sorted(set(masks)) and len(masks) == 4
-    for k in (2, 3):
-        total = sum((p.level(k) for p in pieces if p.level(k) is not None),
-                    DensityMatrix.zeros(lat, k))
-        assert np.array_equal(total.data, st.level(k).to_dense().data)
-    assert class_pieces(st.with_levels({1: st.level(1)}), [2, 3]) == []
+
+    def mask(row):
+        return sum(1 << p for p in set(row) if row.count(p) % 2)
+
+    held = {mask(row.tolist()) for k in (2, 3)
+            for row in st.level(k).to_coo().indices}
+    got = data_classes(st, [2, 3])
+    assert got.dtype == np.int64
+    assert got.tolist() == sorted(held) and len(held) == 4
+    # level 1 holds class {0, 1} alone; level 2 holds {} and {0, 2}, and
+    # {1, 2} only at a stored zero; level 3 vanishes
+    sparse = HierarchyState(lat, 3, {
+        1: DensityMatrix.from_coo(lat, 1, [[0, 1]], [1.0]),
+        2: DensityMatrix.from_coo(lat, 2, [[0, 0, 0, 0], [0, 2, 1, 1],
+                                           [1, 2, 0, 0]], [1.0, 2j, 0.0]),
+        3: DensityMatrix.zeros(lat, 3)})
+    assert data_classes(sparse, [2, 3]).tolist() == [0b000, 0b101]
+    assert data_classes(sparse, [1, 2]).tolist() == [0b000, 0b011, 0b101]
+    assert data_classes(sparse, [3]).size == 0
+    assert data_classes(st.with_levels({1: st.level(1)}), [2, 3]).size == 0
 
 
 def test_from_coo_rejects_bad_indices(lat):
