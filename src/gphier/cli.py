@@ -80,11 +80,8 @@ KINDS = (
     "continuity", "nls", "expand", "report-merge",
 )
 
-# continuity and estimate-c0 enumerate at most 2^10 joint sign fields:
-# continuity in one Duhamel climb per average (d=1, M=2, N=3, 1,024 fields,
-# takes about 1.5 s on a 2-core host at one BLAS thread), estimate-c0 in its
-# exact average (operator norms take none).  Exact decay and converge
-# averages go by odd-multiplicity classes and enumerate no field
+# estimate-c0's exact average enumerates at most 2^10 sign fields; the
+# other exact averages go by odd-multiplicity classes and enumerate none
 FIELD_BITS = 10
 
 
@@ -118,9 +115,9 @@ class ExperimentConfig:
     def _size_problem(self, F):
         """The largest size this kind builds, checked before any state is.
 
-        A size is a dense array or, for continuity and estimate-c0, a count
-        of sign fields averaged over.  Dependent-mode decay also needs
-        enough modulus shells on the lattice.
+        A size is a dense array or, for estimate-c0, a count of sign fields
+        averaged over.  Dependent-mode decay also needs enough modulus
+        shells on the lattice.
 
         Returns a message naming the field at fault, or None.  Sizes are
         compared in logarithms, so a huge N or K_max costs nothing.
@@ -130,9 +127,12 @@ class ExperimentConfig:
             F = (2 * max(self.M, 2) + 1) ** self.d
         logF = math.log(F)
         big = "d" if self.d > 1 else "M"
-        # continuity's modulus check averages over every joint sign field of
-        # levels 2..N', all of them in one Duhamel climb
+        # continuity splits its solutions by class paths, a level-m class being
+        # a point set of even size <= 2m (`DuhamelEvaluator._class_terms`)
         n_cont = min(self.N, self.K_max, 3)
+        split = max((2 * k * logF + sum(math.log(sum(
+            math.comb(F, i) for i in range(0, min(2 * m, F) + 1, 2)))
+            for m in range(k + 1, n_cont + 1)) for k in range(1, n_cont)), default=0.0)
         limits = [
             ("residual", "N", 2 * self.N * logF, MATRIX_DOMAIN_CAP,
              "the order-N collision matrix on F^(2N) coefficients"),
@@ -145,10 +145,9 @@ class ExperimentConfig:
              "the order-(N+1) collision matrix on F^(2(N+1)) coefficients"),
             ("continuity", "N", 2 * n_cont * logF, MATRIX_DOMAIN_CAP,
              "the order-min(N, K_max, 3) collision matrix"),
-            ("continuity", "N" if F <= FIELD_BITS else big,
-             F * (n_cont - 1) * math.log(2), 2**FIELD_BITS,
-             "a Duhamel climb over every joint sign field of levels "
-             "2..min(N, K_max, 3), 2^(F (min(N, K_max, 3) - 1)) of them"),
+            ("continuity", big, math.log(8) + split, CHAIN_CAP, "the class "
+             "split of its solutions at 8 times: at levels k < N' = min(N, "
+             "K_max, 3), F^(2k) coefficients by the class paths of k+1..N'"),
             # the exact Omega-average; the operator norm takes no field
             ("estimate-c0", big, F * math.log(2), 2**FIELD_BITS,
              "an exact average over every sign field, 2^F of them"),
@@ -717,17 +716,12 @@ def _run_continuity(cfg, rep, csv_dir):
     rep.constants["continuity_defect_worst"] = worst
     rep.check("dynamics.continuity_defect", worst, 1.0, "PAPER")
     # solution modulus scaling of the truncated hierarchy
-    state = random_state(lat, min(cfg.K_max, 3), cfg.seed, alpha=cfg.alpha0,
-                         level_norms=[1.0] * min(cfg.K_max, 3))
-    N = min(cfg.N, state.K_max)
-    mode = HierarchyMode.independent(
-        {lv: sample_field(lat, cfg.seed, level=lv) for lv in range(2, N + 1)}
-    )
-    quad = QuadratureSpec(q=cfg.q)
+    N = min(cfg.N, cfg.K_max, 3)
+    state = random_state(lat, N, cfg.seed, alpha=cfg.alpha0, level_norms=[1.0] * N)
+    # averaged over every independent field, none of which is drawn
     ratios = solution_time_modulus(
-        state, N, [0.0, cfg.T / 2], (1e-2, 1e-3, 1e-4), mode, quad,
-        alpha=cfg.alpha, xi=cfg.xi,
-    )
+        state, N, [0.0, cfg.T / 2], (1e-2, 1e-3, 1e-4), HierarchyMode.independent({}),
+        QuadratureSpec(q=cfg.q), alpha=cfg.alpha, xi=cfg.xi)
     rep.constants["modulus_ratios"] = {f"{d:g}": v for d, v in ratios.items()}
     base = ratios[1e-2] * (1 + 1e-9)
     rep.check("duhamel.modulus_uniform_small_delta",

@@ -15,18 +15,13 @@ chain suffix) arrays of scalars.  The method uses no generator and no
 matrix exponential, so it stays an independent construction from
 `dynamics.evolve_truncated`.
 
-A `DuhamelEvaluator` holds one state and a batch of modes, such as the
-redrawn modes of an enumeration (`randomization.omega_l2_h_alpha`); a
-field h enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).
-
-Exact averages of per-depth norms draw no field: one climb takes the
-input of some collisions per odd-multiplicity class, and Walsh
-orthogonality adds the classes in squares (`DuhamelEvaluator.omega_norm`).
-Independent fields split every collision of the chain; a dependent field
-h gives Duh_j^h gamma0 = S_k(h) Duh_j(S_(k+j)(h) gamma0), and S(h) is a
-Walsh character on each class of the data, so it splits the data alone.
-Enumeration stays for averages with cross terms between depths
-(`solution_time_modulus`) and as the test oracle of both.
+A `DuhamelEvaluator` holds one state and a batch of modes; a field h
+enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).  Exact averages
+draw no field: one climb takes the input of some collisions per
+odd-multiplicity class, each column of the split carries one Walsh
+character of the fields, and the columns of equal character, over the
+depths of a solution too, add before the classes add in squares
+(`DuhamelEvaluator._class_terms`).  Enumeration stays as the test oracle.
 """
 
 import functools
@@ -39,7 +34,6 @@ import scipy.sparse as sp
 
 from .dynamics import (_energy_split, conjugate,
                        full_collision_matrix, sign_vector)
-from .randomization import omega_l2_h_alpha
 from .tensor import (DensityMatrix, MemoryGuardError, _odd_masks, data_classes,
                      h_alpha_norm, odd_classes)
 
@@ -161,9 +155,8 @@ class DuhamelEvaluator:
     among the modes that share the deeper path, so every mode with the
     same fields on the levels a term climbs through gets the same array,
     computed once, and only one path's chain blocks are resident at a
-    time.  `omega_norm` climbs with no field: the splits and leaf blocks
-    of the levels it averages are taken per (energy, class), and its chain
-    blocks carry the class paths as a second column axis.
+    time.  Class-split climbs (`_class_terms`) read no field: splits and
+    leaf blocks go per (energy, class), chain blocks carry the class paths.
     """
 
     def __init__(self, state0, modes, quad=None):
@@ -356,34 +349,68 @@ class DuhamelEvaluator:
         """Exact L^2(Omega) H^alpha norm of Duh_j at level k and time t: the
         root sum of squares per coefficient of its class-split terms."""
         self._check_depth(k, j)
-        terms = self._class_terms(k, j, [t])[:, :, 0]
+        terms = self._class_terms(k, [j], [t])[:, :, 0]
         return h_alpha_norm(self._wrap(k, _root_sum_squares(terms)), alpha)
 
-    def _class_terms(self, k, j, times):
-        """Duh_j at level k split for its exact average over the modes' fields.
-
-        A (dim_k, P, n) array whose P columns, squared and added, give the
-        average of |Duh_j|^2 per coefficient; no field is drawn.  A field h
-        enters as S_(m-1)(h) B_m S_m(h): the output sign is +-1 on each
-        class of level m - 1, absorbed by the split there (or the H^alpha
-        weights, at level k), and the input sign splits the square into
-        class projections P_c by Walsh orthogonality.  Independent fields
-        split the input of every B_m, m = k+1..k+j, by the classes of level
-        m (`tensor.odd_classes`).  A shared h gives Duh_j^h gamma0 = S_k(h)
-        Duh_j(S_(k+j)(h) gamma0): only the data at level k+j is split, by
-        its classes (`_data_classes`).  No field, or depth 0, takes none.
+    def _class_terms(self, k, depths, times):
+        """The sum of Duh_j at level k over `depths`, split for its exact
+        average over the modes' fields: a (dim_k, P, n) array whose P
+        columns, squared and added, give the average of |sum_j Duh_j|^2 per
+        coefficient.  A field h enters as S_(m-1)(h) B_m S_m(h): the output
+        sign is +-1 on each class of level m - 1, absorbed by the split
+        there (or the H^alpha weights, at level k), and the input sign
+        splits the square into class projections P_c by Walsh
+        orthogonality.  Independent fields split the input of every B_m,
+        m = k+1..k+j, by the classes of level m (`tensor.odd_classes`).  A
+        shared h gives Duh_j^h gamma0 = S_k(h) Duh_j(S_(k+j)(h) gamma0): only
+        the data at level k+j is split, by its classes (`_data_classes`).
+        No field, or depth 0, takes none.  Depths add their columns of equal
+        Walsh character (`_characters`) in order, refused above the cap.
         """
         (variant,) = {md.variant for md in self.modes}
         times = np.asarray(times, dtype=np.float64)
+        dim = self.lattice.size ** (2 * k)
+        depths = [j for j in depths if self._gamma_flat(k + j) is not None] \
+            or list(depths)[:1]
+        if len(depths) > 1:
+            keys = [self._characters(k, j, variant, max(depths)) for j in depths]
+            paths, index = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+            self._check_chain(k, 0, times.size, 1, [], len(paths))
+            out = np.zeros((dim, len(paths), times.size), dtype=np.complex128)
+            # one depth's characters are distinct, so no column repeats
+            for j, cols in zip(depths, np.split(index.reshape(-1), np.cumsum(
+                    [len(key) for key in keys])[:-1])):
+                rows = np.flatnonzero(self._gamma_flat(k)) if j == 0 else slice(None)
+                out[rows, cols] += self._class_terms(k, [j], times)[
+                    rows, 0 if j == 0 else slice(None)]
+            return out
+        (j,) = depths
         if self._gamma_flat(k + j) is None:
-            return np.zeros((self.lattice.size ** (2 * k), 1, times.size),
-                            dtype=np.complex128)
+            return np.zeros((dim, 1, times.size), dtype=np.complex128)
         if j == 0:
             return self._free(k, times)[:, None]
         by_class = {"independent": range(k + 1, k + j + 1),
                     "dependent": (k + j,)}.get(variant, ())
         paths = np.zeros((1, j), dtype=np.intp)
         return self._chain_term(k, j, times, paths, by_class)[0]
+
+    def _characters(self, k, j, variant, length):
+        """Each column's Walsh character prod_m chi_(c_(m-1) xor c_m)(h_m) in
+        the depth-j split at level k, c_m the input class of B_m and c_k the
+        coefficient's, as class masks (`tensor._odd_masks`): c_(k+1)..c_(k+j)
+        then c_(k+j) to `length` levels if independent, c_(k+j) if dependent,
+        else none.  Depth 0 has a row per nonzero coefficient, its class c_(k+j)."""
+        nz = np.flatnonzero(self._gamma_flat(k)) if j == 0 else [0]
+        width = {"independent": length, "dependent": 1}.get(variant, 0)
+        if not width:
+            return np.zeros((len(nz), 0), dtype=np.int64)
+        last = _odd_masks(self.lattice, k)[nz] if j == 0 else \
+            data_classes(self.state, [k + j])
+        # a split's columns run over the class paths with c_(k+1) slowest
+        grid = [g.reshape(-1) for g in np.meshgrid(*(
+            np.unique(_odd_masks(self.lattice, m)) for m in range(k + 1, k + j)
+            if width > 1), last, indexing="ij")]
+        return np.stack(grid[:-1] + grid[-1:] * (width - len(grid) + 1), axis=1)
 
     def _chain_term(self, k, j, times, paths, by_class=()):
         """Duh_j at level k (j >= 1) by energy chains; see the module docstring.
@@ -463,8 +490,8 @@ class DuhamelEvaluator:
         size = n_out * F ** (2 * k) * n_times
         if n_out > 1 and size > CHAIN_CAP:
             raise MemoryGuardError(
-                f"{name}: the depth-{j} terms at level {k} over {n_times} times "
-                f"hold {size} entries for {n_out} class paths, F = "
+                f"{name}: the class-split terms at level {k} over {n_times} "
+                f"times hold {size} entries for {n_out} class paths, F = "
                 f"{F}; that exceeds the cap {CHAIN_CAP}")
         # one path alone is what a single mode needs; more must fit the cap
         size = n_paths * F ** (2 * k) * n_times
@@ -685,38 +712,22 @@ def solution_time_modulus(state0, N, base_times, deltas, mode, quad=None,
     For each delta, returns the sup over base times of
     |Gamma_N(t + delta) - Gamma_N(t)| in the field-averaged xi-weighted
     norm, divided by sqrt(delta).  Each level norm is averaged exactly
-    over the mode's sign fields on levels 2..N (none when deterministic).
-    A NaN norm makes its ratio NaN.
+    over the mode's sign fields on levels 2..N by one class split
+    (`DuhamelEvaluator._class_terms`).  A NaN norm makes its ratio NaN.
     """
     base_times = np.asarray(base_times, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     times = np.concatenate([base_times] +
                            [base_times + d for d in deltas])
     nb = base_times.size
-
-    def norms(modes):
-        """[mode, di, ti, k-1]: level-k norm of Gamma_N(t_i + d_di) - Gamma_N(t_i)."""
-        ev = DuhamelEvaluator(state0, modes, quad)
-        out = np.zeros((len(modes), deltas.size, nb, N))
-        for k in range(1, N + 1):
-            def increments(sol, k=k):
-                per = np.zeros((deltas.size, nb))
-                for di in range(deltas.size):
-                    seg = sol[:, (di + 1) * nb:(di + 2) * nb] - sol[:, :nb]
-                    for ti in range(nb):
-                        per[di, ti] = h_alpha_norm(ev._wrap(k, seg[:, ti]), alpha)
-                return per
-
-            out[..., k - 1] = ev.solution_batch(N, k, times).per_mode(increments)
-        return out
-
-    # enumerated on purpose: a solution sums terms of every depth, so its
-    # average has cross terms between depths that per-depth class paths
-    # (`DuhamelEvaluator.omega_norm`) do not give
-    rms = omega_l2_h_alpha(norms, mode, state0.lattice, range(2, N + 1)).value
-    weighted = sum(xi**k * rms[:, :, k - 1] for k in range(1, N + 1))
-    sup = np.max(weighted, axis=1)
-    return {float(d): s / np.sqrt(d) for d, s in zip(deltas, sup)}
+    ev = DuhamelEvaluator(state0, [mode], quad)
+    weighted = np.zeros((deltas.size, nb))
+    for k in range(1, N + 1):
+        sol = ev._class_terms(k, range(N - k + 1), times)
+        dg = sol[:, :, nb:].reshape(*sol.shape[:2], -1, nb) - sol[:, :, None, :nb]
+        weighted += xi**k * np.array([[h_alpha_norm(ev._wrap(k, _root_sum_squares(
+            dg[:, :, di, ti])), alpha) for ti in range(nb)] for di in range(len(deltas))])
+    return {float(d): s / np.sqrt(d) for d, s in zip(deltas, np.max(weighted, axis=1))}
 
 
 def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
@@ -748,7 +759,7 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
             cols = (ev._leaf(k + 1, 0, True) @ np.kron(phases, np.eye(n_c))).reshape(
                 -1, grid.size, n_c).transpose(0, 2, 1)
         else:
-            terms = ev._class_terms(k + 1, N - k, grid)
+            terms = ev._class_terms(k + 1, [N - k], grid)
             cols = (full_collision_matrix(state0.lattice, k + 1) @ terms.reshape(
                 terms.shape[0], -1)).reshape(-1, *terms.shape[1:])
         return np.array([h_alpha_norm(ev._wrap(k, _root_sum_squares(cols[:, :, i])),

@@ -9,19 +9,13 @@ counter-based, reproducible per-level streams.  It hands the whole
 sample space to its `norms` callable in one call: norms(modes) takes
 the list of redrawn modes and returns one norm, or one array of norms,
 per mode in the same order, so a caller can share work between modes
-(`duhamel.DuhamelEvaluator` evaluates the batch in one climb).
-
-Exact averages that draw no field split a uniform field's average into
-odd-multiplicity classes by Walsh orthogonality (`tensor.odd_classes`).
-`collision_omega_operator_norm` is the norm of one class-lifted matrix
-L, whose transpose it takes once per call, and is the same for every
-collision slot j, so a caller needs one per order.  The Duhamel norms of
-`duhamel.decay_profile` and `duhamel.cauchy_diagnostic` sum one climb's
-class paths (independent mode) or classes of the data (dependent).  None
-of them shares sampling code with `omega_l2_h_alpha`, whose enumeration
-and Monte Carlo stay as the field-drawing side of
-`random.opnorm_majorizes_ratios` (`gph estimate-c0`), the average of the
-continuity check, and the test oracle of the class sums.
+(one `duhamel.DuhamelEvaluator` climb).  It is the field-drawing side of
+`random.opnorm_majorizes_ratios` (`gph estimate-c0`) and the test oracle
+of the exact averages that draw no field.  Those split a uniform field's
+average into odd-multiplicity classes by Walsh orthogonality
+(`tensor.odd_classes`): the Duhamel averages of `duhamel`, and
+`collision_omega_operator_norm`, the norm of one class-lifted matrix L
+(its transpose taken once per call), the same for every collision slot.
 """
 
 from dataclasses import dataclass

@@ -7,6 +7,11 @@ import pytest
 
 from gphier import cli
 from gphier.cli import ConfigError, ExperimentConfig, Report, main, run_experiment
+from gphier.duhamel import solution_time_modulus
+from gphier.dynamics import HierarchyMode
+from gphier.lattice import FrequencyLattice
+from gphier.randomization import sample_field
+from gphier.tensor import MemoryGuardError, random_state
 
 
 def test_config_validation_names_fields():
@@ -104,9 +109,10 @@ def test_exit_codes(tmp_path, capsys):
         (["continuity", "--set", "M=6", "--set", "N=3"], "N"),
         # 11 * 16^5 Gauss-Legendre nodes for the depth-5 Duhamel term
         (["residual", "--set", "N=6", "--set", "K_max=6"], "N"),
-        # 2^14 and 2^11 joint sign fields, above the 2^10 one climb takes
-        (["continuity", "--set", "M=3", "--set", "N=3"], "N"),
-        (["continuity", "--set", "M=5", "--set", "N=2"], "M"),
+        # the solutions split by class paths at 8 times: 163 247 9^2 8 and
+        # 2517 17^2 8 entries at level 1, above the 2^22 chain cap
+        (["continuity", "--set", "M=4", "--set", "N=3"], "M"),
+        (["continuity", "--set", "M=8", "--set", "N=2"], "M"),
         # the order-3 collision's shift buffer on the M' = max(M, 2) lattice:
         # 125^4 9^3 and 43^4 85 entries, above the 2^28 entry guard
         (["nls", "--set", "d=3"], "d"),
@@ -190,6 +196,33 @@ def test_independent_decay_size_boundary(capsys):
     assert main(["decay", "--set", "mode=dependent", "--set", "M=3",
                  "--set", "K_max=2", "--set", "mc_samples=16"]) == 2
     assert capsys.readouterr().err.startswith("config error: K_max:")
+
+
+def test_continuity_size_boundary(capsys):
+    # continuity splits its solutions by class paths and enumerates no
+    # field; the guard is the split's size against the chain cap.  The
+    # largest admitted config (d=1, M=7, N=2) runs and passes; the next
+    # lattice, and the next depth, are refused up front, naming M or d
+    for M, N, d in ((3, 3, 1), (1, 2, 2)):
+        ExperimentConfig(kind="continuity", M=M, N=N, d=d).validate()
+    assert main(["continuity", "--set", "M=7", "--set", "N=2"]) == 0
+    capsys.readouterr()
+    for sets, name in ((["M=8"], "M"), (["M=4", "N=3"], "M"),
+                       (["d=2", "N=3"], "d"), (["d=2", "M=2"], "d")):
+        args = ["continuity", "--set", "N=2"]
+        start = time.perf_counter()
+        assert main(args + [a for v in sets for a in ("--set", v)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}:"), err
+        assert "class split" in err and "exceeds the cap 4194304" in err
+    # the evaluator refuses the same split at run time, before allocating it
+    lat = FrequencyLattice(1, 8)
+    st = random_state(lat, 2, 0, level_norms=[1.0, 1.0])
+    mode = HierarchyMode.independent({2: sample_field(lat, 0, level=2)})
+    with pytest.raises(MemoryGuardError, match=f"^M: .* {2517 * 17**2 * 8} "
+                       "entries for 2517 class paths"):
+        solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3, 1e-4), mode)
 
 
 def test_decay_takes_one_operator_norm_per_order(monkeypatch):

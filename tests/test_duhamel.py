@@ -16,6 +16,7 @@ from gphier.tensor import (
     data_classes,
     h_alpha_norm,
     odd_classes,
+    project,
     random_state,
 )
 from gphier.dynamics import (
@@ -672,3 +673,80 @@ def test_solution_time_modulus_keeps_nan(lat, monkeypatch):
     ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), mode,
                                    QuadratureSpec(q=4))
     assert all(math.isnan(v) for v in ratios.values())
+
+
+def _enumerated_modulus(st, N, base_times, deltas, mode, quad, alpha, xi):
+    """`solution_time_modulus` by enumeration, the oracle of its class split:
+    every joint sign field of levels 2..N (the shared field, for a
+    dependent mode) in one evaluator batch, averaged by `omega_l2_h_alpha`."""
+    base_times, deltas = np.asarray(base_times), np.asarray(deltas)
+    times = np.concatenate([base_times] + [base_times + d for d in deltas])
+    nb = base_times.size
+
+    def norms(modes):
+        """[mode, di, ti, k-1]: level-k norm of Gamma_N(t_i + d_di) - Gamma_N(t_i)."""
+        ev = DuhamelEvaluator(st, modes, quad)
+        out = np.zeros((len(modes), deltas.size, nb, N))
+        for k in range(1, N + 1):
+            def increments(sol, k=k):
+                return [[h_alpha_norm(ev._wrap(k, sol[:, (di + 1) * nb + ti]
+                                               - sol[:, ti]), alpha)
+                         for ti in range(nb)] for di in range(deltas.size)]
+
+            out[..., k - 1] = ev.solution_batch(N, k, times).per_mode(increments)
+        return out
+
+    rms = omega_l2_h_alpha(norms, mode, st.lattice, range(2, N + 1)).value
+    weighted = sum(xi**k * rms[:, :, k - 1] for k in range(1, N + 1))
+    return {float(d): s / np.sqrt(d) for d, s in zip(deltas, np.max(weighted, axis=1))}
+
+
+@pytest.mark.parametrize("M, N", [(1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("variant", ["deterministic", "dependent", "independent"])
+@pytest.mark.parametrize("storage", ["dense", "coo"])
+@settings(max_examples=2, deadline=None, database=None)
+@given(t=hst.floats(0.01, 0.3), seed=hst.integers(0, 2**16))
+def test_solution_modulus_matches_field_enumeration(M, N, variant, storage, t, seed):
+    # the class split of a sum of depths against the enumeration of every
+    # joint field (up to 2^10 at M=2, N=3).  The split ignores the mode's own
+    # fields, so the mode carries some.  The sparse data has no level 1, so
+    # the depths at level 1 start at 1.  At delta = 1e-4 the increments
+    # cancel to about 5e-13 relative in both routes, so the deltas stop at
+    # 1e-3.  With no field both routes add the same terms in the same order
+    lat = FrequencyLattice(1, M)
+    st = random_state(lat, N, seed, alpha=2.0, level_norms=[1.0] * N) \
+        if storage == "dense" else project(_sparse_state(lat, N, seed), 1, "gt")
+    mode = {"deterministic": HierarchyMode.deterministic(),
+            "dependent": HierarchyMode.dependent(sample_field(lat, seed + 1)),
+            "independent": HierarchyMode.independent(
+                {lv: sample_field(lat, seed + 1, level=lv)
+                 for lv in range(2, N + 1)})}[variant]
+    quad = QuadratureSpec(q=4)
+    args = (st, N, [0.0, t], (1e-2, 1e-3), mode, quad, 1.0, 0.5)
+    ref, got = _enumerated_modulus(*args), solution_time_modulus(*args)
+    assert got.keys() == ref.keys()
+    for d in ref:
+        assert abs(got[d] - ref[d]) <= 1e-12 * ref[d]
+        assert variant != "deterministic" or got[d] == ref[d]
+
+
+def test_continuity_draws_no_field(monkeypatch):
+    # criterion 6/7's run takes its exact averages by one class split per
+    # level: no field is enumerated, and every evaluator holds one mode
+    def no_enumeration(lattice):
+        raise AssertionError("enumerate_fields was called")
+
+    batches = []
+    init = DuhamelEvaluator.__init__
+
+    def counted_init(self, state0, modes, quad=None):
+        modes = list(modes)
+        batches.append(len(modes))
+        init(self, state0, modes, quad)
+
+    monkeypatch.setattr(randomization, "enumerate_fields", no_enumeration)
+    monkeypatch.setattr(DuhamelEvaluator, "__init__", counted_init)
+    cfg = ExperimentConfig(kind="continuity", M=1, N=3, K_max=3, T=0.1, alpha=1.0,
+                           alpha0=2.0, q=10, xi=0.5, xi_prime=1.0, seed=108)
+    assert run_experiment(cfg).passed
+    assert batches and set(batches) == {1}

@@ -29,6 +29,16 @@ CONFIGS = {
         "converge", "--set", "mode=dependent", "--set", "M=1", "--set", "N=5",
         "--set", "K_max=6", "--set", "T=0.1", "--set", "xi=0.5",
         "--set", "xi_prime=1.0", "--set", "q=4", "--seed", "106"],
+    # criterion 3: exact and Monte Carlo averages over drawn sign fields
+    "estimate-c0-criterion-3": [
+        "estimate-c0", "--set", "M=1", "--set", "alpha=1.0",
+        "--set", "mc_samples=10000", "--seed", "102"],
+    # criteria 6 and 7: continuity, one class split of the solutions per level
+    "continuity-criterion-6-7": [
+        "continuity", "--set", "M=1", "--set", "N=3", "--set", "K_max=3",
+        "--set", "T=0.1", "--set", "alpha=1.0", "--set", "alpha0=2.0",
+        "--set", "q=10", "--set", "xi=0.5", "--set", "xi_prime=1.0",
+        "--seed", "108"],
     # dependent decay at M=5, whose shared field has 2^11 values
     "decay-dependent-M5": [
         "decay", "--set", "mode=dependent", "--set", "M=5", "--set", "K_max=3",
