@@ -41,6 +41,7 @@ from .dynamics import (
     full_collision,
     full_collision_matrix,
     phase_inequality_scan,
+    real_matmul,
     sign_vector,
 )
 from .duhamel import (
@@ -517,7 +518,7 @@ def _run_estimate_c0(cfg, rep, csv_dir):
             for md in modes:
                 signs = (sign_vector(lat, md.field, k),
                          sign_vector(lat, md.field, k + 1))
-                cols = conjugate(B.__matmul__, block[:, :n], signs)
+                cols = conjugate(lambda X: real_matmul(B, X), block[:, :n], signs)
                 out.append([h_alpha_norm(DensityMatrix(
                     lat, k, "dense", data=c.reshape(shape)), cfg.alpha)
                     for c in cols.T])
@@ -653,6 +654,10 @@ def _run_residual(cfg, rep, csv_dir):
              for which in ("deterministic", "dependent", "independent")}
     # one evaluator: each level's solution and residual for all three modes
     ev = DuhamelEvaluator(state, list(modes.values()), quad)
+    # the residuals build their own solutions, at T and at the quadrature
+    # nodes, before the grid solutions exist
+    residuals = [r for k in range(1, cfg.N)
+                 for r in integral_residual(ev, cfg.N, k, cfg.T, alpha=cfg.alpha)]
     sols = [ev.solution_batch(cfg.N, k, grid) for k in range(1, cfg.N + 1)]
     # [mode, i]: modes that share a solution row share its norms
     sol_norms = [sols[k - 1].per_mode(lambda sol, k=k: [
@@ -669,8 +674,8 @@ def _run_residual(cfg, rep, csv_dir):
                 rel = h_alpha_norm(DensityMatrix(lat, k, "dense", data=diff),
                                    cfg.alpha) / (1.0 + sol_norms[k - 1][m, i])
                 rows.append((which, k, float(t), rel))
-    residuals = [r for k in range(1, cfg.N)
-                 for r in integral_residual(ev, cfg.N, k, cfg.T, alpha=cfg.alpha)]
+        # dropped before the next mode evolves, so no two trajectories overlap
+        del traj
     worst_disc = _worst(row[3] for row in rows)
     worst_res = _worst(residuals)
     _write_csv(csv_dir, "duhamel_vs_ode.csv", ["mode", "k", "t", "rel_err"], rows)

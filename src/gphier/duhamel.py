@@ -9,7 +9,9 @@ coefficients of energy e, the depth-j term at level k is
 
 with I the j-fold simplex integral of the phases.  It is evaluated in two
 halves.  The vector half applies each collision matrix once, to a block
-whose columns are the energy chains below it.  The scalar half runs the
+whose columns are the energy chains below it; the matrices are real, so
+every such product runs in real arithmetic on the block's float64 view
+(`dynamics.real_matmul`).  The scalar half runs the
 recursive tensor-product Gauss-Legendre rule (cost q^j) on (time node x
 chain suffix) arrays of scalars.  The method uses no generator and no
 matrix exponential, so it stays an independent construction from
@@ -32,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import (_energy_split, conjugate,
-                       full_collision_matrix, sign_vector)
+from .dynamics import (_energy_split, _signed, conjugate,
+                       full_collision_matrix, real_matmul, sign_vector)
 from .tensor import (DensityMatrix, MemoryGuardError, _odd_masks, data_classes,
                      h_alpha_norm, odd_classes)
 
@@ -145,7 +147,9 @@ class DuhamelEvaluator:
     k.  At each level the chain block (the vector half) takes one product
     with the stacked slices, and the scalar functions of the chain
     suffixes (the scalar half) take one nested Gauss-Legendre step; the
-    two are contracted row by row at level k.  Both are chunked over chain
+    two are contracted row by row at level k.  The vector half's products,
+    and `collide`'s, take a real matrix to complex data and run on the
+    data's float64 view (`dynamics.real_matmul`).  Both are chunked over chain
     columns, never over times, so each array stays within `CHAIN_CAP`
     complex elements.
 
@@ -317,9 +321,10 @@ class DuhamelEvaluator:
         return table[inv, :]
 
     def _free(self, m, times):
-        """(dim_m, n) free evolutions of gamma0^(m)."""
-        g = self._gamma_flat(m)
-        return self._phases(m, np.asarray(times)) * g[:, None]
+        """(dim_m, n) free evolutions of gamma0^(m), in the gathered phase table."""
+        table = self._phases(m, np.asarray(times))
+        table *= self._gamma_flat(m)[:, None]
+        return table
 
     def term_batch(self, k, j, times):
         """Duh_j at level k for a batch of times; ModeValues of (dim_k, n) arrays.
@@ -380,9 +385,15 @@ class DuhamelEvaluator:
             # one depth's characters are distinct, so no column repeats
             for j, cols in zip(depths, np.split(index.reshape(-1), np.cumsum(
                     [len(key) for key in keys])[:-1])):
-                rows = np.flatnonzero(self._gamma_flat(k)) if j == 0 else slice(None)
-                out[rows, cols] += self._class_terms(k, [j], times)[
-                    rows, 0 if j == 0 else slice(None)]
+                part = self._class_terms(k, [j], times)
+                if j == 0:
+                    rows = np.flatnonzero(self._gamma_flat(k))
+                    out[rows, cols] += part[rows, 0]
+                    continue
+                # column by column: out[:, c] is a view, so the add gathers
+                # and scatters no copy of the split
+                for i, c in enumerate(cols):
+                    out[:, c] += part[:, i]
             return out
         (j,) = depths
         if self._gamma_flat(k + j) is None:
@@ -579,7 +590,7 @@ class DuhamelEvaluator:
                     split = self._split(level, lo, hi, level in by_class)
                 for fid, grp in branches:
                     signs = None if by_class else self._signs(level, fid)
-                    Wn = conjugate(lambda X: (split @ X.reshape(dim, -1))
+                    Wn = conjugate(lambda X: real_matmul(split, X)
                                    .reshape(dim_next, width, -1),
                                    W[:, :, cols], signs)
                     self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
@@ -589,13 +600,16 @@ class DuhamelEvaluator:
         """B_m under each mode's level-m field, applied to that mode's array.
 
         `batch` holds (dim_m, n) arrays; returns ModeValues of
-        (dim_(m-1), n) arrays.
+        (dim_(m-1), n) arrays.  The field's signs go on a copy of the
+        matrix's entries, not on the array, so no array-sized temporary is
+        formed; a negation commutes with rounding, so the result is bitwise
+        S_(m-1)(h) B_m (S_m(h) x).
         """
         B = full_collision_matrix(self.lattice, m)
         rows, index = _join(batch.index, self._field_ids(m)[0])
-        return ModeValues(np.stack([conjugate(B.__matmul__, batch.values[b],
-                                              self._signs(m, fid))
-                                    for b, fid in rows]), index)
+        return ModeValues(np.stack([
+            real_matmul(_signed(B, self._signs(m, fid)), batch.values[b])
+            for b, fid in rows]), index)
 
     def solution_batch(self, N, k, times):
         """Truncated-hierarchy solution at level k; sum of Duh_0..Duh_(N-k).
@@ -608,6 +622,8 @@ class DuhamelEvaluator:
         times = np.asarray(times, dtype=np.float64)
         parts = [self.term_batch(k, j, times) for j in range(0, N - k + 1)
                  if k + j <= self.state.K_max]
+        if len(parts) == 1:
+            return parts[0]
         rows, index = _join(*(part.index for part in parts))
         acc = np.zeros((len(rows), self.lattice.size ** (2 * k), times.size),
                        dtype=np.complex128)
@@ -642,7 +658,11 @@ def integral_residual(ev, N, k, t, alpha=1.0):
     Measures gamma^(k)(t) - U(t) gamma0^(k) + i * int_0^t U(t-s)
     [B^(k+1)] gamma^(k+1)(s) ds with gamma the truncated solution built by
     the evaluator `ev`, one norm per mode of `ev`; for k <= N-1 this
-    vanishes up to quadrature error.
+    vanishes up to quadrature error.  The integrand collides the level-(k+1)
+    solution at the quadrature nodes with the collision matrix (`collide`);
+    it never reuses the leaf blocks B P_e gamma0 that the solutions are
+    built from, since a residual assembled from the same blocks as the
+    solution would vanish by construction and check nothing.
     """
     if k > N - 1:
         raise ValueError("residual is defined for levels k <= N-1")
@@ -759,9 +779,8 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
             cols = (ev._leaf(k + 1, 0, True) @ np.kron(phases, np.eye(n_c))).reshape(
                 -1, grid.size, n_c).transpose(0, 2, 1)
         else:
-            terms = ev._class_terms(k + 1, [N - k], grid)
-            cols = (full_collision_matrix(state0.lattice, k + 1) @ terms.reshape(
-                terms.shape[0], -1)).reshape(-1, *terms.shape[1:])
+            cols = real_matmul(full_collision_matrix(state0.lattice, k + 1),
+                               ev._class_terms(k + 1, [N - k], grid))
         return np.array([h_alpha_norm(ev._wrap(k, _root_sum_squares(cols[:, :, i])),
                                       alpha) for i in range(grid.size)])
 

@@ -24,6 +24,11 @@ split per (lattice, order), `_energy_split`, gives the distinct energies
 and each coefficient's index into them; `level_energy` gathers from it,
 and every free-flow phase here and in `duhamel` is taken once per
 distinct energy and gathered to the coefficients.
+
+The collision matrices are real (coefficients +-1), so each product with
+complex data runs on the data's float64 view (`real_matmul`): the same
+products, summed in the same order, as the complex kernel, without a
+complex copy of the matrix and with half the arithmetic.
 """
 
 import functools
@@ -51,6 +56,7 @@ __all__ = [
     "sign_vector",
     "conjugate",
     "conjugate_matrix",
+    "real_matmul",
 ]
 
 # above this dense-domain size, collision matrices are not materialized
@@ -272,6 +278,21 @@ def conjugate(apply, x, signs):
     return s_out.reshape((-1,) + tail) * out
 
 
+def real_matmul(mat, x):
+    """mat @ x for a real sparse mat and complex x, in real arithmetic.
+
+    The real and imaginary parts of x are adjacent float64 columns of its
+    view, so one real product gives both parts of every entry, each summed
+    in the order of scipy's complex kernel; only the sign of an exact zero
+    can differ.  x may be any array whose leading axis is mat's columns.
+    """
+    if mat.dtype.kind == "c":
+        raise TypeError(f"real_matmul needs a real matrix, got {mat.dtype}")
+    flat = np.ascontiguousarray(x, dtype=np.complex128).reshape(x.shape[0], -1)
+    out = mat @ flat.view(np.float64)
+    return out.view(np.complex128).reshape((mat.shape[0],) + x.shape[1:])
+
+
 def _apply(gamma, terms, field):
     """Sum of coef times the (ell, n, sign) collisions of gamma under the field.
 
@@ -281,7 +302,7 @@ def _apply(gamma, terms, field):
     lat, m = gamma.lattice, gamma.k
     if m < 2:
         raise ValueError("collision input must have order >= 2")
-    apply = (_matrix(lat, m, terms, None).__matmul__
+    apply = (functools.partial(real_matmul, _matrix(lat, m, terms, None))
              if lat.size ** (2 * m) <= MATRIX_DOMAIN_CAP
              else functools.partial(_collide, lat, m, terms=terms))
     signs = None if field is None else (sign_vector(lat, field, m - 1),
@@ -366,8 +387,17 @@ def conjugate_matrix(mat, lattice, field, m):
     """S_(m-1)(h) mat S_m(h), exact on a copy of mat's pattern; mat if no field."""
     if field is None:
         return mat
-    rows = np.repeat(sign_vector(lattice, field, m - 1), np.diff(mat.indptr))
-    data = mat.data * rows * sign_vector(lattice, field, m)[mat.indices]
+    return _signed(mat, (sign_vector(lattice, field, m - 1),
+                         sign_vector(lattice, field, m)))
+
+
+def _signed(mat, signs):
+    """s_out mat s_in for signs = (s_out, s_in), exact on a copy of mat's
+    pattern: entry (r, c) times s_out[r] s_in[c]; mat if signs is None."""
+    if signs is None:
+        return mat
+    s_out, s_in = signs
+    data = mat.data * np.repeat(s_out, np.diff(mat.indptr)) * s_in[mat.indices]
     return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
                          shape=mat.shape)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,26 @@ def test_decay_builds_only_levels_it_reads(monkeypatch):
         with pytest.raises(Stop):
             run_experiment(ExperimentConfig(kind="decay", mode=mode, K_max=8))
     assert requested == [(4, 4), (4, 4)]
+
+
+def test_residual_job_holds_few_grid_blocks():
+    # the residual job at d=1 M=3 N=3 over 11 grid times: one level-3 grid
+    # block is (117649, 11) complex.  The integral residuals run before the
+    # grid solutions exist, and each mode's trajectory is dropped before the
+    # next evolves, so a warm job's traced peak stays below 3 such blocks
+    # (5.7 with signed copies of the operands, two phase tables per free
+    # flow, the residuals last and two trajectories alive at once)
+    cfg = ExperimentConfig(kind="residual", d=1, M=3, N=3, K_max=3, q=16,
+                           T=0.5, grid_points=11, seed=3)
+    run_experiment(cfg)  # warm the matrices, splits and imports
+    block = FrequencyLattice(1, 3).size**6 * 11 * 16
+    tracemalloc.start()
+    try:
+        assert run_experiment(cfg).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block, peak / block
 
 
 def test_report_determinism(tmp_path):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from gphier.tensor import (
 )
 from gphier.dynamics import (
     HierarchyMode,
+    conjugate,
     evolve_truncated,
     free_evolve,
     full_collision,
+    full_collision_matrix,
     level_energy,
     sign_vector,
 )
@@ -498,6 +501,56 @@ def test_integral_residual_vanishes(lat):
     assert integral_residual(ev, 3, 1, 0.0, alpha=1.0)[0] == 0.0
     with pytest.raises(ValueError):
         integral_residual(ev, 3, 3, 0.1)
+
+
+def _three_modes(lat, seed, levels):
+    return [HierarchyMode.deterministic(),
+            HierarchyMode.dependent(sample_field(lat, seed)),
+            HierarchyMode.independent({m: sample_field(lat, seed + 1, level=m)
+                                       for m in levels})]
+
+
+@pytest.mark.parametrize("d, M, m", [(1, 1, 3), (1, 2, 3), (2, 1, 2)])
+@settings(max_examples=4, deadline=None, database=None)
+@given(seed=hst.integers(0, 2**16),
+       times=hst.lists(hst.floats(0.0, 0.5), min_size=1, max_size=3))
+def test_collide_folds_the_field_into_the_matrix_bitwise(d, M, m, seed, times):
+    # collide puts each field's signs on a copy of the matrix entries instead
+    # of on the operand; a negation commutes with rounding, so every mode's
+    # collision equals S_(m-1)(h) B (S_m(h) x) to the last bit
+    lat = FrequencyLattice(d, M)
+    st = random_state(lat, m, seed, alpha=1.0, level_norms=[1.0] * m)
+    modes = _three_modes(lat, seed + 1, range(2, m + 1))
+    ev = DuhamelEvaluator(st, modes, QuadratureSpec(q=4))
+    batch = ev.solution_batch(m, m, times)
+    got = ev.collide(m, batch)
+    B = full_collision_matrix(lat, m)
+    for i, mode in enumerate(modes):
+        h = mode.field_for_level(m)
+        signs = None if h is None else (sign_vector(lat, h, m - 1),
+                                        sign_vector(lat, h, m))
+        assert np.array_equal(got.of(i), conjugate(B.__matmul__, batch.of(i), signs))
+
+
+def test_integral_residual_holds_one_node_block():
+    # d=1 M=3, q=16: the level-3 solution at the 16 quadrature nodes is one
+    # (117649, 16) complex block.  The level-2 residual collides it under
+    # each mode's field with the signs on the matrix, and the free flow
+    # multiplies its phase table in place, so the traced peak of a warm
+    # call stays below 1.5 such blocks (2.2 with the signs on the block and
+    # two phase-sized tables)
+    lat = FrequencyLattice(1, 3)
+    st = random_state(lat, 3, 5, alpha=1.0, level_norms=[1.0] * 3)
+    ev = DuhamelEvaluator(st, _three_modes(lat, 6, (2, 3)), QuadratureSpec(q=16))
+    integral_residual(ev, 3, 2, 0.5)  # warm the matrix, splits and signs
+    block = lat.size**6 * 16 * 16
+    tracemalloc.start()
+    try:
+        integral_residual(ev, 3, 2, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block, peak / block
 
 
 def test_integral_residual_single_level(lat):

@@ -28,7 +28,9 @@ from gphier.dynamics import (
     full_collision_matrix,
     phase_inequality_scan,
     power_collision,
+    real_matmul,
 )
+from gphier.duhamel import DuhamelEvaluator
 from gphier.randomization import SignField, all_plus, sample_field
 
 
@@ -218,6 +220,42 @@ def test_power_collision_bitwise(d, M, m, kernel):
     phi = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
     assert np.array_equal(power_collision(phi, m, lat).data,
                           full_collision(factorized(phi, m, lat)).data)
+
+
+@pytest.mark.parametrize("d, M, m", [(1, 1, 3), (1, 2, 3), (2, 1, 2)])
+@settings(max_examples=8, deadline=None, database=None)
+@given(shape=st.sampled_from(["vector", "block", "chain slice"]),
+       split=st.booleans(), seed=st.integers(0, 2**16))
+def test_real_matmul_is_the_complex_product_bitwise(d, M, m, shape, split, seed):
+    # the cached full matrix, or its energy split as the Duhamel climb uses
+    # it, against scipy's complex kernel on a vector, a block and a
+    # non-contiguous chain slice W[:, :, cols] (with exact zeros among the
+    # entries): equal to the last bit, in the shape of the operand
+    lat = FrequencyLattice(d, M)
+    mat = full_collision_matrix(lat, m)
+    if split:
+        ev = DuhamelEvaluator(random_state(lat, m, seed),
+                              [HierarchyMode.deterministic()])
+        mat = ev._split(m, 0, dynamics._energy_split(lat, m)[0].size)
+    n = mat.shape[1]
+    rng = np.random.default_rng(seed)
+    size = {"vector": (n,), "block": (n, 5), "chain slice": (n, 3, 7)}[shape]
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    x[rng.random(size) < 0.2] = 0.0
+    if shape == "chain slice":
+        x = x[:, :, 2:6]
+        assert not x.flags.c_contiguous
+    got = real_matmul(mat, x)
+    assert got.shape == (mat.shape[0],) + x.shape[1:]
+    want = mat @ (x if x.ndim == 1 else x.reshape(n, -1))
+    assert np.array_equal(got.reshape(want.shape), want)
+
+
+def test_real_matmul_refuses_a_complex_matrix(lat):
+    # a complex matrix's imaginary part would be dropped on the float64 view
+    mat = full_collision_matrix(lat, 2).astype(np.complex128)
+    with pytest.raises(TypeError):
+        real_matmul(mat, np.ones(mat.shape[1], dtype=np.complex128))
 
 
 _PHI = st.lists(st.complex_numbers(max_magnitude=4.0, allow_subnormal=False),

@@ -16,6 +16,11 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIGS = {
+    # criteria 1 and 2: Duhamel against the exponential flow, all three modes
+    "residual-criterion-1-2": [
+        "residual", "--set", "M=2", "--set", "N=4", "--set", "K_max=4",
+        "--set", "T=0.1", "--set", "q=16", "--set", "grid_points=11",
+        "--seed", "101"],
     # criterion 4: independent decay, exact averages by class paths
     "decay-criterion-4": [
         "decay", "--set", "mode=independent", "--set", "M=1", "--set", "K_max=4",
@@ -43,6 +48,10 @@ CONFIGS = {
     "decay-dependent-M5": [
         "decay", "--set", "mode=dependent", "--set", "M=5", "--set", "K_max=3",
         "--set", "T=0.1", "--set", "q=6", "--seed", "30"],
+    # criterion 10: NLS at M=8, its order-3 collision streamed above the cap
+    "nls-criterion-10": [
+        "nls", "--set", "M=8", "--set", "T=0.5", "--set", "dt=1e-3",
+        "--seed", "115"],
 }
 
 
