@@ -659,15 +659,19 @@ def _run_residual(cfg, rep, csv_dir):
     residuals = [r for k in range(1, cfg.N)
                  for r in integral_residual(ev, cfg.N, k, cfg.T, alpha=cfg.alpha)]
     sols = [ev.solution_batch(cfg.N, k, grid) for k in range(1, cfg.N + 1)]
-    # [mode, i]: modes that share a solution row share its norms
-    sol_norms = [sols[k - 1].per_mode(lambda sol, k=k: [
-        h_alpha_norm(ev._wrap(k, sol[:, i]), cfg.alpha) for i in range(len(grid))])
-        for k in range(1, cfg.N + 1)]
+    sol_norms = []  # [k - 1][mode, i]
+    for k, sol in enumerate(sols, start=1):
+        # a solution that reads no field (level N) is one array broadcast
+        # over the modes: its norms are taken once
+        distinct = sol[:1] if sol.strides[0] == 0 else sol
+        sol_norms.append(np.broadcast_to(
+            [[h_alpha_norm(ev._wrap(k, s[:, i]), cfg.alpha) for i in range(len(grid))]
+             for s in distinct], (len(modes), len(grid))))
     rows = []
     for m, (which, mode) in enumerate(modes.items()):
         traj = evolve_truncated(state, cfg.N, cfg.T, mode, grid_times=grid)
         for k in range(1, cfg.N + 1):
-            sol = sols[k - 1].of(m)
+            sol = sols[k - 1][m]
             for i, t in enumerate(grid):
                 ode = traj.states[i].level(k)
                 diff = (sol[:, i] - ode.data.reshape(-1)).reshape(ode.data.shape)

@@ -18,8 +18,9 @@ matrix exponential, so it stays an independent construction from
 `dynamics.evolve_truncated`.
 
 A `DuhamelEvaluator` holds one state and a batch of modes; a field h
-enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).  Exact averages
-draw no field: one climb takes the input of some collisions per
+enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).  Each mode climbs
+from its own leaf block, and the modes share the scalar half.  Exact
+averages draw no field: one climb takes the input of some collisions per
 odd-multiplicity class, each column of the split carries one Walsh
 character of the fields, and the columns of equal character, over the
 depths of a solution too, add before the classes add in squares
@@ -29,7 +30,6 @@ depths of a solution too, add before the classes add in squares
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +41,6 @@ from .tensor import (DensityMatrix, MemoryGuardError, _odd_masks, data_classes,
 
 __all__ = [
     "QuadratureSpec",
-    "ModeValues",
     "DuhamelEvaluator",
     "integral_residual",
     "simplex_check",
@@ -92,42 +91,15 @@ class QuadratureSpec:
         return _leggauss(self.q)
 
 
-class ModeValues(NamedTuple):
-    """One array per mode of a batch, each distinct array stored once.
-
-    Mode i's array is values[index[i]]; modes whose result depends on the
-    same sign fields share one row of `values`.
-    """
-
-    values: np.ndarray
-    index: np.ndarray
-
-    def of(self, i):
-        """The array of mode i."""
-        return self.values[self.index[i]]
-
-    def per_mode(self, fn):
-        """fn of each mode's array, stacked over modes; fn runs once per row."""
-        return np.array([fn(v) for v in self.values])[self.index]
-
-
-def _join(*indexes):
-    """Distinct combinations of per-mode indexes, and each mode's combination."""
-    rows, index = np.unique(np.stack(indexes, axis=1), axis=0,
-                            return_inverse=True)
-    return rows, index.reshape(-1)
+def _field(mode, m):
+    """The level-m sign field of `mode`; None for no field, or no mode."""
+    return None if mode is None else mode.field_for_level(m)
 
 
 def _root_sum_squares(terms):
     """Per row of (dim, P) class-split terms, the root sum of squares; the
     column itself when P = 1, so an unsplit term keeps its bits."""
     return terms[:, 0] if terms.shape[1] == 1 else np.linalg.norm(terms, axis=1)
-
-
-def _branches(paths, sub, col):
-    """(field id, paths of `sub` with that id in column col), for each id."""
-    ids = paths[sub, col]
-    return [(fid, sub[ids == fid]) for fid in np.unique(ids)]
 
 
 class DuhamelEvaluator:
@@ -154,13 +126,13 @@ class DuhamelEvaluator:
     complex elements.
 
     The scalar half does not depend on the fields: it is computed once
-    per level and chunk for the whole batch.  The vector half walks a
-    depth-first tree whose branches at each level are the distinct fields
-    among the modes that share the deeper path, so every mode with the
-    same fields on the levels a term climbs through gets the same array,
-    computed once, and only one path's chain blocks are resident at a
-    time.  Class-split climbs (`_class_terms`) read no field: splits and
-    leaf blocks go per (energy, class), chain blocks carry the class paths.
+    per level and chunk for the whole batch and kept for the modes that
+    climb after the first.  The vector half climbs one mode at a time,
+    depth-first from that mode's leaf block, so only one mode's chain
+    blocks are resident at a time.  A term that reads no field (depth 0,
+    or vanishing data) is one read-only array for every mode.  Class-split
+    climbs (`_class_terms`) read no field: splits and leaf blocks go per
+    (energy, class), chain blocks carry the class paths.
     """
 
     def __init__(self, state0, modes, quad=None):
@@ -169,7 +141,6 @@ class DuhamelEvaluator:
         self.quad = quad if quad is not None else QuadratureSpec()
         self.lattice = state0.lattice
         self._gamma = {}
-        self._fields = {}
         self._blocks = {}
         self._stored = 0
         self._classes = {}
@@ -194,23 +165,6 @@ class DuhamelEvaluator:
                 present, _odd_masks(self.lattice, m)[nz]), present.size)
         return self._present[m]
 
-    def _field_ids(self, m):
-        """(field id of each mode at level m, the sign field of each id).
-
-        Fields are told apart by fingerprint; None stands for no field.
-        """
-        if m not in self._fields:
-            ids, fields, seen = [], [], {}
-            for md in self.modes:
-                f = md.field_for_level(m)
-                key = None if f is None else f.fingerprint()
-                if key not in seen:
-                    seen[key] = len(fields)
-                    fields.append(f)
-                ids.append(seen[key])
-            self._fields[m] = (np.array(ids, dtype=np.intp), fields)
-        return self._fields[m]
-
     def _block(self, key, build):
         """A leaf block, full split or sign vector from the cache, built on a miss.
 
@@ -229,9 +183,8 @@ class DuhamelEvaluator:
             self._stored -= self._blocks.pop(next(iter(self._blocks))).size
         return block
 
-    def _signs(self, m, fid):
-        """(S_(m-1)(h), S_m(h)) for the level-m field h of id fid; None if no field."""
-        field = self._field_ids(m)[1][fid]
+    def _signs(self, m, field):
+        """(S_(m-1)(h), S_m(h)) for the level-m field h; None if no field."""
         if field is None:
             return None
         return tuple(self._block(("signs", field.fingerprint(), order),
@@ -287,18 +240,18 @@ class DuhamelEvaluator:
 
         return self._block(("split", m, classes, lo, hi), chunk)
 
-    def _leaf(self, m, fid, classes=False):
-        """B_m^h P_e gamma0^(m) for every energy bucket e of level m.
+    def _leaf(self, m, field, classes=False):
+        """B_m^h P_e gamma0^(m) for every energy bucket e of level m, h = field.
 
         A sparse (dim_(m-1), n_e) block, built by one sparse product with
         the bucket split of S_m(h) gamma0^(m), which stores only the
         nonzero coefficients, so the block is as sparse as the data.  With
-        `classes` no field is read, and the block has one column
+        `classes` (and no field) the block has one column
         B_m P_e P_c gamma0^(m) per energy e and class c of the data
         (`_data_classes`), column e n_c + c.
         """
         def build():
-            signs = None if classes else self._signs(m, fid)
+            signs = self._signs(m, field)
             g = self._gamma_flat(m)
             if signs is not None:
                 g = signs[1] * g
@@ -312,7 +265,8 @@ class DuhamelEvaluator:
                 leaf.data *= signs[0][leaf.indices]
             return leaf
 
-        return self._block(("leaf", m, fid, classes), build)
+        key = None if field is None else field.fingerprint()
+        return self._block(("leaf", m, key, classes), build)
 
     def _phases(self, m, gaps):
         """exp(-i * gap * E_m) as a (dim_m, len(gaps)) array."""
@@ -327,22 +281,19 @@ class DuhamelEvaluator:
         return table
 
     def term_batch(self, k, j, times):
-        """Duh_j at level k for a batch of times; ModeValues of (dim_k, n) arrays.
+        """Duh_j at level k for a batch of times: an (n_modes, dim_k, n) array.
 
-        Modes with the same fields on levels k+1..k+j share one array.
+        A term that reads no field (depth 0, or vanishing data) is one
+        read-only array broadcast over the modes.
         """
         self._check_depth(k, j)
         times = np.asarray(times, dtype=np.float64)
-        dim_k = self.lattice.size ** (2 * k)
-        one = np.zeros(len(self.modes), dtype=np.intp)
+        shape = (len(self.modes), self.lattice.size ** (2 * k), times.size)
         if self._gamma_flat(k + j) is None:
-            return ModeValues(np.zeros((1, dim_k, times.size),
-                                       dtype=np.complex128), one)
+            return np.broadcast_to(np.zeros(shape[1:], dtype=np.complex128), shape)
         if j == 0:
-            return ModeValues(self._free(k, times)[None], one)
-        paths, index = _join(*(self._field_ids(m)[0]
-                               for m in range(k + 1, k + j + 1)))
-        return ModeValues(self._chain_term(k, j, times, paths)[:, :, 0], index)
+            return np.broadcast_to(self._free(k, times), shape)
+        return self._chain_term(k, j, times, self.modes)[:, :, 0]
 
     def _check_depth(self, k, j):
         if j < 0:
@@ -380,7 +331,7 @@ class DuhamelEvaluator:
         if len(depths) > 1:
             keys = [self._characters(k, j, variant, max(depths)) for j in depths]
             paths, index = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
-            self._check_chain(k, 0, times.size, 1, [], len(paths))
+            self._check_chain(k, 0, times.size, [], 1, len(paths))
             out = np.zeros((dim, len(paths), times.size), dtype=np.complex128)
             # one depth's characters are distinct, so no column repeats
             for j, cols in zip(depths, np.split(index.reshape(-1), np.cumsum(
@@ -402,8 +353,7 @@ class DuhamelEvaluator:
             return self._free(k, times)[:, None]
         by_class = {"independent": range(k + 1, k + j + 1),
                     "dependent": (k + j,)}.get(variant, ())
-        paths = np.zeros((1, j), dtype=np.intp)
-        return self._chain_term(k, j, times, paths, by_class)[0]
+        return self._chain_term(k, j, times, [None], by_class)[0]
 
     def _characters(self, k, j, variant, length):
         """Each column's Walsh character prod_m chi_(c_(m-1) xor c_m)(h_m) in
@@ -423,29 +373,30 @@ class DuhamelEvaluator:
             if width > 1), last, indexing="ij")]
         return np.stack(grid[:-1] + grid[-1:] * (width - len(grid) + 1), axis=1)
 
-    def _chain_term(self, k, j, times, paths, by_class=()):
+    def _chain_term(self, k, j, times, modes, by_class=()):
         """Duh_j at level k (j >= 1) by energy chains; see the module docstring.
 
-        paths[p] holds the field ids of path p on levels k+1..k+j; returns
-        the (len(paths), dim_k, P, n) terms.  With `by_class` (one path, no
-        field read) its levels take the input of their collision per
+        Returns the (len(modes), dim_k, P, n) terms, each mode's under its
+        fields on levels k+1..k+j (none for a mode None).  With `by_class`
+        (modes [None]) its levels take the input of their collision per
         class, the leaf's per class of the data, and P counts the class
         paths; without it P = 1.  A chain block carries one column per
-        (class path, energy chain), but the data's classes climb one at a
-        time, sharing their scalars, through levels above k with no split.
+        (class path, energy chain).  The modes, and the data's classes
+        through levels above k with no split, climb one at a time and
+        share their scalars.
         """
         n_top = self._data_classes(k + j)[2] if k + j in by_class else 1
         n_cls = [self._labels(m, m in by_class)[1] for m in range(k + 1, k + j)]
         alone = n_top > 1 and j > 1 and k + j - 1 not in by_class
         width = 1 if alone else n_top
-        self._check_chain(k, j, times.size, len(paths), n_cls + [width],
+        self._check_chain(k, j, times.size, n_cls + [width], len(modes),
                           math.prod(n_cls) * n_top)
         x, _ = self._gl
         # nodes[i]: the Gauss-Legendre tree's time nodes at level k + i
         nodes = [times]
         for _ in range(j):
             nodes.append((0.5 * nodes[-1][:, None] * (x + 1.0)).reshape(-1))
-        out = np.zeros((len(paths), self.lattice.size ** (2 * k),
+        out = np.zeros((len(modes), self.lattice.size ** (2 * k),
                         math.prod(n_cls) * n_top, times.size), dtype=np.complex128)
         # the leaf: one chain column per energy e of level k + j (and class
         # c), with the block B P_e gamma0 and the scalar e^(-ieu) at the
@@ -453,30 +404,31 @@ class DuhamelEvaluator:
         vals = _energy_split(self.lattice, k + j)[0]
         dim_leaf = self.lattice.size ** (2 * (k + j - 1))
         step = max(1, CHAIN_CAP // max(dim_leaf * width, nodes[j].size))
-        branches = _branches(paths, np.arange(len(paths)), j - 1)
         for lo in range(0, vals.size, step):
             hi = min(lo + step, vals.size)
             f = np.exp(-1j * np.outer(nodes[j], vals[lo:hi]))
-            # the levels below share their scalars across these branches
-            memo = {} if len(branches) > 1 or alone else None
-            for fid, sub in branches:
-                leaf = self._leaf(k + j, fid, k + j in by_class)
+            # the levels below share their scalars across these climbs
+            memo = {} if len(modes) > 1 or alone else None
+            for mode, term in zip(modes, out):
+                leaf = self._leaf(k + j, _field(mode, k + j), k + j in by_class)
                 # columns e n_top + c for e in lo..hi-1, one class c at a time
-                blocks = [(leaf[:, lo * n_top:hi * n_top], out)] if not alone else (
-                    (leaf[:, lo * n_top + c:hi * n_top:n_top], out[:, :, c:c + 1])
+                blocks = [(leaf if step >= vals.size else
+                           leaf[:, lo * n_top:hi * n_top], term)] if not alone else (
+                    (leaf[:, lo * n_top + c:hi * n_top:n_top], term[:, c:c + 1])
                     for c in range(n_top))
                 for cols, dest in blocks:
                     W = cols.toarray().reshape(dim_leaf, hi - lo, -1)
                     self._climb(k, k + j - 1, W.transpose(0, 2, 1), f, nodes, dest,
-                                paths, sub, memo, by_class)
+                                mode, memo, by_class)
         out *= (-1j) ** j
         return out
 
-    def _check_chain(self, k, j, n_times, n_paths, n_cls, n_out):
-        """Raise before allocating if a chain column or the batch exceeds the cap.
+    def _check_chain(self, k, j, n_times, n_cls, n_modes, n_out):
+        """Raise before allocating if a chain column or the terms exceed the cap.
 
         n_cls[i] is the class count a chain block carries for level k+1+i
-        (1 without classes), n_out the class paths of the terms."""
+        (1 without classes), n_out the class paths of each of the n_modes
+        terms."""
         F = self.lattice.size
         name = "d" if self.lattice.d > 1 else "M"
         n_nodes = n_times * self.quad.q ** j
@@ -498,40 +450,32 @@ class DuhamelEvaluator:
                 f"q: the depth-{j} Gauss-Legendre tree over {n_times} times "
                 f"has {n_nodes} nodes at q={self.quad.q}; that exceeds the "
                 f"cap {CHAIN_CAP}")
-        size = n_out * F ** (2 * k) * n_times
-        if n_out > 1 and size > CHAIN_CAP:
+        # one unsplit term is what a single mode needs; more must fit the cap
+        size = n_modes * n_out * F ** (2 * k) * n_times
+        if n_modes * n_out > 1 and size > CHAIN_CAP:
             raise MemoryGuardError(
-                f"{name}: the class-split terms at level {k} over {n_times} "
-                f"times hold {size} entries for {n_out} class paths, F = "
-                f"{F}; that exceeds the cap {CHAIN_CAP}")
-        # one path alone is what a single mode needs; more must fit the cap
-        size = n_paths * F ** (2 * k) * n_times
-        if n_paths > 1 and size > CHAIN_CAP:
-            raise MemoryGuardError(
-                f"a batch of {len(self.modes)} modes takes {n_paths} distinct "
-                f"sign-field paths through levels {k + 1}..{k + j}; their "
-                f"depth-{j} terms at level {k} over {n_times} times hold "
-                f"{size} entries, F = {F}; that exceeds the cap {CHAIN_CAP}")
+                f"{name}: the Duhamel terms at level {k} over {n_times} times "
+                f"hold {size} entries for {n_out} class paths x {n_modes} "
+                f"modes, F = {F}; that exceeds the cap {CHAIN_CAP}")
 
-    def _climb(self, k, level, W, f, nodes, out, paths, sub, memo, by_class=()):
+    def _climb(self, k, level, W, f, nodes, out, mode, memo, by_class=()):
         """Carry one chunk of chains from `level` up to level k into `out`.
 
-        W is the chain block at `level` (dim_level x P x c) of the paths
-        `sub`, which share their fields below `level`: P class paths (1
-        without `by_class`) by c chain suffixes.  f holds the scalar
-        functions of the same c chain suffixes at the time nodes of level
-        + 1.  One step prepends the energy e of `level` to every suffix:
-        the scalar half computes
+        W is the chain block at `level` (dim_level x P x c) of one mode: P
+        class paths (1 without `by_class`) by c chain suffixes.  f holds
+        the scalar functions of the same c chain suffixes at the time nodes
+        of level + 1.  One step prepends the energy e of `level` to every
+        suffix: the scalar half computes
         f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r)
-        and, above level k, the vector half applies B_level P_e under each
-        distinct field of `level` among `sub`, or with `by_class` no field,
-        and B_level P_e P_c for every class c of `level` if it holds
-        `level`, which prepends c to every class path.  At level k, where
-        `sub` is one path, the scalars are contracted with each row of W at
-        that row's energy.
+        and, above level k, the vector half applies B_level P_e under the
+        mode's field of `level` (none for a mode None, as with `by_class`),
+        and B_level P_e P_c for every class c of `level` if `by_class`
+        holds `level`, which prepends c to every class path.  At level k
+        the scalars are contracted with each row of W at that row's energy
+        into the mode's (dim_k, P, n) `out`.
         `memo`, when not None, keeps the scalars of this call's chunks (and
-        of the levels below) for the sibling branches that make the same
-        call with another W.
+        of the levels below) for the other climbs that make the same call
+        with another W.
         """
         vals = _energy_split(self.lattice, level)[0]
         x, w = self._gl
@@ -556,9 +500,6 @@ class DuhamelEvaluator:
             # the rows split by energy, so the blocks gathered for all
             # energies of a column hold dim_k P entries together
             n_c = max(1, CHAIN_CAP // max(dim * P, s.size * n_e))
-        branches = None if level == k else _branches(paths, sub, level - k - 1)
-        # the levels below share their scalars across sibling calls
-        shared = branches is not None and (memo is not None or len(branches) > 1)
         for lo in range(0, vals.size, n_e):
             hi = min(lo + n_e, vals.size)
             E = None
@@ -573,49 +514,44 @@ class DuhamelEvaluator:
                         E = wu[:, None, :] * np.exp(
                             -1j * vals[None, lo:hi, None] * gap[:, None, :])
                     entry = (E @ f[:, cols].reshape(s.size, x.size, -1),
-                             {} if shared else None)
+                             None if memo is None else {})
                     if memo is not None:
                         memo[(lo, c0)] = entry
                 fn, below = entry
-                if branches is None:
-                    (p,) = sub
+                if level == k:
                     rows = _buckets(self.lattice, k)
                     for e in range(lo, hi):
                         block = W[rows[e], :, cols]
-                        out[p][rows[e]] += (
+                        out[rows[e]] += (
                             block.reshape(-1, block.shape[2])
                             @ fn[:, e - lo, :].T).reshape(block.shape[:2] + (-1,))
                     continue
                 if split is None:
                     split = self._split(level, lo, hi, level in by_class)
-                for fid, grp in branches:
-                    signs = None if by_class else self._signs(level, fid)
-                    Wn = conjugate(lambda X: real_matmul(split, X)
-                                   .reshape(dim_next, width, -1),
-                                   W[:, :, cols], signs)
-                    self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
-                                out, paths, grp, below, by_class)
+                Wn = conjugate(lambda X: real_matmul(split, X)
+                               .reshape(dim_next, width, -1),
+                               W[:, :, cols], self._signs(level, _field(mode, level)))
+                self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
+                            out, mode, below, by_class)
 
     def collide(self, m, batch):
         """B_m under each mode's level-m field, applied to that mode's array.
 
-        `batch` holds (dim_m, n) arrays; returns ModeValues of
-        (dim_(m-1), n) arrays.  The field's signs go on a copy of the
-        matrix's entries, not on the array, so no array-sized temporary is
-        formed; a negation commutes with rounding, so the result is bitwise
-        S_(m-1)(h) B_m (S_m(h) x).
+        `batch` is (n_modes, dim_m, n); returns (n_modes, dim_(m-1), n).
+        The field's signs go on a copy of the matrix's entries, not on the
+        array, so no array-sized temporary is formed; a negation commutes
+        with rounding, so the result is bitwise S_(m-1)(h) B_m (S_m(h) x).
         """
         B = full_collision_matrix(self.lattice, m)
-        rows, index = _join(batch.index, self._field_ids(m)[0])
-        return ModeValues(np.stack([
-            real_matmul(_signed(B, self._signs(m, fid)), batch.values[b])
-            for b, fid in rows]), index)
+        return np.stack([
+            real_matmul(_signed(B, self._signs(m, _field(mode, m))), x)
+            for mode, x in zip(self.modes, batch)])
 
     def solution_batch(self, N, k, times):
         """Truncated-hierarchy solution at level k; sum of Duh_0..Duh_(N-k).
 
-        ModeValues of (dim_k, n) arrays, one per distinct combination of
-        the terms' arrays.
+        An (n_modes, dim_k, n) array, read-only and broadcast over the
+        modes when it is a single term that reads no field.
         """
         if k > N:
             raise ValueError("level k must be <= truncation N")
@@ -624,13 +560,10 @@ class DuhamelEvaluator:
                  if k + j <= self.state.K_max]
         if len(parts) == 1:
             return parts[0]
-        rows, index = _join(*(part.index for part in parts))
-        acc = np.zeros((len(rows), self.lattice.size ** (2 * k), times.size),
-                       dtype=np.complex128)
-        for r, row in enumerate(rows):
-            for part, i in zip(parts, row):
-                acc[r] += part.values[i]
-        return ModeValues(acc, index)
+        acc = np.zeros(parts[0].shape, dtype=np.complex128)
+        for part in parts:
+            acc += part
+        return acc
 
     def _wrap(self, k, col):
         shape = (self.lattice.size,) * (2 * k)
@@ -643,13 +576,11 @@ class DuhamelEvaluator:
         j-fold nested integral with the (-i)^j prefactor, alternating free
         evolution and full collisions with each mode's per-level fields.
         """
-        batch = self.term_batch(k, j, [t])
-        return [self._wrap(k, batch.of(i)[:, 0]) for i in range(len(self.modes))]
+        return [self._wrap(k, term[:, 0]) for term in self.term_batch(k, j, [t])]
 
     def solution(self, N, k, t):
         """Explicit depth-N truncated solution at level k, one per mode."""
-        batch = self.solution_batch(N, k, [t])
-        return [self._wrap(k, batch.of(i)[:, 0]) for i in range(len(self.modes))]
+        return [self._wrap(k, sol[:, 0]) for sol in self.solution_batch(N, k, [t])]
 
 
 def integral_residual(ev, N, k, t, alpha=1.0):
@@ -669,25 +600,19 @@ def integral_residual(ev, N, k, t, alpha=1.0):
     x, w = ev._gl
     nodes = 0.5 * t * (x + 1.0)
     weights = 0.5 * t * w
-    sol = ev.solution_batch(N, k, [t])
+    sol = ev.solution_batch(N, k, [t])[:, :, 0]
     free_k = ev._free(k, [t])[:, 0] if ev._gamma_flat(k) is not None \
-        else np.zeros(sol.values.shape[1], dtype=np.complex128)
-    parts = [sol]
+        else np.zeros(sol.shape[1], dtype=np.complex128)
     if t > 0:
         integrand = ev.collide(k + 1, ev.solution_batch(N, k + 1, nodes))
-        phases = ev._phases(k, t - nodes)
-        for row in integrand.values:
-            row *= phases
-        lifted = [1j * (row @ weights) for row in integrand.values]
-        parts.append(integrand)
-    rows, index = _join(*(part.index for part in parts))
+        integrand *= ev._phases(k, t - nodes)
     out = []
-    for row in rows:
-        resid = sol.values[row[0]][:, 0] - free_k
+    for i, row in enumerate(sol):
+        resid = row - free_k
         if t > 0:
-            resid = resid + lifted[row[1]]
+            resid = resid + 1j * (integrand[i] @ weights)
         out.append(h_alpha_norm(ev._wrap(k, resid), alpha))
-    return np.array(out)[index]
+    return np.array(out)
 
 
 def simplex_check(j, t, quad=None):
@@ -771,12 +696,12 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
     def norms(N, k):
         """[ti]: averaged H^alpha norm of the level-k collision of Duh_(N-k)."""
         if mode.variant == "independent":
-            cols = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid)).of(0)[:, None]
+            cols = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid))[0][:, None]
         elif mode.variant == "dependent" and N == k and ev._gamma_flat(k + 1) is not None:
             # per class c, the leaf's columns B P_e P_c gamma0 times e^(-iet)
             phases = np.exp(-1j * np.outer(_energy_split(state0.lattice, k + 1)[0], grid))
             n_c = ev._data_classes(k + 1)[2]
-            cols = (ev._leaf(k + 1, 0, True) @ np.kron(phases, np.eye(n_c))).reshape(
+            cols = (ev._leaf(k + 1, None, True) @ np.kron(phases, np.eye(n_c))).reshape(
                 -1, grid.size, n_c).transpose(0, 2, 1)
         else:
             cols = real_matmul(full_collision_matrix(state0.lattice, k + 1),

@@ -8,8 +8,9 @@ averages squared H^alpha norms over it, either exactly (enumerating all
 counter-based, reproducible per-level streams.  It hands the whole
 sample space to its `norms` callable in one call: norms(modes) takes
 the list of redrawn modes and returns one norm, or one array of norms,
-per mode in the same order, so a caller can share work between modes
-(one `duhamel.DuhamelEvaluator` climb).  It is the field-drawing side of
+per mode in the same order, so a caller can run them as one batch (one
+`duhamel.DuhamelEvaluator`, whose modes share the scalar half of each
+climb and its cached leaf blocks and sign vectors).  It is the field-drawing side of
 `random.opnorm_majorizes_ratios` (`gph estimate-c0`) and the test oracle
 of the exact averages that draw no field.  Those split a uniform field's
 average into odd-multiplicity classes by Walsh orthogonality

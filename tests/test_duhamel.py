@@ -47,6 +47,33 @@ from gphier.randomization import (
 )
 
 
+def _per_mode(batch, fn):
+    """fn of each mode's array of an (n_modes, ...) batch, stacked over
+    modes; a batch broadcast over the modes runs fn once."""
+    if batch.strides[0] == 0:
+        return np.repeat([fn(batch[0])], len(batch), axis=0)
+    return np.array([fn(v) for v in batch])
+
+
+def _field_key(mode, m):
+    """The fingerprint of the mode's level-m sign field; None for no field."""
+    field = mode.field_for_level(m)
+    return None if field is None else field.fingerprint()
+
+
+def _distinct_paths(modes, levels):
+    """(the first mode of each distinct tuple of sign fields on `levels`,
+    the index of each mode's tuple among them)."""
+    firsts, seen, index = [], {}, []
+    for md in modes:
+        key = tuple(_field_key(md, m) for m in levels)
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(md)
+        index.append(seen[key])
+    return firsts, np.array(index)
+
+
 @pytest.fixture
 def lat():
     return FrequencyLattice(1, 1)
@@ -154,7 +181,7 @@ def test_solution_matches_ode(lat, which):
     traj = evolve_truncated(st, 3, 0.1, mode, grid_times=grid)
     ev = DuhamelEvaluator(st, [mode], quad)
     for k in (1, 2, 3):
-        sol = ev.solution_batch(3, k, grid).of(0)
+        sol = ev.solution_batch(3, k, grid)[0]
         for i in range(len(grid)):
             diff = ev._wrap(k, sol[:, i]) - traj.states[i].level(k)
             rel = h_alpha_norm(diff, 1.0) \
@@ -185,7 +212,7 @@ def test_energy_chains_match_exponential(which, N, data, times, seed):
     }[which]
     traj = evolve_truncated(st, N, times[-1], mode, grid_times=times)
     ev = DuhamelEvaluator(st, [mode], QuadratureSpec(q=16))
-    sol = ev.solution_batch(N, k, times).of(0)
+    sol = ev.solution_batch(N, k, times)[0]
     for i in range(len(times)):
         ref = ev._wrap(k, sol[:, i])
         rel = h_alpha_norm(ref - traj.states[i].level(k), 1.0) \
@@ -225,13 +252,13 @@ def test_batch_slices_match_batches_of_one(N, data, times, seed):
     for i in checked:
         one = DuhamelEvaluator(st, [modes[i]], quad)
         for j, term in enumerate(terms):
-            assert np.array_equal(term.of(i), one.term_batch(k, j, times).of(0))
-        assert np.array_equal(sol.of(i), one.solution_batch(N, k, times).of(0))
+            assert np.array_equal(term[i], one.term_batch(k, j, times)[0])
+        assert np.array_equal(sol[i], one.solution_batch(N, k, times)[0])
         if N > 3:
             continue
         traj = evolve_truncated(st, N, times[-1], modes[i], grid_times=times)
         for t in range(len(times)):
-            ref = ev._wrap(k, sol.of(i)[:, t])
+            ref = ev._wrap(k, sol[i][:, t])
             rel = h_alpha_norm(ref - traj.states[t].level(k), 1.0) \
                 / (1 + h_alpha_norm(ref, 1.0))
             assert rel < 1e-5
@@ -241,22 +268,32 @@ def test_sign_vectors_built_once_per_field_and_order(monkeypatch):
     # an all-modes batch at M=1, K_max=4: the 8^3 independent product set
     # on levels 2..4, dependent fields and the deterministic mode.  Every
     # term, solution and collision of the batch builds each sign vector
-    # S_m(h) at most once per (field, order)
+    # S_m(h) at most once per (field, order), and each leaf block at most
+    # once per (level, field)
     lat = FrequencyLattice(1, 1)
     st = random_state(lat, 4, 44, alpha=1.0, level_norms=[1.0] * 4)
     product = [HierarchyMode.independent(dict(zip(range(2, 5), combo)))
                for combo in itertools.product(enumerate_fields(lat), repeat=3)]
     sampled = [HierarchyMode.dependent(sample_field(lat, 45, sample=i))
                for i in range(3)]
-    ev = DuhamelEvaluator(st, product + sampled + [HierarchyMode.deterministic()],
-                          QuadratureSpec(q=4))
-    builds = collections.Counter()
+    modes = product + sampled + [HierarchyMode.deterministic()]
+    ev = DuhamelEvaluator(st, modes, QuadratureSpec(q=4))
+    builds, leaves = collections.Counter(), collections.Counter()
+    block = DuhamelEvaluator._block
 
     def counted(lattice, field, k):
         builds[field.fingerprint(), k] += 1
         return sign_vector(lattice, field, k)
 
+    def counted_block(self, key, build):
+        def counted_build():
+            if key[0] == "leaf":
+                leaves[key[1]] += 1
+            return build()
+        return block(self, key, counted_build)
+
     monkeypatch.setattr(duhamel, "sign_vector", counted)
+    monkeypatch.setattr(DuhamelEvaluator, "_block", counted_block)
     times = [0.0, 0.1]
     for k in range(1, 5):
         for j in range(5 - k):
@@ -267,6 +304,11 @@ def test_sign_vectors_built_once_per_field_and_order(monkeypatch):
     integral_residual(ev, 4, 1, 0.1)
     # the lattice has 8 fields, each used at orders 1..4
     assert len(builds) == 8 * 4 and max(builds.values()) == 1
+    # a term of depth >= 1 ends at a leaf of level 2..4: one build per
+    # distinct field there (the lattice's 8, the sampled ones among them,
+    # and none), not one per mode
+    assert leaves == {m: len({_field_key(md, m) for md in modes})
+                      for m in range(2, 5)} == {2: 9, 3: 9, 4: 9}
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (1, 4), (2, 3)])
@@ -288,8 +330,8 @@ def test_class_paths_match_field_enumeration(shape, data, t, seed):
 
     def norms(modes):
         ev = DuhamelEvaluator(st, modes, quad)
-        return ev.term_batch(k, j, [t]).per_mode(
-            lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), 1.0))
+        return _per_mode(ev.term_batch(k, j, [t]),
+                         lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), 1.0))
 
     ref = omega_l2_h_alpha(norms, mode, lat, range(k + 1, k + j + 1)).value
     got = DuhamelEvaluator(st, [mode], quad).omega_norm(k, j, t, 1.0)
@@ -370,9 +412,7 @@ def test_block_cache_stays_within_the_cap(monkeypatch):
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
     ev = DuhamelEvaluator(st, modes, quad)
     out = ev.term_batch(1, 3, times)
-    assert np.array_equal(out.index, ref.index)
-    assert np.max(np.abs(out.values - ref.values)) \
-        <= 1e-13 * np.max(np.abs(ref.values))
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert ev._stored == sum(b.size for b in ev._blocks.values()) <= 3000
 
 
@@ -405,8 +445,8 @@ def test_dependent_mode_is_conjugated_deterministic(d, M, N, data, seed):
     det_traj = evolve_truncated(signed, N, times[-1], det, grid_times=times)
     for k in range(1, N + 1):
         s_k = sign_vector(lat, h, k)
-        got = dep_ev.solution_batch(N, k, times).of(0)
-        ref = s_k[:, None] * det_ev.solution_batch(N, k, times).of(0)
+        got = dep_ev.solution_batch(N, k, times)[0]
+        ref = s_k[:, None] * det_ev.solution_batch(N, k, times)[0]
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         for a, b in zip(dep_traj.states, det_traj.states):
             got, ref = a.level(k).data.reshape(-1), s_k * b.level(k).data.reshape(-1)
@@ -416,8 +456,8 @@ def test_dependent_mode_is_conjugated_deterministic(d, M, N, data, seed):
 def test_batch_too_large_for_the_cap_is_refused(lat, monkeypatch):
     # eight shared fields give eight level-1 terms of 9 entries at 30 times,
     # 2,160 entries; one mode alone needs 270.  Above the cap, the batch is
-    # a guard error naming its mode and path counts, raised before any
-    # block is built
+    # a guard error naming M and its class path and mode counts, raised
+    # before any block is built
     st = random_state(lat, 3, 40, alpha=1.0, level_norms=[1.0] * 3)
     modes = [HierarchyMode.dependent(f) for f in enumerate_fields(lat)]
     times = np.linspace(0.0, 0.1, 30)
@@ -429,8 +469,8 @@ def test_batch_too_large_for_the_cap_is_refused(lat, monkeypatch):
         raise AssertionError("a block was built before the guard")
 
     monkeypatch.setattr(DuhamelEvaluator, "_leaf", no_block)
-    with pytest.raises(MemoryGuardError,
-                       match="^a batch of 8 modes takes 8 distinct sign-field paths"):
+    with pytest.raises(MemoryGuardError, match="^M: the Duhamel terms at level 1 "
+                       "over 30 times hold 2160 entries for 1 class paths x 8 modes"):
         DuhamelEvaluator(st, modes, quad).term_batch(1, 2, times)
 
 
@@ -443,9 +483,9 @@ def test_chain_chunks_match_and_guard(lat, monkeypatch):
     mode = HierarchyMode.dependent(sample_field(lat, 34))
     quad = QuadratureSpec(q=3)
     times = np.linspace(0.0, 0.3, 30)
-    ref = DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times).of(0)
+    ref = DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times)[0]
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
-    out = DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times).of(0)
+    out = DuhamelEvaluator(st, [mode], quad).term_batch(1, 3, times)[0]
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 800)
     with pytest.raises(MemoryGuardError, match="^q: "):
@@ -484,7 +524,7 @@ def test_nonuniform_grid_matches_duhamel():
     traj = evolve_truncated(st, 3, 0.1, mode, grid_times=grid)
     ev = DuhamelEvaluator(st, [mode], QuadratureSpec(q=16))
     for k in (1, 2, 3):
-        sol = ev.solution_batch(3, k, grid).of(0)
+        sol = ev.solution_batch(3, k, grid)[0]
         for i in range(len(grid)):
             ref = ev._wrap(k, sol[:, i])
             rel = h_alpha_norm(ref - traj.states[i].level(k), 1.0) \
@@ -529,7 +569,7 @@ def test_collide_folds_the_field_into_the_matrix_bitwise(d, M, m, seed, times):
         h = mode.field_for_level(m)
         signs = None if h is None else (sign_vector(lat, h, m - 1),
                                         sign_vector(lat, h, m))
-        assert np.array_equal(got.of(i), conjugate(B.__matmul__, batch.of(i), signs))
+        assert np.array_equal(got[i], conjugate(B.__matmul__, batch[i], signs))
 
 
 def test_integral_residual_holds_one_node_block():
@@ -666,12 +706,11 @@ def test_dependent_class_sums_match_field_enumeration(M, storage, seed, t):
     def norms(modes):
         """[mode, (depth j of the profile, then pair (N, k)), ti]."""
         ev = DuhamelEvaluator(st, modes, quad)
-        out = [np.repeat(ev.term_batch(1, j, [t]).per_mode(
-            lambda term: h_alpha_norm(ev._wrap(1, term[:, 0]), 1.0))[:, None],
-            grid.size, axis=1) for j in range(3)]
+        out = [np.repeat(_per_mode(ev.term_batch(1, j, [t]), lambda term: h_alpha_norm(
+            ev._wrap(1, term[:, 0]), 1.0))[:, None], grid.size, axis=1) for j in range(3)]
         for N, k in pairs:
             cols = ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid))
-            out.append(cols.per_mode(lambda col, k=k: [
+            out.append(_per_mode(cols, lambda col, k=k: [
                 h_alpha_norm(ev._wrap(k, col[:, i]), 1.0)
                 for i in range(grid.size)]))
         return np.stack(out, axis=1)
@@ -692,9 +731,9 @@ def test_cauchy_increment_identity(lat):
     quad = QuadratureSpec(q=8)
     ev = DuhamelEvaluator(st, [mode], quad)
     N, k, t = 2, 1, 0.1
-    lhs = ev.solution_batch(N + 1, k, [t]).of(0)[:, 0] \
-        - ev.solution_batch(N, k, [t]).of(0)[:, 0]
-    rhs = ev.term_batch(k, N + 1 - k, [t]).of(0)[:, 0]
+    lhs = ev.solution_batch(N + 1, k, [t])[0, :, 0] \
+        - ev.solution_batch(N, k, [t])[0, :, 0]
+    rhs = ev.term_batch(k, N + 1 - k, [t])[0, :, 0]
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -731,22 +770,27 @@ def test_solution_time_modulus_keeps_nan(lat, monkeypatch):
 def _enumerated_modulus(st, N, base_times, deltas, mode, quad, alpha, xi):
     """`solution_time_modulus` by enumeration, the oracle of its class split:
     every joint sign field of levels 2..N (the shared field, for a
-    dependent mode) in one evaluator batch, averaged by `omega_l2_h_alpha`."""
+    dependent mode), averaged by `omega_l2_h_alpha`.  The level-k solution
+    reads the fields of levels k+1..N, so it is built and normed once per
+    distinct path of them, in one evaluator batch."""
     base_times, deltas = np.asarray(base_times), np.asarray(deltas)
     times = np.concatenate([base_times] + [base_times + d for d in deltas])
     nb = base_times.size
 
     def norms(modes):
         """[mode, di, ti, k-1]: level-k norm of Gamma_N(t_i + d_di) - Gamma_N(t_i)."""
-        ev = DuhamelEvaluator(st, modes, quad)
         out = np.zeros((len(modes), deltas.size, nb, N))
         for k in range(1, N + 1):
+            paths, index = _distinct_paths(modes, range(k + 1, N + 1))
+            ev = DuhamelEvaluator(st, paths, quad)
+
             def increments(sol, k=k):
                 return [[h_alpha_norm(ev._wrap(k, sol[:, (di + 1) * nb + ti]
                                                - sol[:, ti]), alpha)
                          for ti in range(nb)] for di in range(deltas.size)]
 
-            out[..., k - 1] = ev.solution_batch(N, k, times).per_mode(increments)
+            out[..., k - 1] = _per_mode(ev.solution_batch(N, k, times),
+                                        increments)[index]
         return out
 
     rms = omega_l2_h_alpha(norms, mode, st.lattice, range(2, N + 1)).value

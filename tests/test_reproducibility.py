@@ -1,8 +1,9 @@
 """A report is reproduced from its (config, seed), in a fresh process too.
 
 Each config runs as `python -m gphier.cli` in two fresh processes at once,
-and the two report files must be byte-identical outside their
-`environment` section, which holds the timestamp.
+each writing into its own directory, and the two report files must be
+byte-identical outside their `environment` section, which holds the
+timestamp.
 """
 
 import os
@@ -16,6 +17,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIGS = {
+    # criteria 9 and 11: randomization identities and the simplex identity
+    "verify-criterion-9-11": ["verify", "--set", "M=2", "--seed", "111"],
     # criteria 1 and 2: Duhamel against the exponential flow, all three modes
     "residual-criterion-1-2": [
         "residual", "--set", "M=2", "--set", "N=4", "--set", "K_max=4",
@@ -52,6 +55,9 @@ CONFIGS = {
     "nls-criterion-10": [
         "nls", "--set", "M=8", "--set", "T=0.5", "--set", "dt=1e-3",
         "--seed", "115"],
+    # criteria 8 and 12: the symbolic expansion, which also writes
+    # example1_expansion.json next to the report
+    "expand-criterion-8-12": ["expand", "--seed", "110"],
 }
 
 
@@ -67,7 +73,9 @@ def test_report_bytes_repeat_across_processes(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    paths = [tmp_path / f"run{i}.json" for i in range(2)]
+    paths = [tmp_path / f"run{i}" / "report.json" for i in range(2)]
+    for path in paths:
+        path.parent.mkdir()
     procs = [subprocess.Popen([sys.executable, "-m", "gphier.cli",
                                *CONFIGS[name], "--out", str(path)], env=env)
              for path in paths]
