@@ -153,8 +153,9 @@ class ExperimentConfig:
             ("estimate-c0", big, F * math.log(2), 2**FIELD_BITS,
              "an exact average over every sign field, 2^F of them"),
             # the k=2 residual streams the order-3 tensor power into the
-            # gather collision, whose shift buffer is then the largest array;
-            # the kernel refuses the same size (`dynamics._pair_reduce`)
+            # gather collision.  The row bounds the whole pair-reduced sum,
+            # its shift buffer, though the kernel holds one F-th of it at a
+            # time; the kernel refuses the same size (`dynamics._collide`)
             ("nls", big, 4 * logF + self.d * math.log(4 * max(self.M, 2) + 1),
              MEMORY_GUARD, "the order-3 collision's shift buffer on "
              "F^4 (4M+1)^d entries, with M read as max(M, 2)"),

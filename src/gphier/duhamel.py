@@ -541,11 +541,20 @@ class DuhamelEvaluator:
         The field's signs go on a copy of the matrix's entries, not on the
         array, so no array-sized temporary is formed; a negation commutes
         with rounding, so the result is bitwise S_(m-1)(h) B_m (S_m(h) x).
+        Modes that share the field share its copy, which lives only as
+        long as the call.
         """
         B = full_collision_matrix(self.lattice, m)
-        return np.stack([
-            real_matmul(_signed(B, self._signs(m, _field(mode, m))), x)
-            for mode, x in zip(self.modes, batch)])
+        signed = {}
+
+        def matrix(field):
+            key = None if field is None else field.fingerprint()
+            if key not in signed:
+                signed[key] = _signed(B, self._signs(m, field))
+            return signed[key]
+
+        return np.stack([real_matmul(matrix(_field(mode, m)), x)
+                         for mode, x in zip(self.modes, batch)])
 
     def solution_batch(self, N, k, times):
         """Truncated-hierarchy solution at level k; sum of Duh_0..Duh_(N-k).

@@ -4,13 +4,17 @@ A collision summand reads its contracted pair (a, b) only through the
 shift s = a - b, so every collision factors through one shift table
 (`_roles`).  Joined with the pairs, the table gives the triplets of the
 cached scipy.sparse matrices; above MATRIX_DOMAIN_CAP, the gather kernel
-sums gamma over the pairs of each shift once (`_pair_reduce`), then
-gathers each term from that buffer (memory-lean, any size).  `collision`
-and `full_collision` pick between the two by F^(2m) alone (`_apply`).
+(`_collide`) sums gamma over the pairs of each shift once and gathers
+every term from that shift buffer, which it forms one index of its first
+axis at a time, so the whole buffer never exists (memory-lean, any
+size).  It sums with no BLAS call, so its bits do not depend on the BLAS
+thread count.  `collision` and `full_collision` pick between the two by
+F^(2m) alone (`_apply`).
 The pair reduction reads gamma only slab by slab, so it also takes a
 rank-one gamma = h (x) g as its two factors and forms each slab as it is
 read: `power_collision` collides a pure tensor power this way above the
-cap, in the memory of the shift buffer rather than of the power.
+cap, in the memory of one chunk of the shift buffer rather than of the
+power.
 
 Every kernel and cached matrix is deterministic.  A sign field h enters
 only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`): the
@@ -161,7 +165,7 @@ def free_evolve(gamma, t):
     return DensityMatrix(lat, gamma.k, "dense", data=flat.reshape(gamma.data.shape))
 
 
-# --- collision: pair reduction, then shift gather ---------------------------
+# --- collision: pair reduction and shift gather, streamed --------------------
 
 _SHIFT_CACHE = {}
 # shift-buffer entries per slab of the pair reduction, kept small and in cache
@@ -199,25 +203,40 @@ def _roles(lattice, m, ell, n, sign):
     return (comb, n - 1, m + n - 1), out_ax, shift if sign == "+" else shift.T
 
 
-def _pair_reduce(lat, m, x, n):
-    """D[rest, s]: the sum of gamma = x (order m) over the pairs of shift s.
+def _collide(lat, m, x, terms):
+    """Sum of coef times the (ell, n) collision over terms (ell, n, sign, coef).
 
-    a and b sit at the pair slots (n, n'); rest are gamma's other axes in
-    order, the output axes of every (ell, n) collision.  Row a of the shift
-    table is the box a + 2M - [0, 2M]^d reversed, so each a adds a slab of
-    gamma into a slice; leading axes are looped over until a slab is small.
+    x is gamma of order m, flat or as a rank-one pair (h, g) with
+    gamma = h (x) g, h and g of shape (F,)*m; the result is a flat tensor
+    of order m-1.  The terms share n, so they share the pair reduction
+    D[rest, s]: the sum of gamma over the pairs (a, b) at the slots (n, n')
+    with shift s = a - b, rest being gamma's other axes in order, the
+    output axes of every term.  D is formed one index i0 of its first axis
+    at a time, and each term gathers from that chunk at once:
+    out[..g..] += coef sum_u D[..u.., s(g, u)] at its output axis.  The
+    first axis is the output axis only of (1, n, '+'), for which u = i0
+    and every g reads the chunk; every other term writes only out[i0].
+    The sums over u run in a fixed order with no BLAS call, so the result
+    does not depend on the BLAS thread count.
 
-    gamma is read only slab by slab, v[i..., a] with v = gamma as (unprimed
-    rest, a, primed rest, b).  x is gamma flat, or a rank-one pair (h, g)
-    with gamma = h (x) g, h and g of shape (F,)*m: then each slab is the
-    outer product of h'[i..., a] with g', h' and g' being h and g with the
-    pair axis last, formed when the loop reads it, and gamma never exists.
+    A chunk is built slab by slab from gamma, v[i0, i..., a] with v = gamma
+    as (unprimed rest, a, primed rest, b): row a of the shift table is the
+    box a + 2M - [0, 2M]^d reversed, so each a adds a slab into a slice,
+    and the chunk's own leading axes are looped over until a slab is
+    small.  A rank-one gamma's slab is the outer product of h'[i0, i..., a]
+    with g', h' and g' being h and g with the pair axis last, formed when
+    the loop reads it, so gamma never exists.
     """
     F, side, d, M = lat.size, lat.side, lat.d, lat.M
+    # the guard bounds the whole pair-reduced sum, though one F-th of it is
+    # held at a time
     entries = F ** (2 * m - 2) * (4 * M + 1) ** d
     if entries > tensor.MEMORY_GUARD:
         raise MemoryGuardError(f"order-{m} collision shift buffer needs {entries} "
                                f"entries (> guard {tensor.MEMORY_GUARD})")
+    n = terms[0][1]
+    roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,)
+             for ell, n, sign, coef in terms]
     if isinstance(x, tuple):
         h, g = (np.moveaxis(f.reshape((F,) * m), n - 1, -1) for f in x)
         slab_at = lambda idx: np.multiply.outer(h[idx], g)
@@ -225,38 +244,31 @@ def _pair_reduce(lat, m, x, n):
         v = np.moveaxis(x.reshape((F,) * (2 * m)), (n - 1, m + n - 1),
                         (m - 1, 2 * m - 1))
         slab_at = v.__getitem__
-    D = np.zeros((F,) * (2 * m - 2) + (4 * M + 1,) * d, dtype=np.complex128)
+    chunk = np.empty((F,) * (2 * m - 3) + (4 * M + 1,) * d, dtype=np.complex128)
     lead = 0
-    while lead < m - 1 and D.size > _SLAB * F**lead:
+    while lead < m - 2 and chunk.size > _SLAB * F**lead:
         lead += 1
     boxes = [(Ellipsis,) + tuple(slice(c + 2 * M, c - 1 if c else None, -1)
                                  for c in pt + M) for pt in lat.points]
-    for i in np.ndindex((F,) * lead):
-        for a, box in enumerate(boxes):
-            slab = slab_at(i + (slice(None),) * (m - 1 - lead) + (a,))
-            D[i][box] += slab.reshape(slab.shape[:-1] + (side,) * d)
-    return D.reshape(D.shape[:2 * m - 2] + (-1,))
-
-
-def _collide(lat, m, x, terms):
-    """Sum of coef times the (ell, n) collision over terms (ell, n, sign, coef).
-
-    x is an order-m operand of `_pair_reduce` (flat, or a rank-one pair);
-    the result is a flat tensor of order m-1.  The terms share
-    n, so one pair reduction serves them all; each term then gathers
-    out[..g..] += coef sum_u D[..u.., s(g, u)] at its output axis.
-    """
-    roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,)
-             for ell, n, sign, coef in terms]
-    D = _pair_reduce(lat, m, x, terms[0][1])
-    out = np.zeros((lat.size,) * (2 * m - 2), dtype=np.complex128)
-    u = np.arange(lat.size)
-    for out_ax, gather, coef in roles:
-        Dv = np.moveaxis(D, (out_ax, -1), (0, 1))  # (u, s, other output axes)
-        ov = np.moveaxis(out, out_ax, 0)           # (g, other output axes)
-        w = coef * np.ones(u.size)
-        for g in range(u.size):
-            ov[g] += (w @ Dv[u, gather[g]].reshape(u.size, -1)).reshape(ov.shape[1:])
+    by_shift = chunk.reshape(chunk.shape[:2 * m - 3] + (-1,))
+    out = np.zeros((F,) * (2 * m - 2), dtype=np.complex128)
+    u = np.arange(F)[:, None]
+    for i0 in range(F):
+        chunk[...] = 0.0
+        for i in np.ndindex((F,) * lead):
+            for a, box in enumerate(boxes):
+                slab = slab_at((i0,) + i + (slice(None),) * (m - 2 - lead) + (a,))
+                chunk[i][box] += slab.reshape(slab.shape[:-1] + (side,) * d)
+        for out_ax, gather, coef in roles:
+            if out_ax == 0:
+                # u = i0 for every g: (other output axes, g)
+                ov = np.moveaxis(out, 0, -1)
+                ov += coef * by_shift[..., gather[:, i0]]
+            else:
+                # (u, g, other output axes), summed over u row by row
+                X = np.moveaxis(by_shift, (out_ax - 1, -1), (0, 1))[u, gather.T]
+                ov = np.moveaxis(out[i0], out_ax - 1, 0)
+                ov += coef * X.sum(axis=0)
     return out.reshape(-1)
 
 

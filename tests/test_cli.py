@@ -72,7 +72,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["nls", "--set", "T=0.01"]) == 2
     assert capsys.readouterr().err.startswith("config error: T:")
     ExperimentConfig(kind="nls", T=0.013).validate()
-    # the largest nls lattice at d=1: a shift buffer of 41^4 81 < 2^28 entries
+    # the largest nls lattice at d=1: a pair-reduced sum (shift buffer) of
+    # 41^4 81 < 2^28 entries, which the kernel holds one F-th at a time
     ExperimentConfig(kind="nls", M=20).validate()
     with pytest.raises(ConfigError, match="^T: "):
         ExperimentConfig(kind="nls", T=0.012).validate()
@@ -114,8 +115,9 @@ def test_exit_codes(tmp_path, capsys):
         # 2517 17^2 8 entries at level 1, above the 2^22 chain cap
         (["continuity", "--set", "M=4", "--set", "N=3"], "M"),
         (["continuity", "--set", "M=8", "--set", "N=2"], "M"),
-        # the order-3 collision's shift buffer on the M' = max(M, 2) lattice:
-        # 125^4 9^3 and 43^4 85 entries, above the 2^28 entry guard
+        # the order-3 collision's whole pair-reduced sum (shift buffer) on
+        # the M' = max(M, 2) lattice: 125^4 9^3 and 43^4 85 entries, above
+        # the 2^28 entry guard, though the kernel holds one F-th at a time
         (["nls", "--set", "d=3"], "d"),
         (["nls", "--set", "M=21"], "M"),
     ):

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,8 +463,9 @@ def test_energy_and_sign_vectors_guard(lat, monkeypatch):
 
 
 def test_shift_buffer_guard(lat, monkeypatch):
-    # the pair reduction holds F^(2m-2) (4M+1)^d entries; the dense-tensor
-    # guard is checked before that buffer is allocated
+    # the guard bounds the whole pair-reduced sum, F^(2m-2) (4M+1)^d
+    # entries, though the kernel holds one F-th of it at a time; it is
+    # checked before any of it is allocated
     g = random_density_matrix(lat, 3, 40)
     need = lat.size**4 * 5
     monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
@@ -474,6 +476,25 @@ def test_shift_buffer_guard(lat, monkeypatch):
         full_collision(g)
     monkeypatch.setattr(tensor, "MEMORY_GUARD", need)
     assert full_collision(g).k == 2
+
+
+def test_gather_kernel_streams_the_shift_buffer(monkeypatch):
+    # d=1, M=4: the whole pair-reduced sum of an order-3 collision has
+    # 9^4 17 complex entries; the kernel forms it one F-th at a time and
+    # never holds half of it
+    lat = FrequencyLattice(1, 4)
+    rng = np.random.default_rng(60)
+    phi = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+    monkeypatch.setattr(dynamics, "MATRIX_DOMAIN_CAP", 1)
+    power_collision(phi, 3, lat)  # warm the shift table
+    buffer_bytes = lat.size**4 * (4 * lat.M + 1) * 16
+    tracemalloc.start()
+    try:
+        power_collision(phi, 3, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * buffer_bytes, peak / buffer_bytes
 
 
 def test_evolve_missing_independent_field(lat):

@@ -235,7 +235,8 @@ def test_factorized_residual_one_collision_per_time(lat, monkeypatch):
 def test_factorized_residual_never_holds_top_tensor(monkeypatch):
     # on the gather path the order-3 tensor power is streamed into the
     # collision from its two half-power factors: peak traced memory stays
-    # well below one order-3 tensor (the shift buffer is 13/49 of one)
+    # well below one order-3 tensor (the whole shift buffer would be 13/49
+    # of one, and the kernel holds one F-th of it at a time)
     from gphier import dynamics
 
     small = FrequencyLattice(1, 3)

@@ -1,9 +1,11 @@
 """A report is reproduced from its (config, seed), in a fresh process too.
 
 Each config runs as `python -m gphier.cli` in two fresh processes at once,
-each writing into its own directory, and the two report files must be
-byte-identical outside their `environment` section, which holds the
-timestamp.
+each writing into its own directory, the first at one BLAS thread
+(`OPENBLAS_NUM_THREADS=1`) and the second at two.  The two report files
+must be byte-identical outside their `environment` section, which holds the
+timestamp and the thread count, so no reported value may depend on the
+order in which a threaded BLAS call sums.
 """
 
 import os
@@ -15,6 +17,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# the BLAS thread count of each of the two processes
+THREADS = ("1", "2")
 
 CONFIGS = {
     # criteria 9 and 11: randomization identities and the simplex identity
@@ -77,8 +81,9 @@ def test_report_bytes_repeat_across_processes(name, tmp_path):
     for path in paths:
         path.parent.mkdir()
     procs = [subprocess.Popen([sys.executable, "-m", "gphier.cli",
-                               *CONFIGS[name], "--out", str(path)], env=env)
-             for path in paths]
+                               *CONFIGS[name], "--out", str(path)],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads})
+             for path, threads in zip(paths, THREADS)]
     assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
     first, second = (_outside_environment(path.read_text()) for path in paths)
     assert first == second
