@@ -26,6 +26,7 @@ from .tensor import (
     MemoryGuardError,
     data_classes,
     h_alpha_norm,
+    lattice_field,
     project,
     random_density_matrix,
     random_state,
@@ -127,25 +128,41 @@ class ExperimentConfig:
             # nls runs on the M' = max(M, 2) lattice
             F = (2 * max(self.M, 2) + 1) ** self.d
         logF = math.log(F)
-        big = "d" if self.d > 1 else "M"
+        big = lattice_field(self.d)
         # continuity splits its solutions by class paths, a level-m class being
         # a point set of even size <= 2m (`DuhamelEvaluator._class_terms`)
         n_cont = min(self.N, self.K_max, 3)
         split = max((2 * k * logF + sum(math.log(sum(
             math.comb(F, i) for i in range(0, min(2 * m, F) + 1, 2)))
             for m in range(k + 1, n_cont + 1)) for k in range(1, n_cont)), default=0.0)
-        limits = [
-            ("residual", "N", 2 * self.N * logF, MATRIX_DOMAIN_CAP,
-             "the order-N collision matrix on F^(2N) coefficients"),
+        limits = []
+        if self.mode != "dependent":
+            # the chain bound's operator norms.  This row binds independent
+            # decay, whose exact profile takes class paths and enumerates no
+            # field: the largest config it admits, d=1 M=7 K_max=2, takes
+            # about 1.9 s and 190 MiB on a 2-core host at one BLAS thread.
+            # At K_max=2 the lattice is at fault
+            limits.append(("decay", "K_max" if F**4 <= NORM_DOMAIN_CAP else big,
+                           2 * min(self.K_max, 4) * logF, NORM_DOMAIN_CAP,
+                           "operator norms of the order-min(K_max, 4) "
+                           "collisions on F^(2 min(K_max, 4)) coefficients"))
+        # the highest-order collision matrix each kind builds, and the field
+        # its order is read from: verify evolves at N=3, and the decay
+        # profile builds orders 2..min(K_max, 4)
+        matrix = {"residual": ("N", self.N), "converge": ("N", self.N + 1),
+                  "continuity": ("N", n_cont), "verify": (big, 3),
+                  "decay": ("K_max", min(self.K_max, 4))}
+        if self.kind in matrix:
+            name, order = matrix[self.kind]
+            limits.append((self.kind, name, 2 * order * logF, MATRIX_DOMAIN_CAP,
+                           f"the order-{order} collision matrix on "
+                           f"F^{2 * order} coefficients"))
+        limits += [
             # the deepest Duhamel term's Gauss-Legendre tree, q floored at 16
             ("residual", "N", math.log(self.grid_points)
              + (self.N - 1) * math.log(max(self.q, 16)), CHAIN_CAP,
              "a depth-(N-1) Gauss-Legendre tree of grid_points max(q, 16)^(N-1) "
              "time nodes"),
-            ("converge", "N", 2 * (self.N + 1) * logF, MATRIX_DOMAIN_CAP,
-             "the order-(N+1) collision matrix on F^(2(N+1)) coefficients"),
-            ("continuity", "N", 2 * n_cont * logF, MATRIX_DOMAIN_CAP,
-             "the order-min(N, K_max, 3) collision matrix"),
             ("continuity", big, math.log(8) + split, CHAIN_CAP, "the class "
              "split of its solutions at 8 times: at levels k < N' = min(N, "
              "K_max, 3), F^(2k) coefficients by the class paths of k+1..N'"),
@@ -159,21 +176,11 @@ class ExperimentConfig:
             ("nls", big, 4 * logF + self.d * math.log(4 * max(self.M, 2) + 1),
              MEMORY_GUARD, "the order-3 collision's shift buffer on "
              "F^4 (4M+1)^d entries, with M read as max(M, 2)"),
+            # verify's random hierarchy: dense levels of orders 1..K_max
+            ("verify", "K_max", 2 * self.K_max * logF, MEMORY_GUARD,
+             "dense random levels of orders 1..K_max, F^(2 K_max) entries "
+             "at the top"),
         ]
-        if self.mode != "dependent":
-            # the chain bound's operator norms.  This row binds independent
-            # decay, whose exact profile takes class paths and enumerates no
-            # field: the largest config it admits, d=1 M=7 K_max=2, takes
-            # about 1.9 s and 190 MiB on a 2-core host at one BLAS thread.
-            # At K_max=2 the lattice is at fault
-            limits.append(("decay", "K_max" if F**4 <= NORM_DOMAIN_CAP else big,
-                           2 * min(self.K_max, 4) * logF, NORM_DOMAIN_CAP,
-                           "operator norms of the order-min(K_max, 4) "
-                           "collisions on F^(2 min(K_max, 4)) coefficients"))
-        # the decay profile builds collision matrices of orders 2..min(K_max, 4)
-        limits.append(("decay", "K_max", 2 * min(self.K_max, 4) * logF,
-                       MATRIX_DOMAIN_CAP, "the order-min(K_max, 4) collision "
-                       "matrix on F^(2 min(K_max, 4)) coefficients"))
         # dependent decay and converge climb once per odd-multiplicity class
         # of their data, at most 16 (no row): decay reads <= 4 levels of <= 4
         # entries, and converge's row keeps F <= 5, with 2^4 even-size masks

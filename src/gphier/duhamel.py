@@ -36,8 +36,8 @@ import scipy.sparse as sp
 
 from .dynamics import (_energy_split, _signed, conjugate,
                        full_collision_matrix, real_matmul, sign_vector)
-from .tensor import (DensityMatrix, MemoryGuardError, _odd_masks, data_classes,
-                     h_alpha_norm, odd_classes)
+from .tensor import (DensityMatrix, _odd_masks, check_size, data_classes,
+                     h_alpha_norm, lattice_field, odd_classes)
 
 __all__ = [
     "QuadratureSpec",
@@ -430,33 +430,28 @@ class DuhamelEvaluator:
         (1 without classes), n_out the class paths of each of the n_modes
         terms."""
         F = self.lattice.size
-        name = "d" if self.lattice.d > 1 else "M"
+        name = lattice_field(self.lattice.d)
         n_nodes = n_times * self.quad.q ** j
         # a chain column at level m carries the class paths of levels
         # m+1..k+j; the top level has the most rows when there are none
         for m in range(k + j - 1, k - 1, -1):
             dim, width = F ** (2 * m), math.prod(n_cls[m - k:])
-            if dim * width > CHAIN_CAP:
-                levels = f"level {m + 1}" if m + 1 == k + j else \
-                    f"levels {m + 1}..{k + j}"
-                per = "" if width == 1 else \
-                    f" for each of {width} class paths of {levels}"
-                raise MemoryGuardError(
-                    f"{name}: a depth-{j} Duhamel chain block at level {m} "
-                    f"has F^{2 * m} = {dim} rows per chain column{per}, F = "
-                    f"{F}; that exceeds the cap {CHAIN_CAP}")
-        if n_nodes > CHAIN_CAP:
-            raise MemoryGuardError(
-                f"q: the depth-{j} Gauss-Legendre tree over {n_times} times "
-                f"has {n_nodes} nodes at q={self.quad.q}; that exceeds the "
-                f"cap {CHAIN_CAP}")
+            levels = f"level {m + 1}" if m + 1 == k + j else \
+                f"levels {m + 1}..{k + j}"
+            per = "" if width == 1 else \
+                f" for each of {width} class paths of {levels}"
+            check_size(name, f"a depth-{j} Duhamel chain block at level {m} "
+                       f"has F^{2 * m} = {dim} rows per chain column{per}, F = "
+                       f"{F}", dim * width, CHAIN_CAP)
+        check_size("q", f"the depth-{j} Gauss-Legendre tree over {n_times} "
+                   f"times has {n_nodes} nodes at q={self.quad.q}", n_nodes,
+                   CHAIN_CAP)
         # one unsplit term is what a single mode needs; more must fit the cap
         size = n_modes * n_out * F ** (2 * k) * n_times
-        if n_modes * n_out > 1 and size > CHAIN_CAP:
-            raise MemoryGuardError(
-                f"{name}: the Duhamel terms at level {k} over {n_times} times "
-                f"hold {size} entries for {n_out} class paths x {n_modes} "
-                f"modes, F = {F}; that exceeds the cap {CHAIN_CAP}")
+        if n_modes * n_out > 1:
+            check_size(name, f"the Duhamel terms at level {k} over {n_times} "
+                       f"times hold {size} entries for {n_out} class paths x "
+                       f"{n_modes} modes, F = {F}", size, CHAIN_CAP)
 
     def _climb(self, k, level, W, f, nodes, out, mode, memo, by_class=()):
         """Carry one chunk of chains from `level` up to level k into `out`.

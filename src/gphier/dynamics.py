@@ -8,13 +8,13 @@ cached scipy.sparse matrices; above MATRIX_DOMAIN_CAP, the gather kernel
 every term from that shift buffer, which it forms one index of its first
 axis at a time, so the whole buffer never exists (memory-lean, any
 size).  It sums with no BLAS call, so its bits do not depend on the BLAS
-thread count.  `collision` and `full_collision` pick between the two by
-F^(2m) alone (`_apply`).
+thread count.  One switch picks between the two by F^(2m) alone
+(`_apply`), for `collision`, `full_collision` and `power_collision`.
 The pair reduction reads gamma only slab by slab, so it also takes a
 rank-one gamma = h (x) g as its two factors and forms each slab as it is
-read: `power_collision` collides a pure tensor power this way above the
-cap, in the memory of one chunk of the shift buffer rather than of the
-power.
+read: `power_collision` hands the switch a pure tensor power as that
+pair, which only the matrix side multiplies out, so above the cap the
+power costs the memory of one chunk of the shift buffer, not its own.
 
 Every kernel and cached matrix is deterministic.  A sign field h enters
 only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`): the
@@ -42,7 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor
-from .tensor import DensityMatrix, HierarchyState, MemoryGuardError, h_alpha_norm
+from .tensor import (DensityMatrix, HierarchyState, check_size, h_alpha_norm,
+                     lattice_field)
 
 __all__ = [
     "HierarchyMode",
@@ -59,7 +60,6 @@ __all__ = [
     "level_energy",
     "sign_vector",
     "conjugate",
-    "conjugate_matrix",
     "real_matmul",
 ]
 
@@ -231,9 +231,9 @@ def _collide(lat, m, x, terms):
     # the guard bounds the whole pair-reduced sum, though one F-th of it is
     # held at a time
     entries = F ** (2 * m - 2) * (4 * M + 1) ** d
-    if entries > tensor.MEMORY_GUARD:
-        raise MemoryGuardError(f"order-{m} collision shift buffer needs {entries} "
-                               f"entries (> guard {tensor.MEMORY_GUARD})")
+    check_size(lattice_field(d), f"the order-{m} collision shift buffer has "
+               f"F^{2 * m - 2} (4M+1)^d = {entries} entries, F = {F}", entries,
+               tensor.MEMORY_GUARD)
     n = terms[0][1]
     roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,)
              for ell, n, sign, coef in terms]
@@ -277,6 +277,13 @@ def sign_vector(lattice, field, k):
     return tensor.slot_product(lattice, field.values.astype(np.float64), k)
 
 
+def _field_signs(lattice, field, m):
+    """(S_(m-1)(h), S_m(h)), which conjugate an order-m collision under the
+    field h; None if no field."""
+    return None if field is None else (sign_vector(lattice, field, m - 1),
+                                       sign_vector(lattice, field, m))
+
+
 def conjugate(apply, x, signs):
     """s_out apply(s_in x) on the leading flat index; apply(x) if signs is None.
 
@@ -305,21 +312,23 @@ def real_matmul(mat, x):
     return out.view(np.complex128).reshape((mat.shape[0],) + x.shape[1:])
 
 
-def _apply(gamma, terms, field):
+def _apply(lat, m, x, terms, field=None):
     """Sum of coef times the (ell, n, sign) collisions of gamma under the field.
 
-    At or below MATRIX_DOMAIN_CAP the cached deterministic matrix applies
-    the terms; above it `_collide` shares one pair reduction among them.
+    x is gamma of order m, flat or as a rank-one pair (h, g), gamma = h (x) g
+    (no field).  The one kernel switch: at or below MATRIX_DOMAIN_CAP the
+    cached matrix applies the terms (to a pair's outer product); above it
+    `_collide` shares one pair reduction among them, reading a pair as is.
     """
-    lat, m = gamma.lattice, gamma.k
     if m < 2:
         raise ValueError("collision input must have order >= 2")
-    apply = (functools.partial(real_matmul, _matrix(lat, m, terms, None))
-             if lat.size ** (2 * m) <= MATRIX_DOMAIN_CAP
-             else functools.partial(_collide, lat, m, terms=terms))
-    signs = None if field is None else (sign_vector(lat, field, m - 1),
-                                        sign_vector(lat, field, m))
-    flat = conjugate(apply, gamma.to_dense().data.reshape(-1), signs)
+    if lat.size ** (2 * m) <= MATRIX_DOMAIN_CAP:
+        apply = functools.partial(real_matmul, _matrix(lat, m, terms, None))
+        if isinstance(x, tuple):
+            x = np.multiply.outer(*x).reshape(-1)
+    else:
+        apply = functools.partial(_collide, lat, m, terms=terms)
+    flat = conjugate(apply, x, _field_signs(lat, field, m))
     return DensityMatrix(lat, m - 1, "dense",
                          data=flat.reshape((lat.size,) * (2 * m - 2)))
 
@@ -332,7 +341,8 @@ def collision(gamma, ell, n, sign, field=None):
     '-' mirrors on the primed side.  With a sign field, each summand carries
     the four factors h(slot) h(combined) h(pair unprimed) h(pair primed).
     """
-    return _apply(gamma, ((ell, n, sign, 1.0),), field)
+    return _apply(gamma.lattice, gamma.k, gamma.to_dense().data.reshape(-1),
+                  ((ell, n, sign, 1.0),), field)
 
 
 def _full_terms(m):
@@ -346,26 +356,21 @@ def full_collision(gamma, field=None):
 
     All 2(m-1) terms are one cached matrix, or share one pair reduction.
     """
-    return _apply(gamma, _full_terms(gamma.k), field)
+    return _apply(gamma.lattice, gamma.k, gamma.to_dense().data.reshape(-1),
+                  _full_terms(gamma.k), field)
 
 
 def power_collision(phi, m, lattice):
     """full_collision(tensor.factorized(phi, m, lattice)), bitwise.
 
-    At or below MATRIX_DOMAIN_CAP it is exactly that, on the cached matrix.
-    Above it the power h (x) conj(h), h the left-folded half power of phi,
-    goes to `_collide` as a rank-one operand: the pair reduction forms each
-    slab from the two factors, with the same products as the dense power's
-    entries, summed in the same order, so the F^(2m) power is never built.
+    The power h (x) conj(h), h the left-folded half power of phi, goes to
+    `_apply` as a rank-one pair, whose outer product is the factorized
+    power.  The gather kernel forms each slab from the two factors, with
+    the same products as the power's entries, summed in the same order,
+    so above the cap the F^(2m) power is never built.
     """
-    if m < 2:
-        raise ValueError("collision input must have order >= 2")
-    if lattice.size ** (2 * m) <= MATRIX_DOMAIN_CAP:
-        return full_collision(tensor.factorized(phi, m, lattice))
     half = tensor._half_power(phi, m, lattice)
-    flat = _collide(lattice, m, (half, np.conj(half)), _full_terms(m))
-    return DensityMatrix(lattice, m - 1, "dense",
-                         data=flat.reshape((lattice.size,) * (2 * m - 2)))
+    return _apply(lattice, m, (half, np.conj(half)), _full_terms(m))
 
 
 _MATRIX_CACHE = {}
@@ -395,14 +400,6 @@ def _collision_triplets(lattice, m, ell, n, sign):
     return rows.reshape(-1), cols.reshape(-1)
 
 
-def conjugate_matrix(mat, lattice, field, m):
-    """S_(m-1)(h) mat S_m(h), exact on a copy of mat's pattern; mat if no field."""
-    if field is None:
-        return mat
-    return _signed(mat, (sign_vector(lattice, field, m - 1),
-                         sign_vector(lattice, field, m)))
-
-
 def _signed(mat, signs):
     """s_out mat s_in for signs = (s_out, s_in), exact on a copy of mat's
     pattern: entry (r, c) times s_out[r] s_in[c]; mat if signs is None."""
@@ -420,9 +417,9 @@ def _matrix(lattice, m, terms, field):
     Only the deterministic matrix is cached; a field reweights it.
     """
     F = lattice.size
-    if F ** (2 * m) > MATRIX_DOMAIN_CAP:
-        raise MemoryGuardError(f"order-{m} collision matrix domain "
-                               f"{F ** (2 * m)} exceeds the cap {MATRIX_DOMAIN_CAP}")
+    check_size(lattice_field(lattice.d), f"the order-{m} collision matrix has "
+               f"a domain of F^{2 * m} = {F ** (2 * m)} coefficients, F = {F}",
+               F ** (2 * m), MATRIX_DOMAIN_CAP)
     key = (lattice.d, lattice.M, m, terms)
     mat = _MATRIX_CACHE.get(key)
     if mat is None:
@@ -444,7 +441,7 @@ def _matrix(lattice, m, terms, field):
             if total <= _MATRIX_CACHE_NNZ:
                 break
             total -= _MATRIX_CACHE.pop(old).nnz
-    return conjugate_matrix(mat, lattice, field, m)
+    return _signed(mat, _field_signs(lattice, field, m))
 
 
 def collision_matrix(lattice, m, ell, n, sign, field=None):

@@ -217,6 +217,24 @@ def _eval_exprs(exprs, atom_points, lattice):
     return out
 
 
+def _in_box_atoms(exp, lattice):
+    """Point indices of every atom over the symbol assignments that keep each
+    combined frequency in the box (the collision drop rule), one array per
+    atom."""
+    F, natoms = lattice.size, 2 * exp.k + 2 * (exp.j + 1)
+    idx = np.unravel_index(np.arange(F**natoms), (F,) * natoms)
+    comb = _eval_exprs(exp.combined, [lattice.points[ix] for ix in idx], lattice)
+    keep = np.nonzero(np.all(np.abs(comb) <= lattice.M, axis=(0, 2)))[0]
+    return [ix[keep] for ix in idx]
+
+
+def _gap_energy(stage, atom_pts, lattice):
+    """|unprimed slots|^2 - |primed slots|^2 of a gap stage, per assignment."""
+    ups, prs = stage
+    sq = np.sum(_eval_exprs(ups + prs, atom_pts, lattice) ** 2, axis=2)
+    return sq[:len(ups)].sum(axis=0) - sq[len(ups):].sum(axis=0)
+
+
 def evaluate_expansion(exp, sigma, field, delta=0.0):
     """Numeric value of the expansion over in-lattice symbol assignments.
 
@@ -233,42 +251,27 @@ def evaluate_expansion(exp, sigma, field, delta=0.0):
     if sigma.k != m:
         raise ValueError(f"sigma must have order {m}, got {sigma.k}")
     F = lat.size
-    natoms = 2 * k + 2 * (j + 1)
-    total = F**natoms
-    idx = np.unravel_index(np.arange(total), (F,) * natoms)
-    atom_points = [lat.points[ix] for ix in idx]
-
-    comb_coords = _eval_exprs(exp.combined, atom_points, lat)
-    mask = np.all(np.abs(comb_coords) <= lat.M, axis=(0, 2))
-    sel = np.nonzero(mask)[0]
-    atom_idx = [ix[sel] for ix in idx]
+    atom_idx = _in_box_atoms(exp, lat)
     atom_pts = [lat.points[ix] for ix in atom_idx]
-
-    def point_index(coords):
-        return (coords + lat.M) @ (lat.side ** np.arange(lat.d - 1, -1, -1))
+    n = atom_idx[0].size
 
     # sigma lookup at the eta symbols
     slot_coords = _eval_exprs(exp.eta_unprimed + exp.eta_primed, atom_pts, lat)
     strides = F ** np.arange(2 * m - 1, -1, -1, dtype=np.int64)
-    flat_in = np.zeros(sel.size, dtype=np.int64)
+    flat_in = np.zeros(n, dtype=np.int64)
     for s in range(2 * m):
-        flat_in += point_index(slot_coords[s]) * strides[s]
+        flat_in += lat.index_of(slot_coords[s]) * strides[s]
     vals = sigma.to_dense().data.reshape(-1)[flat_in]
 
     if field is not None:
         h = field.values.astype(np.float64)
         hfac_coords = _eval_exprs(exp.h_factors, atom_pts, lat)
         for s in range(len(exp.h_factors)):
-            vals = vals * h[point_index(hfac_coords[s])]
+            vals = vals * h[lat.index_of(hfac_coords[s])]
 
     durations = spec.gap_durations()
-    for g, (ups, prs) in enumerate(exp.gap_stages, start=1):
-        coords = _eval_exprs(ups + prs, atom_pts, lat)
-        energy = np.zeros(sel.size, dtype=np.float64)
-        for s in range(len(ups)):
-            energy += np.sum(coords[s] ** 2, axis=1)
-        for s in range(len(ups), len(ups) + len(prs)):
-            energy -= np.sum(coords[s] ** 2, axis=1)
+    for g, stage in enumerate(exp.gap_stages, start=1):
+        energy = _gap_energy(stage, atom_pts, lat)
         if g == 1 and exp.has_difference:
             vals = vals * (np.exp(-1j * delta * energy) - 1.0)
             vals = vals * np.exp(-1j * spec.times[0] * energy)
@@ -276,7 +279,7 @@ def evaluate_expansion(exp, sigma, field, delta=0.0):
             vals = vals * np.exp(-1j * durations[g - 1] * energy)
 
     out_strides = F ** np.arange(2 * k - 1, -1, -1, dtype=np.int64)
-    flat_out = np.zeros(sel.size, dtype=np.int64)
+    flat_out = np.zeros(n, dtype=np.int64)
     for s in range(2 * k):
         flat_out += atom_idx[s] * out_strides[s]
     re = np.bincount(flat_out, weights=vals.real, minlength=F ** (2 * k))
@@ -316,22 +319,9 @@ def f_bound_constant(exp, lattice):
     """
     if not exp.has_difference:
         raise ValueError("expansion carries no difference factor")
-    spec = exp.spec
-    k, j = spec.k, spec.j
-    F = lattice.size
-    natoms = 2 * k + 2 * (j + 1)
-    idx = np.unravel_index(np.arange(F**natoms), (F,) * natoms)
-    atom_pts = [lattice.points[ix] for ix in idx]
-    comb_coords = _eval_exprs(exp.combined, atom_pts, lattice)
-    mask = np.all(np.abs(comb_coords) <= lattice.M, axis=(0, 2))
-    atom_pts = [p[mask] for p in atom_pts]
-    ups, prs = exp.gap_stages[0]
-    coords = _eval_exprs(ups + prs, atom_pts, lattice)
-    fval = np.zeros(coords.shape[1])
-    for s in range(len(ups)):
-        fval += np.sum(coords[s] ** 2, axis=1)
-    for s in range(len(ups), len(ups) + len(prs)):
-        fval -= np.sum(coords[s] ** 2, axis=1)
+    k, j = exp.k, exp.j
+    atom_pts = [lattice.points[ix] for ix in _in_box_atoms(exp, lattice)]
+    fval = _gap_energy(exp.gap_stages[0], atom_pts, lattice)
     eta_coords = _eval_exprs(exp.eta_unprimed + exp.eta_primed, atom_pts, lattice)
     denom = np.sum(eta_coords.astype(np.float64) ** 2, axis=(0, 2))
     nz = denom > 0

@@ -166,15 +166,10 @@ def _product_rule_rate(phi, dphi, k, lattice):
     _check_guard(lattice, k)
     total = None
     for slot in range(2 * k):
-        factors = []
-        for ax in range(2 * k):
-            base = phi if ax < k else np.conj(phi)
-            if ax == slot:
-                base = dphi if ax < k else np.conj(dphi)
-            factors.append(base)
         term = np.ones((), dtype=np.complex128)
-        for f in factors:
-            term = np.multiply.outer(term, f)
+        for ax in range(2 * k):
+            f = dphi if ax == slot else phi
+            term = np.multiply.outer(term, f if ax < k else np.conj(f))
         total = term if total is None else total + term
     return total
 

@@ -16,7 +16,8 @@ of the exact averages that draw no field.  Those split a uniform field's
 average into odd-multiplicity classes by Walsh orthogonality
 (`tensor.odd_classes`): the Duhamel averages of `duhamel`, and
 `collision_omega_operator_norm`, the norm of one class-lifted matrix L
-(its transpose taken once per call), the same for every collision slot.
+by plain numpy Lanczos on L^T L, whose bits no BLAS thread count moves,
+the same for every collision slot.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import HierarchyMode, collision_matrix
-from .tensor import MemoryGuardError, odd_classes, slot_product
+from .tensor import check_size, lattice_field, odd_classes, slot_product
 
 __all__ = [
     "SignField",
@@ -187,8 +188,8 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     (one class), else 0.  So the averaged normal operator is L^T L, with L
     the matrix W with entry (r, x) moved to row r n + class(x) (n classes;
     one class, L = W, when deterministic).  Returns the largest singular
-    value of L, by Lanczos (`eigsh`) on L^T L, with L^T taken once before
-    the iteration.  No field is drawn, so this bound is independent of the
+    value of L, by Lanczos on L^T L, with L^T taken once before the
+    iteration.  No field is drawn, so this bound is independent of the
     enumerated averages it majorizes.
 
     The norm does not depend on the slot j: swapping slots j and 1 of
@@ -197,12 +198,11 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     per slot) and keeps each input's multiset of lattice points, so its
     class.  `gph decay` therefore takes one norm per order, at j = 1.
     """
-    import scipy.sparse.linalg as spla
-
-    dom = lattice.size ** (2 * (k + 1))
-    if dom > NORM_DOMAIN_CAP:
-        raise MemoryGuardError(f"operator-norm domain dimension {dom} exceeds "
-                               f"the cap {NORM_DOMAIN_CAP}")
+    F = lattice.size
+    dom = F ** (2 * (k + 1))
+    check_size(lattice_field(lattice.d), f"the order-{k + 1} operator norm has "
+               f"a domain of F^{2 * k + 2} = {dom} coefficients, F = {F}", dom,
+               NORM_DOMAIN_CAP)
     w_in = slot_product(lattice, lattice.brackets**alpha, k + 1)
     w_out = slot_product(lattice, lattice.brackets**alpha, k)
     W = (sp.diags(w_out) @ (collision_matrix(lattice, k + 1, j, k + 1, "+")
@@ -213,10 +213,23 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     L = sp.csr_matrix((W.data, (W.row * n + cls[W.col], W.col)),
                       shape=(W.shape[0] * n, dom))
     Lt = L.T
-    op = spla.LinearOperator((dom, dom), matvec=lambda x: Lt @ (L @ x),
-                             dtype=np.float64)
-    # seeded random start: a structured vector can be exactly orthogonal to
-    # the dominant eigenspace by symmetry
-    v0 = np.random.default_rng(2024).standard_normal(dom)
-    lam = spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)
-    return float(np.sqrt(max(lam[0], 0.0)))
+    # Lanczos on L^T L from a seeded random start (a structured vector can be
+    # orthogonal to the top eigenspace by symmetry); no reorthogonalization,
+    # which only repeats converged Ritz values.  No BLAS reduction sets the
+    # bits: np.add.reduce products, eigh of the small tridiagonal matrix.
+    # Stop at residual beta |s_m| <= 4e-16 theta for the top Ritz pair
+    # (theta, s), s_m its last entry, or after dom steps
+    q = np.random.default_rng(2024).standard_normal(dom)
+    q, q_prev, beta, alphas, betas = q / np.sqrt(np.add.reduce(q * q)), 0, 0, [], []
+    for _ in range(dom):
+        w = Lt @ (L @ q)
+        alphas.append(np.add.reduce(q * w))
+        w = w - alphas[-1] * q - beta * q_prev
+        beta = np.sqrt(np.add.reduce(w * w))
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
+                                  + np.diag(betas, -1))
+        if beta * abs(s[-1, -1]) <= 4e-16 * theta[-1]:
+            break
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    return float(np.sqrt(max(theta[-1], 0.0)))

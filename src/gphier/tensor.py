@@ -35,7 +35,19 @@ MEMORY_GUARD = 2**28
 
 
 class MemoryGuardError(MemoryError):
-    """Dense tensor would exceed the entry guard."""
+    """A size would exceed its cap; the message names the config field at fault."""
+
+
+def lattice_field(d):
+    """The config field a lattice's size is charged to: d when d > 1, else M."""
+    return "d" if d > 1 else "M"
+
+
+def check_size(field, what, size, cap):
+    """The package's one size refusal: MemoryGuardError("<field>: <what>;
+    that exceeds the cap <cap>") when size > cap, `what` naming the size."""
+    if size > cap:
+        raise MemoryGuardError(f"{field}: {what}; that exceeds the cap {cap}")
 
 
 def _check_guard(lattice, k):
@@ -43,12 +55,10 @@ def _check_guard(lattice, k):
 
     The guard is read at call time, so a test can lower it.
     """
-    entries = lattice.size ** (2 * k)
-    if entries > MEMORY_GUARD:
-        raise MemoryGuardError(
-            f"dense order-{k} tensor needs {entries} entries "
-            f"(> guard {MEMORY_GUARD}); use sparse storage"
-        )
+    F = lattice.size
+    check_size(lattice_field(lattice.d),
+               f"a dense order-{k} tensor has F^{2 * k} = {F ** (2 * k)} "
+               f"entries, F = {F}", F ** (2 * k), MEMORY_GUARD)
 
 
 class DensityMatrix:
@@ -93,12 +103,9 @@ class DensityMatrix:
     def to_dense(self):
         if self.storage == "dense":
             return self
-        _check_guard(self.lattice, self.k)
-        shape = (self.lattice.size,) * (2 * self.k)
-        data = np.zeros(shape, dtype=np.complex128)
-        if self.values.size:
-            data[tuple(self.indices.T)] = self.values
-        return DensityMatrix(self.lattice, self.k, "dense", data=data)
+        out = DensityMatrix.zeros(self.lattice, self.k)
+        out.data[tuple(self.indices.T)] = self.values
+        return out
 
     def to_coo(self):
         if self.storage == "coo":
@@ -186,11 +193,9 @@ def _odd_masks(lattice, k):
     """Each flat order-k index's odd-multiplicity class as an int64 mask: bit p
     is set when the index holds point p an odd number of times (F <= 62)."""
     F = lattice.size
-    if F > 62:
-        name = "d" if lattice.d > 1 else "M"
-        raise MemoryGuardError(
-            f"{name}: odd-multiplicity classes keep one bit per lattice point "
-            f"in an int64 mask; F = (2M+1)^d = {F} exceeds 62")
+    check_size(lattice_field(lattice.d), f"odd-multiplicity classes keep one "
+               f"bit per lattice point in an int64 mask, F = (2M+1)^d = {F}",
+               F, 62)
     _check_guard(lattice, k)
     bits = 1 << np.arange(F, dtype=np.int64)
     return functools.reduce(np.bitwise_xor.outer, [bits] * (2 * k)).reshape(-1)
@@ -245,11 +250,8 @@ def project(state, N, side):
         raise ValueError("projection level must be >= 0")
     if side not in ("leq", "gt"):
         raise ValueError("side must be 'leq' or 'gt'")
-    if side == "leq":
-        kept = {k: g for k, g in state.levels.items() if k <= N}
-    else:
-        kept = {k: g for k, g in state.levels.items() if k > N}
-    return state.with_levels(kept)
+    return state.with_levels({k: g for k, g in state.levels.items()
+                              if (k <= N) == (side == "leq")})
 
 
 def _half_power(phi, k, lattice):

@@ -128,12 +128,20 @@ def test_exit_codes(tmp_path, capsys):
     # refused in under a second, naming the field: converge at N < 3 has no
     # ratio to check (and at N=2 nothing bounds its 2^F shared fields), and
     # dependent-mode decay at M=6 would build an order-3 collision matrix
-    # of F^6 = 13^6 > 2^21 coefficients
+    # of F^6 = 13^6 > 2^21 coefficients.  verify evolves at N=3, so its
+    # order-3 collision matrix names the lattice (13^6 and 27^6 > 2^21), and
+    # its dense random level of order K_max=9 has 3^18 > 2^28 entries.
+    # continuity at N=1 is refused at run time, by the dense guard on its
+    # order-2 sample tensor (401^4 > 2^28 entries)
     for argv, name in (
         (["converge"], "N"),
         (["converge", "--set", "M=5", "--set", "N=2", "--set", "K_max=3"], "N"),
         (["decay", "--set", "mode=dependent", "--set", "M=6", "--set", "K_max=3",
           "--set", "mc_samples=16"], "K_max"),
+        (["verify", "--set", "M=6"], "M"),
+        (["verify", "--set", "d=3"], "d"),
+        (["verify", "--set", "K_max=9"], "K_max"),
+        (["continuity", "--set", "N=1", "--set", "M=200"], "M"),
     ):
         start = time.perf_counter()
         assert main(argv) == 2, argv

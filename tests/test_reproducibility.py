@@ -59,6 +59,14 @@ CONFIGS = {
     "nls-criterion-10": [
         "nls", "--set", "M=8", "--set", "T=0.5", "--set", "dt=1e-3",
         "--seed", "115"],
+    # independent decay's operator norms (Lanczos on L^T L) at alpha=0.5,
+    # and at M=7 K_max=2, the largest lattice the norm's cap admits
+    "decay-norm-alpha-half": [
+        "decay", "--set", "mode=independent", "--set", "K_max=4",
+        "--set", "alpha=0.5"],
+    "decay-norm-M7": [
+        "decay", "--set", "mode=independent", "--set", "M=7", "--set", "K_max=2",
+        "--seed", "4"],
     # criteria 8 and 12: the symbolic expansion, which also writes
     # example1_expansion.json next to the report
     "expand-criterion-8-12": ["expand", "--seed", "110"],
