@@ -146,13 +146,16 @@ class ExperimentConfig:
                            2 * min(self.K_max, 4) * logF, NORM_DOMAIN_CAP,
                            "operator norms of the order-min(K_max, 4) "
                            "collisions on F^(2 min(K_max, 4)) coefficients"))
+        # continuity's dense order-2 sample, which it builds at every N
+        limits.append(("continuity", big, 4 * logF, MEMORY_GUARD,
+                       "a dense order-2 sample tensor of F^4 entries"))
         # the highest-order collision matrix each kind builds, and the field
-        # its order is read from: verify evolves at N=3, and the decay
-        # profile builds orders 2..min(K_max, 4)
+        # its order is read from: verify evolves at N=3, the decay profile
+        # builds orders 2..min(K_max, 4), and continuity at N'=1 none
         matrix = {"residual": ("N", self.N), "converge": ("N", self.N + 1),
                   "continuity": ("N", n_cont), "verify": (big, 3),
                   "decay": ("K_max", min(self.K_max, 4))}
-        if self.kind in matrix:
+        if self.kind in matrix and matrix[self.kind][1] >= 2:
             name, order = matrix[self.kind]
             limits.append((self.kind, name, 2 * order * logF, MATRIX_DOMAIN_CAP,
                            f"the order-{order} collision matrix on "
@@ -666,28 +669,32 @@ def _run_residual(cfg, rep, csv_dir):
     # nodes, before the grid solutions exist
     residuals = [r for k in range(1, cfg.N)
                  for r in integral_residual(ev, cfg.N, k, cfg.T, alpha=cfg.alpha)]
-    sols = [ev.solution_batch(cfg.N, k, grid) for k in range(1, cfg.N + 1)]
-    sol_norms = []  # [k - 1][mode, i]
-    for k, sol in enumerate(sols, start=1):
-        # a solution that reads no field (level N) is one array broadcast
-        # over the modes: its norms are taken once
-        distinct = sol[:1] if sol.strides[0] == 0 else sol
-        sol_norms.append(np.broadcast_to(
-            [[h_alpha_norm(ev._wrap(k, s[:, i]), cfg.alpha) for i in range(len(grid))]
-             for s in distinct], (len(modes), len(grid))))
-    rows = []
-    for m, (which, mode) in enumerate(modes.items()):
-        traj = evolve_truncated(state, cfg.N, cfg.T, mode, grid_times=grid)
-        for k in range(1, cfg.N + 1):
-            sol = sols[k - 1][m]
-            for i, t in enumerate(grid):
-                ode = traj.states[i].level(k)
-                diff = (sol[:, i] - ode.data.reshape(-1)).reshape(ode.data.shape)
-                rel = h_alpha_norm(DensityMatrix(lat, k, "dense", data=diff),
-                                   cfg.alpha) / (1.0 + sol_norms[k - 1][m, i])
-                rows.append((which, k, float(t), rel))
-        # dropped before the next mode evolves, so no two trajectories overlap
-        del traj
+    # the levels below N at every grid time at once, climbed before the
+    # trajectories exist; the top level N, free flow on both sides, one grid
+    # time at a time.  Both sides form level N by the same formula, so its
+    # rows check the sampling, not a second construction: they are exactly 0
+    sols = {k: ev.solution_batch(cfg.N, k, grid) for k in range(1, cfg.N)}
+    trajs = [evolve_truncated(state, cfg.N, cfg.T, mode, grid_times=grid)
+             for mode in modes.values()]
+    rel = np.empty((len(modes), cfg.N, len(grid)))
+    for k in range(1, cfg.N + 1):
+        for i, t in enumerate(grid):
+            sol, col = (sols[k], i) if k < cfg.N \
+                else (ev.solution_batch(cfg.N, k, [t]), 0)
+            # a solution that reads no field is one array broadcast over the
+            # modes: its norm is taken once
+            norms = np.broadcast_to(
+                [h_alpha_norm(ev._wrap(k, s[:, col]), cfg.alpha)
+                 for s in (sol[:1] if sol.strides[0] == 0 else sol)], len(modes))
+            for m, traj in enumerate(trajs):
+                ode = traj.level(i, k)
+                diff = (sol[m][:, col] - ode.data.reshape(-1)).reshape(ode.data.shape)
+                rel[m, k - 1, i] = h_alpha_norm(
+                    DensityMatrix(lat, k, "dense", data=diff), cfg.alpha) \
+                    / (1.0 + norms[m])
+    rows = [(which, k, float(t), rel[m, k - 1, i])
+            for m, which in enumerate(modes)
+            for k in range(1, cfg.N + 1) for i, t in enumerate(grid)]
     worst_disc = _worst(row[3] for row in rows)
     worst_res = _worst(residuals)
     _write_csv(csv_dir, "duhamel_vs_ode.csv", ["mode", "k", "t", "rel_err"], rows)

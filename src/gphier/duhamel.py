@@ -15,7 +15,10 @@ every such product runs in real arithmetic on the block's float64 view
 recursive tensor-product Gauss-Legendre rule (cost q^j) on (time node x
 chain suffix) arrays of scalars.  The method uses no generator and no
 matrix exponential, so it stays an independent construction from
-`dynamics.evolve_truncated`.
+`dynamics.evolve_truncated`.  The integral residual collides the solution
+one level up at the quadrature nodes; when that is the top level, plain
+free flow, it is formed one node at a time (`integral_residual`), so no
+top-level block over the nodes exists.
 
 A `DuhamelEvaluator` holds one state and a batch of modes; a field h
 enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).  Each mode climbs
@@ -594,10 +597,15 @@ def integral_residual(ev, N, k, t, alpha=1.0):
     [B^(k+1)] gamma^(k+1)(s) ds with gamma the truncated solution built by
     the evaluator `ev`, one norm per mode of `ev`; for k <= N-1 this
     vanishes up to quadrature error.  The integrand collides the level-(k+1)
-    solution at the quadrature nodes with the collision matrix (`collide`);
-    it never reuses the leaf blocks B P_e gamma0 that the solutions are
-    built from, since a residual assembled from the same blocks as the
-    solution would vanish by construction and check nothing.
+    solution at the quadrature nodes with the collision matrix; it never
+    reuses the leaf blocks B P_e gamma0 that the solutions are built from,
+    since a residual assembled from the same blocks as the solution would
+    vanish by construction and check nothing.  Below the top level the
+    solution is formed at all nodes at once (`collide`).  At k = N-1 it is
+    the top level's free flow, which is formed and collided one node at a
+    time, under each mode's signs on the vector (`conjugate`), so no
+    top-level block over the nodes exists; per node and per column the
+    products are those of the batch, so the norms are its bits.
     """
     if k > N - 1:
         raise ValueError("residual is defined for levels k <= N-1")
@@ -608,7 +616,19 @@ def integral_residual(ev, N, k, t, alpha=1.0):
     free_k = ev._free(k, [t])[:, 0] if ev._gamma_flat(k) is not None \
         else np.zeros(sol.shape[1], dtype=np.complex128)
     if t > 0:
-        integrand = ev.collide(k + 1, ev.solution_batch(N, k + 1, nodes))
+        if k < N - 1:
+            integrand = ev.collide(k + 1, ev.solution_batch(N, k + 1, nodes))
+        else:
+            ev._check_depth(N, 0)
+            integrand = np.zeros(sol.shape + nodes.shape, dtype=np.complex128)
+            if ev._gamma_flat(N) is not None:
+                apply = functools.partial(real_matmul,
+                                          full_collision_matrix(ev.lattice, N))
+                signs = [ev._signs(N, _field(mode, N)) for mode in ev.modes]
+                for i, s in enumerate(nodes):
+                    free = ev._free(N, [s])
+                    for m, sg in enumerate(signs):
+                        integrand[m, :, i] = conjugate(apply, free, sg)[:, 0]
         integrand *= ev._phases(k, t - nodes)
     out = []
     for i, row in enumerate(sol):

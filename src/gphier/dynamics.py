@@ -36,6 +36,7 @@ complex copy of the matrix and with half the arithmetic.
 """
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +105,50 @@ class HierarchyMode:
 
 @dataclass
 class Trajectory:
-    """States sampled at grid times."""
+    """The truncated hierarchy sampled at grid times, its top level stored once.
+
+    `lower[i]` holds levels 1..N-1 at `times[i]`.  The top level N is free
+    flow, so only gamma_N(0) is stored (`top`) and `level(i, N)` forms it at
+    times[i] by `free_evolve` on each call: a trajectory holds
+    dim_N + len(times) sum_(k<N) dim_k coefficients.
+    """
 
     times: tuple
-    states: list
+    lower: list
+    top: DensityMatrix
+
+    def level(self, i, k):
+        """Level k at times[i]; the stored matrix below the top level."""
+        if not 1 <= k <= self.top.k:
+            raise ValueError(f"level {k} outside 1..{self.top.k}")
+        if k == self.top.k:
+            return free_evolve(self.top, self.times[i])
+        return self.lower[i][k - 1]
+
+    @property
+    def states(self):
+        """The HierarchyState at each grid time, built when it is indexed.
+
+        A state shares the stored lower levels and forms its own top level.
+        """
+        return _States(self)
+
+
+class _States(Sequence):
+    """A trajectory's states, each built when it is indexed."""
+
+    def __init__(self, traj):
+        self._traj = traj
+
+    def __len__(self):
+        return len(self._traj.times)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        traj = self._traj
+        N = traj.top.k
+        return HierarchyState(traj.top.lattice, N, {k: traj.level(i, k)
+                                                    for k in range(1, N + 1)})
 
 
 # --- free evolution ---------------------------------------------------------
@@ -465,18 +506,29 @@ def _augmented_generator(lattice, N, mode, top0):
     level N-1 is therefore sum_e w_e(t) B g_e, with B the order-N
     collision matrix and w_e' = -i e w_e, w_e(0) = 1.  The extra states
     make the system autonomous (Van Loan, IEEE TAC 23, 1978) without
-    carrying level N itself.  Returns -i (diag E + coupling) on the
-    augmented state.
+    carrying level N itself.  Under a field h, B g_e is S_(N-1)(h) B_N
+    (S_N(h) g_e): the signs go on gamma_N(0) and on the rows of the
+    product, so no signed copy of B_N is made.  Returns -i (diag E +
+    coupling) on the augmented state.
     """
     top_vals, top_inv = _energy_split(lattice, N)
-    groups = sp.csr_matrix(
-        (top0, (np.arange(top0.size), top_inv)), shape=(top0.size, top_vals.size)
-    )
     blocks = [[None] * N for _ in range(N)]
     for k in range(1, N):
         blocks[k - 1][k - 1] = sp.diags(level_energy(lattice, k))
-        coupling = full_collision_matrix(lattice, k + 1, mode.field_for_level(k + 1))
-        blocks[k - 1][k] = coupling @ groups if k == N - 1 else coupling
+        if k < N - 1:
+            blocks[k - 1][k] = full_collision_matrix(
+                lattice, k + 1, mode.field_for_level(k + 1))
+    if N > 1:
+        signs = _field_signs(lattice, mode.field_for_level(N), N)
+        if signs is not None:
+            top0 = signs[1] * top0
+        groups = sp.csr_matrix((top0, (np.arange(top0.size), top_inv)),
+                               shape=(top0.size, top_vals.size))
+        coupling = full_collision_matrix(lattice, N) @ groups
+        if signs is not None:
+            # a negation commutes with rounding: bitwise the signed matrix's
+            coupling.data *= np.repeat(signs[0], np.diff(coupling.indptr))
+        blocks[N - 2][N - 1] = coupling
     blocks[N - 1][N - 1] = sp.diags(top_vals)
     return -1j * sp.bmat(blocks, format="csr")
 
@@ -497,12 +549,12 @@ def evolve_truncated(state0, N, T, mode=None, grid_times=None, *, dt=1e-3):
     distinct top-level energy (see `_augmented_generator`), are advanced
     across each grid interval by one `expm_multiply` call (Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33, 2011), so grids may be non-uniform.
-    The top level's phase at each grid time is taken once per distinct
-    top energy and gathered to the coefficients through the cached energy
-    split (`_energy_split`) that also groups the augmented states.
-    States are recorded at grid_times (default: 0 and T); every level is
-    checked finite at each of them.  `dt` is accepted for call
-    compatibility and ignored: the exponential takes no step size.
+    Levels 1..N-1 are recorded at grid_times (default: 0 and T) and checked
+    finite at each of them.  The top level is stored once, as gamma_N(0),
+    and checked finite once, since the free flow only multiplies it by unit
+    phases; the `Trajectory` forms it at a grid time when it is read.  `dt`
+    is accepted for call compatibility and ignored: the exponential takes
+    no step size.
     """
     # scipy.sparse.linalg costs ~10 MiB to import; runs that never evolve
     # the hierarchy do not pay it
@@ -520,14 +572,14 @@ def evolve_truncated(state0, N, T, mode=None, grid_times=None, *, dt=1e-3):
     F = lat.size
     ys = [np.zeros(F ** (2 * k), dtype=np.complex128) if state0.level(k) is None
           else state0.level(k).to_dense().data.reshape(-1) for k in range(1, N + 1)]
-    dims = [y.size for y in ys[: N - 1]]
-    gen = _augmented_generator(lat, N, mode, ys[N - 1])
-    z = np.concatenate(ys[: N - 1]
-                       + [np.ones(gen.shape[0] - sum(dims), dtype=np.complex128)])
+    top = ys.pop()
+    _check_finite([top], 0.0)
+    dims = [y.size for y in ys]
+    gen = _augmented_generator(lat, N, mode, top)
+    z = np.concatenate(ys + [np.ones(gen.shape[0] - sum(dims), dtype=np.complex128)])
     offsets = np.cumsum(dims, dtype=np.int64)
-    top_vals, top_inv = _energy_split(lat, N)
 
-    states, times = [], []
+    lower, times = [], []
     t = 0.0
     for gt in grid_times:
         if gt != t:
@@ -538,14 +590,13 @@ def evolve_truncated(state0, N, T, mode=None, grid_times=None, *, dt=1e-3):
                 z = expm_multiply((gt - t) * gen, z)
         t = gt
         flats = [y.copy() for y in np.split(z, offsets)[: N - 1]]
-        flats.append(ys[N - 1] * np.exp(-1j * t * top_vals)[top_inv])
         _check_finite(flats, t)
         times.append(t)
-        states.append(HierarchyState(lat, N, {
-            k: DensityMatrix(lat, k, "dense", data=flat.reshape((F,) * (2 * k)))
-            for k, flat in enumerate(flats, start=1)
-        }))
-    return Trajectory(tuple(times), states)
+        lower.append(tuple(
+            DensityMatrix(lat, k, "dense", data=flat.reshape((F,) * (2 * k)))
+            for k, flat in enumerate(flats, start=1)))
+    top = DensityMatrix(lat, N, "dense", data=top.reshape((F,) * (2 * N)).copy())
+    return Trajectory(tuple(times), lower, top)
 
 
 # --- time-continuity defect (free flow) --------------------------------------

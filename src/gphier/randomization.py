@@ -155,11 +155,10 @@ def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
 
     if not mc_samples:
         total = (2**lattice.size) ** len(keys)
-        if total > ENUMERATION_CAP:
-            raise ValueError(
-                f"exact enumeration needs {total} assignments "
-                f"(> cap {ENUMERATION_CAP})"
-            )
+        check_size(lattice_field(lattice.d), f"an exact average over every "
+                   f"sign field on {len(keys)} levels has (2^F)^{len(keys)} = "
+                   f"{total} assignments, F = {lattice.size}", total,
+                   ENUMERATION_CAP)
         modes = [redrawn(combo) for combo in
                  itertools.product(enumerate_fields(lattice), repeat=len(keys))]
         acc = 0.0

@@ -573,12 +573,11 @@ def test_collide_folds_the_field_into_the_matrix_bitwise(d, M, m, seed, times):
 
 
 def test_integral_residual_holds_one_node_block():
-    # d=1 M=3, q=16: the level-3 solution at the 16 quadrature nodes is one
-    # (117649, 16) complex block.  The level-2 residual collides it under
-    # each mode's field with the signs on the matrix, and the free flow
-    # multiplies its phase table in place, so the traced peak of a warm
-    # call stays below 1.5 such blocks (2.2 with the signs on the block and
-    # two phase-sized tables)
+    # d=1 M=3, q=16: the level-3 solution at the 16 quadrature nodes would
+    # be one (117649, 16) complex block.  The level-2 residual forms and
+    # collides the top level one node at a time, with each mode's signs on
+    # that node's vector, so the traced peak of a warm call measures 0.20
+    # such blocks (5.6 MiB); forming the whole block (1.33) fails the bound
     lat = FrequencyLattice(1, 3)
     st = random_state(lat, 3, 5, alpha=1.0, level_norms=[1.0] * 3)
     ev = DuhamelEvaluator(st, _three_modes(lat, 6, (2, 3)), QuadratureSpec(q=16))
@@ -590,7 +589,37 @@ def test_integral_residual_holds_one_node_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block, peak / block
+    assert peak < 0.4 * block, peak / block
+
+
+def _batched_residual(ev, N, k, t):
+    """The residual with the level-(k+1) solution at every node at once,
+    collided by `collide`: the formula the top level's stream replaced,
+    kept here as its oracle."""
+    x, w = ev._gl
+    nodes = 0.5 * t * (x + 1.0)
+    integrand = ev.collide(k + 1, ev.solution_batch(N, k + 1, nodes))
+    integrand *= ev._phases(k, t - nodes)
+    free_k = ev._free(k, [t])[:, 0]
+    return np.array([
+        h_alpha_norm(ev._wrap(k, row - free_k + 1j * (part @ (0.5 * t * w))), 1.0)
+        for row, part in zip(ev.solution_batch(N, k, [t])[:, :, 0], integrand)])
+
+
+@pytest.mark.parametrize("M, N", [(2, 3), (1, 4)])
+@settings(max_examples=3, deadline=None, database=None)
+@given(seed=hst.integers(0, 2**16), t=hst.floats(0.01, 0.5))
+def test_top_level_residual_matches_batched_oracle(M, N, seed, t):
+    # at k = N-1 the integrand's top level is formed and collided one node
+    # at a time, under each mode's signs on the vector; per column the
+    # products and sums are the batch's, so every mode's norm is its bits
+    lat = FrequencyLattice(1, M)
+    st = random_state(lat, N, seed, alpha=1.0, level_norms=[1.0] * N)
+    ev = DuhamelEvaluator(st, _three_modes(lat, seed + 1, range(2, N + 1)),
+                          QuadratureSpec(q=16))
+    got = integral_residual(ev, N, N - 1, t)
+    assert np.array_equal(got, _batched_residual(ev, N, N - 1, t))
+    assert np.all(got < 1e-6)
 
 
 def test_integral_residual_single_level(lat):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from gphier import dynamics, tensor
@@ -537,6 +538,84 @@ def test_evolve_trajectory_mode_collapse_bitwise(lat):
     for s1, s2 in zip(dep.states, ind.states):
         for k in (1, 2, 3):
             assert np.array_equal(s1.level(k).data, s2.level(k).data)
+
+
+def _arrays(obj, seen=None):
+    """Every numpy array reachable from obj through attributes and items,
+    leaving out the shared lattice's own tables."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, FrequencyLattice):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif hasattr(obj, "__dict__") or hasattr(obj, "__slots__"):
+        items = [getattr(obj, n) for n in getattr(obj, "__slots__", ())
+                 if hasattr(obj, n)] + list(getattr(obj, "__dict__", {}).values())
+    else:
+        return []
+    return [a for item in items for a in _arrays(item, seen)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_trajectory_stores_top_level_once(lat, N):
+    # the top level is free flow: a trajectory keeps gamma_N(0) and the lower
+    # levels at each grid time, and forms level N by free_evolve when read
+    st = random_state(lat, 3, 25)
+    f = sample_field(lat, 8)
+    grid = (0.0, 0.02, 0.1, 0.35, 0.5)
+    traj = evolve_truncated(st, N, 0.5, HierarchyMode.dependent(f),
+                            grid_times=grid)
+    dims = [lat.size ** (2 * k) for k in range(1, N + 1)]
+    entries = sum(a.size for a in _arrays(traj))
+    assert entries <= dims[-1] + len(grid) * sum(dims[:-1])
+    for i, t in enumerate(grid):
+        assert np.array_equal(traj.level(i, N).data,
+                              free_evolve(st.level(N), t).data)
+        # a state shares the stored lower levels
+        for k in range(1, N):
+            assert traj.states[i].level(k) is traj.level(i, k)
+    assert len(traj.states) == len(grid)
+    assert np.array_equal(traj.states[-1].level(N).data, traj.level(4, N).data)
+    with pytest.raises(IndexError):
+        traj.states[len(grid)]
+    with pytest.raises(ValueError, match="level 0"):
+        traj.level(0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evolve_refuses_nonfinite_top_level(lat, bad):
+    # the top level is checked finite once, before the flow, for every grid
+    st = random_state(lat, 3, 26)
+    top = st.level(3).data.copy()
+    top[0, 1, 2, 0, 1, 2] = bad
+    st = st.with_levels({1: st.level(1), 2: st.level(2),
+                         3: DensityMatrix(lat, 3, "dense", data=top)})
+    for grid in ((0.0, 0.1), (0.05, 0.1)):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            evolve_truncated(st, 3, 0.1, HierarchyMode.deterministic(),
+                             grid_times=grid)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_generator_signs_the_top_level_bitwise(lat, N):
+    # the top level's feed carries the field's signs on gamma_N(0) and on the
+    # rows of B_N @ groups: bitwise the product with the signed matrix
+    st = random_state(lat, N, 27)
+    f = sample_field(lat, 9)
+    top0 = st.level(N).data.reshape(-1)
+    gen = dynamics._augmented_generator(lat, N, HierarchyMode.dependent(f), top0)
+    vals, inv = dynamics._energy_split(lat, N)
+    groups = sp.csr_matrix((top0, (np.arange(top0.size), inv)),
+                           shape=(top0.size, vals.size))
+    ref = -1j * (full_collision_matrix(lat, N, f) @ groups).toarray()
+    lo = sum(lat.size ** (2 * k) for k in range(1, N - 1))
+    hi = lo + lat.size ** (2 * (N - 1))
+    assert np.array_equal(gen[lo:hi, hi:].toarray(), ref)
 
 
 @pytest.mark.filterwarnings("error")

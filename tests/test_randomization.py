@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gphier.lattice import FrequencyLattice
-from gphier.tensor import DensityMatrix, h_alpha_norm, random_density_matrix
+from gphier.tensor import (DensityMatrix, MemoryGuardError, h_alpha_norm,
+                           random_density_matrix)
 from gphier.dynamics import HierarchyMode, collision, collision_matrix
 from gphier.randomization import (
     SignField,
@@ -119,7 +120,7 @@ def test_omega_exact_vs_mc(lat):
 
 
 def test_enumeration_cap(lat):
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(MemoryGuardError, match="cap"):
         omega_l2_h_alpha(each(lambda md: None), PER_LEVEL, lat,
                          list(range(2, 12)))
 
