@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import (_energy_split, _signed, conjugate,
-                       full_collision_matrix, real_matmul, sign_vector)
+from .dynamics import (_cached, _check_matrix, _energy_split, _signed,
+                       conjugate, full_collision_matrix, real_matmul,
+                       sign_vector)
 from .tensor import (DensityMatrix, _odd_masks, check_size, data_classes,
                      h_alpha_norm, lattice_field, odd_classes)
 
@@ -99,6 +100,35 @@ def _field(mode, m):
     return None if mode is None else mode.field_for_level(m)
 
 
+def _read_only_matrix(mat):
+    """mat, with its data and index arrays made read-only."""
+    for a in (mat.data, mat.indices, mat.indptr):
+        a.flags.writeable = False
+    return mat
+
+
+def _class_energy_split(lattice, m, classes):
+    """The full split of B_m by column label, as `DuhamelEvaluator._split`
+    describes it: row r n n_c + label of B_m's column, the label being
+    the column's energy bucket e (n buckets), or with `classes` e n_c + c,
+    c its odd-multiplicity class among the n_c of level m
+    (`tensor.odd_classes`).  Read-only."""
+    vals, inv = _energy_split(lattice, m)
+    n = vals.size
+    label, n_c = inv, 1
+    if classes:
+        cls, n_c = odd_classes(lattice, m)
+        label = inv * n_c + cls
+    B = full_collision_matrix(lattice, m)
+    new_row = n * n_c * np.repeat(np.arange(B.shape[0]),
+                                  np.diff(B.indptr)) + label[B.indices]
+    order = np.argsort(new_row, kind="stable")
+    indptr = np.searchsorted(new_row[order], np.arange(n * n_c * B.shape[0] + 1))
+    return _read_only_matrix(sp.csr_matrix(
+        (B.data[order], B.indices[order], indptr),
+        shape=(n * n_c * B.shape[0], B.shape[1])))
+
+
 def _root_sum_squares(terms):
     """Per row of (dim, P) class-split terms, the root sum of squares; the
     column itself when P = 1, so an unsplit term keeps its bits."""
@@ -113,14 +143,18 @@ class DuhamelEvaluator:
     split `dynamics._energy_split`, and the rows of each bucket, built
     only for the levels a term ends at, from `_buckets`.
 
-    Caches the flattened initial coefficients of each level m, per level
-    m the per-energy column slices B_m P_e of the deterministic collision
-    matrix stacked into one matrix, per level m and sign field the leaf
+    Caches what depends on the state or a field: the flattened initial
+    coefficients of each level m, per level m and sign field the leaf
     block of columns B_m^h P_e gamma0^(m), and per sign field and order m
-    the sign vector S_m(h) that conjugates the collisions.  A term of
-    depth j starts from the leaf block of level k+j and walks up to level
-    k.  At each level the chain block (the vector half) takes one product
-    with the stacked slices, and the scalar functions of the chain
+    the sign vector S_m(h) that conjugates the collisions.  What depends
+    on the lattice alone is built once per process and shared by every
+    evaluator: per level m the per-energy column slices B_m P_e of the
+    deterministic collision matrix stacked into one matrix (`_split`, in
+    `dynamics._MATRIX_CACHE`) and the odd-multiplicity classes
+    (`tensor.odd_classes`).  A term of depth j starts from the leaf block
+    of level k+j and walks up to level k.  At each level the chain block
+    (the vector half) takes one product with the stacked slices, and the
+    scalar functions of the chain
     suffixes (the scalar half) take one nested Gauss-Legendre step; the
     two are contracted row by row at level k.  The vector half's products,
     and `collide`'s, take a real matrix to complex data and run on the
@@ -146,7 +180,6 @@ class DuhamelEvaluator:
         self._gamma = {}
         self._blocks = {}
         self._stored = 0
-        self._classes = {}
         self._present = {}
         self._gl = self.quad.nodes()
 
@@ -169,7 +202,7 @@ class DuhamelEvaluator:
         return self._present[m]
 
     def _block(self, key, build):
-        """A leaf block, full split or sign vector from the cache, built on a miss.
+        """A leaf block or sign vector from the cache, built on a miss.
 
         The most recently used blocks are kept within CHAIN_CAP stored
         entries (a sparse block's nnz, a vector's size): the small blocks
@@ -195,20 +228,9 @@ class DuhamelEvaluator:
                                                    field, order))
                      for order in (m - 1, m))
 
-    def _labels(self, m, classes):
-        """(column label of each level-m coefficient, labels per energy).
-
-        The label is the coefficient's energy bucket e, or with `classes`
-        e n_c + c, with c its odd-multiplicity class among the n_c of the
-        level (`tensor.odd_classes`).
-        """
-        inv = _energy_split(self.lattice, m)[1]
-        if not classes:
-            return inv, 1
-        if m not in self._classes:
-            cls, n_c = odd_classes(self.lattice, m)
-            self._classes[m] = (inv * n_c + cls, n_c)
-        return self._classes[m]
+    def _class_count(self, m, classes):
+        """n_c, the odd-multiplicity classes of level m with `classes`, else 1."""
+        return odd_classes(self.lattice, m)[1] if classes else 1
 
     def _split(self, m, lo, hi, classes=False):
         """B_m P_e for the energy buckets lo <= e < hi, stacked row-wise.
@@ -216,32 +238,26 @@ class DuhamelEvaluator:
         Row r (hi - lo) + (e - lo) is row r of B_m restricted to the columns
         of bucket e, so `(split @ W).reshape(dim_(m-1), -1)` is the chain
         block with e as its new leading chain index.  With `classes` the
-        columns are split by energy and class (`_labels`): B_m P_e P_c is
-        row (r (hi - lo) + (e - lo)) n_c + c.  The split over all n buckets
-        is cached; a chunk of them selects its rows.
+        columns are split by energy and class: B_m P_e P_c is row
+        (r (hi - lo) + (e - lo)) n_c + c (`_class_energy_split`).  The
+        split over all n buckets, and each chunk of them, depend on the
+        lattice alone, so they live in `dynamics._MATRIX_CACHE`, after the
+        size guards of the split's ingredients.
         """
         n = _energy_split(self.lattice, m)[0].size
-        label, n_c = self._labels(m, classes)
-
-        def build():
-            B = full_collision_matrix(self.lattice, m)
-            new_row = n * n_c * np.repeat(np.arange(B.shape[0]),
-                                          np.diff(B.indptr)) + label[B.indices]
-            order = np.argsort(new_row, kind="stable")
-            indptr = np.searchsorted(new_row[order],
-                                     np.arange(n * n_c * B.shape[0] + 1))
-            return sp.csr_matrix((B.data[order], B.indices[order], indptr),
-                                 shape=(n * n_c * B.shape[0], B.shape[1]))
-
-        split = self._block(("split", m, classes), build)
+        n_c = self._class_count(m, classes)
+        _check_matrix(self.lattice, m)
+        key = ("split", self.lattice.d, self.lattice.M, m, classes)
+        split = _cached(key, functools.partial(_class_energy_split,
+                                               self.lattice, m, classes))
         if (lo, hi) == (0, n):
             return split
 
         def chunk():
             rows = np.arange(split.shape[0]).reshape(-1, n * n_c)
-            return split[rows[:, lo * n_c:hi * n_c].ravel()]
+            return _read_only_matrix(split[rows[:, lo * n_c:hi * n_c].ravel()])
 
-        return self._block(("split", m, classes, lo, hi), chunk)
+        return _cached(key + (lo, hi), chunk)
 
     def _leaf(self, m, field, classes=False):
         """B_m^h P_e gamma0^(m) for every energy bucket e of level m, h = field.
@@ -389,7 +405,7 @@ class DuhamelEvaluator:
         share their scalars.
         """
         n_top = self._data_classes(k + j)[2] if k + j in by_class else 1
-        n_cls = [self._labels(m, m in by_class)[1] for m in range(k + 1, k + j)]
+        n_cls = [self._class_count(m, m in by_class) for m in range(k + 1, k + j)]
         alone = n_top > 1 and j > 1 and k + j - 1 not in by_class
         width = 1 if alone else n_top
         self._check_chain(k, j, times.size, n_cls + [width], len(modes),
@@ -483,7 +499,7 @@ class DuhamelEvaluator:
             dim_next, width = dim, P
         else:
             dim_next = self.lattice.size ** (2 * (level - 1))
-            width = self._labels(level, level in by_class)[1] * P
+            width = self._class_count(level, level in by_class) * P
         # one chunk of (energies x suffixes) columns stays within the cap
         per_col = max(dim_next * width, s.size)
         n_e = min(vals.size, max(1, CHAIN_CAP // max(per_col, s.size * x.size)))

@@ -415,10 +415,40 @@ def power_collision(phi, m, lattice):
 
 
 _MATRIX_CACHE = {}
-# total nnz the cache may hold.  It holds deterministic matrices only, but
-# one process sees many lattices and orders (a test run, a sweep over M), so
-# an entry count alone would not bound memory; the oldest go first.
+# total nnz the cache may hold.  It holds lattice-only matrices (the
+# deterministic collisions and `duhamel`'s class-energy splits), but one
+# process sees many lattices and orders (a test run, a sweep over M), so an
+# entry count alone would not bound memory; the least recently used go first.
 _MATRIX_CACHE_NNZ = 2**22
+
+
+def _cached(key, build):
+    """The sparse matrix cached under `key`, built by build() on a miss.
+
+    A hit makes the entry the most recent.  A miss stores the new matrix,
+    then drops the least recently used until the cache holds at most
+    _MATRIX_CACHE_NNZ entries in all, never the new one.  The caller runs
+    its size guard first, so a cached matrix never admits a refused size.
+    """
+    mat = _MATRIX_CACHE.pop(key, None)
+    if mat is not None:
+        _MATRIX_CACHE[key] = mat
+        return mat
+    _MATRIX_CACHE[key] = mat = build()
+    total = sum(c.nnz for c in _MATRIX_CACHE.values())
+    for old in list(_MATRIX_CACHE)[:-1]:
+        if total <= _MATRIX_CACHE_NNZ:
+            break
+        total -= _MATRIX_CACHE.pop(old).nnz
+    return mat
+
+
+def _check_matrix(lattice, m):
+    """Raise before a matrix on the order-m domain above MATRIX_DOMAIN_CAP."""
+    F = lattice.size
+    check_size(lattice_field(lattice.d), f"the order-{m} collision matrix has "
+               f"a domain of F^{2 * m} = {F ** (2 * m)} coefficients, F = {F}",
+               F ** (2 * m), MATRIX_DOMAIN_CAP)
 
 
 def _collision_triplets(lattice, m, ell, n, sign):
@@ -457,31 +487,25 @@ def _matrix(lattice, m, terms, field):
 
     Only the deterministic matrix is cached; a field reweights it.
     """
-    F = lattice.size
-    check_size(lattice_field(lattice.d), f"the order-{m} collision matrix has "
-               f"a domain of F^{2 * m} = {F ** (2 * m)} coefficients, F = {F}",
-               F ** (2 * m), MATRIX_DOMAIN_CAP)
-    key = (lattice.d, lattice.M, m, terms)
-    mat = _MATRIX_CACHE.get(key)
-    if mat is None:
+    _check_matrix(lattice, m)
+
+    def build():
         rows, cols, vals = [], [], []
         for ell, n, sign, coef in terms:
             r, c = _collision_triplets(lattice, m, ell, n, sign)
             rows.append(r)
             cols.append(c)
             vals.append(np.full(r.size, coef))
+        F = lattice.size
         mat = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(F ** (2 * (m - 1)), F ** (2 * m))).tocsr()
         mat.eliminate_zeros()
         # summing duplicates leaves the arrays as views into the triplet-sized
         # buffers (up to twice nnz); the cache keeps a compact copy instead
-        _MATRIX_CACHE[key] = mat = mat.copy()
-        total = sum(c.nnz for c in _MATRIX_CACHE.values())
-        for old in list(_MATRIX_CACHE)[:-1]:
-            if total <= _MATRIX_CACHE_NNZ:
-                break
-            total -= _MATRIX_CACHE.pop(old).nnz
+        return mat.copy()
+
+    mat = _cached((lattice.d, lattice.M, m, terms), build)
     return _signed(mat, _field_signs(lattice, field, m))
 
 

@@ -119,12 +119,14 @@ def nls_evolve(phi0, T, dt, lattice):
     """RK4 trajectory of `nls_rhs` in the interaction picture, storing every step.
 
     The dispersion phases are applied exactly; only the nonlinear term
-    is stepped, so mass drift is O(dt^4) per unit time.  T must be an
-    integer multiple of dt.  A non-finite coefficient raises RuntimeError
-    naming the end time of the first step that produced one.
+    is stepped, so mass drift is O(dt^4) per unit time.  T must be a
+    nonnegative integer multiple of dt.  A non-finite coefficient raises
+    RuntimeError naming the end time of the first step that produced one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     phi0 = np.asarray(phi0, dtype=np.complex128)
     e = lattice.energies.astype(np.float64)
     nsteps = int(round(T / dt))
@@ -192,13 +194,17 @@ def factorized_residual(traj, k, grid_times, alpha=1.0):
     for any coefficient vector).  The finite difference differences the
     stored interaction-picture trajectory with a seven-point stencil, so
     its residual reflects the time resolution; every grid time must lie
-    at least three steps inside the trajectory.
+    at least three steps inside the trajectory, and the grid must not be
+    empty.
 
     B gamma^(k+1) is the generic full collision of the tensor power, once
     per grid time (`dynamics.power_collision`): bitwise the collision of
     the dense power, which above the matrix cap is never built, since the
     gather kernel forms its slabs from the two half-power factors.
     """
+    if len(grid_times) == 0:
+        raise ValueError("grid_times is empty: a residual over no time "
+                         "would pass without checking anything")
     lat = traj.lattice
     n = len(traj.times) - 1
     steps = [traj.step_of(t) for t in grid_times]

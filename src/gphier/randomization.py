@@ -17,7 +17,8 @@ average into odd-multiplicity classes by Walsh orthogonality
 (`tensor.odd_classes`): the Duhamel averages of `duhamel`, and
 `collision_omega_operator_norm`, the norm of one class-lifted matrix L
 by plain numpy Lanczos on L^T L, whose bits no BLAS thread count moves,
-the same for every collision slot.
+the same for every collision slot.  That norm reads the lattice alone,
+so it is memoized per process, like the class labels it is built from.
 """
 
 from dataclasses import dataclass
@@ -45,6 +46,9 @@ __all__ = [
 ENUMERATION_CAP = 2**20
 # largest domain (order-(k+1) coefficients) an operator norm is taken on
 NORM_DOMAIN_CAP = 2**16
+# (d, M, k, j, alpha, randomized) -> operator norm; the norms depend on the
+# lattice alone, so each is computed once per process
+_NORMS = {}
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,9 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     one class, L = W, when deterministic).  Returns the largest singular
     value of L, by Lanczos on L^T L, with L^T taken once before the
     iteration.  No field is drawn, so this bound is independent of the
-    enumerated averages it majorizes.
+    enumerated averages it majorizes.  The norm depends on the lattice
+    alone: it is computed once per (d, M, k, j, alpha, randomized) and
+    process, after the size guard, and memoized.
 
     The norm does not depend on the slot j: swapping slots j and 1 of
     both index sides is a permutation of the coefficients that maps
@@ -202,6 +208,16 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     check_size(lattice_field(lattice.d), f"the order-{k + 1} operator norm has "
                f"a domain of F^{2 * k + 2} = {dom} coefficients, F = {F}", dom,
                NORM_DOMAIN_CAP)
+    key = (lattice.d, lattice.M, k, j, alpha, randomized)
+    if key not in _NORMS:
+        _NORMS[key] = _lanczos_norm(lattice, k, j, alpha, randomized)
+    return _NORMS[key]
+
+
+def _lanczos_norm(lattice, k, j, alpha, randomized):
+    """The norm of `collision_omega_operator_norm`, computed: the top
+    singular value of the class-lifted matrix L, by Lanczos on L^T L."""
+    dom = lattice.size ** (2 * (k + 1))
     w_in = slot_product(lattice, lattice.brackets**alpha, k + 1)
     w_out = slot_product(lattice, lattice.brackets**alpha, k)
     W = (sp.diags(w_out) @ (collision_matrix(lattice, k + 1, j, k + 1, "+")

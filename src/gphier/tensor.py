@@ -189,16 +189,33 @@ def slot_product(lattice, w, k):
     return functools.reduce(np.multiply.outer, [w] * (2 * k)).reshape(-1)
 
 
+# lattice-only class tables, built once per process; read-only arrays
+_MASKS = {}    # (d, M, k) -> odd-multiplicity masks; see _odd_masks
+_CLASSES = {}  # (d, M, k) -> (class labels, class count); see odd_classes
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _odd_masks(lattice, k):
     """Each flat order-k index's odd-multiplicity class as an int64 mask: bit p
-    is set when the index holds point p an odd number of times (F <= 62)."""
+    is set when the index holds point p an odd number of times (F <= 62).
+
+    Built once per (d, M, k) as a read-only array, after the size guards.
+    """
     F = lattice.size
     check_size(lattice_field(lattice.d), f"odd-multiplicity classes keep one "
                f"bit per lattice point in an int64 mask, F = (2M+1)^d = {F}",
                F, 62)
     _check_guard(lattice, k)
-    bits = 1 << np.arange(F, dtype=np.int64)
-    return functools.reduce(np.bitwise_xor.outer, [bits] * (2 * k)).reshape(-1)
+    key = (lattice.d, lattice.M, k)
+    if key not in _MASKS:
+        bits = 1 << np.arange(F, dtype=np.int64)
+        _MASKS[key] = _read_only(functools.reduce(
+            np.bitwise_xor.outer, [bits] * (2 * k)).reshape(-1))
+    return _MASKS[key]
 
 
 def odd_classes(lattice, k):
@@ -207,10 +224,16 @@ def odd_classes(lattice, k):
 
     Over uniform sign fields h, E_h[S_k(h)_x S_k(h)_y] is 1 when x and y
     share a class and 0 otherwise (Walsh orthogonality), so an average
-    over h splits into class terms.
+    over h splits into class terms.  The labels depend on the lattice
+    alone: they are built once per (d, M, k), after the guards of
+    `_odd_masks`, and returned as a read-only array.
     """
-    classes, labels = np.unique(_odd_masks(lattice, k), return_inverse=True)
-    return labels.reshape(-1), classes.size
+    masks = _odd_masks(lattice, k)
+    key = (lattice.d, lattice.M, k)
+    if key not in _CLASSES:
+        classes, labels = np.unique(masks, return_inverse=True)
+        _CLASSES[key] = _read_only(labels.reshape(-1)), classes.size
+    return _CLASSES[key]
 
 
 def data_classes(state, levels):

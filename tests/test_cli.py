@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gphier import cli
+from gphier import cli, duhamel, dynamics, randomization, tensor
 from gphier.cli import ConfigError, ExperimentConfig, Report, main, run_experiment
 from gphier.duhamel import solution_time_modulus
 from gphier.dynamics import HierarchyMode
@@ -322,15 +322,25 @@ def test_report_determinism(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_report_reproducible(monkeypatch):
-    # a report is a function of (config, seed): a run on cold collision-matrix,
-    # energy-split and energy-bucket caches equals a rerun on the caches it
-    # left warm
-    from gphier import duhamel, dynamics
+# the per-process caches of lattice-only structures: collision matrices and
+# class-energy splits, energy splits and buckets, odd-class masks and labels,
+# and operator norms
+LATTICE_CACHES = [(dynamics, "_MATRIX_CACHE"), (dynamics, "_SPLIT_CACHE"),
+                  (duhamel, "_BUCKETS"), (tensor, "_MASKS"),
+                  (tensor, "_CLASSES"), (randomization, "_NORMS")]
 
-    monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
-    monkeypatch.setattr(dynamics, "_SPLIT_CACHE", {})
-    monkeypatch.setattr(duhamel, "_BUCKETS", {})
+
+def _empty_lattice_caches(monkeypatch):
+    """Empty every lattice cache; returns a reader of the caches by name."""
+    for module, name in LATTICE_CACHES:
+        monkeypatch.setattr(module, name, {})
+    return lambda: {name: getattr(module, name) for module, name in LATTICE_CACHES}
+
+
+def test_report_reproducible(monkeypatch):
+    # a report is a function of (config, seed): a run on cold lattice caches
+    # equals a rerun on the caches it left warm
+    caches = _empty_lattice_caches(monkeypatch)
     configs = [
         ExperimentConfig(kind="estimate-c0", M=1, mc_samples=200),
         ExperimentConfig(kind="decay", mode="independent", M=1, K_max=3),
@@ -341,8 +351,47 @@ def test_report_reproducible(monkeypatch):
         for obj in objs:
             obj.pop("environment")
         runs.append(objs)
-    assert dynamics._MATRIX_CACHE and dynamics._SPLIT_CACHE and duhamel._BUCKETS
+        if len(runs) == 1:
+            assert all(caches().values()), [k for k, v in caches().items() if not v]
+            assert any(key[0] == "split" for key in dynamics._MATRIX_CACHE)
     assert runs[0] == runs[1]
+
+
+def test_warm_decay_job_builds_no_lattice_structure(monkeypatch):
+    # independent decay's class-energy splits, odd-class labels and operator
+    # norms depend on the lattice alone: a second job in the process builds
+    # none of them, and the arrays it reuses are read-only
+    caches = _empty_lattice_caches(monkeypatch)
+    builds = {"split": 0, "lanczos": 0}
+
+    def counted(module, name, key):
+        build = getattr(module, name)
+
+        def wrapper(*args):
+            builds[key] += 1
+            return build(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(duhamel, "_class_energy_split", "split")
+    counted(randomization, "_lanczos_norm", "lanczos")
+    cfg = dict(kind="decay", mode="independent", M=1, K_max=4, T=0.5, q=12)
+    assert run_experiment(ExperimentConfig(seed=1, **cfg)).passed
+    cold = dict(builds)
+    # the class masks and labels: a rebuild would store new arrays
+    tables = {name: dict(caches()[name]) for name in ("_MASKS", "_CLASSES")}
+    assert all(cold.values()) and all(tables.values()), (cold, tables)
+    assert run_experiment(ExperimentConfig(seed=2, **cfg)).passed
+    assert builds == cold
+    for name, table in tables.items():
+        assert caches()[name].keys() == table.keys()
+        assert all(caches()[name][key] is value for key, value in table.items())
+    lat = FrequencyLattice(1, 1)
+    split = next(v for key, v in dynamics._MATRIX_CACHE.items()
+                 if key[0] == "split")
+    for arr in (tensor.odd_classes(lat, 2)[0], tensor._odd_masks(lat, 2),
+                split.data, split.indices):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_csv_output(tmp_path):

@@ -3,7 +3,10 @@
 Each case lowers a cap as the other tests do and drives one guard site
 over it.  The refusal is a MemoryGuardError raised by `tensor.check_size`,
 whose message starts with the field at fault (M or d for the lattice, q
-for the quadrature) and ends with the cap it exceeds.
+for the quadrature) and ends with the cap it exceeds.  A case whose call
+reads a per-process cache (`_warm`) first runs under the default caps, so
+the call meets a warm cache at the key it asks for: its guard must run
+before the lookup.
 """
 
 import numpy as np
@@ -44,10 +47,33 @@ def _shift_buffer(mp):
     return lambda: full_collision(g), "M", 404
 
 
-def _matrix(mp):
-    # the order-2 collision matrix at d=2 has a domain of 9^4 = 6561
-    mp.setattr(dynamics, "MATRIX_DOMAIN_CAP", 6560)
-    return lambda: full_collision_matrix(FrequencyLattice(2, 1), 2), "d", 6560
+def _warm(owner, name, cap, run, field):
+    """Run once under the default caps, then lower owner.name to cap."""
+    def case(mp):
+        run()
+        mp.setattr(owner, name, cap)
+        return run, field, cap
+    return case
+
+
+# the order-2 collision matrix and operator norm at d=2 have a domain of
+# 9^4 = 6561; the order-2 class masks and labels of F=3 cover 3^4 = 81
+# coefficients
+LAT2 = FrequencyLattice(2, 1)
+_matrix = _warm(dynamics, "MATRIX_DOMAIN_CAP", 6560,
+                lambda: full_collision_matrix(LAT2, 2), "d")
+
+
+def _split_chunk():
+    # the order-2 class-energy split and its chunk of 5 of the 9 energies
+    ev = DuhamelEvaluator(random_state(LAT2, 1, 5), [HierarchyMode.deterministic()])
+    return ev._split(2, 0, 5, True)
+
+
+_class_split = _warm(dynamics, "MATRIX_DOMAIN_CAP", 6560, _split_chunk, "d")
+_odd_masks_guard = _warm(tensor, "MEMORY_GUARD", 80, lambda: odd_classes(LAT, 2), "M")
+_operator_norm = _warm(randomization, "NORM_DOMAIN_CAP", 6560,
+                       lambda: collision_omega_operator_norm(LAT2, 1, 1, 1.0), "d")
 
 
 def _chain(cap, field):
@@ -71,18 +97,13 @@ def _terms(mp):
     return lambda: ev.term_batch(1, 2, TIMES), "M", 2000
 
 
-def _operator_norm(mp):
-    # the order-2 operator norm at d=2 has a domain of 9^4 = 6561
-    mp.setattr(randomization, "NORM_DOMAIN_CAP", 6560)
-    return (lambda: collision_omega_operator_norm(FrequencyLattice(2, 1), 1, 1, 1.0),
-            "d", 6560)
-
-
 @pytest.mark.parametrize("case", [
-    _dense, _odd_masks_M, _odd_masks_d, _shift_buffer, _matrix,
-    _chain(700, "M"), _chain(800, "q"), _terms, _operator_norm,
-], ids=["dense", "odd-masks-M", "odd-masks-d", "shift-buffer", "matrix",
-        "chain-block", "gauss-legendre-tree", "duhamel-terms", "operator-norm"])
+    _dense, _odd_masks_M, _odd_masks_d, _odd_masks_guard, _shift_buffer,
+    _matrix, _class_split, _chain(700, "M"), _chain(800, "q"), _terms,
+    _operator_norm,
+], ids=["dense", "odd-masks-M", "odd-masks-d", "odd-masks", "shift-buffer",
+        "matrix", "class-split", "chain-block", "gauss-legendre-tree",
+        "duhamel-terms", "operator-norm"])
 def test_guard_names_field_and_cap(case, monkeypatch):
     run, field, cap = case(monkeypatch)
     with pytest.raises(MemoryGuardError) as info:

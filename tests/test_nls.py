@@ -173,6 +173,18 @@ def test_fd_requires_interior_step(lat):
         factorized_residual(traj, 1, [0.0])
 
 
+def test_fd_refuses_empty_grid(lat):
+    # a residual over no grid time would be a vacuous (0.0, 0.0)
+    traj = nls_evolve(sobolev_random(lat, 5), 0.01, 1e-3, lattice=lat)
+    with pytest.raises(ValueError, match="grid_times is empty"):
+        factorized_residual(traj, 1, [])
+
+
+def test_negative_end_time_names_T(lat):
+    with pytest.raises(ValueError, match="^T must be >= 0"):
+        nls_evolve(sobolev_random(lat, 5), -0.01, 1e-3, lattice=lat)
+
+
 def test_rhs_matches_single_mode_ode(lat):
     # i a' - |z|^2 a = |a|^2 a for a single occupied mode
     phi = np.zeros(lat.size, dtype=complex)
