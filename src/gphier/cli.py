@@ -3,7 +3,8 @@
 Each subcommand binds one verification family to a reproducible run:
 given the same config, seed, and BLAS thread count, the JSON report is
 byte-identical up to its timestamp.  Exit status is 0 when every check
-passes, 1 on a check failure, 2 on a config error.
+passes, 1 on a check failure, 2 on a config error, which includes an
+input file that holds no JSON object and an unwritable --out directory.
 """
 
 import argparse
@@ -888,11 +889,33 @@ def _parse_value(text):
     return text
 
 
+def _json_object(what, path):
+    """The JSON object in the file at `path`; a ConfigError naming `what`
+    and the file if it cannot be read or holds anything else."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError([f"{what} {path}: {getattr(exc, 'strerror', exc)}"]) \
+            from None
+    if not isinstance(obj, dict):
+        raise ConfigError([f"{what} {path}: holds no JSON object"])
+    return obj
+
+
+def _out_dir(path):
+    """The directory the output file `path` goes in, None for no path; a
+    ConfigError before any run if it is not a writable directory."""
+    if not path:
+        return None
+    out_dir = os.path.dirname(path) or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise ConfigError([f"--out {path}: {out_dir} is not a writable directory"])
+    return out_dir
+
+
 def _load_config(args, kind):
-    base = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+    base = _json_object("--config", args.config) if args.config else {}
     base["kind"] = kind
     if args.seed is not None:
         base["seed"] = args.seed
@@ -910,8 +933,7 @@ def _load_config(args, kind):
 def _merge_reports(paths, out_path):
     merged = {"reports": [], "passed": True}
     for p in paths:
-        with open(p) as fh:
-            obj = json.load(fh)
+        obj = _json_object("input", p)
         merged["reports"].append(obj)
         merged["passed"] = merged["passed"] and obj.get("passed", False)
     with open(out_path, "w") as fh:
@@ -939,13 +961,12 @@ def main(argv=None):
                        help="override a config field (repeatable)")
     args = parser.parse_args(argv)
 
-    if args.kind == "report-merge":
-        merged = _merge_reports(args.inputs, args.out)
-        return 0 if merged["passed"] else 1
-
     try:
+        out_dir = _out_dir(args.out)
+        if args.kind == "report-merge":
+            merged = _merge_reports(args.inputs, args.out)
+            return 0 if merged["passed"] else 1
         cfg = _load_config(args, args.kind)
-        out_dir = os.path.dirname(args.out) or "." if args.out else None
         rep = run_experiment(cfg, csv_dir=args.csv, out_dir=out_dir)
     except ConfigError as exc:
         for p in exc.problems:

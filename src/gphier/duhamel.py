@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import (_cached, _check_matrix, _energy_split, _signed,
-                       conjugate, full_collision_matrix, real_matmul,
-                       sign_vector)
-from .tensor import (DensityMatrix, _odd_masks, check_size, data_classes,
+from . import dynamics, tensor
+from .dynamics import (_check_matrix, _energy_split, _signed, conjugate,
+                       full_collision_matrix, real_matmul, sign_vector)
+from .tensor import (DensityMatrix, Store, _odd_masks, check_size, data_classes,
                      h_alpha_norm, lattice_field, odd_classes)
 
 __all__ = [
@@ -55,16 +55,6 @@ __all__ = [
 
 CHAIN_CAP = 2**22  # complex elements per chain-block or scalar-array chunk
 
-_BUCKETS = {}  # (d, M, m) -> coefficient rows per energy of level m; see _buckets
-
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(q):
-    x, w = np.polynomial.legendre.leggauss(q)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
 
 def _buckets(lattice, m):
     """The coefficient rows of each energy bucket of level m, in increasing order.
@@ -72,13 +62,13 @@ def _buckets(lattice, m):
     Bucket e holds the coefficients at the e-th distinct energy of the
     shared split (`dynamics._energy_split`).
     """
-    key = (lattice.d, lattice.M, m)
-    if key not in _BUCKETS:
+    def build():
         vals, inv = _energy_split(lattice, m)
         order = np.argsort(inv, kind="stable")
         bounds = np.searchsorted(inv[order], np.arange(vals.size + 1))
-        _BUCKETS[key] = [order[bounds[e]:bounds[e + 1]] for e in range(vals.size)]
-    return _BUCKETS[key]
+        return [order[bounds[e]:bounds[e + 1]] for e in range(vals.size)]
+
+    return tensor._TABLES.get(("buckets", lattice.d, lattice.M, m), build)
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,8 @@ class QuadratureSpec:
             raise ValueError("quadrature order must be >= 2")
 
     def nodes(self):
-        return _leggauss(self.q)
+        return tensor._TABLES.get(("leggauss", self.q),
+                                  lambda: np.polynomial.legendre.leggauss(self.q))
 
 
 def _field(mode, m):
@@ -100,19 +91,12 @@ def _field(mode, m):
     return None if mode is None else mode.field_for_level(m)
 
 
-def _read_only_matrix(mat):
-    """mat, with its data and index arrays made read-only."""
-    for a in (mat.data, mat.indices, mat.indptr):
-        a.flags.writeable = False
-    return mat
-
-
 def _class_energy_split(lattice, m, classes):
     """The full split of B_m by column label, as `DuhamelEvaluator._split`
     describes it: row r n n_c + label of B_m's column, the label being
     the column's energy bucket e (n buckets), or with `classes` e n_c + c,
     c its odd-multiplicity class among the n_c of level m
-    (`tensor.odd_classes`).  Read-only."""
+    (`tensor.odd_classes`)."""
     vals, inv = _energy_split(lattice, m)
     n = vals.size
     label, n_c = inv, 1
@@ -124,9 +108,8 @@ def _class_energy_split(lattice, m, classes):
                                   np.diff(B.indptr)) + label[B.indices]
     order = np.argsort(new_row, kind="stable")
     indptr = np.searchsorted(new_row[order], np.arange(n * n_c * B.shape[0] + 1))
-    return _read_only_matrix(sp.csr_matrix(
-        (B.data[order], B.indices[order], indptr),
-        shape=(n * n_c * B.shape[0], B.shape[1])))
+    return sp.csr_matrix((B.data[order], B.indices[order], indptr),
+                         shape=(n * n_c * B.shape[0], B.shape[1]))
 
 
 def _root_sum_squares(terms):
@@ -146,7 +129,8 @@ class DuhamelEvaluator:
     Caches what depends on the state or a field: the flattened initial
     coefficients of each level m, per level m and sign field the leaf
     block of columns B_m^h P_e gamma0^(m), and per sign field and order m
-    the sign vector S_m(h) that conjugates the collisions.  What depends
+    the sign vector S_m(h) that conjugates the collisions, the blocks the
+    most recently used within CHAIN_CAP stored entries.  What depends
     on the lattice alone is built once per process and shared by every
     evaluator: per level m the per-energy column slices B_m P_e of the
     deterministic collision matrix stacked into one matrix (`_split`, in
@@ -178,8 +162,7 @@ class DuhamelEvaluator:
         self.quad = quad if quad is not None else QuadratureSpec()
         self.lattice = state0.lattice
         self._gamma = {}
-        self._blocks = {}
-        self._stored = 0
+        self._blocks = Store(CHAIN_CAP)
         self._present = {}
         self._gl = self.quad.nodes()
 
@@ -201,31 +184,13 @@ class DuhamelEvaluator:
                 present, _odd_masks(self.lattice, m)[nz]), present.size)
         return self._present[m]
 
-    def _block(self, key, build):
-        """A leaf block or sign vector from the cache, built on a miss.
-
-        The most recently used blocks are kept within CHAIN_CAP stored
-        entries (a sparse block's nnz, a vector's size): the small blocks
-        of an enumerated product set are built once per (level, field) or
-        (field, order), and a batch of large per-field blocks holds about
-        what the evaluator of one mode holds.
-        """
-        block = self._blocks.pop(key, None)
-        if block is None:
-            block = build()
-            self._stored += block.size
-        self._blocks[key] = block
-        while self._stored > CHAIN_CAP and len(self._blocks) > 1:
-            self._stored -= self._blocks.pop(next(iter(self._blocks))).size
-        return block
-
     def _signs(self, m, field):
         """(S_(m-1)(h), S_m(h)) for the level-m field h; None if no field."""
         if field is None:
             return None
-        return tuple(self._block(("signs", field.fingerprint(), order),
-                                 functools.partial(sign_vector, self.lattice,
-                                                   field, order))
+        return tuple(self._blocks.get(("signs", field.fingerprint(), order),
+                                      functools.partial(sign_vector, self.lattice,
+                                                        field, order))
                      for order in (m - 1, m))
 
     def _class_count(self, m, classes):
@@ -248,16 +213,16 @@ class DuhamelEvaluator:
         n_c = self._class_count(m, classes)
         _check_matrix(self.lattice, m)
         key = ("split", self.lattice.d, self.lattice.M, m, classes)
-        split = _cached(key, functools.partial(_class_energy_split,
-                                               self.lattice, m, classes))
+        split = dynamics._MATRIX_CACHE.get(key, functools.partial(
+            _class_energy_split, self.lattice, m, classes))
         if (lo, hi) == (0, n):
             return split
 
         def chunk():
             rows = np.arange(split.shape[0]).reshape(-1, n * n_c)
-            return _read_only_matrix(split[rows[:, lo * n_c:hi * n_c].ravel()])
+            return split[rows[:, lo * n_c:hi * n_c].ravel()]
 
-        return _cached(key + (lo, hi), chunk)
+        return dynamics._MATRIX_CACHE.get(key + (lo, hi), chunk)
 
     def _leaf(self, m, field, classes=False):
         """B_m^h P_e gamma0^(m) for every energy bucket e of level m, h = field.
@@ -285,7 +250,7 @@ class DuhamelEvaluator:
             return leaf
 
         key = None if field is None else field.fingerprint()
-        return self._block(("leaf", m, key, classes), build)
+        return self._blocks.get(("leaf", m, key, classes), build)
 
     def _phases(self, m, gaps):
         """exp(-i * gap * E_m) as a (dim_m, len(gaps)) array."""

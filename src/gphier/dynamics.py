@@ -153,9 +153,6 @@ class _States(Sequence):
 
 # --- free evolution ---------------------------------------------------------
 
-_SPLIT_CACHE = {}
-
-
 def _energy_split(lattice, k):
     """(distinct energies, index of each coefficient's energy) of level k.
 
@@ -163,8 +160,8 @@ def _energy_split(lattice, k):
     every coefficient's energy, from vals.size evaluations of f.
     """
     tensor._check_guard(lattice, k)
-    key = (lattice.d, lattice.M, k)
-    if key not in _SPLIT_CACHE:
+
+    def build():
         e = lattice.energies
         # the energies are integers, so each one less the lowest is a bin, and
         # a bin's rank among the occupied bins is the index np.unique would
@@ -174,8 +171,9 @@ def _energy_split(lattice, k):
         bins -= low
         occupied = np.bincount(bins) > 0
         vals = (np.flatnonzero(occupied) + low).astype(np.float64)
-        _SPLIT_CACHE[key] = vals, (np.cumsum(occupied) - 1)[bins]
-    return _SPLIT_CACHE[key]
+        return vals, (np.cumsum(occupied) - 1)[bins]
+
+    return tensor._TABLES.get(("energies", lattice.d, lattice.M, k), build)
 
 
 def level_energy(lattice, k):
@@ -208,19 +206,18 @@ def free_evolve(gamma, t):
 
 # --- collision: pair reduction and shift gather, streamed --------------------
 
-_SHIFT_CACHE = {}
 # shift-buffer entries per slab of the pair reduction, kept small and in cache
 _SLAB = 2**12
 
 
 def _shift_table(lattice):
     """F x F flat indices of the shifts x - y, lexicographic in [-2M, 2M]^d."""
-    key = (lattice.d, lattice.M)
-    if key not in _SHIFT_CACHE:
+    def build():
         pts, M = lattice.points, lattice.M
         strides = (4 * M + 1) ** np.arange(lattice.d - 1, -1, -1)
-        _SHIFT_CACHE[key] = (pts[:, None] - pts[None] + 2 * M) @ strides
-    return _SHIFT_CACHE[key]
+        return (pts[:, None] - pts[None] + 2 * M) @ strides
+
+    return tensor._TABLES.get(("shifts", lattice.d, lattice.M), build)
 
 
 def _roles(lattice, m, ell, n, sign):
@@ -414,33 +411,9 @@ def power_collision(phi, m, lattice):
     return _apply(lattice, m, (half, np.conj(half)), _full_terms(m))
 
 
-_MATRIX_CACHE = {}
-# total nnz the cache may hold.  It holds lattice-only matrices (the
-# deterministic collisions and `duhamel`'s class-energy splits), but one
-# process sees many lattices and orders (a test run, a sweep over M), so an
-# entry count alone would not bound memory; the least recently used go first.
-_MATRIX_CACHE_NNZ = 2**22
-
-
-def _cached(key, build):
-    """The sparse matrix cached under `key`, built by build() on a miss.
-
-    A hit makes the entry the most recent.  A miss stores the new matrix,
-    then drops the least recently used until the cache holds at most
-    _MATRIX_CACHE_NNZ entries in all, never the new one.  The caller runs
-    its size guard first, so a cached matrix never admits a refused size.
-    """
-    mat = _MATRIX_CACHE.pop(key, None)
-    if mat is not None:
-        _MATRIX_CACHE[key] = mat
-        return mat
-    _MATRIX_CACHE[key] = mat = build()
-    total = sum(c.nnz for c in _MATRIX_CACHE.values())
-    for old in list(_MATRIX_CACHE)[:-1]:
-        if total <= _MATRIX_CACHE_NNZ:
-            break
-        total -= _MATRIX_CACHE.pop(old).nnz
-    return mat
+# the lattice-only sparse matrices: the deterministic collisions and
+# `duhamel`'s class-energy splits, within 2^22 nnz in all
+_MATRIX_CACHE = tensor.Store(2**22)
 
 
 def _check_matrix(lattice, m):
@@ -505,7 +478,7 @@ def _matrix(lattice, m, terms, field):
         # buffers (up to twice nnz); the cache keeps a compact copy instead
         return mat.copy()
 
-    mat = _cached((lattice.d, lattice.M, m, terms), build)
+    mat = _MATRIX_CACHE.get((lattice.d, lattice.M, m, terms), build)
     return _signed(mat, _field_signs(lattice, field, m))
 
 

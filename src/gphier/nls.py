@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .dynamics import free_evolve, level_energy, power_collision
 from .tensor import DensityMatrix, _check_guard, factorized, h_alpha_norm
 
@@ -44,9 +45,6 @@ __all__ = [
 ]
 
 
-_NLS_TABLES = {}
-
-
 def _tables(lattice):
     """Gather tables of the in-box double convolution.
 
@@ -57,8 +55,7 @@ def _tables(lattice):
       increasing order, padded with F^2, the index of a zero slot;
     - shift_in_out (F, F): row in, column out holds the shift out - in.
     """
-    key = (lattice.d, lattice.M)
-    if key not in _NLS_TABLES:
+    def build():
         F = lattice.size
         side = 4 * lattice.M + 1
         sstrides = side ** np.arange(lattice.d - 1, -1, -1, dtype=np.int64)
@@ -71,8 +68,9 @@ def _tables(lattice):
         rank = np.arange(F * F) - np.repeat(starts, counts)
         pair_at = np.full((counts.max(), counts.size), F * F, dtype=np.intp)
         pair_at[rank, pair_shift[order]] = order
-        _NLS_TABLES[key] = (pair_at, np.ascontiguousarray(shift.T))
-    return _NLS_TABLES[key]
+        return pair_at, np.ascontiguousarray(shift.T)
+
+    return tensor._TABLES.get(("nls", lattice.d, lattice.M), build)
 
 
 def nls_nonlinearity(phi_hat, lattice):

@@ -29,6 +29,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
+from . import tensor
 from .dynamics import HierarchyMode, collision_matrix
 from .tensor import check_size, lattice_field, odd_classes, slot_product
 
@@ -46,9 +47,6 @@ __all__ = [
 ENUMERATION_CAP = 2**20
 # largest domain (order-(k+1) coefficients) an operator norm is taken on
 NORM_DOMAIN_CAP = 2**16
-# (d, M, k, j, alpha, randomized) -> operator norm; the norms depend on the
-# lattice alone, so each is computed once per process
-_NORMS = {}
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     iteration.  No field is drawn, so this bound is independent of the
     enumerated averages it majorizes.  The norm depends on the lattice
     alone: it is computed once per (d, M, k, j, alpha, randomized) and
-    process, after the size guard, and memoized.
+    process, after the size guard, and kept in `tensor._TABLES`.
 
     The norm does not depend on the slot j: swapping slots j and 1 of
     both index sides is a permutation of the coefficients that maps
@@ -208,10 +206,9 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     check_size(lattice_field(lattice.d), f"the order-{k + 1} operator norm has "
                f"a domain of F^{2 * k + 2} = {dom} coefficients, F = {F}", dom,
                NORM_DOMAIN_CAP)
-    key = (lattice.d, lattice.M, k, j, alpha, randomized)
-    if key not in _NORMS:
-        _NORMS[key] = _lanczos_norm(lattice, k, j, alpha, randomized)
-    return _NORMS[key]
+    return tensor._TABLES.get(
+        ("norm", lattice.d, lattice.M, k, j, alpha, randomized),
+        lambda: _lanczos_norm(lattice, k, j, alpha, randomized))
 
 
 def _lanczos_norm(lattice, k, j, alpha, randomized):

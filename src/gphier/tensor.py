@@ -8,9 +8,11 @@ Plancherel constant 1 (volume-one torus convention).
 """
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import FrequencyLattice, LatticeError
 
@@ -48,6 +50,58 @@ def check_size(field, what, size, cap):
     that exceeds the cap <cap>") when size > cap, `what` naming the size."""
     if size > cap:
         raise MemoryGuardError(f"{field}: {what}; that exceeds the cap {cap}")
+
+
+def _seal(value):
+    """Make value's arrays read-only (a sparse matrix's data, indices and
+    indptr); returns its stored entries: its .size (nnz if sparse), summed
+    over a tuple or list, 1 for a number."""
+    if isinstance(value, (tuple, list)):
+        return sum(map(_seal, value))
+    parts = (value.data, value.indices, value.indptr) if sp.issparse(value) \
+        else (value,)
+    for a in parts:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return getattr(value, "size", 1)
+
+
+class Store:
+    """The package's one cache: read-only values by key within `budget`
+    stored entries (`_seal`), the least recently used dropped first.
+
+    A hit makes the entry the most recent; a miss stores build(), sealed,
+    then drops the least recently used, never the new one, until the
+    running `total` fits the budget.  Only deterministic builds are stored,
+    each after its caller's size guards.
+    """
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.total = 0
+        self.entries = OrderedDict()  # least recently used first
+
+    def get(self, key, build):
+        entries = self.entries
+        try:
+            entries.move_to_end(key)
+            return entries[key]
+        except KeyError:
+            pass
+        entries[key] = value = build()
+        self.total += _seal(value)
+        while self.total > self.budget and len(entries) > 1:
+            self.total -= _seal(entries.popitem(last=False)[1])
+        return value
+
+    def values(self):
+        return self.entries.values()
+
+
+# every table that depends on the lattice alone but the sparse matrices of
+# `dynamics._MATRIX_CACHE`, and the Gauss-Legendre rules, over every
+# lattice and order a process sees
+_TABLES = Store(2**22)
 
 
 def _check_guard(lattice, k):
@@ -189,16 +243,6 @@ def slot_product(lattice, w, k):
     return functools.reduce(np.multiply.outer, [w] * (2 * k)).reshape(-1)
 
 
-# lattice-only class tables, built once per process; read-only arrays
-_MASKS = {}    # (d, M, k) -> odd-multiplicity masks; see _odd_masks
-_CLASSES = {}  # (d, M, k) -> (class labels, class count); see odd_classes
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 def _odd_masks(lattice, k):
     """Each flat order-k index's odd-multiplicity class as an int64 mask: bit p
     is set when the index holds point p an odd number of times (F <= 62).
@@ -210,12 +254,12 @@ def _odd_masks(lattice, k):
                f"bit per lattice point in an int64 mask, F = (2M+1)^d = {F}",
                F, 62)
     _check_guard(lattice, k)
-    key = (lattice.d, lattice.M, k)
-    if key not in _MASKS:
+
+    def build():
         bits = 1 << np.arange(F, dtype=np.int64)
-        _MASKS[key] = _read_only(functools.reduce(
-            np.bitwise_xor.outer, [bits] * (2 * k)).reshape(-1))
-    return _MASKS[key]
+        return functools.reduce(np.bitwise_xor.outer, [bits] * (2 * k)).reshape(-1)
+
+    return _TABLES.get(("masks", lattice.d, lattice.M, k), build)
 
 
 def odd_classes(lattice, k):
@@ -225,15 +269,16 @@ def odd_classes(lattice, k):
     Over uniform sign fields h, E_h[S_k(h)_x S_k(h)_y] is 1 when x and y
     share a class and 0 otherwise (Walsh orthogonality), so an average
     over h splits into class terms.  The labels depend on the lattice
-    alone: they are built once per (d, M, k), after the guards of
-    `_odd_masks`, and returned as a read-only array.
+    alone: they are built once per (d, M, k) in `_TABLES`, after the guards
+    of `_odd_masks`, and returned as a read-only array.
     """
     masks = _odd_masks(lattice, k)
-    key = (lattice.d, lattice.M, k)
-    if key not in _CLASSES:
+
+    def build():
         classes, labels = np.unique(masks, return_inverse=True)
-        _CLASSES[key] = _read_only(labels.reshape(-1)), classes.size
-    return _CLASSES[key]
+        return labels.reshape(-1), classes.size
+
+    return _TABLES.get(("classes", lattice.d, lattice.M, k), build)
 
 
 def data_classes(state, levels):

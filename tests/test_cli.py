@@ -153,6 +153,33 @@ def test_exit_codes(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, argv
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:"), err
+    # an input file that cannot be read, or holds no JSON object, and an
+    # --out directory that does not exist, checked before the run: one
+    # config error line naming the file
+    bad, listed, report = (tmp_path / n for n in ("bad.json", "list.json", "r.json"))
+    bad.write_text("{bad")
+    listed.write_text("[1]")
+    report.write_text(json.dumps({"passed": True}))
+    missing = tmp_path / "missing" / "r.json"
+    for argv, path in (
+        (["verify", "--config", str(tmp_path / "none.json")], "none.json"),
+        (["verify", "--config", str(bad)], "bad.json"),
+        (["verify", "--config", str(listed)], "list.json"),
+        (["report-merge", str(tmp_path / "none.json"), "--out",
+          str(tmp_path / "m.json")], "none.json"),
+        (["report-merge", str(report), str(listed), "--out",
+          str(tmp_path / "m.json")], "list.json"),
+        (["report-merge", str(bad), "--out", str(tmp_path / "m.json")], "bad.json"),
+        (["verify", "--out", str(missing)], "missing"),
+        (["report-merge", str(report), "--out", str(missing)], "missing"),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert path in err, err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_dependent_decay_ignores_mc_samples(tmp_path):
@@ -322,19 +349,18 @@ def test_report_determinism(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-# the per-process caches of lattice-only structures: collision matrices and
-# class-energy splits, energy splits and buckets, odd-class masks and labels,
-# and operator norms
-LATTICE_CACHES = [(dynamics, "_MATRIX_CACHE"), (dynamics, "_SPLIT_CACHE"),
-                  (duhamel, "_BUCKETS"), (tensor, "_MASKS"),
-                  (tensor, "_CLASSES"), (randomization, "_NORMS")]
+# the per-process stores of lattice-only structures: collision matrices and
+# class-energy splits, and every other table (energy splits and buckets,
+# shift tables, odd-class masks and labels, operator norms, NLS tables)
+STORES = [(dynamics, "_MATRIX_CACHE"), (tensor, "_TABLES")]
 
 
 def _empty_lattice_caches(monkeypatch):
-    """Empty every lattice cache; returns a reader of the caches by name."""
-    for module, name in LATTICE_CACHES:
-        monkeypatch.setattr(module, name, {})
-    return lambda: {name: getattr(module, name) for module, name in LATTICE_CACHES}
+    """Put an empty store of the same budget in place of each process store
+    for the test; returns a reader of the stores' entries by name."""
+    for module, name in STORES:
+        monkeypatch.setattr(module, name, tensor.Store(getattr(module, name).budget))
+    return lambda: {name: getattr(module, name).entries for module, name in STORES}
 
 
 def test_report_reproducible(monkeypatch):
@@ -352,8 +378,10 @@ def test_report_reproducible(monkeypatch):
             obj.pop("environment")
         runs.append(objs)
         if len(runs) == 1:
-            assert all(caches().values()), [k for k, v in caches().items() if not v]
-            assert any(key[0] == "split" for key in dynamics._MATRIX_CACHE)
+            assert {key[0] for key in caches()["_TABLES"]} == {
+                "energies", "buckets", "shifts", "masks", "classes", "norm",
+                "leggauss"}
+            assert any(key[0] == "split" for key in caches()["_MATRIX_CACHE"])
     assert runs[0] == runs[1]
 
 
@@ -378,20 +406,69 @@ def test_warm_decay_job_builds_no_lattice_structure(monkeypatch):
     assert run_experiment(ExperimentConfig(seed=1, **cfg)).passed
     cold = dict(builds)
     # the class masks and labels: a rebuild would store new arrays
-    tables = {name: dict(caches()[name]) for name in ("_MASKS", "_CLASSES")}
-    assert all(cold.values()) and all(tables.values()), (cold, tables)
+    tables = {key: value for key, value in caches()["_TABLES"].items()
+              if key[0] in ("masks", "classes")}
+    assert all(cold.values()) and tables, (cold, tables)
     assert run_experiment(ExperimentConfig(seed=2, **cfg)).passed
     assert builds == cold
-    for name, table in tables.items():
-        assert caches()[name].keys() == table.keys()
-        assert all(caches()[name][key] is value for key, value in table.items())
+    assert all(caches()["_TABLES"][key] is value for key, value in tables.items())
     lat = FrequencyLattice(1, 1)
-    split = next(v for key, v in dynamics._MATRIX_CACHE.items()
+    split = next(v for key, v in caches()["_MATRIX_CACHE"].items()
                  if key[0] == "split")
     for arr in (tensor.odd_classes(lat, 2)[0], tensor._odd_masks(lat, 2),
                 split.data, split.indices):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+
+
+# small configs of the kinds that read the stores: Duhamel evaluators'
+# blocks and class-energy splits, operator norms, the NLS tables
+STORE_CONFIGS = [
+    ExperimentConfig(kind="residual", M=1, N=2, K_max=2, q=16, T=0.1,
+                     grid_points=3),
+    ExperimentConfig(kind="decay", mode="independent", M=1, K_max=3),
+    ExperimentConfig(kind="continuity"),
+    ExperimentConfig(kind="nls", M=2),
+]
+
+
+def test_report_does_not_depend_on_the_stores(monkeypatch):
+    # on emptied stores, on the stores that run left warm, and with every
+    # store (the process stores and each evaluator's blocks) lowered to one
+    # entry, so that nearly every table is rebuilt where it is read: the
+    # reports agree outside `environment`
+    def reports():
+        objs = [run_experiment(cfg).to_obj() for cfg in STORE_CONFIGS]
+        for obj in objs:
+            obj.pop("environment")
+        return objs
+
+    caches = _empty_lattice_caches(monkeypatch)
+    cold = reports()
+    assert reports() == cold
+    init = tensor.Store.__init__
+    monkeypatch.setattr(tensor.Store, "__init__",
+                        lambda self, budget: init(self, 1))
+    caches = _empty_lattice_caches(monkeypatch)
+    assert reports() == cold
+    assert [len(entries) for entries in caches().values()] == [1, 1]
+
+
+def test_second_workload_job_adds_no_store_entry(monkeypatch):
+    # the benchmark's three workload configs: a second job in the process,
+    # at another seed, finds every lattice-only structure it reads stored
+    workloads = [
+        dict(kind="residual", d=1, M=3, N=3, K_max=3, q=16, T=0.5, dt=5e-4,
+             grid_points=11),
+        dict(kind="decay", mode="independent", d=1, M=1, K_max=4, T=0.5, q=12),
+        dict(kind="nls", d=1, M=8, T=0.5, dt=1e-3),
+    ]
+    caches = _empty_lattice_caches(monkeypatch)
+    for cfg in workloads:
+        assert run_experiment(ExperimentConfig(seed=1, **cfg)).passed
+        keys = {name: set(entries) for name, entries in caches().items()}
+        assert run_experiment(ExperimentConfig(seed=2, **cfg)).passed
+        assert {name: set(entries) for name, entries in caches().items()} == keys
 
 
 def test_csv_output(tmp_path):

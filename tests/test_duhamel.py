@@ -279,21 +279,21 @@ def test_sign_vectors_built_once_per_field_and_order(monkeypatch):
     modes = product + sampled + [HierarchyMode.deterministic()]
     ev = DuhamelEvaluator(st, modes, QuadratureSpec(q=4))
     builds, leaves = collections.Counter(), collections.Counter()
-    block = DuhamelEvaluator._block
+    get = ev._blocks.get
 
     def counted(lattice, field, k):
         builds[field.fingerprint(), k] += 1
         return sign_vector(lattice, field, k)
 
-    def counted_block(self, key, build):
+    def counted_get(key, build):
         def counted_build():
             if key[0] == "leaf":
                 leaves[key[1]] += 1
             return build()
-        return block(self, key, counted_build)
+        return get(key, counted_build)
 
     monkeypatch.setattr(duhamel, "sign_vector", counted)
-    monkeypatch.setattr(DuhamelEvaluator, "_block", counted_block)
+    monkeypatch.setattr(ev._blocks, "get", counted_get)
     times = [0.0, 0.1]
     for k in range(1, 5):
         for j in range(5 - k):
@@ -408,12 +408,12 @@ def test_block_cache_stays_within_the_cap(monkeypatch):
     times = [0.05, 0.1]
     full = DuhamelEvaluator(st, modes, quad)
     ref = full.term_batch(1, 3, times)
-    assert sum(b.size for b in full._blocks.values()) > 3000
+    assert full._blocks.total > 3000
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
     ev = DuhamelEvaluator(st, modes, quad)
     out = ev.term_batch(1, 3, times)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert ev._stored == sum(b.size for b in ev._blocks.values()) <= 3000
+    assert ev._blocks.total == sum(b.size for b in ev._blocks.values()) <= 3000
 
 
 @pytest.mark.parametrize("d, M, N", [(1, 1, 3), (1, 2, 3), (2, 1, 2)],

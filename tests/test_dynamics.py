@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gphier import dynamics, tensor
+from gphier import duhamel, dynamics, nls, tensor
 from gphier.lattice import FrequencyLattice, combine
 from gphier.tensor import (
     DensityMatrix,
@@ -33,7 +33,8 @@ from gphier.dynamics import (
     real_matmul,
 )
 from gphier.duhamel import DuhamelEvaluator
-from gphier.randomization import SignField, all_plus, sample_field
+from gphier.randomization import (SignField, all_plus,
+                                  collision_omega_operator_norm, sample_field)
 
 
 @pytest.fixture
@@ -692,27 +693,52 @@ def test_blowup_guard(lat):
                              grid_times=(0.0, 1.0))
 
 
-def test_matrix_cache_stays_within_nnz_budget(monkeypatch):
+def test_matrix_cache_stays_within_nnz_budget(checked_store):
     # the cache holds deterministic matrices only, one per lattice, order
     # and term; with a sign field the cached matrix is reweighted and the
     # call stores nothing
     sizes = [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4)]
-    monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
     # a budget that holds the largest matrix, and not all of them
     budget = max(full_collision_matrix(FrequencyLattice(1, M), m).nnz
                  for M, m in sizes)
-    monkeypatch.setattr(dynamics, "_MATRIX_CACHE", {})
-    monkeypatch.setattr(dynamics, "_MATRIX_CACHE_NNZ", budget)
+    cached = checked_store(dynamics, "_MATRIX_CACHE", budget)
     for M, m in sizes:
         lat = FrequencyLattice(1, M)
         mat = full_collision_matrix(lat, m)
-        cached = dynamics._MATRIX_CACHE
-        assert sum(c.nnz for c in cached.values()) <= budget
+        assert cached.total == sum(c.nnz for c in cached.values()) <= budget
         assert list(cached.values())[-1] is mat
-        keys = list(cached)
+        keys = list(cached.entries)
         signed = full_collision_matrix(lat, m, sample_field(lat, 10 * M + m))
-        assert list(dynamics._MATRIX_CACHE) == keys
+        assert list(cached.entries) == keys
         assert signed.nnz == mat.nnz
-    assert len(dynamics._MATRIX_CACHE) < len(sizes)
+    assert len(cached.entries) < len(sizes)
     # the full matrix is built in one pass: no per-term entries are cached
-    assert all(len(key[3]) == 2 * (key[2] - 1) for key in dynamics._MATRIX_CACHE)
+    assert all(len(key[3]) == 2 * (key[2] - 1) for key in cached.entries)
+
+
+def test_table_store_stays_within_its_budget(checked_store):
+    # every kind of lattice-only table, over three lattices and twice over,
+    # through a store whose budget holds the largest table and not all of
+    # them: each call returns the table an unbounded store holds
+    lattices = [FrequencyLattice(1, 1), FrequencyLattice(1, 2), FrequencyLattice(2, 1)]
+    tables = [
+        lambda lat: dynamics._energy_split(lat, 2),
+        lambda lat: duhamel._buckets(lat, 2),
+        dynamics._shift_table,
+        lambda lat: tensor.odd_classes(lat, 2),
+        nls._tables,
+        lambda lat: collision_omega_operator_norm(lat, 1, 1, 1.0),
+    ]
+    calls = [(table, lat) for lat in lattices for table in tables]
+    want = [table(lat) for table, lat in calls]
+    store = checked_store(tensor, "_TABLES", max(map(tensor._seal, want)))
+
+    def parts(value):
+        return value if isinstance(value, (tuple, list)) else (value,)
+
+    for _ in range(2):
+        for (table, lat), ref in zip(calls, want):
+            got = parts(table(lat))
+            assert len(got) == len(parts(ref))
+            assert all(np.array_equal(a, b) for a, b in zip(got, parts(ref)))
+    assert 1 < len(store.entries) < len(store.used)

@@ -28,6 +28,12 @@ CONFIGS = {
         "residual", "--set", "M=2", "--set", "N=4", "--set", "K_max=4",
         "--set", "T=0.1", "--set", "q=16", "--set", "grid_points=11",
         "--seed", "101"],
+    # the benchmark's residual workload: RK4 and Gauss-Legendre Duhamel at
+    # d=1 M=3, the top level formed one time at a time
+    "residual-workload": [
+        "residual", "--set", "d=1", "--set", "M=3", "--set", "N=3",
+        "--set", "K_max=3", "--set", "q=16", "--set", "T=0.5",
+        "--set", "dt=5e-4", "--set", "grid_points=11"],
     # criterion 4: independent decay, exact averages by class paths
     "decay-criterion-4": [
         "decay", "--set", "mode=independent", "--set", "M=1", "--set", "K_max=4",

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as hst
 
 from gphier.lattice import FrequencyLattice, LatticeError
@@ -9,6 +10,7 @@ from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
     MemoryGuardError,
+    Store,
     data_classes,
     factorized,
     h_alpha_norm,
@@ -212,3 +214,29 @@ def test_state_level_validation(lat):
     other = FrequencyLattice(1, 1)
     with pytest.raises(ValueError):
         HierarchyState(other, 3, {2: g})  # lattice mismatch
+
+
+def test_store_keeps_the_most_recent_within_its_budget():
+    # stored entries: an array's size, a sparse matrix's nnz, summed over a
+    # tuple or list, 1 for a number
+    store = Store(10)
+
+    def never():
+        raise AssertionError("a hit builds nothing")
+
+    a = store.get("a", lambda: np.zeros(4))
+    b = store.get("b", lambda: (np.zeros(3), 2.0))
+    assert store.total == 8 and list(store.entries) == ["a", "b"]
+    assert store.get("a", never) is a
+    assert list(store.entries) == ["b", "a"]
+    # 3 more entries exceed the budget: the least recently used goes first
+    c = store.get("c", lambda: sp.csr_matrix(np.eye(3)))
+    assert list(store.entries) == ["a", "c"] and store.total == 7
+    # an entry above the budget alone is kept, never the new one dropped
+    big = store.get("big", lambda: [np.zeros(6), np.zeros(6)])
+    assert list(store.entries) == ["big"] and store.total == 12
+    assert store.get("a", lambda: np.ones(4)).sum() == 4
+    assert list(store.entries) == ["a"] and store.total == 4
+    for arr in (a, b[0], c.data, c.indices, c.indptr, big[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
