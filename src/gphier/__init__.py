@@ -7,7 +7,7 @@ randomized-norm estimation, symbolic collision-chain expansion, and a
 Galerkin cubic NLS companion.
 """
 
-from .lattice import FrequencyLattice, LatticeError, combine
+from .lattice import FrequencyLattice, LatticeError
 from .tensor import (
     DensityMatrix,
     HierarchyState,

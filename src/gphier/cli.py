@@ -4,11 +4,13 @@ Each subcommand binds one verification family to a reproducible run:
 given the same config, seed, and BLAS thread count, the JSON report is
 byte-identical up to its timestamp.  Exit status is 0 when every check
 passes, 1 on a check failure, 2 on a config error, which includes an
-input file that holds no JSON object and an unwritable --out directory.
+input file that holds no JSON object and an unwritable --out or --csv
+directory.
 """
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
@@ -349,11 +351,13 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
+@functools.cache
 def _blas_threads():
     """Largest thread count among the OpenBLAS copies loaded in this process.
 
     None where it cannot be read: no OpenBLAS is loaded, or the process
-    has no /proc/self/maps (not Linux).
+    has no /proc/self/maps (not Linux).  Read once per process, at the
+    first report: nothing in the package sets the count.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -903,15 +907,19 @@ def _json_object(what, path):
     return obj
 
 
-def _out_dir(path):
-    """The directory the output file `path` goes in, None for no path; a
-    ConfigError before any run if it is not a writable directory."""
+def _out_dir(path, flag="--out"):
+    """The directory `flag`'s output goes in, None for no path; a ConfigError
+    before any run if it is not a writable directory.  --out names a file
+    in it; --csv names it, and one the run would create is checked at the
+    nearest existing path above it."""
     if not path:
         return None
-    out_dir = os.path.dirname(path) or "."
-    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
-        raise ConfigError([f"--out {path}: {out_dir} is not a writable directory"])
-    return out_dir
+    where = (os.path.dirname(path) or ".") if flag == "--out" else path
+    while flag == "--csv" and not os.path.exists(where):
+        where = os.path.dirname(os.path.abspath(where))
+    if not (os.path.isdir(where) and os.access(where, os.W_OK)):
+        raise ConfigError([f"{flag} {path}: {where} is not a writable directory"])
+    return where
 
 
 def _load_config(args, kind):
@@ -966,6 +974,7 @@ def main(argv=None):
         if args.kind == "report-merge":
             merged = _merge_reports(args.inputs, args.out)
             return 0 if merged["passed"] else 1
+        _out_dir(args.csv, "--csv")
         cfg = _load_config(args, args.kind)
         rep = run_experiment(cfg, csv_dir=args.csv, out_dir=out_dir)
     except ConfigError as exc:

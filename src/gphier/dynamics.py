@@ -455,6 +455,17 @@ def _signed(mat, signs):
                          shape=mat.shape)
 
 
+def _lift(mat, labels, n):
+    """The CSR matrix mat with entry (r, x) moved to row r n + labels[x],
+    labels in 0..n-1: n times the rows, each new row in mat's order."""
+    new_row = n * np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)) \
+        + labels[mat.indices]
+    order = np.argsort(new_row, kind="stable")
+    indptr = np.searchsorted(new_row[order], np.arange(n * mat.shape[0] + 1))
+    return sp.csr_matrix((mat.data[order], mat.indices[order], indptr),
+                         shape=(n * mat.shape[0], mat.shape[1]))
+
+
 def _matrix(lattice, m, terms, field):
     """Sum of coef times the (ell, n, sign) term matrices, built in one pass.
 

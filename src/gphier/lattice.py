@@ -8,7 +8,7 @@ finite system.
 
 import numpy as np
 
-__all__ = ["LatticeError", "FrequencyLattice", "combine"]
+__all__ = ["LatticeError", "FrequencyLattice"]
 
 
 class LatticeError(ValueError):
@@ -79,18 +79,3 @@ class FrequencyLattice:
         if np.any(index < 0) or np.any(index >= self.size):
             raise LatticeError(f"index out of range 0..{self.size - 1}")
         return self.points[index]
-
-
-def combine(xi_l, xi_n, xi_n_prime, lattice):
-    """Combined frequency xi_l - xi_n + xi_n' of a collision summand.
-
-    Returns the combined lattice point, or None when it falls outside
-    the box (the Galerkin drop).
-    """
-    for f in (xi_l, xi_n, xi_n_prime):
-        if not lattice.in_box(np.atleast_1d(np.asarray(f))).all():
-            raise LatticeError(f"input frequency {f} is not a lattice member")
-    out = np.asarray(xi_l, dtype=np.int64) - np.asarray(xi_n) + np.asarray(xi_n_prime)
-    if not lattice.in_box(out):
-        return None
-    return out

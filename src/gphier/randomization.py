@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor
-from .dynamics import HierarchyMode, collision_matrix
+from .dynamics import HierarchyMode, _lift, collision_matrix
 from .tensor import check_size, lattice_field, odd_classes, slot_product
 
 __all__ = [
@@ -187,13 +187,13 @@ def collision_omega_operator_norm(lattice, k, j, alpha, randomized=True):
     S_(k+1)(h), and E_h[S(h)_x S(h)_y] is 1 when inputs x and y hold the
     same lattice points an odd number of times among their 2(k+1) slots
     (one class), else 0.  So the averaged normal operator is L^T L, with L
-    the matrix W with entry (r, x) moved to row r n + class(x) (n classes;
-    one class, L = W, when deterministic).  Returns the largest singular
-    value of L, by Lanczos on L^T L, with L^T taken once before the
-    iteration.  No field is drawn, so this bound is independent of the
-    enumerated averages it majorizes.  The norm depends on the lattice
-    alone: it is computed once per (d, M, k, j, alpha, randomized) and
-    process, after the size guard, and kept in `tensor._TABLES`.
+    the matrix W with entry (r, x) moved to row r n + class(x) (n classes,
+    `dynamics._lift`; one class, L = W, when deterministic).  Returns the
+    largest singular value of L, by Lanczos on L^T L, with L^T taken once
+    before the iteration.  No field is drawn, so this bound is independent
+    of the enumerated averages it majorizes.  The norm depends on the
+    lattice alone: it is computed once per (d, M, k, j, alpha, randomized)
+    and process, after the size guard, and kept in `tensor._TABLES`.
 
     The norm does not depend on the slot j: swapping slots j and 1 of
     both index sides is a permutation of the coefficients that maps
@@ -219,11 +219,10 @@ def _lanczos_norm(lattice, k, j, alpha, randomized):
     w_out = slot_product(lattice, lattice.brackets**alpha, k)
     W = (sp.diags(w_out) @ (collision_matrix(lattice, k + 1, j, k + 1, "+")
                             - collision_matrix(lattice, k + 1, j, k + 1, "-"))
-         @ sp.diags(1.0 / w_in)).tocoo()
+         @ sp.diags(1.0 / w_in))
     cls, n = odd_classes(lattice, k + 1) if randomized \
         else (np.zeros(dom, dtype=np.intp), 1)
-    L = sp.csr_matrix((W.data, (W.row * n + cls[W.col], W.col)),
-                      shape=(W.shape[0] * n, dom))
+    L = _lift(W, cls, n)
     Lt = L.T
     # Lanczos on L^T L from a seeded random start (a structured vector can be
     # orthogonal to the top eigenspace by symmetry); no reorthogonalization,

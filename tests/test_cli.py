@@ -153,9 +153,9 @@ def test_exit_codes(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, argv
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}:"), err
-    # an input file that cannot be read, or holds no JSON object, and an
-    # --out directory that does not exist, checked before the run: one
-    # config error line naming the file
+    # an input file that cannot be read, or holds no JSON object, an --out
+    # directory that does not exist and a --csv path that is a file, or is
+    # below one, checked before the run: one config error line naming it
     bad, listed, report = (tmp_path / n for n in ("bad.json", "list.json", "r.json"))
     bad.write_text("{bad")
     listed.write_text("[1]")
@@ -172,6 +172,8 @@ def test_exit_codes(tmp_path, capsys):
         (["report-merge", str(bad), "--out", str(tmp_path / "m.json")], "bad.json"),
         (["verify", "--out", str(missing)], "missing"),
         (["report-merge", str(report), "--out", str(missing)], "missing"),
+        (["decay", "--csv", str(report)], "r.json"),
+        (["verify", "--csv", str(report / "tables")], "r.json"),
     ):
         start = time.perf_counter()
         assert main(argv) == 2, argv

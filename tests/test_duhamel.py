@@ -715,21 +715,29 @@ def _sparse_state(lat, K, seed):
     return HierarchyState(lat, K, levels)
 
 
-@pytest.mark.parametrize("M", [1, 2])
-@pytest.mark.parametrize("storage", ["dense", "coo"])
+# ids storage-M for the dependent mode, independent-storage-M for the other
+@pytest.mark.parametrize("variant,storage,M", [
+    pytest.param(variant, storage, M, id=("" if variant == "dependent" else
+                                          "independent-") + f"{storage}-{M}")
+    for variant in ("dependent", "independent") for storage in ("coo", "dense")
+    for M in (1, 2)])
 @settings(max_examples=3, deadline=None, database=None)
 @given(seed=hst.integers(0, 2**16), t=hst.floats(0.05, 0.5))
-def test_dependent_class_sums_match_field_enumeration(M, storage, seed, t):
-    # the dependent decay profile and Cauchy diagnostic add deterministic
-    # runs over class pieces; enumerating all 2^F shared fields through the
-    # dependent evaluator gives the same averages.  Non-resonant data needs
-    # 2K modulus shells, more than M <= 2 has, so the sparse data is drawn
-    # in its shape: up to four COO entries per level
+def test_dependent_class_sums_match_field_enumeration(variant, storage, M, seed, t):
+    # the decay profile and Cauchy diagnostic of both randomized modes add
+    # class-split deterministic runs in squares; enumerating every field
+    # (the shared one, or one per level 2..3) through the evaluator's
+    # modes, with the pointwise collision `collide`, gives the same
+    # averages.  Non-resonant data needs 2K modulus shells, more than
+    # M <= 2 has, so the sparse data is drawn in its shape: up to four COO
+    # entries per level
     lat = FrequencyLattice(1, M)
     quad = QuadratureSpec(q=4)
     st = random_state(lat, 3, seed, alpha=1.0, level_norms=[1.0] * 3) \
         if storage == "dense" else _sparse_state(lat, 3, seed)
-    mode = HierarchyMode.dependent(sample_field(lat, seed))  # not read
+    # the fields of `mode` are not read
+    mode, levels = (HierarchyMode.dependent(sample_field(lat, seed)), [0]) \
+        if variant == "dependent" else (HierarchyMode.independent({}), [2, 3])
     pairs, grid = [(1, 1), (2, 1), (2, 2)], np.array([0.0, t])
 
     def norms(modes):
@@ -744,13 +752,24 @@ def test_dependent_class_sums_match_field_enumeration(M, storage, seed, t):
                 for i in range(grid.size)]))
         return np.stack(out, axis=1)
 
-    rms = omega_l2_h_alpha(norms, mode, lat, [0]).value
+    rms = omega_l2_h_alpha(norms, mode, lat, levels).value
     assert rms.shape == (6, 2)
     profile = decay_profile(st, 1, t, mode, 2, quad)[0]
     assert np.all(np.abs(profile - rms[:3, 0]) <= 1e-13 * rms[:3, 0])
     ref = [np.max(0.5 * rms[3]), np.max(0.5 * rms[4] + 0.25 * rms[5])]
     got = cauchy_diagnostic(st, [1, 2], t, mode, quad, xi=0.5, grid_times=grid)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.array(ref))
+
+
+def test_independent_cauchy_pinned():
+    # the default independent `gph converge` (N=3 K_max=4), averaged exactly
+    # over the fields of levels 2..4; a separate prototype of the class lift
+    # gave D(2) = 6.447e-3 and D(3) = 1.132e-3
+    rep = run_experiment(ExperimentConfig(kind="converge", mode="independent",
+                                          N=3, K_max=4))
+    D = rep.constants["cauchy_D"]
+    assert D["2"] == pytest.approx(6.447080487250879e-3, rel=1e-12)
+    assert D["3"] == pytest.approx(1.1317703533654407e-3, rel=1e-12)
 
 
 def test_cauchy_increment_identity(lat):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from gphier import duhamel, dynamics, nls, tensor
-from gphier.lattice import FrequencyLattice, combine
+from gphier.lattice import FrequencyLattice
 from gphier.tensor import (
     DensityMatrix,
     HierarchyState,
@@ -328,8 +328,8 @@ def _by_definition(gamma, ell, n, sign, field):
     src = np.moveaxis(gamma.data, (comb, n - 1, m + n - 1), (0, 1, 2))
     out = np.zeros((F,) + src.shape[3:], dtype=np.complex128)
     for g, p, q in itertools.product(range(F), repeat=3):
-        c = combine(lat.points[g], lat.points[p], lat.points[q], lat)
-        if c is None:
+        c = lat.points[g] - lat.points[p] + lat.points[q]
+        if not lat.in_box(c):
             continue
         u = lat.index_of(c)
         # p is xi_n for '+' and xi'_n for '-'; a, b are xi_n, xi'_n

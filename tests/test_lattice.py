@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from gphier.lattice import FrequencyLattice, LatticeError, combine
+from gphier.lattice import FrequencyLattice, LatticeError
 
 
 def test_sizes():
@@ -65,30 +65,3 @@ def test_out_of_range_queries():
         lat.index_of([2])
     with pytest.raises(LatticeError):
         lat.freq_of(3)
-
-
-def test_combine_examples():
-    lat = FrequencyLattice(1, 1)
-    assert combine([0], [1], [1], lat).tolist() == [0]
-    assert combine([1], [-1], [1], lat) is None
-    lat2 = FrequencyLattice(2, 2)
-    assert combine([1, 0], [0, 1], [1, 1], lat2).tolist() == [2, 0]
-
-
-def test_combine_identities():
-    lat = FrequencyLattice(1, 2)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        xi, a, b = (rng.integers(-2, 3, size=1) for _ in range(3))
-        out = combine(xi, a, a, lat)
-        assert out is not None and out.tolist() == list(xi)
-        assert combine(xi, xi, b, lat).tolist() == list(b)
-        out2 = combine(xi, a, b, lat)
-        in_box = np.all(np.abs(xi - a + b) <= 2)
-        assert (out2 is not None) == in_box
-
-
-def test_combine_rejects_nonmembers():
-    lat = FrequencyLattice(1, 1)
-    with pytest.raises(LatticeError):
-        combine([2], [0], [0], lat)

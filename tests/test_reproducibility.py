@@ -47,6 +47,11 @@ CONFIGS = {
         "converge", "--set", "mode=dependent", "--set", "M=1", "--set", "N=5",
         "--set", "K_max=6", "--set", "T=0.1", "--set", "xi=0.5",
         "--set", "xi_prime=1.0", "--set", "q=4", "--seed", "106"],
+    # independent converge: each collision lifted by the classes of its
+    # input level, at the largest lattice its matrix row admits at N=3
+    "converge-independent": [
+        "converge", "--set", "mode=independent", "--set", "M=2", "--set", "N=3",
+        "--set", "K_max=4"],
     # criterion 3: exact and Monte Carlo averages over drawn sign fields
     "estimate-c0-criterion-3": [
         "estimate-c0", "--set", "M=1", "--set", "alpha=1.0",
