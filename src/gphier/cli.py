@@ -37,6 +37,7 @@ from .tensor import (
 )
 from .dynamics import (
     MATRIX_DOMAIN_CAP,
+    VARIANTS,
     HierarchyMode,
     conjugate,
     continuity_defect,
@@ -273,7 +274,7 @@ class ExperimentConfig:
                 or self.mc_samples == 1:
             problems.append(f"mc_samples: need 0 (exact) or >= 2, and >= 2 for "
                             f"estimate-c0; got {self.mc_samples}")
-        if self.mode not in ("deterministic", "dependent", "independent"):
+        if self.mode not in VARIANTS:
             problems.append(f"mode: unknown mode {self.mode!r}")
         if problems:
             raise ConfigError(problems)
@@ -408,18 +409,6 @@ def _write_csv(csv_dir, name, header, rows):
                               for v in row) + "\n")
 
 
-def _make_mode(cfg, lattice, which=None):
-    which = cfg.mode if which is None else which
-    if which == "deterministic":
-        return HierarchyMode.deterministic()
-    if which == "dependent":
-        return HierarchyMode.dependent(sample_field(lattice, cfg.seed, level=0))
-    return HierarchyMode.independent(
-        {lv: sample_field(lattice, cfg.seed, level=lv)
-         for lv in range(2, cfg.K_max + 1)}
-    )
-
-
 def _nls_steps(cfg):
     """nls step count T/dt and the steps of its three interior residual times."""
     interior = [round(x, 10) for x in np.linspace(0.2 * cfg.T, 0.8 * cfg.T, 3)]
@@ -522,7 +511,6 @@ def _run_estimate_c0(cfg, rep, csv_dir):
         + [random_density_matrix(lat, k + 1, cfg.seed + 100 + trial)
            for trial in range(20)]
     block = np.stack([g.to_dense().data.reshape(-1) for g in gs], axis=1)
-    mode = _make_mode(cfg, lat, "dependent")
     # at k = j = 1 the (+) - (-) collision pair is the order-2 full collision
     B = full_collision_matrix(lat, k + 1)
     shape = (lat.size,) * (2 * k)
@@ -544,8 +532,8 @@ def _run_estimate_c0(cfg, rep, csv_dir):
     # enumerated on purpose: this average is the side of
     # random.opnorm_majorizes_ratios that draws fields, against the
     # class-lifted operator norm that draws none
-    exact = omega_l2_h_alpha(randomized_norms(len(gs)), mode, lat, [0])
-    mc = omega_l2_h_alpha(randomized_norms(1), mode, lat, [0],
+    exact = omega_l2_h_alpha(randomized_norms(len(gs)), "dependent", lat, [0])
+    mc = omega_l2_h_alpha(randomized_norms(1), "dependent", lat, [0],
                           mc_samples=cfg.mc_samples, seed=cfg.seed)
     rep.constants["omega_norm_exact"] = exact.value[0]
     rep.constants["omega_norm_mc"] = mc.value[0]
@@ -574,8 +562,7 @@ def _run_decay(cfg, rep, csv_dir):
         # the profile reads levels up to k + j_max
         state = random_state(lat, k + j_max, cfg.seed, alpha=cfg.alpha,
                              level_norms=[1.0] * (k + j_max))
-    mode = _make_mode(cfg, lat)
-    norms, normalized = decay_profile(state, k, cfg.T, mode, j_max, quad,
+    norms, normalized = decay_profile(state, k, cfg.T, cfg.mode, j_max, quad,
                                       alpha=cfg.alpha)
     rep.constants["decay_norms"] = [float(x) for x in norms]
     rep.constants["decay_normalized"] = [float(x) for x in normalized]
@@ -591,7 +578,7 @@ def _run_decay(cfg, rep, csv_dir):
         rep.constants["c1_hat"] = c1_hat
         rep.constants["c1T_over_xi_prime"] = c1_hat * cfg.T / cfg.xi_prime
     if cfg.K_max >= k + 2 and state.level(k + 1) is not None:
-        n_k1 = decay_profile(state, k + 1, cfg.T, mode, 1, quad,
+        n_k1 = decay_profile(state, k + 1, cfg.T, cfg.mode, 1, quad,
                              alpha=cfg.alpha)[0]
         if norms[1] > 0 and n_k1[1] > 0:
             c2_hat = float(n_k1[1] / norms[1])
@@ -635,14 +622,12 @@ def _run_converge(cfg, rep, csv_dir):
     # D(N) reads levels up to N + 1
     state = random_state(lat, cfg.N + 1, cfg.seed, alpha=cfg.alpha,
                          level_norms=[0.5**kk for kk in range(1, cfg.N + 2)])
-    mode = _make_mode(cfg, lat, "dependent" if cfg.mode == "deterministic"
-                      else cfg.mode)
     quad = QuadratureSpec(q=min(cfg.q, 8))
     grid = (0.0, cfg.T / 2, cfg.T)
-    D = cauchy_diagnostic(state, Ns, cfg.T, mode, quad, alpha=cfg.alpha,
+    D = cauchy_diagnostic(state, Ns, cfg.T, cfg.mode, quad, alpha=cfg.alpha,
                           xi=cfg.xi, grid_times=grid)
     rep.constants["cauchy_D"] = {str(N): float(v) for N, v in zip(Ns, D)}
-    if mode.variant == "dependent":
+    if cfg.mode == "dependent":
         rep.constants["dependent_class_count"] = len(
             data_classes(state, range(3, cfg.N + 2)))
     ratios = [float(D[i + 1] / D[i]) for i in range(len(Ns) - 1)]
@@ -666,8 +651,11 @@ def _run_residual(cfg, rep, csv_dir):
                          level_norms=[1.0] * cfg.N)
     quad = QuadratureSpec(q=max(cfg.q, 16))
     grid = tuple(np.linspace(0.0, cfg.T, cfg.grid_points))
-    modes = {which: _make_mode(cfg, lat, which)
-             for which in ("deterministic", "dependent", "independent")}
+    modes = {"deterministic": HierarchyMode.deterministic(),
+             "dependent": HierarchyMode.dependent(sample_field(lat, cfg.seed, level=0)),
+             "independent": HierarchyMode.independent(
+                 {lv: sample_field(lat, cfg.seed, level=lv)
+                  for lv in range(2, cfg.K_max + 1)})}
     # one evaluator: each level's solution and residual for all three modes
     ev = DuhamelEvaluator(state, list(modes.values()), quad)
     # the residuals build their own solutions, at T and at the quadrature
@@ -749,7 +737,7 @@ def _run_continuity(cfg, rep, csv_dir):
     state = random_state(lat, N, cfg.seed, alpha=cfg.alpha0, level_norms=[1.0] * N)
     # averaged over every independent field, none of which is drawn
     ratios = solution_time_modulus(
-        state, N, [0.0, cfg.T / 2], (1e-2, 1e-3, 1e-4), HierarchyMode.independent({}),
+        state, N, [0.0, cfg.T / 2], (1e-2, 1e-3, 1e-4), "independent",
         QuadratureSpec(q=cfg.q), alpha=cfg.alpha, xi=cfg.xi)
     rep.constants["modulus_ratios"] = {f"{d:g}": v for d, v in ratios.items()}
     base = ratios[1e-2] * (1 + 1e-9)

@@ -23,14 +23,15 @@ top-level block over the nodes exists.
 A `DuhamelEvaluator` holds one state and a batch of modes; a field h
 enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).  Each mode climbs
 from its own leaf block, and the modes share the scalar half.  Exact
-averages draw no field: one climb takes the input of some collisions per
-odd-multiplicity class, each column of the split carries one Walsh
-character of the fields, and the columns of equal character, over the
-depths of a solution too, add before the classes add in squares
-(`DuhamelEvaluator._class_terms`).  `cauchy_diagnostic` collides such a
-split once more, its rows lifted by the classes of the input level where
-the collision's own field splits that input (`dynamics._lift`), so every
-mode of `converge` is exact too.  Enumeration stays as the test oracle.
+averages take a variant (`dynamics.VARIANTS`) and draw no field: one
+climb takes the input of some collisions per odd-multiplicity class,
+each column of the split carries one Walsh character of the fields, and
+the columns of equal character, over the depths of a solution too, add
+before the classes add in squares (`DuhamelEvaluator._class_terms`).
+`cauchy_diagnostic` collides such a split once more, its rows lifted by
+the classes of the input level where the collision's own field splits
+that input (`dynamics._lift`), so every variant of `converge` is exact
+too.  Enumerating modes with fixed fields stays as the test oracle.
 """
 
 import functools
@@ -41,8 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dynamics, tensor
-from .dynamics import (_check_matrix, _energy_split, _lift, _signed, conjugate,
-                       full_collision_matrix, real_matmul, sign_vector)
+from .dynamics import (_check_matrix, _check_variant, _energy_split, _lift, _signed,
+                       conjugate, full_collision_matrix, real_matmul, sign_vector)
 from .tensor import (DensityMatrix, Store, _odd_masks, check_size, data_classes,
                      h_alpha_norm, lattice_field, odd_classes)
 
@@ -145,11 +146,12 @@ class DuhamelEvaluator:
     depth-first from that mode's leaf block, so only one mode's chain
     blocks are resident at a time.  A term that reads no field (depth 0,
     or vanishing data) is one read-only array for every mode.  Class-split
-    climbs (`_class_terms`) read no field: splits and leaf blocks go per
-    (energy, class), chain blocks carry the class paths.
+    climbs (`omega_norm`, `_class_terms`) take a variant and read neither
+    the modes nor a field: splits and leaf blocks go per (energy, class),
+    chain blocks carry the class paths.
     """
 
-    def __init__(self, state0, modes, quad=None):
+    def __init__(self, state0, modes=(), quad=None):
         self.state = state0
         self.modes = list(modes)
         self.quad = quad if quad is not None else QuadratureSpec()
@@ -278,16 +280,16 @@ class DuhamelEvaluator:
         if k + j > self.state.K_max:
             raise ValueError(f"level {k}+depth {j} exceeds K_max={self.state.K_max}")
 
-    def omega_norm(self, k, j, t, alpha=1.0):
-        """Exact L^2(Omega) H^alpha norm of Duh_j at level k and time t: the
-        root sum of squares per coefficient of its class-split terms."""
+    def omega_norm(self, k, j, t, variant, alpha=1.0):
+        """Exact L^2(Omega) H^alpha norm of Duh_j at level k and time t over
+        `variant`'s fields: the root sum of squares of its class split."""
         self._check_depth(k, j)
-        terms = self._class_terms(k, [j], [t])[:, :, 0]
+        terms = self._class_terms(k, [j], [t], variant)[:, :, 0]
         return h_alpha_norm(self._wrap(k, _root_sum_squares(terms)), alpha)
 
-    def _class_terms(self, k, depths, times):
+    def _class_terms(self, k, depths, times, variant):
         """The sum of Duh_j at level k over `depths`, split for its exact
-        average over the modes' fields: a (dim_k, P, n) array whose P
+        average over the fields of `variant`: a (dim_k, P, n) array whose P
         columns, squared and added, give the average of |sum_j Duh_j|^2 per
         coefficient.  A field h enters as S_(m-1)(h) B_m S_m(h): the output
         sign is +-1 on each class of level m - 1, absorbed by the split
@@ -300,7 +302,7 @@ class DuhamelEvaluator:
         No field, or depth 0, takes none.  Depths add their columns of equal
         Walsh character (`_characters`) in order, refused above the cap.
         """
-        (variant,) = {md.variant for md in self.modes}
+        _check_variant(variant)
         times = np.asarray(times, dtype=np.float64)
         dim = self.lattice.size ** (2 * k)
         depths = [j for j in depths if self._gamma_flat(k + j) is not None] \
@@ -313,7 +315,7 @@ class DuhamelEvaluator:
             # one depth's characters are distinct, so no column repeats
             for j, cols in zip(depths, np.split(index.reshape(-1), np.cumsum(
                     [len(key) for key in keys])[:-1])):
-                part = self._class_terms(k, [j], times)
+                part = self._class_terms(k, [j], times, variant)
                 if j == 0:
                     rows = np.flatnonzero(self._gamma_flat(k))
                     out[rows, cols] += part[rows, 0]
@@ -634,16 +636,16 @@ def simplex_check(j, t, quad=None):
     return nested(t, j), t**j / math.factorial(j)
 
 
-def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0):
+def decay_profile(state0, k, t, variant, j_max, quad=None, alpha=1.0):
     """Norms of Duh_j for j = 0..j_max plus factorial-normalized diagnostics.
 
     The H^alpha norms of Duh_0..Duh_j_max are averaged in L^2(Omega) over
-    the mode's sign fields exactly, with no field drawn, by one class-split
-    climb per depth (`DuhamelEvaluator.omega_norm`).  The normalized value
-    is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
+    the sign fields of `variant` exactly, with no field drawn, by one
+    class-split climb per depth (`DuhamelEvaluator.omega_norm`).  The
+    normalized value is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
-    ev = DuhamelEvaluator(state0, [mode], quad)
-    norms = [ev.omega_norm(k, j, t, alpha) for j in range(j_max + 1)]
+    ev = DuhamelEvaluator(state0, quad=quad)
+    norms = [ev.omega_norm(k, j, t, variant, alpha) for j in range(j_max + 1)]
     normalized = []
     for j, nj in enumerate(norms):
         scale = t**j / math.factorial(j) if t > 0 or j == 0 else 0.0
@@ -652,14 +654,14 @@ def decay_profile(state0, k, t, mode, j_max, quad=None, alpha=1.0):
     return np.array(norms), np.array(normalized)
 
 
-def solution_time_modulus(state0, N, base_times, deltas, mode, quad=None,
+def solution_time_modulus(state0, N, base_times, deltas, variant, quad=None,
                           alpha=1.0, xi=0.5):
     """Measured time-modulus ratios of the truncated solution.
 
     For each delta, returns the sup over base times of
     |Gamma_N(t + delta) - Gamma_N(t)| in the field-averaged xi-weighted
     norm, divided by sqrt(delta).  Each level norm is averaged exactly
-    over the mode's sign fields on levels 2..N by one class split
+    over the sign fields of `variant` on levels 2..N by one class split
     (`DuhamelEvaluator._class_terms`).  A NaN norm makes its ratio NaN.
     """
     base_times = np.asarray(base_times, dtype=np.float64)
@@ -667,17 +669,17 @@ def solution_time_modulus(state0, N, base_times, deltas, mode, quad=None,
     times = np.concatenate([base_times] +
                            [base_times + d for d in deltas])
     nb = base_times.size
-    ev = DuhamelEvaluator(state0, [mode], quad)
+    ev = DuhamelEvaluator(state0, quad=quad)
     weighted = np.zeros((deltas.size, nb))
     for k in range(1, N + 1):
-        sol = ev._class_terms(k, range(N - k + 1), times)
+        sol = ev._class_terms(k, range(N - k + 1), times, variant)
         dg = sol[:, :, nb:].reshape(*sol.shape[:2], -1, nb) - sol[:, :, None, :nb]
         weighted += xi**k * np.array([[h_alpha_norm(ev._wrap(k, _root_sum_squares(
             dg[:, :, di, ti])), alpha) for ti in range(nb)] for di in range(len(deltas))])
     return {float(d): s / np.sqrt(d) for d, s in zip(deltas, np.max(weighted, axis=1))}
 
 
-def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
+def cauchy_diagnostic(state0, Ns, T, variant, quad=None, alpha=1.0, xi=0.5,
                       grid_times=(0.0, 0.05, 0.1)):
     """Collision-weighted size of consecutive truncation increments.
 
@@ -685,27 +687,27 @@ def cauchy_diagnostic(state0, Ns, T, mode, quad=None, alpha=1.0, xi=0.5,
     sum over k of the averaged H^alpha norms of [B^(k+1)] applied to
     (Gamma_(N+1) - Gamma_N) at level k+1.  The increment identity
     Gamma_(N+1)^(m) - Gamma_N^(m) = Duh_(N+1-m) is used directly.  The
-    average over the mode's fields is exact in every mode, with no field
-    drawn: B_(k+1) takes the class-split terms of `_class_terms`, lifted
-    by the classes of level k+1 (`dynamics._lift`) where its own field
-    splits its input.  That is every level in independent mode, and in
-    dependent mode only the free term at N = k, since at depth >= 1 the
-    shared field's S_(k+1)(h)^2 = 1 cancels it.  At one BLAS thread on a
+    average over the fields of `variant` is exact, with no field drawn:
+    B_(k+1) takes the class-split terms of `_class_terms`, lifted by the
+    classes of level k+1 (`dynamics._lift`) where its own field splits its
+    input.  That is every level if independent, and if dependent only the
+    free term at N = k, since at depth >= 1 the shared field's
+    S_(k+1)(h)^2 = 1 cancels it.  At one BLAS thread on a
     2-core host, independent d=1 M=1 N=5 takes about 4 s and 320 MiB.
     """
     if max(Ns) + 1 > state0.K_max:
         raise ValueError(f"need K_max >= {max(Ns) + 1}")
     grid = np.asarray(grid_times, dtype=np.float64)
     lat = state0.lattice
-    ev = DuhamelEvaluator(state0, [mode], quad)
+    ev = DuhamelEvaluator(state0, quad=quad)
 
     def norms(N, k):
         """[ti]: averaged H^alpha norm of the level-k collision of Duh_(N-k)."""
         C = full_collision_matrix(lat, k + 1)
-        if mode.variant == "independent" or (mode.variant == "dependent" and N == k):
+        if variant == "independent" or (variant == "dependent" and N == k):
             C = _lift(C, *odd_classes(lat, k + 1))
-        cols = real_matmul(C, ev._class_terms(k + 1, [N - k], grid)).reshape(
-            lat.size ** (2 * k), -1, grid.size)
+        terms = ev._class_terms(k + 1, [N - k], grid, variant)
+        cols = real_matmul(C, terms).reshape(lat.size ** (2 * k), -1, grid.size)
         return np.array([h_alpha_norm(ev._wrap(k, _root_sum_squares(cols[:, :, i])),
                                       alpha) for i in range(grid.size)])
 

@@ -67,6 +67,15 @@ __all__ = [
 # above this dense-domain size, collision matrices are not materialized
 MATRIX_DOMAIN_CAP = 2**21
 
+# the three hierarchies, by how their collisions share sign fields
+VARIANTS = ("deterministic", "dependent", "independent")
+
+
+def _check_variant(variant):
+    """A ValueError naming `variant` unless it is one of VARIANTS."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+
 
 @dataclass(frozen=True)
 class HierarchyMode:

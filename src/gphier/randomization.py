@@ -2,23 +2,24 @@
 
 A sign field assigns +1/-1 to every lattice point and stands in for one
 point of the Bernoulli probability space.  `omega_l2_h_alpha` is the one
-routine that turns a hierarchy mode into its sample space Omega and
-averages squared H^alpha norms over it, either exactly (enumerating all
-2^F sign assignments per redrawn field) or by Monte Carlo with
-counter-based, reproducible per-level streams.  It hands the whole
-sample space to its `norms` callable in one call: norms(modes) takes
-the list of redrawn modes and returns one norm, or one array of norms,
-per mode in the same order, so a caller can run them as one batch (one
+routine that turns a hierarchy variant into its sample space Omega of
+drawn fields and averages squared H^alpha norms over it, either exactly
+(enumerating all 2^F sign assignments per drawn field) or by Monte Carlo
+with counter-based, reproducible per-level streams.  It hands the whole
+sample space to `norms` in one call: norms(modes) takes one mode per
+point of Omega and returns one norm, or one array of norms, per mode in
+the same order, so a caller can run them as one batch (one
 `duhamel.DuhamelEvaluator`, whose modes share the scalar half of each
-climb and its cached leaf blocks and sign vectors).  It is the field-drawing side of
-`random.opnorm_majorizes_ratios` (`gph estimate-c0`) and the test oracle
-of the exact averages that draw no field.  Those split a uniform field's
-average into odd-multiplicity classes by Walsh orthogonality
-(`tensor.odd_classes`): the Duhamel averages of `duhamel`, and
-`collision_omega_operator_norm`, the norm of one class-lifted matrix L
-by plain numpy Lanczos on L^T L, whose bits no BLAS thread count moves,
-the same for every collision slot.  That norm reads the lattice alone,
-so it is memoized per process, like the class labels it is built from.
+climb and its cached leaf blocks and sign vectors).  It is the
+field-drawing side of `random.opnorm_majorizes_ratios` (`gph
+estimate-c0`) and the test oracle of the exact averages that draw no
+field.  Those split a uniform field's average into odd-multiplicity
+classes by Walsh orthogonality (`tensor.odd_classes`): the Duhamel
+averages of `duhamel`, and `collision_omega_operator_norm`, the norm of
+one class-lifted matrix L by plain numpy Lanczos on L^T L, whose bits no
+BLAS thread count moves, the same for every collision slot.  That norm
+reads the lattice alone, so it is memoized per process, like the class
+labels it is built from.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor
-from .dynamics import HierarchyMode, _lift, collision_matrix
+from .dynamics import HierarchyMode, _check_variant, _lift, collision_matrix
 from .tensor import check_size, lattice_field, odd_classes, slot_product
 
 __all__ = [
@@ -131,29 +132,29 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def omega_l2_h_alpha(norms, mode, lattice, levels, mc_samples=0, seed=0):
+def omega_l2_h_alpha(norms, variant, lattice, levels, mc_samples=0, seed=0):
     """L^2(Omega) average of the H^alpha norms `norms(modes)` over the sign fields.
 
-    Each point of Omega redraws the mode's fields on `levels`: one field
-    per level for an independent mode, the shared field (keyed as level
-    0) for a dependent one.  With mc_samples == 0 the average is exact
-    over every joint assignment, in `enumerate_fields` order; otherwise
-    sample i draws sample_field(lattice, seed, level=lv, sample=i).
-    norms is called once, with the list of every redrawn mode in that
-    order, and returns one H^alpha norm or one array of them per mode;
-    the squares are folded in the same order, and the estimate holds the
-    root mean square of each.  A deterministic mode, or empty `levels`,
-    is evaluated once as given, a batch of one.
+    Each point of Omega draws the fields of `variant` (`dynamics.VARIANTS`):
+    the shared field (keyed as level 0) if "dependent", one field per
+    level of `levels` if "independent".  With mc_samples == 0 the average
+    is exact over every joint assignment, in `enumerate_fields` order;
+    otherwise sample i draws sample_field(lattice, seed, level=lv,
+    sample=i).  norms is called once, with the list of the mode of every
+    point in that order, and returns one H^alpha norm or one array of
+    them per mode; the squares are folded in the same order, and the
+    estimate holds the root mean square of each.  "deterministic", or
+    empty `levels`, evaluates the deterministic mode once, a batch of one.
     """
-    levels = sorted(levels)
-    if mode.variant == "deterministic" or not levels:
-        return OmegaNormEstimate(_scalar(norms([mode])[0]))
-    keys = [0] if mode.variant == "dependent" else levels
+    _check_variant(variant)
+    if variant == "deterministic" or not levels:
+        return OmegaNormEstimate(_scalar(norms([HierarchyMode.deterministic()])[0]))
+    keys = [0] if variant == "dependent" else sorted(levels)
 
     def redrawn(fields):
-        if mode.variant == "dependent":
+        if variant == "dependent":
             return HierarchyMode.dependent(fields[0])
-        return HierarchyMode.independent({**mode.fields, **dict(zip(keys, fields))})
+        return HierarchyMode.independent(dict(zip(keys, fields)))
 
     if not mc_samples:
         total = (2**lattice.size) ** len(keys)

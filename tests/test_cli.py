@@ -9,9 +9,7 @@ import pytest
 from gphier import cli, duhamel, dynamics, randomization, tensor
 from gphier.cli import ConfigError, ExperimentConfig, Report, main, run_experiment
 from gphier.duhamel import solution_time_modulus
-from gphier.dynamics import HierarchyMode
 from gphier.lattice import FrequencyLattice
-from gphier.randomization import sample_field
 from gphier.tensor import MemoryGuardError, random_state
 
 
@@ -264,10 +262,9 @@ def test_continuity_size_boundary(capsys):
     # the evaluator refuses the same split at run time, before allocating it
     lat = FrequencyLattice(1, 8)
     st = random_state(lat, 2, 0, level_norms=[1.0, 1.0])
-    mode = HierarchyMode.independent({2: sample_field(lat, 0, level=2)})
     with pytest.raises(MemoryGuardError, match=f"^M: .* {2517 * 17**2 * 8} "
                        "entries for 2517 class paths"):
-        solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3, 1e-4), mode)
+        solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3, 1e-4), "independent")
 
 
 def test_decay_takes_one_operator_norm_per_order(monkeypatch):
@@ -549,6 +546,32 @@ def test_nan_grid_point_fails_residual(monkeypatch):
     failed = {c["name"] for c in rep.checks if not c["passed"]}
     assert failed == {"duhamel.ode_equivalence"}
     assert math.isnan(rep.constants["duhamel_ode_discrepancy"])
+
+
+@pytest.mark.parametrize("kind, fields, draws", [
+    ("decay", dict(mode="independent", K_max=4, T=0.5), 0),
+    ("decay", dict(mode="dependent", M=5, K_max=3, q=6), 0),
+    ("converge", dict(mode="independent", N=3, K_max=4), 0),
+    ("converge", dict(mode="dependent", N=3, K_max=4), 0),
+    ("continuity", dict(N=3, K_max=3, q=10, xi=0.5, xi_prime=1.0), 0),
+    ("estimate-c0", dict(mc_samples=16), 16),
+], ids=["decay-independent", "decay-dependent", "converge-independent",
+        "converge-dependent", "continuity", "estimate-c0"])
+def test_exact_averages_draw_no_field(monkeypatch, kind, fields, draws):
+    # decay, converge and continuity average over every sign field exactly,
+    # by class splits, so they draw none; estimate-c0 draws its Monte Carlo
+    # samples and no other field
+    drawn = []
+    real = randomization.sample_field
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(randomization, "sample_field", counted)
+    monkeypatch.setattr(cli, "sample_field", counted)
+    assert run_experiment(ExperimentConfig(kind=kind, **fields)).passed
+    assert len(drawn) == draws
 
 
 def test_nan_inputs_fail_collapsed_checks(monkeypatch):

@@ -317,15 +317,12 @@ def test_sign_vectors_built_once_per_field_and_order(monkeypatch):
 def test_class_paths_match_field_enumeration(shape, data, t, seed):
     # the oracle: the class-path average of Duh_j against the enumeration
     # of every joint field of levels k+1..k+j (2^(F j) modes, up to 2^10 at
-    # M=2) over one evaluator batch.  The class path ignores the mode's own
-    # fields, so the mode carries some
+    # M=2) over one evaluator batch
     M, K_max = shape
     lat = FrequencyLattice(1, M)
     k = data.draw(hst.integers(1, K_max - 1), label="k")
     j = data.draw(hst.integers(1, K_max - k), label="j")
     st = random_state(lat, K_max, seed, alpha=1.0, level_norms=[1.0] * K_max)
-    mode = HierarchyMode.independent(
-        {lv: sample_field(lat, seed + 1, level=lv) for lv in range(2, K_max + 1)})
     quad = QuadratureSpec(q=4)
 
     def norms(modes):
@@ -333,14 +330,14 @@ def test_class_paths_match_field_enumeration(shape, data, t, seed):
         return _per_mode(ev.term_batch(k, j, [t]),
                          lambda term: h_alpha_norm(ev._wrap(k, term[:, 0]), 1.0))
 
-    ref = omega_l2_h_alpha(norms, mode, lat, range(k + 1, k + j + 1)).value
-    got = DuhamelEvaluator(st, [mode], quad).omega_norm(k, j, t, 1.0)
+    ref = omega_l2_h_alpha(norms, "independent", lat, range(k + 1, k + j + 1)).value
+    got = DuhamelEvaluator(st, quad=quad).omega_norm(k, j, t, "independent", 1.0)
     assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_exact_independent_decay_draws_no_field(monkeypatch):
     # criterion 4's run takes its exact averages by class paths: no field
-    # is enumerated, every evaluator holds one mode, and the climbs number
+    # is enumerated, no evaluator holds a mode, and the climbs number
     # at most the class paths of the depths averaged (k=1, j <= 3 and
     # k=2, j=1: 4 + 16 + 64 + 4 at M=1)
     def no_enumeration(lattice):
@@ -349,7 +346,7 @@ def test_exact_independent_decay_draws_no_field(monkeypatch):
     batches, climbs = [], collections.Counter()
     init, climb = DuhamelEvaluator.__init__, DuhamelEvaluator._climb
 
-    def counted_init(self, state0, modes, quad=None):
+    def counted_init(self, state0, modes=(), quad=None):
         modes = list(modes)
         batches.append(len(modes))
         init(self, state0, modes, quad)
@@ -369,7 +366,7 @@ def test_exact_independent_decay_draws_no_field(monkeypatch):
     paths = sum(math.prod(n_cls[m] for m in range(k + 1, k + j + 1))
                 for k, j_max in ((1, 3), (2, 1)) for j in range(1, j_max + 1))
     assert paths == 88
-    assert batches and set(batches) == {1}
+    assert batches and set(batches) == {0}
     assert 0 < climbs["climb"] <= paths
 
 
@@ -380,7 +377,7 @@ def test_dependent_averages_build_one_evaluator(monkeypatch):
     built = []
     init = DuhamelEvaluator.__init__
 
-    def counted_init(self, state0, modes, quad=None):
+    def counted_init(self, state0, modes=(), quad=None):
         built.append(len(list(modes)))
         init(self, state0, modes, quad)
 
@@ -388,12 +385,11 @@ def test_dependent_averages_build_one_evaluator(monkeypatch):
     lat = FrequencyLattice(1, 1)
     st = random_state(lat, 3, 40, alpha=1.0, level_norms=[1.0] * 3)
     assert data_classes(st, [1, 2, 3]).size == 4
-    mode = HierarchyMode.dependent(sample_field(lat, 41))
     quad = QuadratureSpec(q=4)
-    decay_profile(st, 1, 0.2, mode, 2, quad)
-    assert built == [1]
-    cauchy_diagnostic(st, [1, 2], 0.2, mode, quad, grid_times=(0.0, 0.2))
-    assert built == [1, 1]
+    decay_profile(st, 1, 0.2, "dependent", 2, quad)
+    assert built == [0]
+    cauchy_diagnostic(st, [1, 2], 0.2, "dependent", quad, grid_times=(0.0, 0.2))
+    assert built == [0, 0]
 
 
 def test_block_cache_stays_within_the_cap(monkeypatch):
@@ -501,15 +497,14 @@ def test_class_path_chunks_match_and_guard(lat, monkeypatch):
     # of 3,000 chunks every level and gives the same norm; below the widest
     # column it is a guard error naming the field
     st = random_state(lat, 4, 35, alpha=1.0, level_norms=[1.0] * 4)
-    mode = HierarchyMode.independent({})
     quad = QuadratureSpec(q=4)
-    ref = DuhamelEvaluator(st, [mode], quad).omega_norm(1, 3, 0.4)
+    ref = DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.4, "independent")
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
-    got = DuhamelEvaluator(st, [mode], quad).omega_norm(1, 3, 0.4)
+    got = DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.4, "independent")
     assert abs(got - ref) <= 1e-13 * ref
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 2900)
     with pytest.raises(MemoryGuardError, match="^M: .* for each of 4 class paths"):
-        DuhamelEvaluator(st, [mode], quad).omega_norm(1, 3, 0.4)
+        DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.4, "independent")
 
 
 def test_nonuniform_grid_matches_duhamel():
@@ -645,8 +640,8 @@ def test_decay_profile_zero_top(lat, quad):
         1: random_state(lat, 1, 12).level(1),
         2: random_state(lat, 2, 13).level(2),
     })
-    mode = HierarchyMode.deterministic()
-    norms, normalized = decay_profile(st, 1, 0.3, mode, 2, quad, alpha=1.0)
+    norms, normalized = decay_profile(st, 1, 0.3, "deterministic", 2, quad,
+                                      alpha=1.0)
     assert norms[2] == 0.0
     assert norms[0] == pytest.approx(h_alpha_norm(st.level(1), 1.0), rel=1e-13)
 
@@ -657,23 +652,17 @@ def test_vanishing_dense_level_has_norm_zero(lat, quad):
     st = random_state(lat, 2, 12, alpha=1.0, level_norms=[1.0] * 2)
     st = HierarchyState(lat, 3, {1: st.level(1), 2: st.level(2),
                                  3: DensityMatrix.zeros(lat, 3)})
-    for mode in (HierarchyMode.deterministic(),
-                 HierarchyMode.dependent(sample_field(lat, 13)),
-                 HierarchyMode.independent({})):
-        norms, _ = decay_profile(st, 1, 0.3, mode, 2, quad, alpha=1.0)
+    for variant in ("deterministic", "dependent", "independent"):
+        norms, _ = decay_profile(st, 1, 0.3, variant, 2, quad, alpha=1.0)
         assert norms[2] == 0.0 and norms[1] > 0.0
-    mode = HierarchyMode.dependent(sample_field(lat, 13))
-    assert cauchy_diagnostic(st, [2], 0.3, mode, quad).tolist() == [0.0]
+    assert cauchy_diagnostic(st, [2], 0.3, "dependent", quad).tolist() == [0.0]
 
 
 def test_decay_chain_bound(lat):
     st = random_state(lat, 3, 14, alpha=1.0, level_norms=[1.0] * 3)
     quad = QuadratureSpec(q=12)
-    mode = HierarchyMode.independent(
-        {lv: sample_field(lat, 20, level=lv) for lv in (2, 3)}
-    )
     t = 0.5
-    norms, _ = decay_profile(st, 1, t, mode, 2, quad, alpha=1.0)
+    norms, _ = decay_profile(st, 1, t, "independent", 2, quad, alpha=1.0)
     from gphier.randomization import collision_omega_operator_norm
 
     # the largest norm over every slot j < m: `gph decay` takes slot 1 only,
@@ -698,9 +687,8 @@ def test_dependent_decay_shape():
 
     lat = FrequencyLattice(1, 5)
     st = nonresonant_sample(lat, 3, 30)
-    mode = HierarchyMode.dependent(sample_field(lat, 31))
     quad = QuadratureSpec(q=6)
-    norms, normalized = decay_profile(st, 1, 0.1, mode, 2, quad, alpha=1.0)
+    norms, normalized = decay_profile(st, 1, 0.1, "dependent", 2, quad, alpha=1.0)
     assert normalized[2] <= normalized[1] * 1.5
 
 
@@ -735,9 +723,7 @@ def test_dependent_class_sums_match_field_enumeration(variant, storage, M, seed,
     quad = QuadratureSpec(q=4)
     st = random_state(lat, 3, seed, alpha=1.0, level_norms=[1.0] * 3) \
         if storage == "dense" else _sparse_state(lat, 3, seed)
-    # the fields of `mode` are not read
-    mode, levels = (HierarchyMode.dependent(sample_field(lat, seed)), [0]) \
-        if variant == "dependent" else (HierarchyMode.independent({}), [2, 3])
+    levels = [0] if variant == "dependent" else [2, 3]
     pairs, grid = [(1, 1), (2, 1), (2, 2)], np.array([0.0, t])
 
     def norms(modes):
@@ -752,13 +738,48 @@ def test_dependent_class_sums_match_field_enumeration(variant, storage, M, seed,
                 for i in range(grid.size)]))
         return np.stack(out, axis=1)
 
-    rms = omega_l2_h_alpha(norms, mode, lat, levels).value
+    rms = omega_l2_h_alpha(norms, variant, lat, levels).value
     assert rms.shape == (6, 2)
-    profile = decay_profile(st, 1, t, mode, 2, quad)[0]
+    profile = decay_profile(st, 1, t, variant, 2, quad)[0]
     assert np.all(np.abs(profile - rms[:3, 0]) <= 1e-13 * rms[:3, 0])
     ref = [np.max(0.5 * rms[3]), np.max(0.5 * rms[4] + 0.25 * rms[5])]
-    got = cauchy_diagnostic(st, [1, 2], t, mode, quad, xi=0.5, grid_times=grid)
+    got = cauchy_diagnostic(st, [1, 2], t, variant, quad, xi=0.5, grid_times=grid)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.array(ref))
+
+
+def test_deterministic_cauchy_matches_pointwise_collision():
+    # deterministic `gph converge` (N=3 K_max=4) collides the deterministic
+    # terms themselves: D(N) against `collide` of `term_batch` under the
+    # deterministic mode, rebuilt from the run's config
+    cfg = ExperimentConfig(kind="converge", N=3, K_max=4)
+    rep = run_experiment(cfg)
+    assert "dependent_class_count" not in rep.constants
+    lat = FrequencyLattice(cfg.d, cfg.M)
+    st = random_state(lat, 4, cfg.seed, alpha=cfg.alpha,
+                      level_norms=[0.5**k for k in range(1, 5)])
+    ev = DuhamelEvaluator(st, [HierarchyMode.deterministic()], QuadratureSpec(q=8))
+    grid = [0.0, cfg.T / 2, cfg.T]
+    for N in (2, 3):
+        ref = np.max(sum(cfg.xi**k * np.array([
+            h_alpha_norm(ev._wrap(k, col), cfg.alpha)
+            for col in ev.collide(k + 1, ev.term_batch(k + 1, N - k, grid))[0].T])
+            for k in range(1, N + 1)))
+        assert abs(rep.constants["cauchy_D"][str(N)] - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("average", [
+    lambda st: decay_profile(st, 1, 0.1, "independant", 1),
+    lambda st: cauchy_diagnostic(st, [1], 0.1, "independant"),
+    lambda st: solution_time_modulus(st, 2, [0.0], (1e-2,), "independant"),
+    lambda st: omega_l2_h_alpha(lambda modes: [1.0] * len(modes), "independant",
+                                st.lattice, [2]),
+], ids=["decay_profile", "cauchy_diagnostic", "solution_time_modulus",
+        "omega_l2_h_alpha"])
+def test_unknown_variant_is_refused(lat, average):
+    # a misspelt variant is an error, not the deterministic average
+    st = random_state(lat, 2, 3, level_norms=[1.0, 1.0])
+    with pytest.raises(ValueError, match="'independant'"):
+        average(st)
 
 
 def test_independent_cauchy_pinned():
@@ -788,9 +809,8 @@ def test_cauchy_increment_identity(lat):
 def test_cauchy_diagnostic_decreasing(lat):
     st = random_state(lat, 5, 17, alpha=1.0,
                       level_norms=[0.5**k for k in range(1, 6)])
-    mode = HierarchyMode.dependent(sample_field(lat, 18))
     quad = QuadratureSpec(q=4)
-    D = cauchy_diagnostic(st, [2, 3, 4], 0.1, mode, quad, alpha=1.0, xi=0.5,
+    D = cauchy_diagnostic(st, [2, 3, 4], 0.1, "dependent", quad, alpha=1.0, xi=0.5,
                           grid_times=(0.0, 0.1))
     assert D[1] < D[0] and D[2] < D[1]
     assert D[1] / D[0] < 1.0
@@ -798,9 +818,8 @@ def test_cauchy_diagnostic_decreasing(lat):
 
 def test_solution_time_modulus_decreases(lat):
     st = random_state(lat, 2, 19, alpha=2.0, level_norms=[1.0, 1.0])
-    mode = HierarchyMode.independent({2: sample_field(lat, 21, level=2)})
     quad = QuadratureSpec(q=8)
-    ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), mode,
+    ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), "independent",
                                    quad, alpha=1.0, xi=0.5)
     assert ratios[1e-3] <= ratios[1e-2] * (1 + 1e-9)
 
@@ -808,17 +827,16 @@ def test_solution_time_modulus_decreases(lat):
 def test_solution_time_modulus_keeps_nan(lat, monkeypatch):
     # a NaN level norm must reach the ratio, not vanish in a max() fold
     st = random_state(lat, 2, 19, alpha=2.0, level_norms=[1.0, 1.0])
-    mode = HierarchyMode.deterministic()
     monkeypatch.setattr(duhamel, "h_alpha_norm", lambda gamma, alpha: math.nan)
-    ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), mode,
+    ratios = solution_time_modulus(st, 2, [0.0, 0.05], (1e-2, 1e-3), "deterministic",
                                    QuadratureSpec(q=4))
     assert all(math.isnan(v) for v in ratios.values())
 
 
-def _enumerated_modulus(st, N, base_times, deltas, mode, quad, alpha, xi):
+def _enumerated_modulus(st, N, base_times, deltas, variant, quad, alpha, xi):
     """`solution_time_modulus` by enumeration, the oracle of its class split:
-    every joint sign field of levels 2..N (the shared field, for a
-    dependent mode), averaged by `omega_l2_h_alpha`.  The level-k solution
+    every joint sign field of levels 2..N (the shared field, if
+    dependent), averaged by `omega_l2_h_alpha`.  The level-k solution
     reads the fields of levels k+1..N, so it is built and normed once per
     distinct path of them, in one evaluator batch."""
     base_times, deltas = np.asarray(base_times), np.asarray(deltas)
@@ -841,7 +859,7 @@ def _enumerated_modulus(st, N, base_times, deltas, mode, quad, alpha, xi):
                                         increments)[index]
         return out
 
-    rms = omega_l2_h_alpha(norms, mode, st.lattice, range(2, N + 1)).value
+    rms = omega_l2_h_alpha(norms, variant, st.lattice, range(2, N + 1)).value
     weighted = sum(xi**k * rms[:, :, k - 1] for k in range(1, N + 1))
     return {float(d): s / np.sqrt(d) for d, s in zip(deltas, np.max(weighted, axis=1))}
 
@@ -853,21 +871,15 @@ def _enumerated_modulus(st, N, base_times, deltas, mode, quad, alpha, xi):
 @given(t=hst.floats(0.01, 0.3), seed=hst.integers(0, 2**16))
 def test_solution_modulus_matches_field_enumeration(M, N, variant, storage, t, seed):
     # the class split of a sum of depths against the enumeration of every
-    # joint field (up to 2^10 at M=2, N=3).  The split ignores the mode's own
-    # fields, so the mode carries some.  The sparse data has no level 1, so
+    # joint field (up to 2^10 at M=2, N=3).  The sparse data has no level 1, so
     # the depths at level 1 start at 1.  At delta = 1e-4 the increments
     # cancel to about 5e-13 relative in both routes, so the deltas stop at
     # 1e-3.  With no field both routes add the same terms in the same order
     lat = FrequencyLattice(1, M)
     st = random_state(lat, N, seed, alpha=2.0, level_norms=[1.0] * N) \
         if storage == "dense" else project(_sparse_state(lat, N, seed), 1, "gt")
-    mode = {"deterministic": HierarchyMode.deterministic(),
-            "dependent": HierarchyMode.dependent(sample_field(lat, seed + 1)),
-            "independent": HierarchyMode.independent(
-                {lv: sample_field(lat, seed + 1, level=lv)
-                 for lv in range(2, N + 1)})}[variant]
     quad = QuadratureSpec(q=4)
-    args = (st, N, [0.0, t], (1e-2, 1e-3), mode, quad, 1.0, 0.5)
+    args = (st, N, [0.0, t], (1e-2, 1e-3), variant, quad, 1.0, 0.5)
     ref, got = _enumerated_modulus(*args), solution_time_modulus(*args)
     assert got.keys() == ref.keys()
     for d in ref:
@@ -877,14 +889,14 @@ def test_solution_modulus_matches_field_enumeration(M, N, variant, storage, t, s
 
 def test_continuity_draws_no_field(monkeypatch):
     # criterion 6/7's run takes its exact averages by one class split per
-    # level: no field is enumerated, and every evaluator holds one mode
+    # level: no field is enumerated, and no evaluator holds a mode
     def no_enumeration(lattice):
         raise AssertionError("enumerate_fields was called")
 
     batches = []
     init = DuhamelEvaluator.__init__
 
-    def counted_init(self, state0, modes, quad=None):
+    def counted_init(self, state0, modes=(), quad=None):
         modes = list(modes)
         batches.append(len(modes))
         init(self, state0, modes, quad)
@@ -894,4 +906,4 @@ def test_continuity_draws_no_field(monkeypatch):
     cfg = ExperimentConfig(kind="continuity", M=1, N=3, K_max=3, T=0.1, alpha=1.0,
                            alpha0=2.0, q=10, xi=0.5, xi_prime=1.0, seed=108)
     assert run_experiment(cfg).passed
-    assert batches and set(batches) == {1}
+    assert batches and set(batches) == {0}

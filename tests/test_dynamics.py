@@ -500,9 +500,11 @@ def test_gather_kernel_streams_the_shift_buffer(monkeypatch):
 
 
 def test_evolve_missing_independent_field(lat):
+    # a field on level 3 only: the order-2 collision finds none
     st = random_state(lat, 2, 15)
+    mode = HierarchyMode.independent({3: sample_field(lat, 15, level=3)})
     with pytest.raises(ValueError, match="level 2"):
-        evolve_truncated(st, 2, 0.1, HierarchyMode.independent({}))
+        evolve_truncated(st, 2, 0.1, mode)
 
 
 def test_evolve_dispersion_only(lat):

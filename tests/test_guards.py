@@ -66,7 +66,7 @@ _matrix = _warm(dynamics, "MATRIX_DOMAIN_CAP", 6560,
 
 def _split_chunk():
     # the order-2 class-energy split and its chunk of 5 of the 9 energies
-    ev = DuhamelEvaluator(random_state(LAT2, 1, 5), [HierarchyMode.deterministic()])
+    ev = DuhamelEvaluator(random_state(LAT2, 1, 5))
     return ev._split(2, 0, 5, True)
 
 

@@ -23,11 +23,6 @@ def lat():
     return FrequencyLattice(1, 1)
 
 
-# modes whose fields omega_l2_h_alpha redraws; their own fields never count
-SHARED = HierarchyMode.dependent(None)
-PER_LEVEL = HierarchyMode.independent({})
-
-
 def each(norm):
     """norms() that applies `norm` to every mode of the batch."""
     return lambda modes: [norm(md) for md in modes]
@@ -87,10 +82,10 @@ def test_randomize_norm_and_involution(lat):
 
 def test_omega_constant_evaluator(lat):
     g = random_density_matrix(lat, 1, 3)
-    est = omega_l2_h_alpha(each(lambda md: h_alpha_norm(g, 1.0)), PER_LEVEL, lat,
+    est = omega_l2_h_alpha(each(lambda md: h_alpha_norm(g, 1.0)), "independent", lat,
                            [2])
     assert est.value == pytest.approx(h_alpha_norm(g, 1.0), rel=1e-13)
-    mc = omega_l2_h_alpha(each(lambda md: h_alpha_norm(g, 1.0)), PER_LEVEL, lat,
+    mc = omega_l2_h_alpha(each(lambda md: h_alpha_norm(g, 1.0)), "independent", lat,
                           [2], mc_samples=16, seed=0)
     assert mc.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -106,22 +101,22 @@ def test_omega_sign_product_modulus(lat):
         h = md.fields[2].values
         return h_alpha_norm((c * h[0] * h[1] * h[2] * h[0]) * base, 0.0)
 
-    est = omega_l2_h_alpha(each(norm), PER_LEVEL, lat, [2])
+    est = omega_l2_h_alpha(each(norm), "independent", lat, [2])
     assert est.value == pytest.approx(abs(c), rel=1e-13)
 
 
 def test_omega_exact_vs_mc(lat):
     gamma = random_density_matrix(lat, 2, 4, alpha=1.0, norm=1.0)
     norms = difference_norm(gamma, lambda md: md.field)
-    exact = omega_l2_h_alpha(norms, SHARED, lat, [0])
+    exact = omega_l2_h_alpha(norms, "dependent", lat, [0])
     assert exact.samples == 8
-    mc = omega_l2_h_alpha(norms, SHARED, lat, [0], mc_samples=10_000, seed=5)
+    mc = omega_l2_h_alpha(norms, "dependent", lat, [0], mc_samples=10_000, seed=5)
     assert abs(mc.value**2 - exact.value**2) <= 4.0 * mc.stderr
 
 
 def test_enumeration_cap(lat):
     with pytest.raises(MemoryGuardError, match="cap"):
-        omega_l2_h_alpha(each(lambda md: None), PER_LEVEL, lat,
+        omega_l2_h_alpha(each(lambda md: None), "independent", lat,
                          list(range(2, 12)))
 
 
@@ -129,8 +124,8 @@ def test_unused_level_seeds_do_not_matter(lat):
     gamma = random_density_matrix(lat, 2, 6)
     # level 3 never read
     norms = difference_norm(gamma, lambda md: md.fields[2])
-    a = omega_l2_h_alpha(norms, PER_LEVEL, lat, [2, 3], mc_samples=64, seed=9)
-    b = omega_l2_h_alpha(norms, PER_LEVEL, lat, [2, 3], mc_samples=64, seed=9)
+    a = omega_l2_h_alpha(norms, "independent", lat, [2, 3], mc_samples=64, seed=9)
+    b = omega_l2_h_alpha(norms, "independent", lat, [2, 3], mc_samples=64, seed=9)
     assert a.value == b.value
 
 
@@ -140,7 +135,7 @@ def test_operator_norm_majorizes(lat):
     for trial in range(12):
         g = random_density_matrix(lat, 2, 50 + trial)
         est = omega_l2_h_alpha(difference_norm(g, lambda md: md.field),
-                               SHARED, lat, [0])
+                               "dependent", lat, [0])
         worst = max(worst, est.value / h_alpha_norm(g, 1.0))
     assert worst <= sigma * (1 + 1e-12)
     assert worst > 0.1 * sigma  # the bound is within reach of random data
@@ -206,8 +201,8 @@ def test_omega_array_norms_match_scalar_averages(lat):
         return np.array([norms(modes) for norms in scalar]).T
 
     for kw in ({}, {"mc_samples": 24, "seed": 4}):
-        whole = omega_l2_h_alpha(stacked, SHARED, lat, [0], **kw)
-        parts = [omega_l2_h_alpha(n, SHARED, lat, [0], **kw) for n in scalar]
+        whole = omega_l2_h_alpha(stacked, "dependent", lat, [0], **kw)
+        parts = [omega_l2_h_alpha(n, "dependent", lat, [0], **kw) for n in scalar]
         assert whole.value.tolist() == [p.value for p in parts]
         if kw:
             assert whole.stderr.tolist() == [p.stderr for p in parts]
@@ -220,21 +215,19 @@ def test_omega_redraws_only_random_levels(lat):
         seen.extend(modes)
         return [1.0] * len(modes)
 
-    det = HierarchyMode.deterministic()
-    assert omega_l2_h_alpha(norms, det, lat, [2, 3]).value == 1.0
-    assert omega_l2_h_alpha(norms, PER_LEVEL, lat, []).value == 1.0
-    assert seen == [det, PER_LEVEL]  # evaluated once, as given
+    # no field drawn: the deterministic mode, evaluated once
+    assert omega_l2_h_alpha(norms, "deterministic", lat, [2, 3]).value == 1.0
+    assert omega_l2_h_alpha(norms, "independent", lat, []).value == 1.0
+    assert seen == [HierarchyMode.deterministic()] * 2
     seen.clear()
-    # a dependent mode redraws its one shared field, however many levels
-    omega_l2_h_alpha(norms, SHARED, lat, [2, 3, 4])
+    # the dependent variant draws its one shared field, however many levels
+    omega_l2_h_alpha(norms, "dependent", lat, [2, 3, 4])
     assert [md.field.values.tolist() for md in seen] == \
         [f.values.tolist() for f in enumerate_fields(lat)]
     seen.clear()
-    # an independent mode keeps its fields off the redrawn levels; Monte
-    # Carlo sample i draws level lv from sample_field(seed, lv, i)
-    kept = sample_field(lat, 1, level=5)
-    omega_l2_h_alpha(norms, HierarchyMode.independent({5: kept}), lat, [2],
-                     mc_samples=3, seed=8)
-    assert [md.fields[5] for md in seen] == [kept] * 3
+    # the independent variant draws a field on the levels given and no
+    # other; Monte Carlo sample i draws level lv from sample_field(seed, lv, i)
+    omega_l2_h_alpha(norms, "independent", lat, [2], mc_samples=3, seed=8)
+    assert [list(md.fields) for md in seen] == [[2]] * 3
     assert [md.fields[2].values.tolist() for md in seen] == \
         [sample_field(lat, 8, level=2, sample=i).values.tolist() for i in range(3)]

@@ -52,6 +52,8 @@ CONFIGS = {
     "converge-independent": [
         "converge", "--set", "mode=independent", "--set", "M=2", "--set", "N=3",
         "--set", "K_max=4"],
+    # deterministic converge: the collided terms with no class split
+    "converge-deterministic": ["converge", "--set", "N=3", "--set", "K_max=4"],
     # criterion 3: exact and Monte Carlo averages over drawn sign fields
     "estimate-c0-criterion-3": [
         "estimate-c0", "--set", "M=1", "--set", "alpha=1.0",
