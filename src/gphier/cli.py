@@ -39,6 +39,7 @@ from .dynamics import (
     MATRIX_DOMAIN_CAP,
     VARIANTS,
     HierarchyMode,
+    _field_signs,
     conjugate,
     continuity_defect,
     evolve_truncated,
@@ -47,7 +48,6 @@ from .dynamics import (
     full_collision_matrix,
     phase_inequality_scan,
     real_matmul,
-    sign_vector,
 )
 from .duhamel import (
     CHAIN_CAP,
@@ -520,9 +520,8 @@ def _run_estimate_c0(cfg, rep, csv_dir):
         def norms(modes):
             out = []
             for md in modes:
-                signs = (sign_vector(lat, md.field, k),
-                         sign_vector(lat, md.field, k + 1))
-                cols = conjugate(lambda X: real_matmul(B, X), block[:, :n], signs)
+                cols = conjugate(lambda X: real_matmul(B, X), block[:, :n],
+                                 _field_signs(lat, md.field, k + 1))
                 out.append([h_alpha_norm(DensityMatrix(
                     lat, k, "dense", data=c.reshape(shape)), cfg.alpha)
                     for c in cols.T])

@@ -21,7 +21,8 @@ free flow, it is formed one node at a time (`integral_residual`), so no
 top-level block over the nodes exists.
 
 A `DuhamelEvaluator` holds one state and a batch of modes; a field h
-enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h).  Each mode climbs
+enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h), its signs on the
+operand and on the product of the deterministic matrix.  Each mode climbs
 from its own leaf block, and the modes share the scalar half.  Exact
 averages take a variant (`dynamics.VARIANTS`) and draw no field: one
 climb takes the input of some collisions per odd-multiplicity class,
@@ -42,8 +43,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dynamics, tensor
-from .dynamics import (_check_matrix, _check_variant, _energy_split, _lift, _signed,
-                       conjugate, full_collision_matrix, real_matmul, sign_vector)
+from .dynamics import (_check_matrix, _check_variant, _energy_split, _lift, conjugate,
+                       full_collision_matrix, real_matmul, sign_vector)
 from .tensor import (DensityMatrix, Store, _odd_masks, check_size, data_classes,
                      h_alpha_norm, lattice_field, odd_classes)
 
@@ -123,13 +124,13 @@ class DuhamelEvaluator:
     Caches what depends on the state or a field: the flattened initial
     coefficients of each level m, per level m and sign field the leaf
     block of columns B_m^h P_e gamma0^(m), and per sign field and order m
-    the sign vector S_m(h) that conjugates the collisions, the blocks the
-    most recently used within CHAIN_CAP stored entries.  What depends
-    on the lattice alone is built once per process and shared by every
-    evaluator: per level m the per-energy column slices B_m P_e of the
-    deterministic collision matrix stacked into one matrix (`_split`, in
-    `dynamics._MATRIX_CACHE`) and the odd-multiplicity classes
-    (`tensor.odd_classes`).  A term of depth j starts from the leaf block
+    the sign vector S_m(h) that conjugates the collisions on their operand
+    and product (`dynamics.conjugate`), the blocks the most recently used
+    within CHAIN_CAP stored entries.  What depends on the lattice alone is
+    built once per process and shared by every evaluator: per level m the
+    per-energy column slices B_m P_e of the deterministic collision matrix
+    stacked into one matrix (`_split`, in `dynamics._MATRIX_CACHE`) and
+    the odd-multiplicity classes (`tensor.odd_classes`).  A term of depth j starts from the leaf block
     of level k+j and walks up to level k.  At each level the chain block
     (the vector half) takes one product with the stacked slices, and the
     scalar functions of the chain
@@ -515,23 +516,12 @@ class DuhamelEvaluator:
     def collide(self, m, batch):
         """B_m under each mode's level-m field, applied to that mode's array.
 
-        `batch` is (n_modes, dim_m, n); returns (n_modes, dim_(m-1), n).
-        The field's signs go on a copy of the matrix's entries, not on the
-        array, so no array-sized temporary is formed; a negation commutes
-        with rounding, so the result is bitwise S_(m-1)(h) B_m (S_m(h) x).
-        Modes that share the field share its copy, which lives only as
-        long as the call.
+        `batch` is (n_modes, dim_m, n); returns (n_modes, dim_(m-1), n),
+        each mode's S_(m-1)(h) B_m (S_m(h) x) with the deterministic matrix
+        and the cached signs on the array (`conjugate`).
         """
-        B = full_collision_matrix(self.lattice, m)
-        signed = {}
-
-        def matrix(field):
-            key = None if field is None else field.fingerprint()
-            if key not in signed:
-                signed[key] = _signed(B, self._signs(m, field))
-            return signed[key]
-
-        return np.stack([real_matmul(matrix(_field(mode, m)), x)
+        apply = functools.partial(real_matmul, full_collision_matrix(self.lattice, m))
+        return np.stack([conjugate(apply, x, self._signs(m, _field(mode, m)))
                          for mode, x in zip(self.modes, batch)])
 
     def solution_batch(self, N, k, times):
@@ -577,15 +567,15 @@ def integral_residual(ev, N, k, t, alpha=1.0):
     [B^(k+1)] gamma^(k+1)(s) ds with gamma the truncated solution built by
     the evaluator `ev`, one norm per mode of `ev`; for k <= N-1 this
     vanishes up to quadrature error.  The integrand collides the level-(k+1)
-    solution at the quadrature nodes with the collision matrix; it never
-    reuses the leaf blocks B P_e gamma0 that the solutions are built from,
-    since a residual assembled from the same blocks as the solution would
-    vanish by construction and check nothing.  Below the top level the
-    solution is formed at all nodes at once (`collide`).  At k = N-1 it is
-    the top level's free flow, which is formed and collided one node at a
-    time, under each mode's signs on the vector (`conjugate`), so no
-    top-level block over the nodes exists; per node and per column the
-    products are those of the batch, so the norms are its bits.
+    solution at the quadrature nodes (`collide`); it never reuses the leaf
+    blocks B P_e gamma0 that the solutions are built from, since a residual
+    assembled from the same blocks as the solution would vanish by
+    construction and check nothing.  Below the top level the solution is
+    formed at all nodes at once.  At k = N-1 it is the top level's free
+    flow, the same for every mode, which is formed and collided one node
+    at a time, so no top-level block over the nodes exists; per node and
+    per column the products are those of the batch, so the norms are its
+    bits.
     """
     if k > N - 1:
         raise ValueError("residual is defined for levels k <= N-1")
@@ -602,13 +592,10 @@ def integral_residual(ev, N, k, t, alpha=1.0):
             ev._check_depth(N, 0)
             integrand = np.zeros(sol.shape + nodes.shape, dtype=np.complex128)
             if ev._gamma_flat(N) is not None:
-                apply = functools.partial(real_matmul,
-                                          full_collision_matrix(ev.lattice, N))
-                signs = [ev._signs(N, _field(mode, N)) for mode in ev.modes]
                 for i, s in enumerate(nodes):
                     free = ev._free(N, [s])
-                    for m, sg in enumerate(signs):
-                        integrand[m, :, i] = conjugate(apply, free, sg)[:, 0]
+                    integrand[:, :, i] = ev.collide(N, np.broadcast_to(
+                        free, (len(ev.modes),) + free.shape))[:, :, 0]
         integrand *= ev._phases(k, t - nodes)
     out = []
     for i, row in enumerate(sol):

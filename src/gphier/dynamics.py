@@ -16,10 +16,13 @@ read: `power_collision` hands the switch a pure tensor power as that
 pair, which only the matrix side multiplies out, so above the cap the
 power costs the memory of one chunk of the shift buffer, not its own.
 
-Every kernel and cached matrix is deterministic.  A sign field h enters
-only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`): the
-summand h(g) h(u) h(a) h(b) of an order-m collision is, entry by entry,
-B^h = S_(m-1)(h) B S_m(h), since untouched slots meet as h^2 = 1.
+Every kernel and collision matrix is deterministic.  A sign field h
+enters only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`):
+the summand h(g) h(u) h(a) h(b) of an order-m collision is, entry by
+entry, B^h = S_(m-1)(h) B S_m(h), since untouched slots meet as h^2 = 1.
+The signs go on the operand and on the product (`conjugate`); only the
+generator's blocks below the top, which `expm_multiply` needs as matrices,
+are signed copies (`_signed`).
 
 The free flow is diagonal, and its phase depends on a coefficient only
 through the level energy, which takes few distinct values (55 against
@@ -36,7 +39,7 @@ complex copy of the matrix and with half the arithmetic.
 """
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +92,17 @@ class HierarchyMode:
     field: object = None
     fields: object = None
 
+    def __post_init__(self):
+        _check_variant(self.variant)
+        if self.variant == "dependent" and self.field is None:
+            raise ValueError("dependent mode needs a shared sign field")
+        if self.variant == "independent" and not isinstance(self.fields, Mapping):
+            raise ValueError("independent mode needs a mapping of levels to sign "
+                             f"fields, got {type(self.fields).__name__}")
+        given = self.field is not None or self.fields is not None
+        if self.variant == "deterministic" and given:
+            raise ValueError("deterministic mode takes no sign field")
+
     @classmethod
     def deterministic(cls):
         return cls("deterministic")
@@ -104,12 +118,10 @@ class HierarchyMode:
     def field_for_level(self, level):
         if self.variant != "independent":
             return self.field  # None when deterministic
-        try:
-            return self.fields[level]
-        except (KeyError, TypeError):
-            raise ValueError(
-                f"independent mode is missing a sign field for level {level}"
-            ) from None
+        if level not in self.fields:
+            raise ValueError(f"independent mode is missing a sign field for level "
+                             f"{level}")
+        return self.fields[level]
 
 
 @dataclass
@@ -370,7 +382,7 @@ def _apply(lat, m, x, terms, field=None):
     if m < 2:
         raise ValueError("collision input must have order >= 2")
     if lat.size ** (2 * m) <= MATRIX_DOMAIN_CAP:
-        apply = functools.partial(real_matmul, _matrix(lat, m, terms, None))
+        apply = functools.partial(real_matmul, _matrix(lat, m, terms))
         if isinstance(x, tuple):
             x = np.multiply.outer(*x).reshape(-1)
     else:
@@ -475,11 +487,8 @@ def _lift(mat, labels, n):
                          shape=(n * mat.shape[0], mat.shape[1]))
 
 
-def _matrix(lattice, m, terms, field):
-    """Sum of coef times the (ell, n, sign) term matrices, built in one pass.
-
-    Only the deterministic matrix is cached; a field reweights it.
-    """
+def _matrix(lattice, m, terms):
+    """Sum of coef times the (ell, n, sign) term matrices, cached, built in one pass."""
     _check_matrix(lattice, m)
 
     def build():
@@ -498,18 +507,17 @@ def _matrix(lattice, m, terms, field):
         # buffers (up to twice nnz); the cache keeps a compact copy instead
         return mat.copy()
 
-    mat = _MATRIX_CACHE.get((lattice.d, lattice.M, m, terms), build)
-    return _signed(mat, _field_signs(lattice, field, m))
+    return _MATRIX_CACHE.get((lattice.d, lattice.M, m, terms), build)
 
 
-def collision_matrix(lattice, m, ell, n, sign, field=None):
-    """The (ell, n) collision as a sparse matrix on flattened tensors."""
-    return _matrix(lattice, m, ((ell, n, sign, 1.0),), field)
+def collision_matrix(lattice, m, ell, n, sign):
+    """The deterministic (ell, n) collision matrix on flattened tensors."""
+    return _matrix(lattice, m, ((ell, n, sign, 1.0),))
 
 
-def full_collision_matrix(lattice, m, field=None):
-    """Matrix of the full collision operator at order m, '-' terms negated."""
-    return _matrix(lattice, m, _full_terms(m), field)
+def full_collision_matrix(lattice, m):
+    """Matrix of the deterministic full collision at order m, '-' terms negated."""
+    return _matrix(lattice, m, _full_terms(m))
 
 
 # --- time evolution ---------------------------------------------------------
@@ -533,8 +541,9 @@ def _augmented_generator(lattice, N, mode, top0):
     for k in range(1, N):
         blocks[k - 1][k - 1] = sp.diags(level_energy(lattice, k))
         if k < N - 1:
-            blocks[k - 1][k] = full_collision_matrix(
-                lattice, k + 1, mode.field_for_level(k + 1))
+            # expm_multiply needs the matrix itself: the one signed copy
+            signs = _field_signs(lattice, mode.field_for_level(k + 1), k + 1)
+            blocks[k - 1][k] = _signed(full_collision_matrix(lattice, k + 1), signs)
     if N > 1:
         signs = _field_signs(lattice, mode.field_for_level(N), N)
         if signs is not None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from gphier import duhamel, randomization
+from gphier import cli, duhamel, dynamics, randomization
 from gphier.cli import ExperimentConfig, run_experiment
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (
@@ -549,10 +549,11 @@ def _three_modes(lat, seed, levels):
 @settings(max_examples=4, deadline=None, database=None)
 @given(seed=hst.integers(0, 2**16),
        times=hst.lists(hst.floats(0.0, 0.5), min_size=1, max_size=3))
-def test_collide_folds_the_field_into_the_matrix_bitwise(d, M, m, seed, times):
-    # collide puts each field's signs on a copy of the matrix entries instead
-    # of on the operand; a negation commutes with rounding, so every mode's
-    # collision equals S_(m-1)(h) B (S_m(h) x) to the last bit
+def test_collide_conjugates_the_operand_bitwise(d, M, m, seed, times):
+    # collide puts each field's signs on the operand and on the product of
+    # the deterministic matrix, which it applies in real arithmetic
+    # (`real_matmul`): every mode's collision equals S_(m-1)(h) B (S_m(h) x)
+    # by scipy's complex kernel to the last bit
     lat = FrequencyLattice(d, M)
     st = random_state(lat, m, seed, alpha=1.0, level_norms=[1.0] * m)
     modes = _three_modes(lat, seed + 1, range(2, m + 1))
@@ -567,12 +568,39 @@ def test_collide_folds_the_field_into_the_matrix_bitwise(d, M, m, seed, times):
         assert np.array_equal(got[i], conjugate(B.__matmul__, batch[i], signs))
 
 
+def test_no_signed_matrix_outside_the_generator(monkeypatch):
+    # a field's signs go on the operand and the product: over three modes,
+    # `collide` and `integral_residual`, below the top level and at it, sign
+    # no matrix.  An independent evolve_truncated at N=3 signs one, the
+    # order-2 block of its generator, which expm_multiply needs as a matrix
+    lat, N = FrequencyLattice(1, 1), 3
+    st = random_state(lat, N, 28, alpha=1.0, level_norms=[1.0] * N)
+    modes = _three_modes(lat, 29, range(2, N + 1))
+    ev = DuhamelEvaluator(st, modes, QuadratureSpec(q=4))
+    original, signed = dynamics._signed, []
+
+    def counted(mat, signs):
+        if signs is not None:
+            signed.append(mat.shape)
+        return original(mat, signs)
+
+    for mod in (dynamics, duhamel, cli, randomization):
+        if getattr(mod, "_signed", None) is original:
+            monkeypatch.setattr(mod, "_signed", counted)
+    for k in range(1, N):
+        ev.collide(k + 1, ev.solution_batch(N, k + 1, [0.1, 0.2]))
+        integral_residual(ev, N, k, 0.1)
+    assert signed == []
+    evolve_truncated(st, N, 0.1, modes[2])
+    assert signed == [full_collision_matrix(lat, 2).shape]
+
+
 def test_integral_residual_holds_one_node_block():
     # d=1 M=3, q=16: the level-3 solution at the 16 quadrature nodes would
-    # be one (117649, 16) complex block.  The level-2 residual forms and
-    # collides the top level one node at a time, with each mode's signs on
-    # that node's vector, so the traced peak of a warm call measures 0.20
-    # such blocks (5.6 MiB); forming the whole block (1.33) fails the bound
+    # be one (117649, 16) complex block.  The level-2 residual forms the top
+    # level one node at a time and collides it under each mode's signs, so
+    # the traced peak of a warm call measures 0.20 such blocks (5.6 MiB);
+    # forming the whole block (1.33) fails the bound
     lat = FrequencyLattice(1, 3)
     st = random_state(lat, 3, 5, alpha=1.0, level_norms=[1.0] * 3)
     ev = DuhamelEvaluator(st, _three_modes(lat, 6, (2, 3)), QuadratureSpec(q=16))

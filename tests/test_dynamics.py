@@ -31,6 +31,7 @@ from gphier.dynamics import (
     phase_inequality_scan,
     power_collision,
     real_matmul,
+    sign_vector,
 )
 from gphier.duhamel import DuhamelEvaluator
 from gphier.randomization import (SignField, all_plus,
@@ -184,14 +185,22 @@ def test_collision_linearity(lat, kernel):
     assert rel < 1e-14
 
 
+def _signed_product(lat, mat, m, field, x):
+    """S_(m-1)(h) mat (S_m(h) x) for the order-m matrix mat under the field
+    h, with the signs on the operand and the product; mat @ x if no field."""
+    if field is None:
+        return mat @ x
+    return sign_vector(lat, field, m - 1) * (mat @ (sign_vector(lat, field, m) * x))
+
+
 def test_matrix_matches_gather(lat):
     g = random_density_matrix(lat, 3, 10)
     f = sample_field(lat, 4)
-    mat = full_collision_matrix(lat, 3, f)
-    via = (mat @ g.data.reshape(-1)).reshape((3,) * 4)
-    single = collision_matrix(lat, 2, 1, 2, "-", f)
+    mat = full_collision_matrix(lat, 3)
+    via = _signed_product(lat, mat, 3, f, g.data.reshape(-1)).reshape((3,) * 4)
+    single = collision_matrix(lat, 2, 1, 2, "-")
     g2 = random_density_matrix(lat, 2, 11)
-    via2 = (single @ g2.data.reshape(-1)).reshape((3,) * 2)
+    via2 = _signed_product(lat, single, 2, f, g2.data.reshape(-1)).reshape((3,) * 2)
     with _gather():
         assert np.max(np.abs(via - full_collision(g, f).data)) < 1e-12
         assert np.max(np.abs(via2 - collision(g2, 1, 2, "-", f).data)) < 1e-13
@@ -209,7 +218,7 @@ def test_full_collision_gather_matches_matrix(d, m):
     via_matrix = full_collision(g, f).data
     with _gather():
         with pytest.raises(MemoryError):
-            full_collision_matrix(lat, m, f)
+            full_collision_matrix(lat, m)
         via_gather = full_collision(g, f).data
     assert np.max(np.abs(via_gather - via_matrix)) <= 1e-13
 
@@ -306,8 +315,9 @@ _FIELDS = st.none() | _SIGNS.map(
 def test_matrix_matches_gather_every_role(m, ell, n, sign, field, seed):
     lat = FrequencyLattice(1, 1)
     g = random_density_matrix(lat, m, seed)
-    mat = collision_matrix(lat, m, ell, n, sign, field)
-    via = (mat @ g.data.reshape(-1)).reshape((3,) * (2 * m - 2))
+    mat = collision_matrix(lat, m, ell, n, sign)
+    via = _signed_product(lat, mat, m, field, g.data.reshape(-1)).reshape(
+        (3,) * (2 * m - 2))
     with _gather():
         ref = collision(g, ell, n, sign, field).data
     assert np.max(np.abs(via - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -507,6 +517,26 @@ def test_evolve_missing_independent_field(lat):
         evolve_truncated(st, 2, 0.1, mode)
 
 
+_ONE_FIELD = SignField(np.array([1, -1, 1], dtype=np.int8), "drawn")
+
+
+@pytest.mark.parametrize("kwargs, problem", [
+    (dict(variant="independant"), "unknown variant 'independant'"),
+    (dict(variant="dependent"), "dependent mode needs a shared sign field"),
+    (dict(variant="independent"), "independent mode needs a mapping"),
+    (dict(variant="independent", fields=[_ONE_FIELD]), "got list"),
+    (dict(variant="deterministic", field=_ONE_FIELD), "takes no sign field"),
+    (dict(variant="deterministic", fields={}), "takes no sign field"),
+], ids=["misspelt", "dependent-no-field", "independent-no-fields",
+        "independent-list", "deterministic-field", "deterministic-fields"])
+def test_hierarchy_mode_checks_itself(kwargs, problem):
+    # a bad mode is refused where it is built, not run as the deterministic
+    # hierarchy; an empty mapping is a valid independent mode
+    with pytest.raises(ValueError, match=problem):
+        HierarchyMode(**kwargs)
+    assert HierarchyMode.independent({}).fields == {}
+
+
 def test_evolve_dispersion_only(lat):
     g = random_density_matrix(lat, 1, 16)
     st = HierarchyState(lat, 1, {1: g})
@@ -608,6 +638,7 @@ def test_evolve_refuses_nonfinite_top_level(lat, bad):
 def test_generator_signs_the_top_level_bitwise(lat, N):
     # the top level's feed carries the field's signs on gamma_N(0) and on the
     # rows of B_N @ groups: bitwise the product with the signed matrix
+    # S_(N-1)(h) B_N S_N(h), built here entry by entry
     st = random_state(lat, N, 27)
     f = sample_field(lat, 9)
     top0 = st.level(N).data.reshape(-1)
@@ -615,7 +646,11 @@ def test_generator_signs_the_top_level_bitwise(lat, N):
     vals, inv = dynamics._energy_split(lat, N)
     groups = sp.csr_matrix((top0, (np.arange(top0.size), inv)),
                            shape=(top0.size, vals.size))
-    ref = -1j * (full_collision_matrix(lat, N, f) @ groups).toarray()
+    B = full_collision_matrix(lat, N).tocoo()
+    s_out, s_in = (sign_vector(lat, f, k) for k in (N - 1, N))
+    signed = sp.csr_matrix((B.data * s_out[B.row] * s_in[B.col], (B.row, B.col)),
+                           shape=B.shape)
+    ref = -1j * (signed @ groups).toarray()
     lo = sum(lat.size ** (2 * k) for k in range(1, N - 1))
     hi = lo + lat.size ** (2 * (N - 1))
     assert np.array_equal(gen[lo:hi, hi:].toarray(), ref)
@@ -697,8 +732,8 @@ def test_blowup_guard(lat):
 
 def test_matrix_cache_stays_within_nnz_budget(checked_store):
     # the cache holds deterministic matrices only, one per lattice, order
-    # and term; with a sign field the cached matrix is reweighted and the
-    # call stores nothing
+    # and term; a collision under a sign field applies the cached matrix,
+    # the signs on its operand and product, and stores nothing
     sizes = [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 4)]
     # a budget that holds the largest matrix, and not all of them
     budget = max(full_collision_matrix(FrequencyLattice(1, M), m).nnz
@@ -710,9 +745,11 @@ def test_matrix_cache_stays_within_nnz_budget(checked_store):
         assert cached.total == sum(c.nnz for c in cached.values()) <= budget
         assert list(cached.values())[-1] is mat
         keys = list(cached.entries)
-        signed = full_collision_matrix(lat, m, sample_field(lat, 10 * M + m))
+        f, g = sample_field(lat, 10 * M + m), random_density_matrix(lat, m, M)
+        signed = full_collision(g, f)
         assert list(cached.entries) == keys
-        assert signed.nnz == mat.nnz
+        assert np.array_equal(signed.data.reshape(-1), _signed_product(
+            lat, mat, m, f, g.data.reshape(-1)))
     assert len(cached.entries) < len(sizes)
     # the full matrix is built in one pass: no per-term entries are cached
     assert all(len(key[3]) == 2 * (key[2] - 1) for key in cached.entries)

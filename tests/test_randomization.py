@@ -6,7 +6,7 @@ import pytest
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (DensityMatrix, MemoryGuardError, h_alpha_norm,
                            random_density_matrix)
-from gphier.dynamics import HierarchyMode, collision, collision_matrix
+from gphier.dynamics import HierarchyMode, collision, collision_matrix, sign_vector
 from gphier.randomization import (
     SignField,
     all_plus,
@@ -147,17 +147,23 @@ def test_operator_norm_majorizes(lat):
 ], ids=["k1-all", "k2-all", "k2-j2-all", "k2-deterministic", "M2-k1-all"])
 def test_operator_norm_matches_stacked_svd(M, k, j, randomized):
     # the largest singular value of the field-stacked map over every sign
-    # field (800 x 625 at M=2), materialized here from the randomized
-    # collision matrices and the H^alpha weights
+    # field (800 x 625 at M=2), materialized here from the collision
+    # matrices, each field's S_k(h) B S_(k+1)(h) and the H^alpha weights
     lat = FrequencyLattice(1, M)
     alpha = 0.5
     fields = enumerate_fields(lat) if randomized else [None]
     b = lat.brackets**alpha
     w_in = functools.reduce(np.multiply.outer, [b] * (2 * k + 2)).reshape(-1)
     w_out = functools.reduce(np.multiply.outer, [b] * (2 * k)).reshape(-1)
+    pair = (collision_matrix(lat, k + 1, j, k + 1, "+")
+            - collision_matrix(lat, k + 1, j, k + 1, "-")).toarray()
+
+    def signs(f, order):
+        return np.ones(lat.size ** (2 * order)) if f is None else \
+            sign_vector(lat, f, order)
+
     stacked = np.vstack([
-        (collision_matrix(lat, k + 1, j, k + 1, "+", f)
-         - collision_matrix(lat, k + 1, j, k + 1, "-", f)).toarray()
+        signs(f, k)[:, None] * pair * signs(f, k + 1)[None, :]
         * w_out[:, None] / w_in[None, :] for f in fields]) / np.sqrt(len(fields))
     ref = np.linalg.svd(stacked, compute_uv=False)[0]
     sigma = collision_omega_operator_norm(lat, k, j, alpha, randomized)

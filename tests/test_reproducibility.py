@@ -34,6 +34,11 @@ CONFIGS = {
         "residual", "--set", "d=1", "--set", "M=3", "--set", "N=3",
         "--set", "K_max=3", "--set", "q=16", "--set", "T=0.5",
         "--set", "dt=5e-4", "--set", "grid_points=11"],
+    # the residual on a d=2 lattice: each mode's signs on the operand of
+    # every collision, at 1 and 2 BLAS threads
+    "residual-d2": [
+        "residual", "--set", "d=2", "--set", "M=1", "--set", "N=3",
+        "--set", "K_max=3"],
     # criterion 4: independent decay, exact averages by class paths
     "decay-criterion-4": [
         "decay", "--set", "mode=independent", "--set", "M=1", "--set", "K_max=4",
