@@ -61,19 +61,53 @@ __all__ = [
 CHAIN_CAP = 2**22  # complex elements per chain-block or scalar-array chunk
 
 
-def _buckets(lattice, m):
-    """The coefficient rows of each energy bucket of level m, in increasing order.
+def _cis(theta):
+    """exp(-i theta) for a real array theta, as cos(theta) - i sin(theta):
+    the scalars of the chains take no complex exponential."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.negative(np.sin(theta), out=out.imag)
+    return out
 
-    Bucket e holds the coefficients at the e-th distinct energy of the
-    shared split (`dynamics._energy_split`).
+
+def _nonzero_columns(block):
+    """(the columns of the 2-d `block` with an entry other than 0, their
+    indices); a NaN is not 0, so it is kept."""
+    keep = np.flatnonzero((block != 0).any(axis=0))
+    return (block if keep.size == block.shape[1] else block[:, keep]), keep
+
+
+def _block_diagonal(blocks):
+    """The CSR matrix with the (n, a, b) `blocks` on its diagonal."""
+    n, a, b = blocks.shape
+    cols = np.arange(n * b).reshape(n, 1, b)
+    return sp.csr_matrix((blocks.reshape(-1), np.broadcast_to(cols, blocks.shape).reshape(-1),
+                          np.arange(0, blocks.size + 1, b)), shape=(n * a, n * b))
+
+
+def _contract(out, rows, W, cols, path, suffix, energy, fn):
+    """out[rows] += the columns `cols` of W times their scalars, per path:
+    out[r, path[i], t] gains W[r, i] fn[energy, suffix[i], t] for r in
+    `rows`, energy the index in fn of each row's energy.
+
+    One sparse product, not BLAS, does every sum: its matrix has a row
+    per (row r, path) and holds each nonzero W[r, i] (a NaN too) at column
+    (energy, suffix[i]) of the scalars, whose rows are fn's (energy,
+    suffix) pairs.
     """
-    def build():
-        vals, inv = _energy_split(lattice, m)
-        order = np.argsort(inv, kind="stable")
-        bounds = np.searchsorted(inv[order], np.arange(vals.size + 1))
-        return [order[bounds[e]:bounds[e + 1]] for e in range(vals.size)]
-
-    return tensor._TABLES.get(("buckets", lattice.d, lattice.M, m), build)
+    cols = cols[np.argsort(path[cols], kind="stable")]
+    paths, slot = np.unique(path[cols], return_inverse=True)
+    whole = rows.size == W.shape[0] and np.array_equal(cols, np.arange(W.shape[1]))
+    part = (W if whole else W[np.ix_(rows, cols)]).reshape(-1)
+    nz = np.flatnonzero(part != 0)
+    r, i = np.divmod(nz, cols.size)
+    n_t, n_e, c = fn.shape
+    counts = np.bincount(r * paths.size + slot[i], minlength=rows.size * paths.size)
+    mat = sp.csr_matrix((part[nz], energy[r] * c + suffix[cols[i]],
+                         np.r_[0, np.cumsum(counts)]),
+                        shape=(rows.size * paths.size, n_e * c))
+    sums = mat @ fn.transpose(1, 2, 0).reshape(-1, n_t)
+    out[np.ix_(rows, paths)] += sums.reshape(rows.size, paths.size, n_t)
 
 
 @dataclass(frozen=True)
@@ -223,7 +257,7 @@ class DuhamelEvaluator:
     def _leaf(self, m, field, classes=False):
         """B_m^h P_e gamma0^(m) for every energy bucket e of level m, h = field.
 
-        A sparse (dim_(m-1), n_e) block, built by one sparse product with
+        A sparse (dim_(m-1), n_e) CSR block, built by one sparse product with
         the bucket split of S_m(h) gamma0^(m), which stores only the
         nonzero coefficients, so the block is as sparse as the data.  With
         `classes` (and no field) the block has one column
@@ -237,12 +271,15 @@ class DuhamelEvaluator:
                 g = signs[1] * g
             nz, cls, n_c = self._data_classes(m) if classes else \
                 (np.flatnonzero(g), 0, 1)
-            label = _energy_split(self.lattice, m)[1][nz] * n_c + cls
-            n = _energy_split(self.lattice, m)[0].size * n_c
-            cols = sp.csr_matrix((g[nz], (nz, label)), shape=(g.size, n))
-            leaf = (full_collision_matrix(self.lattice, m) @ cols).tocsc()
+            vals, inv = _energy_split(self.lattice, m)
+            # one stored entry per nonzero coefficient, at its column
+            indptr = np.zeros(g.size + 1, dtype=np.int64)
+            indptr[nz + 1] = 1
+            cols = sp.csr_matrix((g[nz], inv[nz] * n_c + cls, np.cumsum(indptr)),
+                                 shape=(g.size, vals.size * n_c))
+            leaf = full_collision_matrix(self.lattice, m) @ cols
             if signs is not None:
-                leaf.data *= signs[0][leaf.indices]
+                leaf.data *= np.repeat(signs[0], np.diff(leaf.indptr))
             return leaf
 
         key = None if field is None else field.fingerprint()
@@ -360,20 +397,13 @@ class DuhamelEvaluator:
         fields on levels k+1..k+j (none for a mode None).  With `by_class`
         (modes [None]) its levels take the input of their collision per
         class, the leaf's per class of the data, and P counts the class
-        paths; without it P = 1.  A chain block carries one column per
-        (class path, energy chain).  The modes, and the data's classes
-        through levels above k with no split, climb one at a time and
-        share their scalars.
+        paths; without it P = 1.  Each mode climbs from the nonzero columns
+        of its leaf block, column e n_top + c on path c and suffix e, and
+        the modes share their scalars.
         """
         n_top = self._data_classes(k + j)[2] if k + j in by_class else 1
         n_cls = [self._class_count(m, m in by_class) for m in range(k + 1, k + j)]
-        # the data's classes climb one at a time through a level below
-        # k + j with no class split: `_climb` reads that level's product,
-        # rows (r, e) by columns (path, suffix), as (r, path, .), which is
-        # right only for one path or one energy per chunk
-        alone = n_top > 1 and j > 1 and k + j - 1 not in by_class
-        width = 1 if alone else n_top
-        self._check_chain(k, j, times.size, n_cls + [width], len(modes),
+        self._check_chain(k, j, times.size, n_cls + [n_top], len(modes),
                           math.prod(n_cls) * n_top)
         x, _ = self._gl
         # nodes[i]: the Gauss-Legendre tree's time nodes at level k + i
@@ -387,23 +417,19 @@ class DuhamelEvaluator:
         # deepest nodes
         vals = _energy_split(self.lattice, k + j)[0]
         dim_leaf = self.lattice.size ** (2 * (k + j - 1))
-        step = max(1, CHAIN_CAP // max(dim_leaf * width, nodes[j].size))
+        step = max(1, CHAIN_CAP // max(dim_leaf * n_top, nodes[j].size))
         for lo in range(0, vals.size, step):
             hi = min(lo + step, vals.size)
-            f = np.exp(-1j * np.outer(nodes[j], vals[lo:hi]))
-            # the levels below share their scalars across these climbs
-            memo = {} if len(modes) > 1 or alone else None
+            f = _cis(np.outer(nodes[j], vals[lo:hi]))
+            # the levels below share their scalars across the modes
+            memo = {} if len(modes) > 1 else None
             for mode, term in zip(modes, out):
                 leaf = self._leaf(k + j, _field(mode, k + j), k + j in by_class)
-                # columns e n_top + c for e in lo..hi-1, one class c at a time
-                blocks = [(leaf if step >= vals.size else
-                           leaf[:, lo * n_top:hi * n_top], term)] if not alone else (
-                    (leaf[:, lo * n_top + c:hi * n_top:n_top], term[:, c:c + 1])
-                    for c in range(n_top))
-                for cols, dest in blocks:
-                    W = cols.toarray().reshape(dim_leaf, hi - lo, -1)
-                    self._climb(k, k + j - 1, W.transpose(0, 2, 1), f, nodes, dest,
-                                mode, memo, by_class)
+                if step < vals.size:
+                    leaf = leaf[:, lo * n_top:hi * n_top]
+                W, keep = _nonzero_columns(leaf.toarray())
+                self._climb(k, k + j - 1, W, keep % n_top, keep // n_top, n_top, f,
+                            nodes, term, mode, memo, by_class)
         out *= (-1j) ** j
         return out
 
@@ -437,81 +463,80 @@ class DuhamelEvaluator:
                        f"times hold {size} entries for {n_out} class paths x "
                        f"{n_modes} modes, F = {F}", size, CHAIN_CAP)
 
-    def _climb(self, k, level, W, f, nodes, out, mode, memo, by_class=()):
+    def _climb(self, k, level, W, path, suffix, P, f, nodes, out, mode, memo,
+               by_class=()):
         """Carry one chunk of chains from `level` up to level k into `out`.
 
-        W is the chain block at `level` (dim_level x P x c) of one mode: P
-        class paths (1 without `by_class`) by c chain suffixes.  f holds
-        the scalar functions of the same c chain suffixes at the time nodes
-        of level + 1.  One step prepends the energy e of `level` to every
-        suffix: the scalar half computes
+        W (dim_level x n) holds the nonzero columns of one mode's chain
+        block at `level`: column i lies on class path path[i] of P (all 0
+        of 1 without `by_class`) and on chain suffix suffix[i], a column of
+        f, which holds the scalar functions of the chain suffixes at the
+        time nodes of level + 1.  One step prepends the energy e of `level`
+        to every suffix: the scalar half computes
         f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r)
-        and, above level k, the vector half applies B_level P_e under the
-        mode's field of `level` (none for a mode None, as with `by_class`),
-        and B_level P_e P_c for every class c of `level` if `by_class`
-        holds `level`, which prepends c to every class path.  At level k
-        the scalars are contracted with each row of W at that row's energy
-        into the mode's (dim_k, P, n) `out`.
-        `memo`, when not None, keeps the scalars of this call's chunks (and
-        of the levels below) for the other climbs that make the same call
-        with another W.
+        for every suffix, new suffix e c + suffix for f's c suffixes.
+        Above level k the vector half applies B_level P_e under the mode's
+        field of `level` (none for a mode None, as with `by_class`), and
+        B_level P_e P_c for every class c of `level` if `by_class` holds
+        `level`, new path c P + path, in one product with the columns; the
+        product's columns that vanish are dropped (a NaN does not vanish).
+        At level k each row of W takes the scalar at its energy and its
+        column's suffix, and the columns add per class path into the
+        mode's (dim_k, P, n) `out`.  `memo`, when not None, keeps the
+        scalars of this call's chunks (and of the levels below) for the
+        other climbs that make the same call with another W.
         """
-        vals = _energy_split(self.lattice, level)[0]
+        vals, inv = _energy_split(self.lattice, level)
         x, w = self._gl
         s = nodes[level - k]
-        dim, P, c = W.shape
-        if level == k:
-            dim_next, width = dim, P
-        else:
-            dim_next = self.lattice.size ** (2 * (level - 1))
-            width = self._class_count(level, level in by_class) * P
-        # one chunk of (energies x suffixes) columns stays within the cap
-        per_col = max(dim_next * width, s.size)
+        c = f.shape[1]
+        n_cls = self._class_count(level, level in by_class)
+        dim_next = self.lattice.size ** (2 * (level - 1)) if level > k else 0
+        # a chunk of (energies x suffixes) scalars, and of product columns:
+        # each of its columns has one per energy, class and column of W,
+        # and at most `most` columns of W share a suffix
+        most = max(1, np.bincount(suffix, minlength=1).max())
+        per_col = max(dim_next * n_cls * most, s.size)
         n_e = min(vals.size, max(1, CHAIN_CAP // max(per_col, s.size * x.size)))
-        if level in by_class:
-            # one energy per chunk, so the product's rows (r, e, c) by its
-            # columns (path, suffix) are already rows r by columns
-            # (c, path) x (e, suffix), with no transposed copy (without
-            # classes, c and path take one value)
-            n_e = 1
         n_c = max(1, CHAIN_CAP // (per_col * n_e))
-        if level == k and P > 1:
-            # the rows split by energy, so the blocks gathered for all
-            # energies of a column hold dim_k P entries together
-            n_c = max(1, CHAIN_CAP // max(dim * P, s.size * n_e))
         for lo in range(0, vals.size, n_e):
             hi = min(lo + n_e, vals.size)
             E = None
             split = None
             for c0 in range(0, c, n_c):
-                cols = slice(c0, min(c0 + n_c, c))
-                entry = None if memo is None else memo.get((lo, c0))
+                c1 = min(c0 + n_c, c)
+                sel = np.flatnonzero((suffix >= c0) & (suffix < c1))
+                if not sel.size:
+                    continue
+                key = (lo, hi, c0, c1)
+                entry = None if memo is None else memo.get(key)
                 if entry is None:
                     if E is None:
                         wu = 0.5 * s[:, None] * w
                         gap = 0.5 * s[:, None] * (1.0 - x)     # s - u_r
-                        E = wu[:, None, :] * np.exp(
-                            -1j * vals[None, lo:hi, None] * gap[:, None, :])
-                    entry = (E @ f[:, cols].reshape(s.size, x.size, -1),
+                        E = _block_diagonal(wu[:, None, :] * _cis(
+                            vals[None, lo:hi, None] * gap[:, None, :]))
+                    # a sparse product, not BLAS, so no bit depends on the
+                    # thread count
+                    entry = ((E @ f[:, c0:c1]).reshape(s.size, hi - lo, -1),
                              None if memo is None else {})
                     if memo is not None:
-                        memo[(lo, c0)] = entry
+                        memo[key] = entry
                 fn, below = entry
                 if level == k:
-                    rows = _buckets(self.lattice, k)
-                    for e in range(lo, hi):
-                        block = W[rows[e], :, cols]
-                        out[rows[e]] += (
-                            block.reshape(-1, block.shape[2])
-                            @ fn[:, e - lo, :].T).reshape(block.shape[:2] + (-1,))
+                    rows = np.flatnonzero((inv >= lo) & (inv < hi))
+                    _contract(out, rows, W, sel, path, suffix - c0, inv[rows] - lo, fn)
                     continue
                 if split is None:
                     split = self._split(level, lo, hi, level in by_class)
-                Wn = conjugate(lambda X: real_matmul(split, X)
-                               .reshape(dim_next, width, -1),
-                               W[:, :, cols], self._signs(level, _field(mode, level)))
-                self._climb(k, level - 1, Wn, fn.reshape(s.size, -1), nodes,
-                            out, mode, below, by_class)
+                Wn, keep = _nonzero_columns(conjugate(
+                    lambda X: real_matmul(split, X).reshape(dim_next, -1),
+                    W if sel.size == W.shape[1] else W[:, sel],
+                    self._signs(level, _field(mode, level))))
+                e, cls, i = np.unravel_index(keep, (hi - lo, n_cls, sel.size))
+                self._climb(k, level - 1, Wn, cls * P + path[sel[i]],
+                            e * (c1 - c0) + suffix[sel[i]] - c0, n_cls * P,
+                            fn.reshape(s.size, -1), nodes, out, mode, below, by_class)
 
     def collide(self, m, batch):
         """B_m under each mode's level-m field, applied to that mode's array.

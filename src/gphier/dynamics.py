@@ -102,6 +102,10 @@ class HierarchyMode:
         given = self.field is not None or self.fields is not None
         if self.variant == "deterministic" and given:
             raise ValueError("deterministic mode takes no sign field")
+        if self.variant == "dependent" and self.fields is not None:
+            raise ValueError("dependent mode takes one shared field, not per-level fields")
+        if self.variant == "independent" and self.field is not None:
+            raise ValueError("independent mode takes per-level fields, not a shared field")
 
     @classmethod
     def deterministic(cls):

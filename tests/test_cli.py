@@ -349,7 +349,7 @@ def test_report_determinism(tmp_path):
 
 
 # the per-process stores of lattice-only structures: collision matrices and
-# class-energy splits, and every other table (energy splits and buckets,
+# class-energy splits, and every other table (energy splits,
 # shift tables, odd-class masks and labels, operator norms, NLS tables)
 STORES = [(dynamics, "_MATRIX_CACHE"), (tensor, "_TABLES")]
 
@@ -378,8 +378,7 @@ def test_report_reproducible(monkeypatch):
         runs.append(objs)
         if len(runs) == 1:
             assert {key[0] for key in caches()["_TABLES"]} == {
-                "energies", "buckets", "shifts", "masks", "classes", "norm",
-                "leggauss"}
+                "energies", "shifts", "masks", "classes", "norm", "leggauss"}
             assert any(key[0] == "split" for key in caches()["_MATRIX_CACHE"])
     assert runs[0] == runs[1]
 

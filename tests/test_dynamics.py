@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gphier import duhamel, dynamics, nls, tensor
+from gphier import dynamics, nls, tensor
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (
     DensityMatrix,
@@ -527,11 +527,17 @@ _ONE_FIELD = SignField(np.array([1, -1, 1], dtype=np.int8), "drawn")
     (dict(variant="independent", fields=[_ONE_FIELD]), "got list"),
     (dict(variant="deterministic", field=_ONE_FIELD), "takes no sign field"),
     (dict(variant="deterministic", fields={}), "takes no sign field"),
+    (dict(variant="dependent", field=_ONE_FIELD, fields={2: _ONE_FIELD}),
+     "dependent mode takes one shared field, not per-level fields"),
+    (dict(variant="independent", field=_ONE_FIELD, fields={2: _ONE_FIELD}),
+     "independent mode takes per-level fields, not a shared field"),
 ], ids=["misspelt", "dependent-no-field", "independent-no-fields",
-        "independent-list", "deterministic-field", "deterministic-fields"])
+        "independent-list", "deterministic-field", "deterministic-fields",
+        "dependent-fields", "independent-field"])
 def test_hierarchy_mode_checks_itself(kwargs, problem):
     # a bad mode is refused where it is built, not run as the deterministic
-    # hierarchy; an empty mapping is a valid independent mode
+    # hierarchy, nor run with an attribute its variant never reads; an empty
+    # mapping is a valid independent mode
     with pytest.raises(ValueError, match=problem):
         HierarchyMode(**kwargs)
     assert HierarchyMode.independent({}).fields == {}
@@ -762,7 +768,6 @@ def test_table_store_stays_within_its_budget(checked_store):
     lattices = [FrequencyLattice(1, 1), FrequencyLattice(1, 2), FrequencyLattice(2, 1)]
     tables = [
         lambda lat: dynamics._energy_split(lat, 2),
-        lambda lat: duhamel._buckets(lat, 2),
         dynamics._shift_table,
         lambda lat: tensor.odd_classes(lat, 2),
         nls._tables,
