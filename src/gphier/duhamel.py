@@ -8,12 +8,16 @@ coefficients of energy e, the depth-j term at level k is
                    B_{k+j} P_{e_{k+j}} gamma0] * I(e_k, ..., e_{k+j}; s)
 
 with I the j-fold simplex integral of the phases.  It is evaluated in two
-halves.  The vector half applies each collision matrix once, to a block
-whose columns are the energy chains below it; the matrices are real, so
-every such product runs in real arithmetic on the block's float64 view
-(`dynamics.real_matmul`).  The scalar half runs the
-recursive tensor-product Gauss-Legendre rule (cost q^j) on (time node x
-chain suffix) arrays of scalars.  The method uses no generator and no
+halves.  The vector half applies each collision matrix once per level,
+to a chain block that keeps only its nonzero columns, each labelled by
+its class path and its chain suffix (the energies below it); the
+matrices are real, so every such product runs in real arithmetic on the
+block's float64 view (`dynamics.real_matmul`), and the product's columns
+that vanish are dropped.  The scalar half runs the recursive
+tensor-product Gauss-Legendre rule (cost q^j) on (time node x chain
+suffix) arrays of scalars, dense over the suffixes.  Both halves sum in
+sparse products, never in BLAS, so no bit depends on the thread count.
+The method uses no generator and no
 matrix exponential, so it stays an independent construction from
 `dynamics.evolve_truncated`.  The integral residual collides the solution
 one level up at the quadrature nodes; when that is the top level, plain
@@ -152,8 +156,7 @@ class DuhamelEvaluator:
 
     The energy buckets of every level are those of the free flow: the
     distinct energies and each coefficient's bucket come from the cached
-    split `dynamics._energy_split`, and the rows of each bucket, built
-    only for the levels a term ends at, from `_buckets`.
+    split `dynamics._energy_split`.
 
     Caches what depends on the state or a field: the flattened initial
     coefficients of each level m, per level m and sign field the leaf
@@ -164,16 +167,22 @@ class DuhamelEvaluator:
     built once per process and shared by every evaluator: per level m the
     per-energy column slices B_m P_e of the deterministic collision matrix
     stacked into one matrix (`_split`, in `dynamics._MATRIX_CACHE`) and
-    the odd-multiplicity classes (`tensor.odd_classes`).  A term of depth j starts from the leaf block
-    of level k+j and walks up to level k.  At each level the chain block
-    (the vector half) takes one product with the stacked slices, and the
-    scalar functions of the chain
-    suffixes (the scalar half) take one nested Gauss-Legendre step; the
-    two are contracted row by row at level k.  The vector half's products,
-    and `collide`'s, take a real matrix to complex data and run on the
-    data's float64 view (`dynamics.real_matmul`).  Both are chunked over chain
-    columns, never over times, so each array stays within `CHAIN_CAP`
-    complex elements.
+    the odd-multiplicity classes (`tensor.odd_classes`).
+
+    A term of depth j starts from the nonzero columns of the leaf block of
+    level k+j and walks up to level k.  A chain block is a dense (dim, n)
+    array of its nonzero columns only, with two int arrays: each column's
+    class path and its suffix, the column of the scalar half it goes
+    with.  At each level the block (the vector half) takes one product
+    with the stacked slices, whose vanishing columns are dropped, and the
+    scalar functions of the chain suffixes (the scalar half) take one
+    nested Gauss-Legendre step; at level k each row takes the scalar at
+    its energy and its column's suffix, and the columns add per class path
+    (`_contract`).  The vector half's products, and `collide`'s, take a
+    real matrix to complex data and run on the data's float64 view
+    (`dynamics.real_matmul`).  Both halves are chunked over energies and
+    chain suffixes, never over times, so each array stays within
+    `CHAIN_CAP` complex elements.
 
     The scalar half does not depend on the fields: it is computed once
     per level and chunk for the whole batch and kept for the modes that
@@ -183,7 +192,7 @@ class DuhamelEvaluator:
     or vanishing data) is one read-only array for every mode.  Class-split
     climbs (`omega_norm`, `_class_terms`) take a variant and read neither
     the modes nor a field: splits and leaf blocks go per (energy, class),
-    chain blocks carry the class paths.
+    and each column's path names its classes.
     """
 
     def __init__(self, state0, modes=(), quad=None):
@@ -231,8 +240,8 @@ class DuhamelEvaluator:
         """B_m P_e for the energy buckets lo <= e < hi, stacked row-wise.
 
         Row r (hi - lo) + (e - lo) is row r of B_m restricted to the columns
-        of bucket e, so `(split @ W).reshape(dim_(m-1), -1)` is the chain
-        block with e as its new leading chain index.  With `classes` the
+        of bucket e, so `(split @ W).reshape(dim_(m-1), -1)` has a column
+        per (e, column of W), e slowest.  With `classes` the
         columns are split by energy and class: B_m P_e P_c is row
         (r (hi - lo) + (e - lo)) n_c + c (`_class_energy_split`).  The
         split over all n buckets, and each chunk of them, depend on the
@@ -704,8 +713,9 @@ def cauchy_diagnostic(state0, Ns, T, variant, quad=None, alpha=1.0, xi=0.5,
     classes of level k+1 (`dynamics._lift`) where its own field splits its
     input.  That is every level if independent, and if dependent only the
     free term at N = k, since at depth >= 1 the shared field's
-    S_(k+1)(h)^2 = 1 cancels it.  At one BLAS thread on a
-    2-core host, independent d=1 M=1 N=5 takes about 4 s and 320 MiB.
+    S_(k+1)(h)^2 = 1 cancels it.  At one BLAS thread on a 2-core host,
+    independent d=1 M=1 N=5 takes about 0.8 s and 320 MiB resident (250
+    MiB traced).
     """
     if max(Ns) + 1 > state0.K_max:
         raise ValueError(f"need K_max >= {max(Ns) + 1}")

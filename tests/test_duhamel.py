@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from gphier import cli, duhamel, dynamics, randomization
+from gphier import cli, duhamel, dynamics, randomization, tensor
 from gphier.cli import ExperimentConfig, run_experiment
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (
@@ -505,6 +505,61 @@ def test_class_path_chunks_match_and_guard(lat, monkeypatch):
     monkeypatch.setattr(duhamel, "CHAIN_CAP", 2900)
     with pytest.raises(MemoryGuardError, match="^M: .* for each of 4 class paths"):
         DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.4, "independent")
+
+
+@pytest.mark.parametrize("variant", ["dependent", "independent"])
+def test_nan_at_the_leaf_reaches_the_averages(lat, variant):
+    # a NaN in gamma0 at level 4 sits in a nonzero column of every chain
+    # block it reaches, so no pruned climb drops it: the depth-3 average
+    # at level 1 is NaN, and the depths that never read level 4 are not
+    st = random_state(lat, 4, 48, alpha=1.0, level_norms=[1.0] * 4)
+    top = st.level(4).data.copy().reshape(-1)
+    top[full_collision_matrix(lat, 4).indices[0]] = np.nan
+    st = st.with_levels({4: DensityMatrix(lat, 4, "dense",
+                                          data=top.reshape(st.level(4).data.shape))})
+    quad = QuadratureSpec(q=4)
+    assert math.isnan(DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.3, variant))
+    norms = decay_profile(st, 1, 0.3, variant, 3, quad)[0]
+    assert np.all(np.isfinite(norms[:3])) and math.isnan(norms[3])
+
+
+def _confined_state(lat, K, seed, points):
+    """Random coefficients on the indices of levels 1..K whose odd-
+    multiplicity class is the point set `points`, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    mask = sum(1 << p for p in points)
+    levels = {}
+    for m in range(1, K + 1):
+        shape = (lat.size,) * (2 * m)
+        on = tensor._odd_masks(lat, m) == mask
+        data = np.where(on, rng.standard_normal(on.size) + 1j * rng.standard_normal(on.size), 0)
+        levels[m] = DensityMatrix(lat, m, "dense", data=data.reshape(shape))
+    return HierarchyState(lat, K, levels)
+
+
+@pytest.mark.parametrize("variant", ["dependent", "independent"])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_one_class_data_matches_field_enumeration(variant, j):
+    # data confined to the one odd class {0, 1} leaves whole class paths
+    # empty, so the pruned climb drops every column of them; the class
+    # split's average still equals the enumeration of every field of
+    # levels 2..1+j (the shared field, if dependent) to roundoff
+    lat = FrequencyLattice(1, 1)
+    st = _confined_state(lat, 4, 49, (0, 1))
+    assert data_classes(st, range(1, 5)).tolist() == [0b011]
+    quad, t = QuadratureSpec(q=4), 0.4
+    ev = DuhamelEvaluator(st, quad=quad)
+    terms = ev._class_terms(1, [j], [t], variant)
+    assert terms.shape[1] == 1 or not np.all(terms.any(axis=(0, 2)))
+
+    def norms(modes):
+        batch = DuhamelEvaluator(st, modes, quad)
+        return _per_mode(batch.term_batch(1, j, [t]),
+                         lambda term: h_alpha_norm(batch._wrap(1, term[:, 0]), 1.0))
+
+    ref = omega_l2_h_alpha(norms, variant, lat, range(2, 2 + j)).value
+    got = ev.omega_norm(1, j, t, variant)
+    assert ref > 0 and abs(got - ref) <= 1e-13 * ref
 
 
 def test_nonuniform_grid_matches_duhamel():

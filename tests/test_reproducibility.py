@@ -69,6 +69,9 @@ CONFIGS = {
         "--set", "T=0.1", "--set", "alpha=1.0", "--set", "alpha0=2.0",
         "--set", "q=10", "--set", "xi=0.5", "--set", "xi_prime=1.0",
         "--seed", "108"],
+    # continuity at M=3 N=3: the largest class-split chunks, several
+    # energies of a level in one product and one scalar step
+    "continuity-M3-N3": ["continuity", "--set", "M=3", "--set", "N=3"],
     # dependent decay at M=5, whose shared field has 2^11 values
     "decay-dependent-M5": [
         "decay", "--set", "mode=dependent", "--set", "M=5", "--set", "K_max=3",
