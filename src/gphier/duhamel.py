@@ -8,17 +8,13 @@ coefficients of energy e, the depth-j term at level k is
                    B_{k+j} P_{e_{k+j}} gamma0] * I(e_k, ..., e_{k+j}; s)
 
 with I the j-fold simplex integral of the phases.  It is evaluated in two
-halves.  The vector half applies each collision matrix once per level,
-to a chain block that keeps only its nonzero columns, each labelled by
-its class path and its chain suffix (the energies below it); the
-matrices are real, so every such product runs in real arithmetic on the
-block's float64 view (`dynamics.real_matmul`), and the product's columns
-that vanish are dropped.  The scalar half runs the recursive
-tensor-product Gauss-Legendre rule (cost q^j) on (time node x chain
-suffix) arrays of scalars, dense over the suffixes.  Both halves sum in
-sparse products, never in BLAS, so no bit depends on the thread count.
-The method uses no generator and no
-matrix exponential, so it stays an independent construction from
+halves.  The vector half applies each collision matrix once per level
+to a block of the nonzero chain columns below it, in real arithmetic on
+the block's float64 view (`dynamics.real_matmul`).  The scalar half runs
+the recursive tensor-product Gauss-Legendre rule (cost q^j) on (time
+node x chain suffix) arrays of scalars.  Both sum in sparse products,
+never in BLAS, so no bit depends on the thread count.  The method uses
+no generator and no matrix exponential, so it stays independent of
 `dynamics.evolve_truncated`.  The integral residual collides the solution
 one level up at the quadrature nodes; when that is the top level, plain
 free flow, it is formed one node at a time (`integral_residual`), so no
@@ -63,15 +59,6 @@ __all__ = [
 ]
 
 CHAIN_CAP = 2**22  # complex elements per chain-block or scalar-array chunk
-
-
-def _cis(theta):
-    """exp(-i theta) for a real array theta, as cos(theta) - i sin(theta):
-    the scalars of the chains take no complex exponential."""
-    out = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    np.negative(np.sin(theta), out=out.imag)
-    return out
 
 
 def _nonzero_columns(block):
@@ -169,20 +156,16 @@ class DuhamelEvaluator:
     stacked into one matrix (`_split`, in `dynamics._MATRIX_CACHE`) and
     the odd-multiplicity classes (`tensor.odd_classes`).
 
-    A term of depth j starts from the nonzero columns of the leaf block of
-    level k+j and walks up to level k.  A chain block is a dense (dim, n)
-    array of its nonzero columns only, with two int arrays: each column's
-    class path and its suffix, the column of the scalar half it goes
-    with.  At each level the block (the vector half) takes one product
-    with the stacked slices, whose vanishing columns are dropped, and the
-    scalar functions of the chain suffixes (the scalar half) take one
-    nested Gauss-Legendre step; at level k each row takes the scalar at
-    its energy and its column's suffix, and the columns add per class path
-    (`_contract`).  The vector half's products, and `collide`'s, take a
-    real matrix to complex data and run on the data's float64 view
-    (`dynamics.real_matmul`).  Both halves are chunked over energies and
-    chain suffixes, never over times, so each array stays within
-    `CHAIN_CAP` complex elements.
+    A term of depth j walks from the leaf block of level k+j up to level
+    k.  A chain block is a dense (dim, n) array of its nonzero columns
+    only, with each column's class path and suffix (the column of the
+    scalar half it goes with).  At each level the block (the vector half)
+    takes one product with the stacked slices, whose vanishing columns
+    are dropped, and the scalar functions of the chain suffixes (the
+    scalar half) take one nested Gauss-Legendre step; at level k the two
+    meet row by row and add per class path (`_contract`).  Both are
+    chunked over energies and suffixes, never over times, so each array
+    stays within `CHAIN_CAP` complex elements.
 
     The scalar half does not depend on the fields: it is computed once
     per level and chunk for the whole batch and kept for the modes that
@@ -281,10 +264,7 @@ class DuhamelEvaluator:
             nz, cls, n_c = self._data_classes(m) if classes else \
                 (np.flatnonzero(g), 0, 1)
             vals, inv = _energy_split(self.lattice, m)
-            # one stored entry per nonzero coefficient, at its column
-            indptr = np.zeros(g.size + 1, dtype=np.int64)
-            indptr[nz + 1] = 1
-            cols = sp.csr_matrix((g[nz], inv[nz] * n_c + cls, np.cumsum(indptr)),
+            cols = sp.csr_matrix((g[nz], (nz, inv[nz] * n_c + cls)),
                                  shape=(g.size, vals.size * n_c))
             leaf = full_collision_matrix(self.lattice, m) @ cols
             if signs is not None:
@@ -429,7 +409,7 @@ class DuhamelEvaluator:
         step = max(1, CHAIN_CAP // max(dim_leaf * n_top, nodes[j].size))
         for lo in range(0, vals.size, step):
             hi = min(lo + step, vals.size)
-            f = _cis(np.outer(nodes[j], vals[lo:hi]))
+            f = np.exp(-1j * np.outer(nodes[j], vals[lo:hi]))
             # the levels below share their scalars across the modes
             memo = {} if len(modes) > 1 else None
             for mode, term in zip(modes, out):
@@ -477,23 +457,20 @@ class DuhamelEvaluator:
         """Carry one chunk of chains from `level` up to level k into `out`.
 
         W (dim_level x n) holds the nonzero columns of one mode's chain
-        block at `level`: column i lies on class path path[i] of P (all 0
-        of 1 without `by_class`) and on chain suffix suffix[i], a column of
-        f, which holds the scalar functions of the chain suffixes at the
-        time nodes of level + 1.  One step prepends the energy e of `level`
-        to every suffix: the scalar half computes
-        f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r)
-        for every suffix, new suffix e c + suffix for f's c suffixes.
-        Above level k the vector half applies B_level P_e under the mode's
-        field of `level` (none for a mode None, as with `by_class`), and
-        B_level P_e P_c for every class c of `level` if `by_class` holds
-        `level`, new path c P + path, in one product with the columns; the
-        product's columns that vanish are dropped (a NaN does not vanish).
-        At level k each row of W takes the scalar at its energy and its
-        column's suffix, and the columns add per class path into the
-        mode's (dim_k, P, n) `out`.  `memo`, when not None, keeps the
-        scalars of this call's chunks (and of the levels below) for the
-        other climbs that make the same call with another W.
+        block at `level`, column i on class path path[i] of P (0 of 1
+        without `by_class`) and on suffix suffix[i], a column of f: the
+        scalar functions of the chain suffixes at the time nodes of level
+        + 1.  One step prepends the energy e of `level` to every suffix,
+        new suffix e c + suffix for f's c suffixes: the scalar half computes
+        f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r),
+        and above level k the vector half applies B_level P_e under the
+        mode's field of `level` (none for a mode None), and B_level P_e P_c
+        for every class c of `level` if `by_class` holds `level`, new path
+        c P + path, in one product that drops its vanishing columns (a NaN
+        does not vanish).  At level k the columns add per class path into
+        the mode's (dim_k, P, n) `out` (`_contract`).  `memo`, when not
+        None, keeps the scalars of this call's chunks (and of the levels
+        below) for the other climbs that make the same call with another W.
         """
         vals, inv = _energy_split(self.lattice, level)
         x, w = self._gl
@@ -523,8 +500,8 @@ class DuhamelEvaluator:
                     if E is None:
                         wu = 0.5 * s[:, None] * w
                         gap = 0.5 * s[:, None] * (1.0 - x)     # s - u_r
-                        E = _block_diagonal(wu[:, None, :] * _cis(
-                            vals[None, lo:hi, None] * gap[:, None, :]))
+                        E = _block_diagonal(wu[:, None, :] * np.exp(
+                            -1j * vals[None, lo:hi, None] * gap[:, None, :]))
                     # a sparse product, not BLAS, so no bit depends on the
                     # thread count
                     entry = ((E @ f[:, c0:c1]).reshape(s.size, hi - lo, -1),
