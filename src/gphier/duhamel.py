@@ -264,7 +264,10 @@ class DuhamelEvaluator:
             nz, cls, n_c = self._data_classes(m) if classes else \
                 (np.flatnonzero(g), 0, 1)
             vals, inv = _energy_split(self.lattice, m)
-            cols = sp.csr_matrix((g[nz], (nz, inv[nz] * n_c + cls)),
+            # one stored entry per nonzero coefficient, built as CSR directly
+            indptr = np.zeros(g.size + 1, dtype=np.int64)
+            indptr[nz + 1] = 1
+            cols = sp.csr_matrix((g[nz], inv[nz] * n_c + cls, np.cumsum(indptr)),
                                  shape=(g.size, vals.size * n_c))
             leaf = full_collision_matrix(self.lattice, m) @ cols
             if signs is not None:
