@@ -64,7 +64,7 @@ CHAIN_CAP = 2**22  # complex elements per chain-block or scalar-array chunk
 def _nonzero_columns(block):
     """(the columns of the 2-d `block` with an entry other than 0, their
     indices); a NaN is not 0, so it is kept."""
-    keep = np.flatnonzero((block != 0).any(axis=0))
+    keep = np.flatnonzero(block.any(axis=0))
     return (block if keep.size == block.shape[1] else block[:, keep]), keep
 
 
@@ -78,7 +78,7 @@ def _block_diagonal(blocks):
 
 def _contract(out, rows, W, cols, path, suffix, energy, fn):
     """out[rows] += the columns `cols` of W times their scalars, per path:
-    out[r, path[i], t] gains W[r, i] fn[energy, suffix[i], t] for r in
+    out[r, path[i], t] gains W[r, i] fn[t, energy, suffix[i]] for r in
     `rows`, energy the index in fn of each row's energy.
 
     One sparse product, not BLAS, does every sum: its matrix has a row

@@ -507,6 +507,19 @@ def test_class_path_chunks_match_and_guard(lat, monkeypatch):
         DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.4, "independent")
 
 
+def test_dependent_class_chunks_match(lat, monkeypatch):
+    # the dependent class split carries the 4 classes of the data at level
+    # 4 on every level of a depth-3 climb, none of which splits again
+    # (2,916, 324 and 36 rows per chain column at levels 3, 2 and 1); a
+    # cap of 3,000 chunks every level and gives the same norm
+    st = random_state(lat, 4, 35, alpha=1.0, level_norms=[1.0] * 4)
+    quad = QuadratureSpec(q=4)
+    ref = DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.4, "dependent")
+    monkeypatch.setattr(duhamel, "CHAIN_CAP", 3000)
+    got = DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.4, "dependent")
+    assert abs(got - ref) <= 1e-13 * ref
+
+
 @pytest.mark.parametrize("variant", ["dependent", "independent"])
 def test_nan_at_the_leaf_reaches_the_averages(lat, variant):
     # a NaN in gamma0 at level 4 sits in a nonzero column of every chain
