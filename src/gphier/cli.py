@@ -60,6 +60,7 @@ from .duhamel import (
     solution_time_modulus,
 )
 from .randomization import (
+    ENUMERATION_CAP,
     NORM_DOMAIN_CAP,
     all_plus,
     collision_omega_operator_norm,
@@ -122,8 +123,8 @@ class ExperimentConfig:
         """The largest size this kind builds, checked before any state is.
 
         A size is a dense array or, for estimate-c0, a count of sign fields
-        averaged over.  Dependent-mode decay also needs enough modulus
-        shells on the lattice.
+        or Monte Carlo samples averaged over.  Dependent-mode decay also
+        needs enough modulus shells on the lattice.
 
         Returns a message naming the field at fault, or None.  Sizes are
         compared in logarithms, so a huge N or K_max costs nothing.
@@ -176,6 +177,10 @@ class ExperimentConfig:
             # the exact Omega-average; the operator norm takes no field
             ("estimate-c0", big, F * math.log(2), 2**FIELD_BITS,
              "an exact average over every sign field, 2^F of them"),
+            # the Monte Carlo average holds every sample's mode at once
+            ("estimate-c0", "mc_samples", math.log(max(self.mc_samples, 1)),
+             ENUMERATION_CAP, "a Monte Carlo average over mc_samples points of "
+             "Omega, each sample's fields held at once"),
             # the k=2 residual streams the order-3 tensor power into the
             # gather collision.  The row bounds the whole pair-reduced sum,
             # its shift buffer, though the kernel holds one F-th of it at a
@@ -911,7 +916,7 @@ def _out_dir(path, flag="--out"):
 
 def _load_config(args, kind):
     base = _json_object("--config", args.config) if args.config else {}
-    base["kind"] = kind
+    base.setdefault("kind", kind)
     if args.seed is not None:
         base["seed"] = args.seed
     for item in args.set or []:
@@ -919,6 +924,9 @@ def _load_config(args, kind):
             raise ConfigError([f"override {item!r} is not key=value"])
         key, val = item.split("=", 1)
         base[key] = _parse_value(val)
+    if base["kind"] != kind:
+        raise ConfigError([f"kind: the subcommand runs {kind}; the config "
+                           f"cannot make it {base['kind']!r}"])
     unknown = set(base) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError([f"{k}: unknown config field" for k in sorted(unknown)])

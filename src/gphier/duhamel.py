@@ -28,7 +28,8 @@ averages take a variant (`dynamics.VARIANTS`) and draw no field: one
 climb takes the input of some collisions per odd-multiplicity class,
 each column of the split carries one Walsh character of the fields, and
 the columns of equal character, over the depths of a solution too, add
-before the classes add in squares (`DuhamelEvaluator._class_terms`).
+before the classes add in squares.  Each depth of a sum climbs straight
+into one output, its (-i)^j on the leaf scalars (`DuhamelEvaluator._terms`).
 `cauchy_diagnostic` collides such a split once more, its rows lifted by
 the classes of the input level where the collision's own field splits
 that input (`dynamics._lift`), so every variant of `converge` is exact
@@ -121,6 +122,13 @@ def _field(mode, m):
     return None if mode is None else mode.field_for_level(m)
 
 
+def _split_levels(variant, k, j):
+    """The levels m whose collision input `variant`'s exact average of a
+    depth-j term at level k splits by the classes of m: k+1..k+j for
+    independent fields, the data's k+j for a shared one, else none."""
+    return {"independent": range(k + 1, k + j + 1), "dependent": (k + j,)}.get(variant, ())
+
+
 def _class_energy_split(lattice, m, classes):
     """The full split of B_m by column label, as `DuhamelEvaluator._split`
     describes it: row r n n_c + label of B_m's column, the label being
@@ -163,19 +171,20 @@ class DuhamelEvaluator:
     takes one product with the stacked slices, whose vanishing columns
     are dropped, and the scalar functions of the chain suffixes (the
     scalar half) take one nested Gauss-Legendre step; at level k the two
-    meet row by row and add per class path (`_contract`).  Both are
-    chunked over energies and suffixes, never over times, so each array
-    stays within `CHAIN_CAP` complex elements.
+    meet row by row and add per class path (`_contract`) into its column
+    of one output per sum (`_terms`), the leaf scalars carrying the
+    (-i)^j.  Both are chunked over energies and suffixes, never over
+    times, so each array stays within `CHAIN_CAP` complex elements.
 
     The scalar half does not depend on the fields: it is computed once
     per level and chunk for the whole batch and kept for the modes that
     climb after the first.  The vector half climbs one mode at a time,
     depth-first from that mode's leaf block, so only one mode's chain
-    blocks are resident at a time.  A term that reads no field (depth 0,
-    or vanishing data) is one read-only array for every mode.  Class-split
-    climbs (`omega_norm`, `_class_terms`) take a variant and read neither
-    the modes nor a field: splits and leaf blocks go per (energy, class),
-    and each column's path names its classes.
+    blocks are resident at a time.  A sum that reads no field (depth 0
+    alone, or vanishing data) is one read-only array for every mode.
+    Class-split climbs (`omega_norm`, `_class_terms`) take a variant and
+    read neither the modes nor a field: splits and leaf blocks go per
+    (energy, class), and each column's path names its classes.
     """
 
     def __init__(self, state0, modes=(), quad=None):
@@ -290,19 +299,10 @@ class DuhamelEvaluator:
         return table
 
     def term_batch(self, k, j, times):
-        """Duh_j at level k for a batch of times: an (n_modes, dim_k, n) array.
-
-        A term that reads no field (depth 0, or vanishing data) is one
-        read-only array broadcast over the modes.
-        """
+        """Duh_j at level k for a batch of times: an (n_modes, dim_k, n) array,
+        read-only and broadcast over the modes when it reads no field."""
         self._check_depth(k, j)
-        times = np.asarray(times, dtype=np.float64)
-        shape = (len(self.modes), self.lattice.size ** (2 * k), times.size)
-        if self._gamma_flat(k + j) is None:
-            return np.broadcast_to(np.zeros(shape[1:], dtype=np.complex128), shape)
-        if j == 0:
-            return np.broadcast_to(self._free(k, times), shape)
-        return self._chain_term(k, j, times, self.modes)[:, :, 0]
+        return self._terms(k, [j], times, self.modes)[:, :, 0]
 
     def _check_depth(self, k, j):
         if j < 0:
@@ -318,8 +318,14 @@ class DuhamelEvaluator:
         return h_alpha_norm(self._wrap(k, _root_sum_squares(terms)), alpha)
 
     def _class_terms(self, k, depths, times, variant):
-        """The sum of Duh_j at level k over `depths`, split for its exact
-        average over the fields of `variant`: a (dim_k, P, n) array whose P
+        """The (dim_k, P, n) `_terms` split for `variant`'s exact average."""
+        _check_variant(variant)
+        return self._terms(k, depths, times, [None], variant)[0]
+
+    def _terms(self, k, depths, times, modes, variant=None):
+        """The sum of Duh_j at level k over `depths`: an (n_modes, dim_k, P, n)
+        array, each of `modes` under its fields (P = 1), or with a `variant`
+        (modes [None]) split for its exact average over the fields: the P
         columns, squared and added, give the average of |sum_j Duh_j|^2 per
         coefficient.  A field h enters as S_(m-1)(h) B_m S_m(h): the output
         sign is +-1 on each class of level m - 1, absorbed by the split
@@ -329,40 +335,48 @@ class DuhamelEvaluator:
         m = k+1..k+j, by the classes of level m (`tensor.odd_classes`).  A
         shared h gives Duh_j^h gamma0 = S_k(h) Duh_j(S_(k+j)(h) gamma0): only
         the data at level k+j is split, by its classes (`_data_classes`).
-        No field, or depth 0, takes none.  Depths add their columns of equal
-        Walsh character (`_characters`) in order, refused above the cap.
+        No field, or depth 0, takes none (`_split_levels`).  Each depth climbs
+        straight into its columns of the one output: its class paths in climb
+        order, or with several depths of a split the columns of their Walsh
+        characters (`_characters`).  A sum that reads no field (vanishing
+        data, or depth 0 alone) is one read-only array broadcast over the modes.
         """
-        _check_variant(variant)
         times = np.asarray(times, dtype=np.float64)
         dim = self.lattice.size ** (2 * k)
-        depths = [j for j in depths if self._gamma_flat(k + j) is not None] \
-            or list(depths)[:1]
-        if len(depths) > 1:
+        depths = [j for j in depths if self._gamma_flat(k + j) is not None]
+        if depths in ([], [0]):  # vanishing data, or the free flow alone
+            one = self._free(k, times) if depths else np.zeros((dim, times.size), complex)
+            return np.broadcast_to(one[:, None], (len(modes), dim, 1, times.size))
+        if variant is None or len(depths) == 1:
+            P = math.prod(self._widths(k, depths[0], _split_levels(variant, k, depths[0])))
+            columns = [np.arange(P)] * len(depths)
+        else:
             keys = [self._characters(k, j, variant, max(depths)) for j in depths]
             paths, index = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
-            self._check_chain(k, 0, times.size, [], 1, len(paths))
-            out = np.zeros((dim, len(paths), times.size), dtype=np.complex128)
+            P = len(paths)
             # one depth's characters are distinct, so no column repeats
-            for j, cols in zip(depths, np.split(index.reshape(-1), np.cumsum(
-                    [len(key) for key in keys])[:-1])):
-                part = self._class_terms(k, [j], times, variant)
-                if j == 0:
-                    rows = np.flatnonzero(self._gamma_flat(k))
-                    out[rows, cols] += part[rows, 0]
-                    continue
-                # column by column: out[:, c] is a view, so the add gathers
-                # and scatters no copy of the split
-                for i, c in enumerate(cols):
-                    out[:, c] += part[:, i]
-            return out
-        (j,) = depths
-        if self._gamma_flat(k + j) is None:
-            return np.zeros((dim, 1, times.size), dtype=np.complex128)
-        if j == 0:
-            return self._free(k, times)[:, None]
-        by_class = {"independent": range(k + 1, k + j + 1),
-                    "dependent": (k + j,)}.get(variant, ())
-        return self._chain_term(k, j, times, [None], by_class)[0]
+            columns = np.split(index.reshape(-1), np.cumsum(list(map(len, keys)))[:-1])
+        # one unsplit term is what a single mode needs; more must fit the cap
+        if len(modes) * P > 1:
+            size = len(modes) * P * dim * times.size
+            check_size(lattice_field(self.lattice.d), f"the Duhamel terms at level {k} "
+                       f"over {times.size} times hold {size} entries for {P} class paths "
+                       f"x {len(modes)} modes, F = {self.lattice.size}", size, CHAIN_CAP)
+        out = np.zeros((len(modes), dim, P, times.size), dtype=np.complex128)
+        for j, cols in zip(depths, columns):
+            if j > 0:
+                self._chain_term(k, j, times, modes, out, cols, _split_levels(variant, k, j))
+            else:  # the free flow, split by coefficient if P > 1
+                rows, cols = (slice(None), 0) if P == 1 else (np.flatnonzero(
+                    self._gamma_flat(k)), cols)
+                out[:, rows, cols] += self._free(k, times)[rows]
+        return out
+
+    def _widths(self, k, j, by_class):
+        """The class counts a depth-j chain block carries for levels k+1..k+j:
+        each level's in `by_class`, the data's at k+j, else 1."""
+        return [self._class_count(m, m in by_class) for m in range(k + 1, k + j)] + \
+            [self._data_classes(k + j)[2] if k + j in by_class else 1]
 
     def _characters(self, k, j, variant, length):
         """Each column's Walsh character prod_m chi_(c_(m-1) xor c_m)(h_m) in
@@ -371,7 +385,7 @@ class DuhamelEvaluator:
         then c_(k+j) to `length` levels if independent, c_(k+j) if dependent,
         else none.  Depth 0 has a row per nonzero coefficient, its class c_(k+j)."""
         nz = np.flatnonzero(self._gamma_flat(k)) if j == 0 else [0]
-        width = {"independent": length, "dependent": 1}.get(variant, 0)
+        width = len(_split_levels(variant, k, length))
         if not width:
             return np.zeros((len(nz), 0), dtype=np.int64)
         last = _odd_masks(self.lattice, k)[nz] if j == 0 else \
@@ -382,37 +396,35 @@ class DuhamelEvaluator:
             if width > 1), last, indexing="ij")]
         return np.stack(grid[:-1] + grid[-1:] * (width - len(grid) + 1), axis=1)
 
-    def _chain_term(self, k, j, times, modes, by_class=()):
-        """Duh_j at level k (j >= 1) by energy chains; see the module docstring.
-
-        Returns the (len(modes), dim_k, P, n) terms, each mode's under its
-        fields on levels k+1..k+j (none for a mode None).  With `by_class`
-        (modes [None]) its levels take the input of their collision per
-        class, the leaf's per class of the data, and P counts the class
-        paths; without it P = 1.  Each mode climbs from the nonzero columns
-        of its leaf block, column e n_top + c on path c and suffix e, and
-        the modes share their scalars.
+    def _chain_term(self, k, j, times, modes, out, columns, by_class):
+        """Add Duh_j at level k (j >= 1) by energy chains into `out`, out[i]
+        the (dim_k, P, n) sum of modes[i] under its fields on levels
+        k+1..k+j (none for a mode None).  With `by_class` (modes [None])
+        its levels take the input of their collision per class, the leaf's
+        per class of the data, and class path p adds into column columns[p];
+        without it there is one path.  Each mode climbs from the nonzero
+        columns of its leaf block, column e n_top + c on path c and suffix
+        e, and the modes share their scalars, which carry the (-i)^j from
+        the leaf on: a rotation by +-1 or +-i, exact in every sum.
         """
-        n_top = self._data_classes(k + j)[2] if k + j in by_class else 1
-        n_cls = [self._class_count(m, m in by_class) for m in range(k + 1, k + j)]
-        self._check_chain(k, j, times.size, n_cls + [n_top], len(modes),
-                          math.prod(n_cls) * n_top)
+        n_cls = self._widths(k, j, by_class)
+        n_top = n_cls[-1]
+        self._check_chain(k, j, times.size, n_cls)
         x, _ = self._gl
         # nodes[i]: the Gauss-Legendre tree's time nodes at level k + i
         nodes = [times]
         for _ in range(j):
             nodes.append((0.5 * nodes[-1][:, None] * (x + 1.0)).reshape(-1))
-        out = np.zeros((len(modes), self.lattice.size ** (2 * k),
-                        math.prod(n_cls) * n_top, times.size), dtype=np.complex128)
         # the leaf: one chain column per energy e of level k + j (and class
-        # c), with the block B P_e gamma0 and the scalar e^(-ieu) at the
-        # deepest nodes
+        # c), with the block B P_e gamma0 and the scalar (-i)^j e^(-ieu) at
+        # the deepest nodes
         vals = _energy_split(self.lattice, k + j)[0]
         dim_leaf = self.lattice.size ** (2 * (k + j - 1))
         step = max(1, CHAIN_CAP // max(dim_leaf * n_top, nodes[j].size))
         for lo in range(0, vals.size, step):
             hi = min(lo + step, vals.size)
             f = np.exp(-1j * np.outer(nodes[j], vals[lo:hi]))
+            f *= (-1j) ** j
             # the levels below share their scalars across the modes
             memo = {} if len(modes) > 1 else None
             for mode, term in zip(modes, out):
@@ -421,16 +433,12 @@ class DuhamelEvaluator:
                     leaf = leaf[:, lo * n_top:hi * n_top]
                 W, keep = _nonzero_columns(leaf.toarray())
                 self._climb(k, k + j - 1, W, keep % n_top, keep // n_top, n_top, f,
-                            nodes, term, mode, memo, by_class)
-        out *= (-1j) ** j
-        return out
+                            nodes, term, columns, mode, memo, by_class)
 
-    def _check_chain(self, k, j, n_times, n_cls, n_modes, n_out):
-        """Raise before allocating if a chain column or the terms exceed the cap.
-
-        n_cls[i] is the class count a chain block carries for level k+1+i
-        (1 without classes), n_out the class paths of each of the n_modes
-        terms."""
+    def _check_chain(self, k, j, n_times, n_cls):
+        """Raise before a climb if a chain column or the Gauss-Legendre tree
+        exceeds the cap; n_cls[i] is the class count a chain block carries
+        for level k+1+i (1 without classes)."""
         F = self.lattice.size
         name = lattice_field(self.lattice.d)
         n_nodes = n_times * self.quad.q ** j
@@ -448,15 +456,9 @@ class DuhamelEvaluator:
         check_size("q", f"the depth-{j} Gauss-Legendre tree over {n_times} "
                    f"times has {n_nodes} nodes at q={self.quad.q}", n_nodes,
                    CHAIN_CAP)
-        # one unsplit term is what a single mode needs; more must fit the cap
-        size = n_modes * n_out * F ** (2 * k) * n_times
-        if n_modes * n_out > 1:
-            check_size(name, f"the Duhamel terms at level {k} over {n_times} "
-                       f"times hold {size} entries for {n_out} class paths x "
-                       f"{n_modes} modes, F = {F}", size, CHAIN_CAP)
 
-    def _climb(self, k, level, W, path, suffix, P, f, nodes, out, mode, memo,
-               by_class=()):
+    def _climb(self, k, level, W, path, suffix, P, f, nodes, out, columns, mode,
+               memo, by_class=()):
         """Carry one chunk of chains from `level` up to level k into `out`.
 
         W (dim_level x n) holds the nonzero columns of one mode's chain
@@ -470,10 +472,11 @@ class DuhamelEvaluator:
         mode's field of `level` (none for a mode None), and B_level P_e P_c
         for every class c of `level` if `by_class` holds `level`, new path
         c P + path, in one product that drops its vanishing columns (a NaN
-        does not vanish).  At level k the columns add per class path into
-        the mode's (dim_k, P, n) `out` (`_contract`).  `memo`, when not
-        None, keeps the scalars of this call's chunks (and of the levels
-        below) for the other climbs that make the same call with another W.
+        does not vanish).  At level k the columns of path p add into column
+        columns[p] of the mode's (dim_k, P', n) `out` (`_contract`).  `memo`,
+        when not None, keeps the scalars of this call's chunks (and of the
+        levels below) for the other climbs that make the same call with
+        another W.
         """
         vals, inv = _energy_split(self.lattice, level)
         x, w = self._gl
@@ -514,7 +517,8 @@ class DuhamelEvaluator:
                 fn, below = entry
                 if level == k:
                     rows = np.flatnonzero((inv >= lo) & (inv < hi))
-                    _contract(out, rows, W, sel, path, suffix - c0, inv[rows] - lo, fn)
+                    _contract(out, rows, W, sel, columns[path], suffix - c0,
+                              inv[rows] - lo, fn)
                     continue
                 if split is None:
                     split = self._split(level, lo, hi, level in by_class)
@@ -525,7 +529,8 @@ class DuhamelEvaluator:
                 e, cls, i = np.unravel_index(keep, (hi - lo, n_cls, sel.size))
                 self._climb(k, level - 1, Wn, cls * P + path[sel[i]],
                             e * (c1 - c0) + suffix[sel[i]] - c0, n_cls * P,
-                            fn.reshape(s.size, -1), nodes, out, mode, below, by_class)
+                            fn.reshape(s.size, -1), nodes, out, columns, mode, below,
+                            by_class)
 
     def collide(self, m, batch):
         """B_m under each mode's level-m field, applied to that mode's array.
@@ -542,19 +547,13 @@ class DuhamelEvaluator:
         """Truncated-hierarchy solution at level k; sum of Duh_0..Duh_(N-k).
 
         An (n_modes, dim_k, n) array, read-only and broadcast over the
-        modes when it is a single term that reads no field.
+        modes when it reads no field.
         """
         if k > N:
             raise ValueError("level k must be <= truncation N")
-        times = np.asarray(times, dtype=np.float64)
-        parts = [self.term_batch(k, j, times) for j in range(0, N - k + 1)
-                 if k + j <= self.state.K_max]
-        if len(parts) == 1:
-            return parts[0]
-        acc = np.zeros(parts[0].shape, dtype=np.complex128)
-        for part in parts:
-            acc += part
-        return acc
+        self._check_depth(k, 0)
+        return self._terms(k, range(min(N, self.state.K_max) - k + 1), times,
+                           self.modes)[:, :, 0]
 
     def _wrap(self, k, col):
         shape = (self.lattice.size,) * (2 * k)
@@ -706,7 +705,7 @@ def cauchy_diagnostic(state0, Ns, T, variant, quad=None, alpha=1.0, xi=0.5,
     def norms(N, k):
         """[ti]: averaged H^alpha norm of the level-k collision of Duh_(N-k)."""
         C = full_collision_matrix(lat, k + 1)
-        if variant == "independent" or (variant == "dependent" and N == k):
+        if k + 1 in _split_levels(variant, k, N - k + 1):
             C = _lift(C, *odd_classes(lat, k + 1))
         terms = ev._class_terms(k + 1, [N - k], grid, variant)
         cols = real_matmul(C, terms).reshape(lat.size ** (2 * k), -1, grid.size)

@@ -45,6 +45,7 @@ __all__ = [
     "collision_omega_operator_norm",
 ]
 
+# points of Omega an average holds at once, exact or Monte Carlo
 ENUMERATION_CAP = 2**20
 # largest domain (order-(k+1) coefficients) an operator norm is taken on
 NORM_DOMAIN_CAP = 2**16
@@ -145,6 +146,8 @@ def omega_l2_h_alpha(norms, variant, lattice, levels, mc_samples=0, seed=0):
     them per mode; the squares are folded in the same order, and the
     estimate holds the root mean square of each.  "deterministic", or
     empty `levels`, evaluates the deterministic mode once, a batch of one.
+    More than ENUMERATION_CAP points, exact or sampled, is a MemoryGuardError
+    before any field is drawn.
     """
     _check_variant(variant)
     if variant == "deterministic" or not levels:
@@ -170,6 +173,8 @@ def omega_l2_h_alpha(norms, variant, lattice, levels, mc_samples=0, seed=0):
         return OmegaNormEstimate(_scalar(np.sqrt(acc / total)), total)
     if mc_samples < 2:
         raise ValueError("mc needs at least 2 samples")
+    check_size("mc_samples", f"a Monte Carlo average holds the modes of its "
+               f"{mc_samples} samples at once", mc_samples, ENUMERATION_CAP)
     modes = [redrawn([sample_field(lattice, seed, level=lv, sample=i)
                       for lv in keys])
              for i in range(mc_samples)]

@@ -109,6 +109,18 @@ def test_criterion_5_truncation_cauchy():
             120)
 
 
+def test_criterion_5_cauchy_values_pinned():
+    # the exact dependent-mode D(N) and their ratios at criterion 5, pinned
+    # so that a change in how the Duhamel sums are formed cannot move them
+    rep, _ = pinned_run(CONVERGE)
+    pins = {"cauchy_D": {"2": 0.024941967454239454, "3": 0.007871467231677818,
+                         "4": 0.0024111932480690703, "5": 0.0006940846184152517},
+            "cauchy_ratios": [0.31559127186415614, 0.306320686741285,
+                              0.28785939035416924]}
+    for name, value in pins.items():
+        assert rep.constants[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
 def test_criterion_6_phase_modulus_inequality():
     # a lattice with a violating slot also adds a failing
     # dynamics.phase_bound_d<d>M<M>k<k> check, which fails the run
@@ -119,6 +131,17 @@ def test_criterion_6_phase_modulus_inequality():
 def test_criterion_7_solution_modulus():
     verdict(7, "solution modulus scaling", CONTINUITY,
             ["duhamel.modulus_uniform_small_delta"], 120)
+
+
+def test_criterion_7_modulus_ratios_pinned():
+    # the exact Omega-averaged time-modulus ratios at criterion 7, pinned so
+    # that a change in how the solutions' class splits are summed cannot
+    # move them
+    rep, _ = pinned_run(CONTINUITY)
+    expected = {"0.01": 0.02991865007529, "0.001": 0.009463069645045346,
+                "0.0001": 0.00299254594242911}
+    assert rep.constants["modulus_ratios"] == pytest.approx(expected, rel=1e-12,
+                                                           abs=0.0)
 
 
 def test_criterion_8_symbolic_expansion():

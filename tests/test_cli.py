@@ -182,6 +182,33 @@ def test_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_kind_override_must_match_the_subcommand(tmp_path, capsys):
+    # `--set kind=` or a config file naming another kind is a config error
+    # that runs nothing: no expansion checks, no example1_expansion.json
+    cfg_path = tmp_path / "cfg" / "cfg.json"
+    cfg_path.parent.mkdir()
+    cfg_path.write_text(json.dumps({"kind": "expand"}))
+    out = tmp_path / "out" / "r.json"
+    out.parent.mkdir()
+    for extra in (["--set", "kind=expand"], ["--config", str(cfg_path)]):
+        assert main(["verify", *extra, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: kind:"), captured.err
+        assert captured.out == "" and list(out.parent.iterdir()) == []
+    assert main(["verify", "--set", "kind=verify", "--out", str(out)]) == 0
+
+
+def test_monte_carlo_samples_are_bounded(capsys):
+    # estimate-c0 holds every Monte Carlo sample's fields at once; above
+    # 2^20 samples it is refused up front, before any field is drawn
+    start = time.perf_counter()
+    assert main(["estimate-c0", "--set", "mc_samples=2000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mc_samples:"), err
+    assert "exceeds the cap 1048576" in err
+
+
 def test_dependent_decay_ignores_mc_samples(tmp_path):
     # exact dependent-mode decay climbs once per odd-multiplicity class of
     # its data and draws no field: at M=5 (2^11 shared fields) it passes, and

@@ -1003,3 +1003,22 @@ def test_continuity_draws_no_field(monkeypatch):
                            alpha0=2.0, q=10, xi=0.5, xi_prime=1.0, seed=108)
     assert run_experiment(cfg).passed
     assert batches and set(batches) == {0}
+
+
+def test_solution_modulus_holds_one_merged_split():
+    # continuity at d=1 M=7 N=2: the level-1 solution at 8 times, split by
+    # class paths, merges depths 0 and 1 in one output that the depth-1
+    # climb adds into.  A warm call's traced peak measures 108.7 MiB; a
+    # depth's own split held beside the merged one, then copied over, peaks
+    # at 149.2 MiB and fails the bound
+    lat = FrequencyLattice(1, 7)
+    st = random_state(lat, 2, 108, alpha=2.0, level_norms=[1.0, 1.0])
+    args = (st, 2, [0.0, 0.05], (1e-2, 1e-3, 1e-4), "independent", QuadratureSpec(q=10))
+    solution_time_modulus(*args)  # warm the matrices, splits and classes
+    tracemalloc.start()
+    try:
+        solution_time_modulus(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 125 * 2**20, peak / 2**20

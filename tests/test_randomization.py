@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from gphier import randomization
 from gphier.lattice import FrequencyLattice
 from gphier.tensor import (DensityMatrix, MemoryGuardError, h_alpha_norm,
                            random_density_matrix)
@@ -118,6 +119,18 @@ def test_enumeration_cap(lat):
     with pytest.raises(MemoryGuardError, match="cap"):
         omega_l2_h_alpha(each(lambda md: None), "independent", lat,
                          list(range(2, 12)))
+
+
+def test_monte_carlo_cap(lat, monkeypatch):
+    # more Monte Carlo points of Omega than the cap is refused before any
+    # field is drawn or any mode built
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a field was drawn before the guard")
+
+    monkeypatch.setattr(randomization, "sample_field", no_draw)
+    with pytest.raises(MemoryGuardError, match="^mc_samples: .* exceeds the cap 1048576"):
+        omega_l2_h_alpha(each(lambda md: None), "dependent", lat, [0],
+                         mc_samples=2_000_000)
 
 
 def test_unused_level_seeds_do_not_matter(lat):

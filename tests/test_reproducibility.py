@@ -72,6 +72,9 @@ CONFIGS = {
     # continuity at M=3 N=3: the largest class-split chunks, several
     # energies of a level in one product and one scalar step
     "continuity-M3-N3": ["continuity", "--set", "M=3", "--set", "N=3"],
+    # continuity at M=7 N=2, the largest N=2 lattice: the depth-0 and
+    # depth-1 columns of each solution merge into one split
+    "continuity-M7-N2": ["continuity", "--set", "M=7", "--set", "N=2"],
     # dependent decay at M=5, whose shared field has 2^11 values
     "decay-dependent-M5": [
         "decay", "--set", "mode=dependent", "--set", "M=5", "--set", "K_max=3",
