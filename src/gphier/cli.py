@@ -259,6 +259,8 @@ class ExperimentConfig:
                 f"xi: need 0 < xi < xi_prime, got xi={self.xi}, "
                 f"xi_prime={self.xi_prime}"
             )
+        if self.kind == "continuity" and self.alpha <= 0:
+            problems.append(f"alpha: continuity needs alpha > 0, got alpha={self.alpha}")
         if self.alpha0 <= self.alpha:
             problems.append(
                 f"alpha0: need alpha0 > alpha, got alpha0={self.alpha0}, "
@@ -559,15 +561,15 @@ def _run_decay(cfg, rep, csv_dir):
     lat = FrequencyLattice(cfg.d, cfg.M)
     k = 1
     j_max = min(3, cfg.K_max - k)
-    quad = QuadratureSpec(q=cfg.q)
     if cfg.mode == "dependent":
         state = nonresonant_sample(lat, cfg.K_max, cfg.seed)
     else:
         # the profile reads levels up to k + j_max
         state = random_state(lat, k + j_max, cfg.seed, alpha=cfg.alpha,
                              level_norms=[1.0] * (k + j_max))
-    norms, normalized = decay_profile(state, k, cfg.T, cfg.mode, j_max, quad,
-                                      alpha=cfg.alpha)
+    # one evaluator for both levels, so level k+1 reuses the leaf blocks
+    ev = DuhamelEvaluator(state, quad=QuadratureSpec(q=cfg.q))
+    norms, normalized = decay_profile(ev, k, cfg.T, cfg.mode, j_max, alpha=cfg.alpha)
     rep.constants["decay_norms"] = [float(x) for x in norms]
     rep.constants["decay_normalized"] = [float(x) for x in normalized]
     _write_csv(csv_dir, "decay_profile.csv", ["j", "norm", "normalized"],
@@ -582,10 +584,9 @@ def _run_decay(cfg, rep, csv_dir):
         rep.constants["c1_hat"] = c1_hat
         rep.constants["c1T_over_xi_prime"] = c1_hat * cfg.T / cfg.xi_prime
     if cfg.K_max >= k + 2 and state.level(k + 1) is not None:
-        n_k1 = decay_profile(state, k + 1, cfg.T, cfg.mode, 1, quad,
-                             alpha=cfg.alpha)[0]
-        if norms[1] > 0 and n_k1[1] > 0:
-            c2_hat = float(n_k1[1] / norms[1])
+        n_k1 = ev.omega_norm(k + 1, 1, cfg.T, cfg.mode, cfg.alpha)
+        if norms[1] > 0 and n_k1 > 0:
+            c2_hat = float(n_k1 / norms[1])
             rep.constants["c2_hat"] = c2_hat
             rep.constants["c2xi_over_xi_prime"] = c2_hat * cfg.xi / cfg.xi_prime
     if cfg.mode == "dependent":

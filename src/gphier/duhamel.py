@@ -12,13 +12,13 @@ halves.  The vector half applies each collision matrix once per level
 to a block of the nonzero chain columns below it, in real arithmetic on
 the block's float64 view (`dynamics.real_matmul`).  The scalar half runs
 the recursive tensor-product Gauss-Legendre rule (cost q^j) on (time
-node x chain suffix) arrays of scalars.  Both sum in sparse products,
-never in BLAS, so no bit depends on the thread count.  The method uses
-no generator and no matrix exponential, so it stays independent of
-`dynamics.evolve_truncated`.  The integral residual collides the solution
-one level up at the quadrature nodes; when that is the top level, plain
-free flow, it is formed one node at a time (`integral_residual`), so no
-top-level block over the nodes exists.
+node x chain suffix) arrays of scalars in batched BLAS products, never
+one-row ones (`_gauss_legendre_step`); the rest sums in sparse products,
+so no bit depends on the thread count.  The method uses no generator and
+no matrix exponential, so it stays independent of `dynamics.evolve_truncated`.
+The integral residual collides the solution one level up at the quadrature
+nodes; when that is the top level, plain free flow, it is formed one node at
+a time (`integral_residual`), so no top-level block over the nodes exists.
 
 A `DuhamelEvaluator` holds one state and a batch of modes; a field h
 enters as the conjugation B_m^h = S_(m-1)(h) B_m S_m(h), its signs on the
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvecs
 
 from . import dynamics, tensor
 from .dynamics import (_check_matrix, _check_variant, _energy_split, _lift, conjugate,
@@ -62,30 +62,15 @@ __all__ = [
 CHAIN_CAP = 2**22  # complex elements per chain-block or scalar-array chunk
 
 
-def _nonzero_columns(block):
-    """(the columns of the 2-d `block` with an entry other than 0, their
-    indices); a NaN is not 0, so it is kept."""
-    keep = np.flatnonzero(block.any(axis=0))
-    return (block if keep.size == block.shape[1] else block[:, keep]), keep
-
-
-def _block_diagonal(blocks):
-    """The CSR matrix with the (n, a, b) `blocks` on its diagonal."""
-    n, a, b = blocks.shape
-    cols = np.arange(n * b).reshape(n, 1, b)
-    return sp.csr_matrix((blocks.reshape(-1), np.broadcast_to(cols, blocks.shape).reshape(-1),
-                          np.arange(0, blocks.size + 1, b)), shape=(n * a, n * b))
-
-
 def _contract(out, rows, W, cols, path, suffix, energy, fn):
     """out[rows] += the columns `cols` of W times their scalars, per path:
     out[r, path[i], t] gains W[r, i] fn[t, energy, suffix[i]] for r in
     `rows`, energy the index in fn of each row's energy.
 
-    One sparse product, not BLAS, does every sum: its matrix has a row
-    per (row r, path) and holds each nonzero W[r, i] (a NaN too) at column
-    (energy, suffix[i]) of the scalars, whose rows are fn's (energy,
-    suffix) pairs.
+    One sparse product (scipy's CSR kernel, no matrix object), not BLAS,
+    does every sum: its matrix has a row per (row r, path) and holds each
+    nonzero W[r, i] (a NaN too) at column (energy, suffix[i]) of the
+    scalars, whose rows are fn's (energy, suffix) pairs.
     """
     cols = cols[np.argsort(path[cols], kind="stable")]
     paths, slot = np.unique(path[cols], return_inverse=True)
@@ -95,11 +80,20 @@ def _contract(out, rows, W, cols, path, suffix, energy, fn):
     r, i = np.divmod(nz, cols.size)
     n_t, n_e, c = fn.shape
     counts = np.bincount(r * paths.size + slot[i], minlength=rows.size * paths.size)
-    mat = sp.csr_matrix((part[nz], energy[r] * c + suffix[cols[i]],
-                         np.r_[0, np.cumsum(counts)]),
-                        shape=(rows.size * paths.size, n_e * c))
-    sums = mat @ fn.transpose(1, 2, 0).reshape(-1, n_t)
+    sums = np.zeros((rows.size * paths.size, n_t), dtype=np.complex128)
+    csr_matvecs(sums.shape[0], n_e * c, n_t, np.r_[0, np.cumsum(counts)],
+                energy[r] * c + suffix[cols[i]], part[nz],
+                np.ascontiguousarray(fn.transpose(1, 2, 0)).reshape(-1), sums.reshape(-1))
     out[np.ix_(rows, paths)] += sums.reshape(rows.size, paths.size, n_t)
+
+
+def _gauss_legendre_step(E, f):
+    """fn[s, e, c] = sum_r E[s, e, r] f[s, r, c], one batched BLAS product over
+    the nodes s; with one energy or one suffix BLAS would sum a one-row product
+    (gemv) in an order that depends on the thread count, so numpy sums r = 0..q-1."""
+    if E.shape[1] > 1 and f.shape[2] > 1:
+        return np.matmul(E, f)
+    return sum(E[:, :, r, None] * f[:, None, r] for r in range(E.shape[2]))
 
 
 @dataclass(frozen=True)
@@ -258,12 +252,13 @@ class DuhamelEvaluator:
     def _leaf(self, m, field, classes=False):
         """B_m^h P_e gamma0^(m) for every energy bucket e of level m, h = field.
 
-        A sparse (dim_(m-1), n_e) CSR block, built by one sparse product with
-        the bucket split of S_m(h) gamma0^(m), which stores only the
-        nonzero coefficients, so the block is as sparse as the data.  With
-        `classes` (and no field) the block has one column
-        B_m P_e P_c gamma0^(m) per energy e and class c of the data
-        (`_data_classes`), column e n_c + c.
+        The sparse (dim_(m-1), n_e) product of B_m with the bucket split of
+        S_m(h) gamma0^(m), one entry per nonzero coefficient, by scipy's CSR
+        kernels, no matrix object, buffers as scipy sizes them; no sum that
+        is 0 is kept (a NaN is not 0).  With `classes` (and no field) the
+        block has one column B_m P_e P_c gamma0^(m) per energy e and class c
+        of the data (`_data_classes`), column e n_c + c.  Kept as (row,
+        column, value) entries, a column indexing `keep`, the nonzero columns.
         """
         def build():
             signs = self._signs(m, field)
@@ -273,15 +268,19 @@ class DuhamelEvaluator:
             nz, cls, n_c = self._data_classes(m) if classes else \
                 (np.flatnonzero(g), 0, 1)
             vals, inv = _energy_split(self.lattice, m)
-            # one stored entry per nonzero coefficient, built as CSR directly
-            indptr = np.zeros(g.size + 1, dtype=np.int64)
-            indptr[nz + 1] = 1
-            cols = sp.csr_matrix((g[nz], inv[nz] * n_c + cls, np.cumsum(indptr)),
-                                 shape=(g.size, vals.size * n_c))
-            leaf = full_collision_matrix(self.lattice, m) @ cols
+            B = full_collision_matrix(self.lattice, m)
+            index, shape = B.indices.dtype, (B.shape[0], vals.size * n_c)
+            split = (np.cumsum(np.bincount(nz + 1, minlength=g.size + 1), dtype=index),
+                     (inv[nz] * n_c + cls).astype(index))
+            n = csr_matmat_maxnnz(*shape, B.indptr, B.indices, *split)
+            ptr, col, val = np.empty_like(B.indptr), np.empty(n, index), np.empty(n, complex)
+            csr_matmat(*shape, B.indptr, B.indices, B.data, *split, g[nz], ptr, col, val)
+            row = np.repeat(np.arange(B.shape[0]), np.diff(ptr))
+            col, val = col[:ptr[-1]], val[:ptr[-1]]
             if signs is not None:
-                leaf.data *= np.repeat(signs[0], np.diff(leaf.indptr))
-            return leaf
+                val *= signs[0][row]
+            kept = np.bincount(col, minlength=shape[1]) > 0
+            return row, (np.cumsum(kept, dtype=index) - 1)[col], val, np.flatnonzero(kept)
 
         key = None if field is None else field.fingerprint()
         return self._blocks.get(("leaf", m, key, classes), build)
@@ -428,12 +427,13 @@ class DuhamelEvaluator:
             # the levels below share their scalars across the modes
             memo = {} if len(modes) > 1 else None
             for mode, term in zip(modes, out):
-                leaf = self._leaf(k + j, _field(mode, k + j), k + j in by_class)
-                if step < vals.size:
-                    leaf = leaf[:, lo * n_top:hi * n_top]
-                W, keep = _nonzero_columns(leaf.toarray())
-                self._climb(k, k + j - 1, W, keep % n_top, keep // n_top, n_top, f,
-                            nodes, term, columns, mode, memo, by_class)
+                row, col, val, keep = self._leaf(k + j, _field(mode, k + j), k + j in by_class)
+                a, b = np.searchsorted(keep, (lo * n_top, hi * n_top))
+                mine = (col >= a) & (col < b)
+                W = np.zeros((dim_leaf, b - a), dtype=complex)
+                W[row[mine], col[mine] - a] = val[mine]
+                self._climb(k, k + j - 1, W, keep[a:b] % n_top, keep[a:b] // n_top - lo,
+                            n_top, f, nodes, term, columns, mode, memo, by_class)
 
     def _check_chain(self, k, j, n_times, n_cls):
         """Raise before a climb if a chain column or the Gauss-Legendre tree
@@ -467,7 +467,8 @@ class DuhamelEvaluator:
         scalar functions of the chain suffixes at the time nodes of level
         + 1.  One step prepends the energy e of `level` to every suffix,
         new suffix e c + suffix for f's c suffixes: the scalar half computes
-        f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r),
+        f'(e, suffix; s) = sum_r wu_r e^(-ie(s - u_r)) f(suffix; u_r)
+        (`_gauss_legendre_step`: batched BLAS, never a one-row product),
         and above level k the vector half applies B_level P_e under the
         mode's field of `level` (none for a mode None), and B_level P_e P_c
         for every class c of `level` if `by_class` holds `level`, new path
@@ -506,11 +507,9 @@ class DuhamelEvaluator:
                     if E is None:
                         wu = 0.5 * s[:, None] * w
                         gap = 0.5 * s[:, None] * (1.0 - x)     # s - u_r
-                        E = _block_diagonal(wu[:, None, :] * np.exp(
-                            -1j * vals[None, lo:hi, None] * gap[:, None, :]))
-                    # a sparse product, not BLAS, so no bit depends on the
-                    # thread count
-                    entry = ((E @ f[:, c0:c1]).reshape(s.size, hi - lo, -1),
+                        E = wu[:, None, :] * np.exp(
+                            -1j * vals[None, lo:hi, None] * gap[:, None, :])
+                    entry = (_gauss_legendre_step(E, f[:, c0:c1].reshape(s.size, x.size, -1)),
                              None if memo is None else {})
                     if memo is not None:
                         memo[key] = entry
@@ -522,10 +521,11 @@ class DuhamelEvaluator:
                     continue
                 if split is None:
                     split = self._split(level, lo, hi, level in by_class)
-                Wn, keep = _nonzero_columns(conjugate(
-                    lambda X: real_matmul(split, X).reshape(dim_next, -1),
-                    W if sel.size == W.shape[1] else W[:, sel],
-                    self._signs(level, _field(mode, level))))
+                Wn = conjugate(lambda X: real_matmul(split, X).reshape(dim_next, -1),
+                               W if sel.size == W.shape[1] else W[:, sel],
+                               self._signs(level, _field(mode, level)))
+                keep = np.flatnonzero(Wn.any(axis=0))  # a NaN is not 0: kept
+                Wn = Wn if keep.size == Wn.shape[1] else Wn[:, keep]
                 e, cls, i = np.unravel_index(keep, (hi - lo, n_cls, sel.size))
                 self._climb(k, level - 1, Wn, cls * P + path[sel[i]],
                             e * (c1 - c0) + suffix[sel[i]] - c0, n_cls * P,
@@ -636,15 +636,14 @@ def simplex_check(j, t, quad=None):
     return nested(t, j), t**j / math.factorial(j)
 
 
-def decay_profile(state0, k, t, variant, j_max, quad=None, alpha=1.0):
+def decay_profile(ev, k, t, variant, j_max, alpha=1.0):
     """Norms of Duh_j for j = 0..j_max plus factorial-normalized diagnostics.
 
-    The H^alpha norms of Duh_0..Duh_j_max are averaged in L^2(Omega) over
-    the sign fields of `variant` exactly, with no field drawn, by one
-    class-split climb per depth (`DuhamelEvaluator.omega_norm`).  The
-    normalized value is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
+    The H^alpha norms of `ev`'s Duh_0..Duh_j_max are averaged in L^2(Omega)
+    over the sign fields of `variant` exactly, with no field drawn, by one
+    class-split climb per depth (`ev.omega_norm`).  The normalized value
+    is a_j = |Duh_j| * j! / (t^j * prod_{i<j}(k+i)).
     """
-    ev = DuhamelEvaluator(state0, quad=quad)
     norms = [ev.omega_norm(k, j, t, variant, alpha) for j in range(j_max + 1)]
     normalized = []
     for j, nj in enumerate(norms):

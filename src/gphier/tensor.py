@@ -308,8 +308,8 @@ def h_alpha_norm(gamma, alpha):
         return float(np.sqrt(np.sum(weights * np.abs(gamma.values) ** 2)))
     acc = np.abs(gamma.data) ** 2
     for _ in range(2 * gamma.k):
-        acc = np.tensordot(acc, w2, axes=([acc.ndim - 1], [0]))
-    return float(np.sqrt(acc))
+        acc = np.dot(acc.reshape(-1, w2.size), w2)
+    return float(np.sqrt(acc.item()))
 
 
 def project(state, N, side):

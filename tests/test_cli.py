@@ -29,6 +29,42 @@ def test_config_validation_names_fields():
         assert any(p.startswith("mc_samples") for p in exc.value.problems)
 
 
+def test_continuity_needs_positive_alpha(capsys):
+    # continuity's free-flow modulus is an H^alpha bound with alpha0 > alpha
+    # > 0: alpha <= 0 is a config error naming alpha (exit 2), not a
+    # traceback (exit 1); other kinds read alpha = 0 as the plain l^2 norm
+    for alpha in ("0", "-0.5"):
+        assert main(["continuity", "--set", f"alpha={alpha}", "--set", "alpha0=0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alpha:") and "alpha > 0" in err
+    for kind in ("decay", "residual", "verify"):
+        ExperimentConfig(kind=kind, alpha=0.0).validate()
+
+
+def test_decay_job_climbs_on_one_evaluator(monkeypatch):
+    # both levels of a decay job share one evaluator, so level 2 reuses the
+    # leaf blocks of level 1's profile, and level 2's depth-0 norm, which
+    # the job never reads, is not computed
+    built, norms = [], []
+    init, omega_norm = duhamel.DuhamelEvaluator.__init__, duhamel.DuhamelEvaluator.omega_norm
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_norm(self, k, j, *args):
+        norms.append((k, j))
+        return omega_norm(self, k, j, *args)
+
+    monkeypatch.setattr(duhamel.DuhamelEvaluator, "__init__", counted_init)
+    monkeypatch.setattr(duhamel.DuhamelEvaluator, "omega_norm", counted_norm)
+    rep = run_experiment(ExperimentConfig(kind="decay", mode="independent", M=1, K_max=4,
+                                          T=0.5, q=12, seed=3))
+    assert rep.passed and "c2_hat" in rep.constants
+    assert len(built) == 1
+    assert norms == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 1)]
+
+
 def test_verify_passes_and_reports(tmp_path):
     cfg = ExperimentConfig(kind="verify")
     rep = run_experiment(cfg)
@@ -351,8 +387,8 @@ def test_residual_job_holds_few_grid_blocks():
     # block is (117649, 11) complex, 19.7 MiB.  The top level is formed one
     # time at a time on every path (the residual's quadrature nodes, the
     # trajectories, the comparison), so a warm job's traced peak measures
-    # 1.27 such blocks (25.2 MiB, seeds 3, 11, 12); the bound leaves a
-    # margin of 0.43 blocks (8.4 MiB), so holding one level-3 grid block
+    # 1.37 such blocks (27.1 MiB, seeds 3, 11, 12); the bound leaves a
+    # margin of 0.33 blocks (6.5 MiB), so holding one level-3 grid block
     # again fails (the batched top level peaked at 2.65 blocks)
     cfg = ExperimentConfig(kind="residual", d=1, M=3, N=3, K_max=3, q=16,
                            T=0.5, grid_points=11, seed=3)

@@ -386,7 +386,7 @@ def test_dependent_averages_build_one_evaluator(monkeypatch):
     st = random_state(lat, 3, 40, alpha=1.0, level_norms=[1.0] * 3)
     assert data_classes(st, [1, 2, 3]).size == 4
     quad = QuadratureSpec(q=4)
-    decay_profile(st, 1, 0.2, "dependent", 2, quad)
+    decay_profile(DuhamelEvaluator(st, quad=quad), 1, 0.2, "dependent", 2)
     assert built == [0]
     cauchy_diagnostic(st, [1, 2], 0.2, "dependent", quad, grid_times=(0.0, 0.2))
     assert built == [0, 0]
@@ -532,7 +532,7 @@ def test_nan_at_the_leaf_reaches_the_averages(lat, variant):
                                           data=top.reshape(st.level(4).data.shape))})
     quad = QuadratureSpec(q=4)
     assert math.isnan(DuhamelEvaluator(st, quad=quad).omega_norm(1, 3, 0.3, variant))
-    norms = decay_profile(st, 1, 0.3, variant, 3, quad)[0]
+    norms = decay_profile(DuhamelEvaluator(st, quad=quad), 1, 0.3, variant, 3)[0]
     assert np.all(np.isfinite(norms[:3])) and math.isnan(norms[3])
 
 
@@ -736,8 +736,8 @@ def test_decay_profile_zero_top(lat, quad):
         1: random_state(lat, 1, 12).level(1),
         2: random_state(lat, 2, 13).level(2),
     })
-    norms, normalized = decay_profile(st, 1, 0.3, "deterministic", 2, quad,
-                                      alpha=1.0)
+    norms, normalized = decay_profile(DuhamelEvaluator(st, quad=quad), 1, 0.3,
+                                      "deterministic", 2, alpha=1.0)
     assert norms[2] == 0.0
     assert norms[0] == pytest.approx(h_alpha_norm(st.level(1), 1.0), rel=1e-13)
 
@@ -749,7 +749,8 @@ def test_vanishing_dense_level_has_norm_zero(lat, quad):
     st = HierarchyState(lat, 3, {1: st.level(1), 2: st.level(2),
                                  3: DensityMatrix.zeros(lat, 3)})
     for variant in ("deterministic", "dependent", "independent"):
-        norms, _ = decay_profile(st, 1, 0.3, variant, 2, quad, alpha=1.0)
+        norms, _ = decay_profile(DuhamelEvaluator(st, quad=quad), 1, 0.3, variant, 2,
+                                 alpha=1.0)
         assert norms[2] == 0.0 and norms[1] > 0.0
     assert cauchy_diagnostic(st, [2], 0.3, "dependent", quad).tolist() == [0.0]
 
@@ -758,7 +759,8 @@ def test_decay_chain_bound(lat):
     st = random_state(lat, 3, 14, alpha=1.0, level_norms=[1.0] * 3)
     quad = QuadratureSpec(q=12)
     t = 0.5
-    norms, _ = decay_profile(st, 1, t, "independent", 2, quad, alpha=1.0)
+    norms, _ = decay_profile(DuhamelEvaluator(st, quad=quad), 1, t, "independent", 2,
+                             alpha=1.0)
     from gphier.randomization import collision_omega_operator_norm
 
     # the largest norm over every slot j < m: `gph decay` takes slot 1 only,
@@ -784,7 +786,8 @@ def test_dependent_decay_shape():
     lat = FrequencyLattice(1, 5)
     st = nonresonant_sample(lat, 3, 30)
     quad = QuadratureSpec(q=6)
-    norms, normalized = decay_profile(st, 1, 0.1, "dependent", 2, quad, alpha=1.0)
+    norms, normalized = decay_profile(DuhamelEvaluator(st, quad=quad), 1, 0.1,
+                                      "dependent", 2, alpha=1.0)
     assert normalized[2] <= normalized[1] * 1.5
 
 
@@ -836,7 +839,7 @@ def test_dependent_class_sums_match_field_enumeration(variant, storage, M, seed,
 
     rms = omega_l2_h_alpha(norms, variant, lat, levels).value
     assert rms.shape == (6, 2)
-    profile = decay_profile(st, 1, t, variant, 2, quad)[0]
+    profile = decay_profile(DuhamelEvaluator(st, quad=quad), 1, t, variant, 2)[0]
     assert np.all(np.abs(profile - rms[:3, 0]) <= 1e-13 * rms[:3, 0])
     ref = [np.max(0.5 * rms[3]), np.max(0.5 * rms[4] + 0.25 * rms[5])]
     got = cauchy_diagnostic(st, [1, 2], t, variant, quad, xi=0.5, grid_times=grid)
@@ -864,7 +867,7 @@ def test_deterministic_cauchy_matches_pointwise_collision():
 
 
 @pytest.mark.parametrize("average", [
-    lambda st: decay_profile(st, 1, 0.1, "independant", 1),
+    lambda st: decay_profile(DuhamelEvaluator(st), 1, 0.1, "independant", 1),
     lambda st: cauchy_diagnostic(st, [1], 0.1, "independant"),
     lambda st: solution_time_modulus(st, 2, [0.0], (1e-2,), "independant"),
     lambda st: omega_l2_h_alpha(lambda modes: [1.0] * len(modes), "independant",

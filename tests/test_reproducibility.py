@@ -119,3 +119,40 @@ def test_report_bytes_repeat_across_processes(name, tmp_path):
     assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
     first, second = (_outside_environment(path.read_text()) for path in paths)
     assert first == second
+
+
+# The scalar half's Gauss-Legendre step (`duhamel._gauss_legendre_step`) on
+# chunks of one energy, (2, 1, q) @ (2, q, c), at widths c where OpenBLAS
+# threads a one-row product, and on 5 energies in chunks of 2, whose last
+# chunk holds one.  Prints the sha256 of every result's bytes.
+KERNEL_SCRIPT = """
+import hashlib
+import numpy as np
+from gphier.duhamel import _gauss_legendre_step
+
+def draw(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+rng = np.random.default_rng(36)
+digest = hashlib.sha256()
+for q in (4, 12, 16):
+    for c in (8349, 40001, 84985):
+        digest.update(_gauss_legendre_step(draw(rng, 2, 1, q), draw(rng, 2, q, c)).tobytes())
+E, f = draw(rng, 2, 5, 12), draw(rng, 2, 12, 8349)
+for lo in range(0, 5, 2):
+    digest.update(_gauss_legendre_step(E[:, lo:lo + 2], f).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_scalar_half_kernel_bits_repeat_across_thread_counts():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    procs = [subprocess.Popen([sys.executable, "-c", KERNEL_SCRIPT],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              stdout=subprocess.PIPE, text=True)
+             for threads in THREADS]
+    outs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0] == outs[1] and len(outs[0].strip()) == 64

@@ -64,6 +64,30 @@ def test_h_alpha_norm_values(lat):
     assert h_alpha_norm(r, 0.0) == pytest.approx(direct, rel=1e-13)
 
 
+def _tensordot_norm(gamma, alpha):
+    """The H^alpha norm by a tensordot per slot: the reference chain."""
+    w2 = gamma.lattice.brackets ** (2.0 * alpha)
+    acc = np.abs(gamma.data) ** 2
+    for _ in range(2 * gamma.k):
+        acc = np.tensordot(acc, w2, axes=([acc.ndim - 1], [0]))
+    return float(np.sqrt(acc))
+
+
+@pytest.mark.parametrize("d, M, k_max", [(1, 1, 4), (1, 3, 3), (1, 8, 2), (2, 1, 3)])
+def test_h_alpha_norm_is_the_tensordot_chain(d, M, k_max):
+    # one matrix-vector product per slot gives the tensordot chain's bits,
+    # and a NaN or inf coefficient still gives a non-finite norm
+    lat = FrequencyLattice(d, M)
+    for k in range(1, k_max + 1):
+        g = random_density_matrix(lat, k, 10 * k + M)
+        for alpha in (0.0, 0.5, 1.0):
+            assert h_alpha_norm(g, alpha) == _tensordot_norm(g, alpha)
+        for bad in (np.nan, np.inf):
+            data = g.data.copy()
+            data.reshape(-1)[data.size // 3] = bad
+            assert not np.isfinite(h_alpha_norm(DensityMatrix(lat, k, "dense", data=data), 1.0))
+
+
 def test_norm_monotone_in_alpha(lat):
     r = random_density_matrix(lat, 2, 3)
     n0, n1, n2 = (h_alpha_norm(r, a) for a in (0.0, 0.7, 1.5))
