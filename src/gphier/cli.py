@@ -182,9 +182,9 @@ class ExperimentConfig:
              ENUMERATION_CAP, "a Monte Carlo average over mc_samples points of "
              "Omega, each sample's fields held at once"),
             # the k=2 residual streams the order-3 tensor power into the
-            # gather collision.  The row bounds the whole pair-reduced sum,
-            # its shift buffer, though the kernel holds one F-th of it at a
-            # time; the kernel refuses the same size (`dynamics._collide`)
+            # gather collision (`dynamics._collide`), which refuses the same
+            # size.  The row bounds its whole shift buffer, though the kernel
+            # holds one F-th of it and one F^4 product block at a time
             ("nls", big, 4 * logF + self.d * math.log(4 * max(self.M, 2) + 1),
              MEMORY_GUARD, "the order-3 collision's shift buffer on "
              "F^4 (4M+1)^d entries, with M read as max(M, 2)"),

@@ -4,17 +4,14 @@ A collision summand reads its contracted pair (a, b) only through the
 shift s = a - b, so every collision factors through one shift table
 (`_roles`).  Joined with the pairs, the table gives the triplets of the
 cached scipy.sparse matrices; above MATRIX_DOMAIN_CAP, the gather kernel
-(`_collide`) sums gamma over the pairs of each shift once and gathers
-every term from that shift buffer, which it forms one index of its first
-axis at a time, so the whole buffer never exists (memory-lean, any
-size).  It sums with no BLAS call, so its bits do not depend on the BLAS
-thread count.  One switch picks between the two by F^(2m) alone
-(`_apply`), for `collision`, `full_collision` and `power_collision`.
-The pair reduction reads gamma only slab by slab, so it also takes a
-rank-one gamma = h (x) g as its two factors and forms each slab as it is
-read: `power_collision` hands the switch a pure tensor power as that
-pair, which only the matrix side multiplies out, so above the cap the
-power costs the memory of one chunk of the shift buffer, not its own.
+(`_collide`) sums gamma over the pairs of each shift once, by real 0/1
+CSR products with no BLAS call, and gathers every term from that shift
+buffer, formed one index of its first axis at a time.  One switch picks
+between the two by F^(2m) alone (`_apply`), for `collision`,
+`full_collision` and `power_collision`.  The kernel forms gamma block by
+block, so it also takes a rank-one gamma = h (x) g as its two factors:
+`power_collision` hands the switch a pure tensor power as that pair, so
+above the cap the power costs one chunk and one block, not its own size.
 
 Every kernel and collision matrix is deterministic.  A sign field h
 enters only as the diagonal S_k(h) of h over all 2k slots (`sign_vector`):
@@ -44,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from . import tensor
 from .tensor import (DensityMatrix, HierarchyState, check_size, h_alpha_norm,
@@ -231,9 +229,6 @@ def free_evolve(gamma, t):
 
 # --- collision: pair reduction and shift gather, streamed --------------------
 
-# shift-buffer entries per slab of the pair reduction, kept small and in cache
-_SLAB = 2**12
-
 
 def _shift_table(lattice):
     """F x F flat indices of the shifts x - y, lexicographic in [-2M, 2M]^d."""
@@ -275,25 +270,26 @@ def _collide(lat, m, x, terms):
     D[rest, s]: the sum of gamma over the pairs (a, b) at the slots (n, n')
     with shift s = a - b, rest being gamma's other axes in order, the
     output axes of every term.  D is formed one index i0 of its first axis
-    at a time, and each term gathers from that chunk at once:
+    at a time, as the chunk C[i, s, p] (i the other unprimed axes, p the
+    primed ones), and each term gathers from that chunk at once:
     out[..g..] += coef sum_u D[..u.., s(g, u)] at its output axis.  The
     first axis is the output axis only of (1, n, '+'), for which u = i0
     and every g reads the chunk; every other term writes only out[i0].
-    The sums over u run in a fixed order with no BLAS call, so the result
-    does not depend on the BLAS thread count.
 
-    A chunk is built slab by slab from gamma, v[i0, i..., a] with v = gamma
-    as (unprimed rest, a, primed rest, b): row a of the shift table is the
-    box a + 2M - [0, 2M]^d reversed, so each a adds a slab into a slice,
-    and the chunk's own leading axes are looped over until a slab is
-    small.  A rank-one gamma's slab is the outer product of h'[i0, i..., a]
-    with g', h' and g' being h and g with the pair axis last, formed when
-    the loop reads it, so gamma never exists.
+    Row C[i] is the product R P of the real 0/1 pair reducer R and the
+    block P[a, b, p] = gamma[i0, i, a, b, p]: for a pair, the outer
+    product of h[i0, i, a] and g[b, p], so gamma never exists.  Numpy forms
+    every product, as in the dense power; scipy's kernel adds 1.0 times
+    each, which is exact, into zeros, a increasing, on float64 views, so D
+    is bitwise what adding gamma's slabs over a in turn gives.  No complex
+    value enters a scipy kernel, whose complex multiply rounds otherwise
+    than numpy's.  No sum runs in BLAS, so no bit depends on its threads.
     """
-    F, side, d, M = lat.size, lat.side, lat.d, lat.M
-    # the guard bounds the whole pair-reduced sum, though one F-th of it is
-    # held at a time
-    entries = F ** (2 * m - 2) * (4 * M + 1) ** d
+    F, d, M = lat.size, lat.d, lat.M
+    S = (4 * M + 1) ** d
+    # the guard bounds the whole pair-reduced sum, though the kernel holds
+    # one F-th of it and one block of F^(m+1) products at a time
+    entries = F ** (2 * m - 2) * S
     check_size(lattice_field(d), f"the order-{m} collision shift buffer has "
                f"F^{2 * m - 2} (4M+1)^d = {entries} entries, F = {F}", entries,
                tensor.MEMORY_GUARD)
@@ -301,35 +297,40 @@ def _collide(lat, m, x, terms):
     roles = [_roles(lat, m, ell, n, sign)[1:] + (coef,)
              for ell, n, sign, coef in terms]
     if isinstance(x, tuple):
-        h, g = (np.moveaxis(f.reshape((F,) * m), n - 1, -1) for f in x)
-        slab_at = lambda idx: np.multiply.outer(h[idx], g)
+        h, g = (np.ascontiguousarray(np.moveaxis(f.reshape((F,) * m), n - 1, ax))
+                for f, ax in zip(x, (-1, 0)))
+        fill = lambda idx, block: np.multiply.outer(h[idx], g, out=block)
     else:
-        v = np.moveaxis(x.reshape((F,) * (2 * m)), (n - 1, m + n - 1),
-                        (m - 1, 2 * m - 1))
-        slab_at = v.__getitem__
-    chunk = np.empty((F,) * (2 * m - 3) + (4 * M + 1,) * d, dtype=np.complex128)
-    lead = 0
-    while lead < m - 2 and chunk.size > _SLAB * F**lead:
-        lead += 1
-    boxes = [(Ellipsis,) + tuple(slice(c + 2 * M, c - 1 if c else None, -1)
-                                 for c in pt + M) for pt in lat.points]
-    by_shift = chunk.reshape(chunk.shape[:2 * m - 3] + (-1,))
+        v = np.moveaxis(x.reshape((F,) * (2 * m)), (n - 1, m + n - 1), (m - 1, m))
+        fill = lambda idx, block: np.copyto(block, v[idx])
+    # the pair reducer: a 0/1 CSR matrix whose row s lists the flat pairs
+    # a F + b of shift s (`_shift_table`), in increasing order
+    shift = _shift_table(lat).reshape(-1)
+    reducer = (np.r_[0, np.cumsum(np.bincount(shift, minlength=S))],
+               np.argsort(shift, kind="stable"), np.ones(F * F))
+    chunk = np.empty((F,) * (m - 2) + (S,) + (F,) * (m - 1), dtype=np.complex128)
+    rows = chunk.reshape(F ** (m - 2), -1).view(np.float64)
     out = np.zeros((F,) * (2 * m - 2), dtype=np.complex128)
     u = np.arange(F)[:, None]
     for i0 in range(F):
-        chunk[...] = 0.0
-        for i in np.ndindex((F,) * lead):
-            for a, box in enumerate(boxes):
-                slab = slab_at((i0,) + i + (slice(None),) * (m - 2 - lead) + (a,))
-                chunk[i][box] += slab.reshape(slab.shape[:-1] + (side,) * d)
+        rows[...] = 0.0
+        block = np.empty((F,) * (m + 1), dtype=np.complex128)
+        for j, i in enumerate(np.ndindex((F,) * (m - 2))):
+            fill((i0,) + i, block)
+            csr_matvecs(S, F * F, 2 * F ** (m - 1), *reducer,
+                        block.reshape(-1).view(np.float64), rows[j])
+        # the block is not held through the gathers, whose temporaries peak
+        del block
         for out_ax, gather, coef in roles:
             if out_ax == 0:
-                # u = i0 for every g: (other output axes, g)
-                ov = np.moveaxis(out, 0, -1)
-                ov += coef * by_shift[..., gather[:, i0]]
+                # u = i0 for every g: (i, g, p)
+                ov = np.moveaxis(out, 0, m - 2)
+                ov += coef * np.take(chunk, gather[:, i0], axis=m - 2)
             else:
-                # (u, g, other output axes), summed over u row by row
-                X = np.moveaxis(by_shift, (out_ax - 1, -1), (0, 1))[u, gather.T]
+                # (u, g, other output axes), summed over u row by row; the
+                # chunk's axis m-2 is s
+                ax = out_ax - 1 + (out_ax >= m - 1)
+                X = np.moveaxis(chunk, (ax, m - 2), (0, 1))[u, gather.T]
                 ov = np.moveaxis(out[i0], out_ax - 1, 0)
                 ov += coef * X.sum(axis=0)
     return out.reshape(-1)
@@ -428,9 +429,8 @@ def power_collision(phi, m, lattice):
 
     The power h (x) conj(h), h the left-folded half power of phi, goes to
     `_apply` as a rank-one pair, whose outer product is the factorized
-    power.  The gather kernel forms each slab from the two factors, with
-    the same products as the power's entries, summed in the same order,
-    so above the cap the F^(2m) power is never built.
+    power.  The gather kernel forms it block by block from the factors, the
+    same products summed in the same order: the F^(2m) power never exists.
     """
     half = tensor._half_power(phi, m, lattice)
     return _apply(lattice, m, (half, np.conj(half)), _full_terms(m))

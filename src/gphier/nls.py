@@ -198,7 +198,7 @@ def factorized_residual(traj, k, grid_times, alpha=1.0):
     B gamma^(k+1) is the generic full collision of the tensor power, once
     per grid time (`dynamics.power_collision`): bitwise the collision of
     the dense power, which above the matrix cap is never built, since the
-    gather kernel forms its slabs from the two half-power factors.
+    gather kernel forms its blocks from the two half-power factors.
     """
     if len(grid_times) == 0:
         raise ValueError("grid_times is empty: a residual over no time "

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvecs
 from hypothesis import given, settings, strategies as st
 
 from gphier import dynamics, nls, tensor
@@ -507,6 +508,108 @@ def test_gather_kernel_streams_the_shift_buffer(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * buffer_bytes, peak / buffer_bytes
+
+
+def _slab_collide(lat, m, x, terms, slab=2**12):
+    """The gather kernel as a loop over slabs, the reference for its bits.
+
+    Each chunk D[i0] is summed slab by slab from gamma: row a of the shift
+    table is the box a + 2M - [0, 2M]^d reversed, so each a, in increasing
+    order, adds the slab v[i0, i..., a, ..., b] into a slice of the chunk,
+    whose leading axes are looped over until a slab has at most `slab`
+    entries.  A rank-one slab is the outer product of h'[i0, i..., a] with
+    g', the pair axis last in both.  The term gathers are the kernel's.
+    """
+    F, side, d, M = lat.size, lat.side, lat.d, lat.M
+    n = terms[0][1]
+    roles = [dynamics._roles(lat, m, ell, n, sign)[1:] + (coef,)
+             for ell, n, sign, coef in terms]
+    if isinstance(x, tuple):
+        h, g = (np.moveaxis(f.reshape((F,) * m), n - 1, -1) for f in x)
+        slab_at = lambda idx: np.multiply.outer(h[idx], g)
+    else:
+        v = np.moveaxis(x.reshape((F,) * (2 * m)), (n - 1, m + n - 1),
+                        (m - 1, 2 * m - 1))
+        slab_at = v.__getitem__
+    chunk = np.empty((F,) * (2 * m - 3) + (4 * M + 1,) * d, dtype=np.complex128)
+    lead = 0
+    while lead < m - 2 and chunk.size > slab * F**lead:
+        lead += 1
+    boxes = [(Ellipsis,) + tuple(slice(c + 2 * M, c - 1 if c else None, -1)
+                                 for c in pt + M) for pt in lat.points]
+    by_shift = chunk.reshape(chunk.shape[:2 * m - 3] + (-1,))
+    out = np.zeros((F,) * (2 * m - 2), dtype=np.complex128)
+    u = np.arange(F)[:, None]
+    for i0 in range(F):
+        chunk[...] = 0.0
+        for i in np.ndindex((F,) * lead):
+            for a, box in enumerate(boxes):
+                part = slab_at((i0,) + i + (slice(None),) * (m - 2 - lead) + (a,))
+                chunk[i][box] += part.reshape(part.shape[:-1] + (side,) * d)
+        for out_ax, gather, coef in roles:
+            if out_ax == 0:
+                ov = np.moveaxis(out, 0, -1)
+                ov += coef * by_shift[..., gather[:, i0]]
+            else:
+                X = np.moveaxis(by_shift, (out_ax - 1, -1), (0, 1))[u, gather.T]
+                ov = np.moveaxis(out[i0], out_ax - 1, 0)
+                ov += coef * X.sum(axis=0)
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("operand", ["flat", "rank-one"])
+@pytest.mark.parametrize("d, M, m", [(1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 2, 3),
+                                     (1, 3, 3), (2, 1, 2), (2, 1, 3)])
+def test_collide_is_the_slab_loop_bitwise(d, M, m, operand):
+    # the pair reduction as a 0/1 CSR product adds the same products in the
+    # same order as the slab loop, on each single term and on the full set;
+    # a NaN and an inf in the operand land on the same entries in both
+    lat = FrequencyLattice(d, M)
+    F = lat.size
+    rng = np.random.default_rng(70 + 10 * d + M + m)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = draw(F ** (2 * m)) if operand == "flat" else (draw(*(F,) * m), draw(*(F,) * m))
+    singles = [((ell, n, sign, 1.0),) for n in range(2, m + 1) for ell in range(1, n)
+               for sign in "+-"]
+    for bad in (False, True):
+        if bad:
+            parts = [x] if operand == "flat" else list(x)
+            parts[0].flat[F + 1] = np.nan
+            parts[-1].flat[-F] = np.inf
+        for terms in singles + [dynamics._full_terms(m)]:
+            with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
+                want = _slab_collide(lat, m, x, terms)
+                got = dynamics._collide(lat, m, x, terms)
+            assert np.array_equal(got, want, equal_nan=True), terms
+        assert np.isfinite(want).all() != bad
+
+
+def test_private_csr_kernels_match_the_public_product():
+    # dynamics and duhamel call scipy's private CSR kernels, whose signatures
+    # scipy does not promise to keep: each against the public `@`, on the
+    # real and complex data the callers hand them
+    rng = np.random.default_rng(80)
+    A = sp.random(4, 6, density=0.5, format="csr", random_state=rng)
+    B = sp.random(6, 3, density=0.5, format="csr", random_state=rng)
+    for data in (A.data, A.data + 1j * rng.standard_normal(A.nnz)):
+        X = rng.standard_normal((6, 5)) + (1j * rng.standard_normal((6, 5))
+                                            if data.dtype.kind == "c" else 0)
+        Y = np.zeros((4, 5), dtype=X.dtype)
+        csr_matvecs(4, 6, 5, A.indptr, A.indices, data, X.reshape(-1), Y.reshape(-1))
+        mat = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+        assert np.array_equal(Y, mat @ X)
+    values = B.data + 1j * rng.standard_normal(B.nnz)
+    n = csr_matmat_maxnnz(4, 3, A.indptr, A.indices, B.indptr, B.indices)
+    assert n >= (A @ B).nnz
+    ptr, col, val = np.empty_like(A.indptr), np.empty(n, A.indices.dtype), np.empty(n, complex)
+    csr_matmat(4, 3, A.indptr, A.indices, A.data, B.indptr, B.indices, values,
+               ptr, col, val)
+    got = sp.csr_matrix((val[:ptr[-1]], col[:ptr[-1]], ptr), shape=(4, 3))
+    want = A @ sp.csr_matrix((values, B.indices, B.indptr), shape=B.shape)
+    assert np.array_equal(got.toarray(), want.toarray())
 
 
 def test_evolve_missing_independent_field(lat):
